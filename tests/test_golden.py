@@ -1,0 +1,115 @@
+"""Golden outputs: the exact bytes every CLI output file holds for fixed inputs.
+
+Seeded `simulate` data goes through `evaluate` under both calibration scopes
+(schema-disjoint with `--compare`, schema-disjoint with monotonic bins and
+Platt thresholds, and schema-level), and a small SQLite fixture goes through
+`label`. Each output file's SHA-256 is compared with a recorded constant, so
+a refactor that claims identical outputs is held to it byte for byte. A
+change that means to alter an output updates its constant and says why.
+"""
+
+import hashlib
+import json
+import sqlite3
+
+import pytest
+
+from sqlcalib.cli import main
+
+EVALUATE_RUNS = {
+    "compare": ["--compare"],
+    "monotonic_platt": ["--binning", "monotonic", "--calibrator", "platt"],
+    "schema_level": ["--scope", "schema_level"],
+}
+
+GOLDEN = {
+    ("simulate", "data.jsonl"):
+        "b74e24c38096e4deef0af11212d6c3968e8b4a93cd7eb8857e452992b984c3db",
+    ("compare", "report.csv"):
+        "eb5cd69f9771a4d8f5407ee3d3e01f868dc705710a32cc8c71f226eca4f29345",
+    ("compare", "report.json"):
+        "ee6e9e8fbc3005f3764c82b0b5d0164faf9149468e0aeb554ad61694da1eafb6",
+    ("compare", "thresholds.csv"):
+        "4f586a64ee60b092e58f650fd55410ad6bcfc27e076027e3b0c65035c59629de",
+    ("compare", "compare.csv"):
+        "760b745a14ee28bcbdae14863d3eaad94cac4016a72cf1b981ac99d073199635",
+    ("monotonic_platt", "report.csv"):
+        "5cd93d165b2781009aedf63117f0844a98a201262a8112cd7f531ad90b51b226",
+    ("monotonic_platt", "report.json"):
+        "9b759b515113e88c514c10bf4ee06a1907df950cf5e4576189b398ffc64e8554",
+    ("monotonic_platt", "thresholds.csv"):
+        "2e578168cafb2ca5f52e649e82e49614f00b623ae07700c0fa4c4d428f68154c",
+    ("schema_level", "schemas.csv"):
+        "188b13fa2232273fa72b10ac699a9ec804f9a867d8c02a752de6eaf0d88f1cf0",
+    ("schema_level", "thresholds.csv"):
+        "3b2922a7752c8ebda710fafef875e0abe236b24fc83cb392034687cc7d220b72",
+    ("label", "labeled.jsonl"):
+        "d2017ca9ca960961bbe1185b63cff04f731d7baec728a704f83dac5f6582de09",
+}
+
+PAIRS = [
+    {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
+     "pred_sql": "SELECT name FROM singer ORDER BY age", "question": "Singer names?",
+     "token_probs": [0.9, 0.8, 0.75], "self_check_bool": {"p_true": 0.7, "p_false": 0.2},
+     "verbalized_prob": 0.85, "model": "m-1"},
+    {"id": "q2", "schema_id": "concerts", "gold_sql": "SELECT name, age FROM singer",
+     "pred_sql": "SELECT age, name FROM singer", "token_probs": [0.6],
+     "alternatives": [{"score": 0.4, "equivalent": False}, {"score": 0.2, "equivalent": True}]},
+    {"id": "q3", "schema_id": "concerts", "gold_sql": "SELECT count(*) FROM singer",
+     "pred_sql": "SELECT count(*) FROM singer WHERE age > 26", "label": 1,
+     "db_path": "concerts/concerts.sqlite", "token_probs": [0.5, 0.45]},
+    {"id": "q4", "schema_id": "concerts", "gold_sql": "SELECT avg(age) FROM singer",
+     "pred_sql": "SELEC avg(age) FROM singer", "question": "Mean age?",
+     "self_check_bool": {"p_true": 0.1, "p_false": 0.8}, "tags": ["agg", "avg"]},
+    {"id": "q5", "schema_id": "concerts", "gold_sql": "SELECT 1.5 * age FROM singer",
+     "pred_sql": "SELECT age * 1.5 FROM singer", "verbalized_prob": 0.5},
+]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run every command once; map (run, file name) to the written file."""
+    root = tmp_path_factory.mktemp("golden")
+    data = root / "data.jsonl"
+    assert main(["simulate", "--n", "1200", "--map", "logistic", "--seed", "11",
+                 "--schemas", "12", "--out", str(data)]) == 0
+    for run, flags in EVALUATE_RUNS.items():
+        assert main(["evaluate", "--input", str(data), "--seed", "7",
+                     "--out-dir", str(root / run), *flags]) == 0
+
+    db_dir = root / "dbs" / "concerts"
+    db_dir.mkdir(parents=True)
+    conn = sqlite3.connect(db_dir / "concerts.sqlite")
+    conn.executescript(
+        """
+        CREATE TABLE singer (name TEXT, age INTEGER);
+        INSERT INTO singer VALUES ('Ava', 30), ('Ben', 25), ('Cy', 41);
+        """
+    )
+    conn.commit()
+    conn.close()
+    pairs = root / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(p) + "\n" for p in PAIRS), encoding="utf-8")
+    label_dir = root / "label"
+    label_dir.mkdir()
+    assert main(["label", "--pairs", str(pairs), "--db-root", str(root / "dbs"),
+                 "--out", str(label_dir / "labeled.jsonl")]) == 0
+
+    files = {("simulate", "data.jsonl"): data}
+    for run in (*EVALUATE_RUNS, "label"):
+        for path in (root / run).iterdir():
+            files[(run, path.name)] = path
+    return files
+
+
+def test_every_output_file_is_pinned(outputs):
+    assert set(outputs) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "/".join(k))
+def test_output_bytes_match_golden_digest(outputs, key):
+    assert _sha256(outputs[key]) == GOLDEN[key]
