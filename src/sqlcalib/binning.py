@@ -8,9 +8,7 @@ merging undersized bins into whichever neighbor costs least.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -154,12 +152,3 @@ def monotonic_bins(
         for g in groups
     )
     return BinPartition(mode="monotonic", bins=bins)
-
-
-def write_partition_csv(partition: BinPartition, path: str | Path) -> None:
-    """Reliability-plot payload: one row per bin."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"])
-        for b in partition.bins:
-            writer.writerow([repr(b.lo), repr(b.hi), b.count, repr(b.mean_conf), repr(b.accuracy)])

@@ -10,10 +10,11 @@ a default --seed for evaluate and simulate.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from . import calibrate as cal
 from . import report as rpt
@@ -28,10 +29,10 @@ from .protocol import (
     schema_level_evaluate,
 )
 from .records import (
-    Alternative,
     DatasetError,
-    PredictionRecord,
     RecordError,
+    _read_jsonl,
+    _record_from_obj,
     dataset_summary,
     load_dataset,
     make_dataset,
@@ -76,7 +77,7 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     dataset = load_dataset(args.input)
-    result = score_dataset(dataset, args.method, threads=args.threads)
+    result = score_dataset(dataset, args.method)
     if not result.scored:
         print(f"error: no record is scorable with method {args.method}", file=sys.stderr)
         return 1
@@ -121,7 +122,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     out_dir = Path(args.out_dir)
 
     def scored_for(method: str):
-        result = score_dataset(dataset, method, threads=args.threads)
+        result = score_dataset(dataset, method)
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
         if result.skipped:
@@ -179,71 +180,57 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+# Pair-file fields that drive labeling and are not carried over to the record.
+_PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
+
+
+def _read_pairs(path: Path) -> list[tuple[dict, Any]]:
+    """Each pair with its carried-over fields parsed into a record, validated
+    by the same rules as `load_dataset`. The label is a placeholder until the
+    SQL has run."""
+    pairs = []
+    seen: set[str] = set()
+    for lineno, obj in _read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
+        for key in ("id", "schema_id", "gold_sql", "pred_sql"):
+            if key not in obj:
+                raise DatasetError(f"{path}:{lineno}: missing field {key!r}")
+        for key in _PAIR_ONLY_FIELDS:
+            if key in obj and not isinstance(obj[key], str):
+                raise DatasetError(f"{path}:{lineno}: field {key!r} must be a string")
+        carried = {k: v for k, v in obj.items() if k not in _PAIR_ONLY_FIELDS}
+        try:
+            record = _record_from_obj({**carried, "label": 0})
+        except (ValueError, TypeError) as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if record.id in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
+        seen.add(record.id)
+        pairs.append((obj, record))
+    if not pairs:
+        raise DatasetError(f"empty pair file: {path}")
+    return pairs
+
+
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     db_root = Path(args.db_root)
-    pairs = []
-    with Path(args.pairs).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{args.pairs}:{lineno}: malformed line: {exc}") from exc
-            for key in ("id", "schema_id", "gold_sql", "pred_sql"):
-                if key not in obj:
-                    raise DatasetError(f"{args.pairs}:{lineno}: missing field {key!r}")
-            pairs.append(obj)
-    if not pairs:
-        raise DatasetError(f"empty pair file: {args.pairs}")
-
+    pairs = _read_pairs(Path(args.pairs))
     executors: dict[Path, SQLiteExecutor] = {}
     records = []
-    for obj in pairs:
+    for obj, record in pairs:
         if "db_path" in obj:
             db_path = Path(obj["db_path"])
             if not db_path.is_absolute():
                 db_path = db_root / db_path
         else:
-            db_path = db_root / obj["schema_id"] / f"{obj['schema_id']}.sqlite"
+            db_path = db_root / record.schema_id / f"{record.schema_id}.sqlite"
         if db_path not in executors:
             executors[db_path] = SQLiteExecutor(db_path, timeout_s=args.timeout)
         label = label_record(
             obj["gold_sql"], obj["pred_sql"], executors[db_path], strict_columns=args.strict_columns
         )
-        passthrough = {
-            k: v
-            for k, v in obj.items()
-            if k not in ("id", "schema_id", "gold_sql", "pred_sql", "label", "db_path")
-        }
-        self_check = passthrough.pop("self_check_bool", None)
-        alternatives = passthrough.pop("alternatives", None)
-        records.append(
-            PredictionRecord(
-                id=str(obj["id"]),
-                schema_id=str(obj["schema_id"]),
-                label=label,
-                question=passthrough.pop("question", None),
-                token_probs=(
-                    tuple(float(p) for p in passthrough.pop("token_probs"))
-                    if "token_probs" in passthrough
-                    else None
-                ),
-                self_check_bool=(
-                    (float(self_check["p_true"]), float(self_check["p_false"]))
-                    if self_check is not None
-                    else None
-                ),
-                verbalized_prob=passthrough.pop("verbalized_prob", None),
-                alternatives=(
-                    tuple(Alternative(float(a["score"]), bool(a["equivalent"])) for a in alternatives)
-                    if alternatives is not None
-                    else None
-                ),
-                extra=passthrough,
-            )
-        )
+        records.append(replace(record, label=label))
     write_dataset(make_dataset(records, source_name=Path(args.out).name), args.out)
     n_correct = sum(r.label for r in records)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
@@ -273,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", required=True, choices=SCORE_METHODS)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("calibrate", help="fit a rescaling map on scored records")
@@ -300,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--compare", action="store_true",
                    help="evaluate every pooling method and write compare.csv")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="reliability-plot data and SVG")

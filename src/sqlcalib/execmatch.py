@@ -26,7 +26,8 @@ def canonical_cell(value: Any) -> str:
 
     Nulls compare equal only to nulls. Numeric cells are quantized to six
     significant digits, absorbing engine-dependent float formatting while
-    keeping equality transitive. Everything else compares as exact text.
+    keeping equality transitive; infinities and NaN get their own tags
+    (#inf, #-inf, #nan). Everything else compares as exact text.
     """
     if value is None:
         return "n"
@@ -35,9 +36,9 @@ def canonical_cell(value: Any) -> str:
     if isinstance(value, int):
         return f"#{value}"
     if isinstance(value, float):
-        if value != value:  # NaN
-            return "#nan"
-        if value == int(value) and abs(value) < 1e15:
+        # the magnitude test comes first: int() of inf or NaN raises, and
+        # format() renders them as inf, -inf and nan
+        if abs(value) < 1e15 and value == int(value):
             return f"#{int(value)}"
         return "#" + format(value, ".6g")
     if isinstance(value, (bytes, bytearray)):
@@ -68,9 +69,7 @@ class ResultTable:
 
 class QueryExecutor(ABC):
     """Runs SQL and returns a ResultTable, deterministically for a fixed
-    database state. `read_only` declares whether parallel labeling is safe."""
-
-    read_only: bool = False
+    database state."""
 
     @abstractmethod
     def execute(self, sql: str) -> ResultTable:
@@ -145,17 +144,18 @@ class SQLiteExecutor(QueryExecutor):
     ExecutionError (which label_record maps to 0 for predictions).
     """
 
-    read_only = True
-
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
         self.database = Path(database)
         self.timeout_s = timeout_s
         if not self.database.exists():
             raise FileNotFoundError(f"database file not found: {self.database}")
+        # as_uri() percent-encodes '?' and '#', which a formatted URI would
+        # read as the start of its query or fragment
+        self._uri = self.database.resolve().as_uri() + "?mode=ro"
 
     def execute(self, sql: str) -> ResultTable:
         try:
-            conn = sqlite3.connect(f"file:{self.database}?mode=ro", uri=True)
+            conn = sqlite3.connect(self._uri, uri=True)
         except sqlite3.Error as exc:
             raise ExecutionError(f"cannot open {self.database}: {exc}") from exc
         deadline = time.monotonic() + self.timeout_s

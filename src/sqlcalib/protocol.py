@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .calibrate import (
     fit_platt,
     smooth_targets,
 )
-from .metrics import MetricsReport, SingleClassError, ThresholdMetrics, summarize
+from .metrics import MetricsReport, ThresholdMetrics, summarize
 from .records import Dataset, PredictionRecord, make_dataset
 from .scoring import ScoredRecord
 
@@ -118,11 +118,16 @@ def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int
     return {s: i % k for i, s in enumerate(ordered)}
 
 
-def make_schema_disjoint_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
+def _schema_counts(records: Iterable[PredictionRecord | ScoredRecord]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for r in dataset.records:
+    for r in records:
         counts[r.schema_id] = counts.get(r.schema_id, 0) + 1
-    return FoldAssignment(k=k, schema_to_fold=_assign_folds(counts, k, seed))
+    return counts
+
+
+def make_schema_disjoint_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
+    schema_to_fold = _assign_folds(_schema_counts(dataset.records), k, seed)
+    return FoldAssignment(k=k, schema_to_fold=schema_to_fold)
 
 
 def _fit_both(tune: Sequence[ScoredRecord]):
@@ -138,6 +143,49 @@ def _fit_both(tune: Sequence[ScoredRecord]):
         target = float(smooth_targets([p[1] for p in pairs]).mean())
         platt = PlattCalibrator(t=0.0, b=math.log(target / (1.0 - target)))
     return platt, fit_isotonic(pairs)
+
+
+def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> MetricsReport:
+    """The metric bundle for one held-out set; AUC is NaN when it is single-class."""
+    return summarize(
+        raw,
+        platt_scores,
+        iso_scores,
+        labels,
+        binning=cfg.binning,
+        n_bins=cfg.n_bins,
+        min_bin_count=cfg.min_bin_count,
+        thresholds=cfg.thresholds,
+        threshold_scores=platt_scores if cfg.calibrator == "platt" else iso_scores,
+        skip_auc=len(set(labels)) == 1,
+    )
+
+
+def _evaluate_split(
+    tune: Sequence[ScoredRecord], test: Sequence[ScoredRecord], cfg: ProtocolConfig
+):
+    """Fit both calibrators on `tune`, apply them to `test` and summarize.
+
+    Returns the report with the raw, Platt, isotonic and label lists it was
+    computed from, so a caller can pool them across splits.
+    """
+    platt, isotonic = _fit_both(tune)
+    raw = [s.raw_score for s in test]
+    labels = [s.label for s in test]
+    platt_scores = [apply_platt(platt, x) for x in raw]
+    iso_scores = [apply_isotonic(isotonic, x) for x in raw]
+    report = _summarize(raw, platt_scores, iso_scores, labels, cfg)
+    return report, raw, platt_scores, iso_scores, labels
+
+
+def _single_method(scored: Sequence[ScoredRecord]) -> str:
+    """The one scoring method of a nonempty evaluation input."""
+    if not scored:
+        raise ValueError("no scored records to evaluate")
+    methods = {s.method for s in scored}
+    if len(methods) > 1:
+        raise ValueError(f"mixed scoring methods in one evaluation: {sorted(methods)}")
+    return next(iter(methods))
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -186,17 +234,8 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     computed. Reports per-fold metrics plus mean and sample standard
     deviation across folds.
     """
-    if not scored:
-        raise ValueError("no scored records to evaluate")
-    methods = {s.method for s in scored}
-    if len(methods) > 1:
-        raise ValueError(f"mixed scoring methods in one evaluation: {sorted(methods)}")
-    method = next(iter(methods))
-
-    counts: dict[str, int] = {}
-    for s in scored:
-        counts[s.schema_id] = counts.get(s.schema_id, 0) + 1
-    schema_to_fold = _assign_folds(counts, cfg.k, cfg.seed)
+    method = _single_method(scored)
+    schema_to_fold = _assign_folds(_schema_counts(scored), cfg.k, cfg.seed)
 
     folds: list[FoldMetrics] = []
     notes: list[str] = []
@@ -208,38 +247,9 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
         degenerate = len(tune) < 2 or len({s.label for s in tune}) == 1
         if degenerate:
             notes.append(f"fold {f}: degenerate tuning split (Platt reduces to a constant map)")
-        platt, isotonic = _fit_both(tune)
-        raw = [s.raw_score for s in test]
-        labels = [s.label for s in test]
-        platt_scores = [apply_platt(platt, x) for x in raw]
-        iso_scores = [apply_isotonic(isotonic, x) for x in raw]
-        threshold_scores = platt_scores if cfg.calibrator == "platt" else iso_scores
-        try:
-            report = summarize(
-                raw,
-                platt_scores,
-                iso_scores,
-                labels,
-                binning=cfg.binning,
-                n_bins=cfg.n_bins,
-                min_bin_count=cfg.min_bin_count,
-                thresholds=cfg.thresholds,
-                threshold_scores=threshold_scores,
-            )
-        except SingleClassError:
+        if len({s.label for s in test}) == 1:
             notes.append(f"fold {f}: single-class test split, AUC undefined")
-            report = summarize(
-                raw,
-                platt_scores,
-                iso_scores,
-                labels,
-                binning=cfg.binning,
-                n_bins=cfg.n_bins,
-                min_bin_count=cfg.min_bin_count,
-                thresholds=cfg.thresholds,
-                threshold_scores=threshold_scores,
-                skip_auc=True,
-            )
+        report = _evaluate_split(tune, test, cfg)[0]
         folds.append(
             FoldMetrics(
                 fold=f,
@@ -271,13 +281,7 @@ def schema_level_evaluate(
     tuning fraction for calibrator fitting; metrics are computed on the
     remainder. Schemas below the minimum size are skipped with a reason.
     The micro row pools every held-out record across schemas."""
-    if not scored:
-        raise ValueError("no scored records to evaluate")
-    methods = {s.method for s in scored}
-    if len(methods) > 1:
-        raise ValueError(f"mixed scoring methods in one evaluation: {sorted(methods)}")
-    method = next(iter(methods))
-
+    method = _single_method(scored)
     by_schema: dict[str, list[ScoredRecord]] = {}
     for s in scored:
         by_schema.setdefault(s.schema_id, []).append(s)
@@ -303,25 +307,7 @@ def schema_level_evaluate(
         tune = [group[i] for i in perm[:n_tune]]
         evaluation = sorted((group[i] for i in perm[n_tune:]), key=lambda s: s.id)
 
-        platt, isotonic = _fit_both(tune)
-        raw = [s.raw_score for s in evaluation]
-        labels = [s.label for s in evaluation]
-        platt_scores = [apply_platt(platt, x) for x in raw]
-        iso_scores = [apply_isotonic(isotonic, x) for x in raw]
-        threshold_scores = platt_scores if cfg.calibrator == "platt" else iso_scores
-        single_class = len(set(labels)) == 1
-        report = summarize(
-            raw,
-            platt_scores,
-            iso_scores,
-            labels,
-            binning=cfg.binning,
-            n_bins=cfg.n_bins,
-            min_bin_count=cfg.min_bin_count,
-            thresholds=cfg.thresholds,
-            threshold_scores=threshold_scores,
-            skip_auc=single_class,
-        )
+        report, raw, platt_scores, iso_scores, labels = _evaluate_split(tune, evaluation, cfg)
         rows.append(
             SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=len(evaluation), metrics=report)
         )
@@ -332,18 +318,7 @@ def schema_level_evaluate(
 
     if not rows:
         raise ValueError("no schema met the minimum record count")
-    micro = summarize(
-        pooled_raw,
-        pooled_platt,
-        pooled_iso,
-        pooled_labels,
-        binning=cfg.binning,
-        n_bins=cfg.n_bins,
-        min_bin_count=cfg.min_bin_count,
-        thresholds=cfg.thresholds,
-        threshold_scores=pooled_platt if cfg.calibrator == "platt" else pooled_iso,
-        skip_auc=len(set(pooled_labels)) == 1,
-    )
+    micro = _summarize(pooled_raw, pooled_platt, pooled_iso, pooled_labels, cfg)
     return SchemaLevelReport(
         method=method, config=cfg, schemas=tuple(rows), micro=micro, skipped=tuple(skipped)
     )

@@ -7,7 +7,8 @@ One record per line, JSON-encoded, UTF-8. Recognized fields:
     question         string, optional
     token_probs      list of floats in (0, 1], optional, nonempty when present
     label            0 or 1 (execution-match correctness)
-    self_check_bool  object {p_true, p_false}, optional; p_true + p_false > 0
+    self_check_bool  object {p_true, p_false}, optional; both finite and
+                     nonnegative, p_true + p_false > 0
     verbalized_prob  float in [0, 1], optional
     alternatives     list of {score, equivalent}, optional
 
@@ -18,9 +19,10 @@ serializer, but are otherwise ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 
 class RecordError(ValueError):
@@ -77,6 +79,8 @@ class PredictionRecord:
                     )
         if self.self_check_bool is not None:
             p_true, p_false = self.self_check_bool
+            if not (math.isfinite(p_true) and math.isfinite(p_false)):
+                raise RecordError(self.id, "self_check_bool", "probabilities must be finite")
             if p_true < 0 or p_false < 0:
                 raise RecordError(self.id, "self_check_bool", "probabilities must be nonnegative")
             if p_true + p_false <= 0:
@@ -180,15 +184,8 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
     )
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a line-delimited record file into a validated Dataset.
-
-    Records keep file order. Malformed lines are reported with their line
-    number; invariant violations with the record id and field name.
-    """
-    path = Path(path)
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
+def _read_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, decoded value) for every nonblank line of a file."""
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -198,16 +195,29 @@ def load_dataset(path: str | Path) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed line: {exc}") from exc
-            try:
-                record = _record_from_obj(obj)
-            except RecordError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            if record.id in seen:
-                raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+            yield lineno, obj
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a line-delimited record file into a validated Dataset.
+
+    Records keep file order. Malformed lines are reported with their line
+    number; invariant violations with the record id and field name.
+    """
+    path = Path(path)
+    records: list[PredictionRecord] = []
+    seen: set[str] = set()
+    for lineno, obj in _read_jsonl(path):
+        try:
+            record = _record_from_obj(obj)
+        except RecordError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if record.id in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     if not records:
         raise DatasetError(f"empty dataset: {path}")
     return Dataset(records=tuple(records), source_name=path.name)

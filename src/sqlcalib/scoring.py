@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -143,34 +142,29 @@ def score_record(record: PredictionRecord, method: str) -> float:
     return score_variant_alt(pool_prod(record.token_probs), record.alternatives)
 
 
-def score_dataset(dataset: Dataset, method: str, threads: int = 1) -> ScoringResult:
+def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
     """Score every applicable record; collect inapplicable ones in a skip report.
 
-    Results keep dataset order regardless of thread count.
+    Both the scored records and the skips keep dataset order.
     """
-
-    def one(record: PredictionRecord) -> ScoredRecord | tuple[str, str]:
+    scored: list[ScoredRecord] = []
+    skipped: list[tuple[str, str]] = []
+    for record in dataset.records:
         try:
             raw = score_record(record, method)
         except SkipRecord as exc:
-            return (record.id, str(exc))
-        return ScoredRecord(
-            id=record.id,
-            schema_id=record.schema_id,
-            method=method,
-            raw_score=raw,
-            label=record.label,
+            skipped.append((record.id, str(exc)))
+            continue
+        scored.append(
+            ScoredRecord(
+                id=record.id,
+                schema_id=record.schema_id,
+                method=method,
+                raw_score=raw,
+                label=record.label,
+            )
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, dataset.records))
-    else:
-        outcomes = [one(r) for r in dataset.records]
-
-    scored = tuple(o for o in outcomes if isinstance(o, ScoredRecord))
-    skipped = tuple(o for o in outcomes if not isinstance(o, ScoredRecord))
-    return ScoringResult(scored=scored, skipped=skipped)
+    return ScoringResult(scored=tuple(scored), skipped=tuple(skipped))
 
 
 def write_scored(scored: Iterable[ScoredRecord], path: str | Path) -> None:

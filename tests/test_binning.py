@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_monotone_partition
-from sqlcalib.binning import monotonic_bins, uniform_bins, write_partition_csv
+from sqlcalib.binning import monotonic_bins, uniform_bins
 
 samples = st.lists(
     st.tuples(st.floats(min_value=0, max_value=1), st.integers(min_value=0, max_value=1)),
@@ -113,14 +113,3 @@ class TestMonotonic:
         mono = monotonic_bins(confs.tolist(), labels.tolist())
         uni = uniform_bins(confs.tolist(), labels.tolist(), 10)
         assert mono.objective() <= uni.objective() + 1e-12
-
-
-def test_partition_csv(tmp_path):
-    part = uniform_bins([0.95, 0.85, 0.2], [1, 0, 0], 4)
-    path = tmp_path / "bins.csv"
-    write_partition_csv(part, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,count,mean_conf,accuracy"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and int(first[2]) == 1

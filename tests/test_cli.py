@@ -210,3 +210,54 @@ class TestLabelCommand:
         assert run("label", "--pairs", pairs, "--db-root", db_root,
                    "--out", tmp_path / "x.jsonl") == 1
         assert "gold query failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("verbalized_prob", "high"),
+        ("self_check_bool", [0.1, 0.2]),
+        ("self_check_bool", {"p_true": float("inf"), "p_false": 0.1}),
+        ("token_probs", [[0.5]]),
+        ("pred_sql", 5),
+        ("db_path", 7),
+    ])
+    def test_invalid_pair_field_exits_1_before_any_sql(self, db_root, tmp_path, capsys,
+                                                          field, value):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [
+            # a gold query that fails: reaching it would report "gold query failed"
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT bogus FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+            {"id": "q2", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
+             "pred_sql": "SELECT name FROM singer", field: value},
+        ]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs}:2: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_duplicate_id_names_the_pair_line_before_any_sql(self, db_root, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT bogus FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+        ]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {pairs}:2: duplicate record id 'q1'\n"
+        assert not out.exists()
+
+    def test_carried_numbers_are_normalized_like_load(self, db_root, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({
+            "id": "q1", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
+            "pred_sql": "SELECT name FROM singer", "verbalized_prob": 1,
+        }) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 0
+        assert json.loads(out.read_text())["verbalized_prob"] == 1.0
+        assert '"verbalized_prob": 1.0' in out.read_text()

@@ -45,6 +45,12 @@ class TestCanonicalCell:
     def test_distinct_numbers_stay_distinct(self):
         assert canonical_cell(1.5) != canonical_cell(1.6)
 
+    def test_infinities_and_nan_are_tagged(self):
+        assert canonical_cell(float("inf")) == "#inf"
+        assert canonical_cell(float("-inf")) == "#-inf"
+        assert canonical_cell(float("nan")) == "#nan"
+        assert len({canonical_cell(v) for v in (float("inf"), float("-inf"), 1e308)}) == 3
+
     def test_text_is_exact(self):
         assert canonical_cell("1") != canonical_cell(1)
         assert canonical_cell("a") != canonical_cell("a ")
@@ -151,9 +157,17 @@ class TestSQLiteExecutor:
 
     def test_read_only(self, db):
         ex = SQLiteExecutor(db)
-        assert ex.read_only
         with pytest.raises(ExecutionError):
             ex.execute("INSERT INTO singer VALUES ('Dex', 1, 'DE')")
+
+    def test_path_with_uri_characters_opens_that_file(self, tmp_path):
+        path = tmp_path / "x?y#z.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript("CREATE TABLE t (v INTEGER); INSERT INTO t VALUES (7);")
+        conn.commit()
+        conn.close()
+        (tmp_path / "x").write_bytes(b"")  # the file a formatted URI would open
+        assert SQLiteExecutor(path).execute("SELECT v FROM t").rows == (("#7",),)
 
     def test_deterministic(self, db):
         ex = SQLiteExecutor(db)
@@ -194,6 +208,11 @@ class TestLabelRecord:
         ex = SQLiteExecutor(db)
         with pytest.raises(GoldExecutionError):
             label_record("SELECT missing_col FROM singer", "SELECT name FROM singer", ex)
+
+    def test_infinite_results_label_without_crashing(self, db):
+        ex = SQLiteExecutor(db)
+        assert label_record("SELECT 1e999", "SELECT 2e999", ex) == 1
+        assert label_record("SELECT 1e999", "SELECT -1e999", ex) == 0
 
     def test_null_only_matches_null(self, db):
         ex = SQLiteExecutor(db)

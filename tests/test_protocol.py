@@ -142,6 +142,21 @@ class TestCrossValidate:
         assert any(f.degenerate_tune for f in report.folds)
         assert any("degenerate" in note for note in report.notes)
 
+    def test_single_class_test_split_has_nan_auc_and_a_note(self):
+        # k=2 over two schemas: when s1 tunes, the test split is s0 alone,
+        # whose labels are all 1
+        scored = []
+        for s, label_pool in enumerate(([1, 1], [0, 1])):
+            for j, label in enumerate(label_pool * 4):
+                scored.append(ScoredRecord(id=f"s{s}-{j}", schema_id=f"s{s}", method="prod",
+                                           raw_score=0.2 + 0.1 * j, label=label))
+        report = cross_validate(scored, ProtocolConfig(k=2, seed=0))
+        nan_folds = [f.fold for f in report.folds if math.isnan(f.metrics.auc)]
+        assert len(nan_folds) == 1
+        assert f"fold {nan_folds[0]}: single-class test split, AUC undefined" in report.notes
+        # one undefined fold makes the mean AUC undefined too
+        assert math.isnan(report.mean["auc"])
+
     def test_mixed_methods_rejected(self):
         scored = _scored()
         bad = scored[:1][0]

@@ -70,6 +70,9 @@ def test_duplicate_id_rejected(tmp_path):
         ("token_probs", [1.2]),
         ("verbalized_prob", 1.3),
         ("verbalized_prob", -0.1),
+        # json.dumps writes these as Infinity and NaN, which json.loads accepts
+        ("self_check_bool", {"p_true": float("inf"), "p_false": 0.1}),
+        ("self_check_bool", {"p_true": 0.1, "p_false": float("nan")}),
     ],
 )
 def test_field_invariants(tmp_path, field, value):

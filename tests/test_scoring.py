@@ -178,19 +178,6 @@ class TestScoreDataset:
         with pytest.raises(ValueError, match="unknown scoring method"):
             score_record(PredictionRecord(id="a", schema_id="s", label=0), "median")
 
-    def test_threads_preserve_order_and_results(self):
-        ds = make_dataset(
-            [
-                PredictionRecord(id=f"r{i:03d}", schema_id="s", label=i % 2,
-                                 token_probs=(0.5 + i / 300, 0.9))
-                for i in range(100)
-            ],
-            "t",
-        )
-        serial = score_dataset(ds, "geo", threads=1)
-        threaded = score_dataset(ds, "geo", threads=4)
-        assert serial == threaded
-
     def test_scored_file_round_trip(self, tmp_path):
         from sqlcalib.scoring import load_scored, write_scored
 
