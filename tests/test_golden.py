@@ -2,8 +2,10 @@
 
 Seeded `simulate` data goes through `evaluate` under both calibration scopes
 (schema-disjoint with `--compare`, schema-disjoint with monotonic bins and
-Platt thresholds, and schema-level), and a small SQLite fixture goes through
-`label`. Each output file's SHA-256 is compared with a recorded constant, so
+Platt thresholds, and schema-level); `prod` scores of a smaller second
+`simulate` seed go through `calibrate` with both kinds, and the saved
+calibrators through `report` with both binnings on the first input's scores
+(some of which lie outside the fitted knot range); and a small SQLite fixture goes through `label`. Each output file's SHA-256 is compared with a recorded constant, so
 a refactor that claims identical outputs is held to it byte for byte. A
 change that means to alter an output updates its constant and says why.
 """
@@ -20,6 +22,12 @@ EVALUATE_RUNS = {
     "compare": ["--compare"],
     "monotonic_platt": ["--binning", "monotonic", "--calibrator", "platt"],
     "schema_level": ["--scope", "schema_level"],
+}
+
+CALIBRATOR_KINDS = ("platt", "isotonic")
+REPORT_BINNINGS = {
+    "uniform": ["--binning", "uniform"],
+    "monotonic": ["--binning", "monotonic", "--min-bin-count", "5"],
 }
 
 GOLDEN = {
@@ -43,6 +51,26 @@ GOLDEN = {
         "188b13fa2232273fa72b10ac699a9ec804f9a867d8c02a752de6eaf0d88f1cf0",
     ("schema_level", "thresholds.csv"):
         "3b2922a7752c8ebda710fafef875e0abe236b24fc83cb392034687cc7d220b72",
+    ("calibrate", "isotonic.json"):
+        "7dc5cd4e9a882f8ea1504164b39423e2b59f4e8b5126403b4422737da4b61e77",
+    ("calibrate", "platt.json"):
+        "65278d83615ef65b1a5d2b4101c3ca33491c5e23be63dd3dfb9b0de42bd67051",
+    ("report", "isotonic_monotonic.csv"):
+        "695e2c20e0faebd99375a051f48fcb7708f6b036590d09cb5294bee3e14d3e7a",
+    ("report", "isotonic_monotonic.svg"):
+        "917cc5f5026d42be68b73e1b8c72178eb21bf9c71360c8f1973bcbe7e5d9bdf3",
+    ("report", "isotonic_uniform.csv"):
+        "1f46edac7ae32ae2fb7ee7d313a4d846b59491ab1b1f4ff2ead86d83e9353a7f",
+    ("report", "isotonic_uniform.svg"):
+        "8ede632a42b2316504d91531d58394feb8a84ec19efbee7af56c67528aec79e0",
+    ("report", "platt_monotonic.csv"):
+        "113708ee4be0c7aad9b51e27d1af22e86d47295c287b97e896466df6fe5a93ea",
+    ("report", "platt_monotonic.svg"):
+        "6120ac34b3ff030bcd76ce740d7a443e27806f60d9383f70870d471bd83b7efc",
+    ("report", "platt_uniform.csv"):
+        "786b0ca3e9869540b158353d3f128be21d45b115b11644246dc106c3d753152d",
+    ("report", "platt_uniform.svg"):
+        "007db3b070124390627105c512719eeaf8b764ea5867c392395be243bd129646",
     ("label", "labeled.jsonl"):
         "d2017ca9ca960961bbe1185b63cff04f731d7baec728a704f83dac5f6582de09",
 }
@@ -99,8 +127,26 @@ def outputs(tmp_path_factory):
     assert main(["label", "--pairs", str(pairs), "--db-root", str(root / "dbs"),
                  "--out", str(label_dir / "labeled.jsonl")]) == 0
 
+    tune = root / "tune.jsonl"
+    assert main(["simulate", "--n", "400", "--map", "logistic", "--seed", "12",
+                 "--schemas", "4", "--out", str(tune)]) == 0
+    scored_tune, scored = root / "scored_tune.jsonl", root / "scored.jsonl"
+    assert main(["score", "--input", str(tune), "--method", "prod", "--out", str(scored_tune)]) == 0
+    assert main(["score", "--input", str(data), "--method", "prod", "--out", str(scored)]) == 0
+    (root / "calibrate").mkdir()
+    (root / "report").mkdir()
+    for kind in CALIBRATOR_KINDS:
+        calibrator = root / "calibrate" / f"{kind}.json"
+        assert main(["calibrate", "--scored", str(scored_tune), "--kind", kind,
+                     "--out", str(calibrator)]) == 0
+        for binning, flags in REPORT_BINNINGS.items():
+            stem = root / "report" / f"{kind}_{binning}"
+            assert main(["report", "--scored", str(scored), "--calibrator",
+                         str(calibrator), "--label", kind, "--out-csv", f"{stem}.csv",
+                         "--out-svg", f"{stem}.svg", *flags]) == 0
+
     files = {("simulate", "data.jsonl"): data}
-    for run in (*EVALUATE_RUNS, "label"):
+    for run in (*EVALUATE_RUNS, "calibrate", "report", "label"):
         for path in (root / run).iterdir():
             files[(run, path.name)] = path
     return files
