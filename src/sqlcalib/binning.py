@@ -65,32 +65,21 @@ def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> 
     return BinPartition(mode="uniform", bins=tuple(bins))
 
 
-@dataclass(frozen=True)
-class _Group:
-    count: int
-    label_sum: float
-    conf_sum: float
-    lo: float
-    hi: float
-
-    @property
-    def accuracy(self) -> float:
-        return self.label_sum / self.count
-
-    @property
-    def mean_conf(self) -> float:
-        # the true mean lies in [lo, hi]; clamp away 1-ulp float excursions
-        return min(max(self.conf_sum / self.count, self.lo), self.hi)
-
-
-def _merge(a: _Group, b: _Group) -> _Group:
-    return _Group(
-        count=a.count + b.count,
-        label_sum=a.label_sum + b.label_sum,
-        conf_sum=a.conf_sum + b.conf_sum,
-        lo=min(a.lo, b.lo),
-        hi=max(a.hi, b.hi),
+def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
+    """The group columns with groups j and j + 1 pooled into one."""
+    ns, ys, cs, los, his = groups
+    return (
+        ns[:j] + [ns[j] + ns[j + 1]] + ns[j + 2 :],
+        ys[:j] + [ys[j] + ys[j + 1]] + ys[j + 2 :],
+        cs[:j] + [cs[j] + cs[j + 1]] + cs[j + 2 :],
+        los[:j] + [los[j]] + los[j + 2 :],
+        his[:j] + [his[j + 1]] + his[j + 2 :],
     )
+
+
+def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
+    # the true mean lies in [lo, hi]; clamp away 1-ulp float excursions
+    return min(max(conf_sum / count, lo), hi)
 
 
 def monotonic_bins(
@@ -118,37 +107,46 @@ def monotonic_bins(
     uniq, inverse, counts = np.unique(c, return_inverse=True, return_counts=True)
     label_sums = np.bincount(inverse, weights=a)
 
-    groups: list[_Group] = []
-    for value, count, label_sum in zip(uniq, counts, label_sums):
-        cur = _Group(
-            count=int(count), label_sum=float(label_sum),
-            conf_sum=float(value) * int(count), lo=float(value), hi=float(value),
-        )
+    # Groups as parallel columns; confidences ascend, so a pooled group
+    # keeps its left part's lo and its right part's hi.
+    groups = ns, ys, cs, los, his = [], [], [], [], []  # count, label sum, conf sum, lo, hi
+    for value, count, label_sum in zip(uniq.tolist(), counts.tolist(), label_sums.tolist()):
+        cur_n, cur_y, cur_c, cur_lo = count, label_sum, value * count, value
         # pool while left accuracy >= right accuracy (cross-product compare is
         # exact: label sums and counts are integers)
-        while groups and groups[-1].label_sum * cur.count >= cur.label_sum * groups[-1].count:
-            cur = _merge(groups.pop(), cur)
-        groups.append(cur)
+        while ns and ys[-1] * cur_n >= cur_y * ns[-1]:
+            cur_n = ns.pop() + cur_n
+            cur_y = ys.pop() + cur_y
+            cur_c = cs.pop() + cur_c
+            cur_lo = los.pop()
+            his.pop()
+        ns.append(cur_n)
+        ys.append(cur_y)
+        cs.append(cur_c)
+        los.append(cur_lo)
+        his.append(value)
 
-    def total_objective(gs: list[_Group]) -> float:
-        return sum(g.count / n * abs(g.accuracy - g.mean_conf) for g in gs)
+    def total_objective(groups: tuple[list, ...]) -> float:
+        return sum(
+            k / n * abs(y / k - _mean_conf(c, k, lo, hi)) for k, y, c, lo, hi in zip(*groups)
+        )
 
-    while len(groups) > 1:
-        under = [i for i, g in enumerate(groups) if g.count < min_bin_count]
+    while len(groups[0]) > 1:
+        under = [i for i, k in enumerate(groups[0]) if k < min_bin_count]
         if not under:
             break
         i = under[0]
         candidates = []
         if i > 0:
-            merged = groups[: i - 1] + [_merge(groups[i - 1], groups[i])] + groups[i + 1 :]
+            merged = _pooled(groups, i - 1)
             candidates.append((total_objective(merged), 0, merged))
-        if i < len(groups) - 1:
-            merged = groups[:i] + [_merge(groups[i], groups[i + 1])] + groups[i + 2 :]
+        if i < len(groups[0]) - 1:
+            merged = _pooled(groups, i)
             candidates.append((total_objective(merged), 1, merged))
         groups = min(candidates)[2]
 
     bins = tuple(
-        Bin(lo=g.lo, hi=g.hi, count=g.count, mean_conf=g.mean_conf, accuracy=g.accuracy)
-        for g in groups
+        Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(c, k, lo, hi), accuracy=y / k)
+        for k, y, c, lo, hi in zip(*groups)
     )
     return BinPartition(mode="monotonic", bins=bins)

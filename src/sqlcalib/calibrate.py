@@ -185,29 +185,35 @@ def fit_platt(pairs: Sequence[tuple[float, int]]) -> PlattCalibrator:
     return PlattCalibrator(t=float(t), b=float(b))
 
 
-def apply_platt(calibrator: PlattCalibrator, raw: float) -> float:
-    """sigma(t * raw + b)."""
-    return float(_sigmoid(np.asarray(calibrator.t * raw + calibrator.b)))
+def apply_platt(calibrator: PlattCalibrator, raw: float | np.ndarray) -> float | np.ndarray:
+    """sigma(t * raw + b), elementwise: a float for a scalar `raw`, an
+    ndarray for an array."""
+    out = _sigmoid(calibrator.t * np.asarray(raw, dtype=float) + calibrator.b)
+    return float(out) if out.ndim == 0 else out
 
 
-def _pava_blocks(value_sums: Sequence[float], weights: Sequence[float]) -> list[tuple[float, float]]:
+def _pava_blocks(value_sums: Sequence[float], weights: Sequence[float]) -> list[tuple[int, float]]:
     """Pool adjacent violators on (weighted value sum, weight) pairs.
 
     Pools while a left block mean >= right block mean, so returned block
     means are strictly increasing. The induced step function is the
-    least-squares monotone fit. Returns (weight, mean) per block.
+    least-squares monotone fit. Returns (end, mean) per block, where the
+    block spans the inputs from the previous block's end up to `end`.
     """
     w_stack: list[float] = []
     y_stack: list[float] = []  # weighted sums: exact integers for 0/1 labels with count weights
-    for y, w in zip(value_sums, weights):
+    end_stack: list[int] = []
+    for end, (y, w) in enumerate(zip(value_sums, weights), start=1):
         cur_w, cur_y = float(w), float(y)
         # means compared via cross products: y1/w1 >= y2/w2  <=>  y1*w2 >= y2*w1
         while w_stack and y_stack[-1] * cur_w >= cur_y * w_stack[-1]:
             cur_w += w_stack.pop()
             cur_y += y_stack.pop()
+            end_stack.pop()
         w_stack.append(cur_w)
         y_stack.append(cur_y)
-    return [(w, y / w) for w, y in zip(w_stack, y_stack)]
+        end_stack.append(end)
+    return [(end, y / w) for end, w, y in zip(end_stack, w_stack, y_stack)]
 
 
 def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
@@ -228,74 +234,52 @@ def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
     uniq, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
     label_sums = np.bincount(inverse, weights=a)
 
-    blocks = _pava_blocks(label_sums.tolist(), counts.tolist())
-
     # Knots at block boundaries: first and last unique raw of each block.
     knots: list[tuple[float, float]] = []
-    pos = 0
-    for w, mean in blocks:
-        size = int(round(w))
-        # recover how many unique raws the block spans
-        span = 0
-        spent = 0
-        while spent < size:
-            spent += int(counts[pos + span])
-            span += 1
-        knots.append((float(uniq[pos]), float(mean)))
-        if span > 1:
-            knots.append((float(uniq[pos + span - 1]), float(mean)))
-        pos += span
+    start = 0
+    for end, mean in _pava_blocks(label_sums.tolist(), counts.tolist()):
+        knots.append((float(uniq[start]), float(mean)))
+        if end - start > 1:
+            knots.append((float(uniq[end - 1]), float(mean)))
+        start = end
     return IsotonicCalibrator(knots=tuple(knots))
 
 
-def apply_isotonic(calibrator: IsotonicCalibrator, raw: float) -> float:
-    """Evaluate the fitted monotone map at `raw`.
+def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the fitted monotone map at `raw`, elementwise: a float for a
+    scalar `raw`, an ndarray for an array.
 
     Interpolation mode draws straight lines between adjacent knots and
-    clamps to the first/last fitted value outside the knot range. Step
-    mode holds each knot's value until the next knot.
+    clamps to the first/last fitted value outside the knot range; a raw
+    score exactly on a knot gets that knot's value. Step mode holds each
+    knot's value until the next knot.
     """
-    knots = calibrator.knots
-    if not knots:
+    if not calibrator.knots:
         raise ValueError("empty isotonic calibrator")
-    xs = [k[0] for k in knots]
-    ys = [k[1] for k in knots]
-    if raw <= xs[0]:
-        return ys[0]
-    if raw >= xs[-1]:
-        return ys[-1]
-    # rightmost knot with x <= raw
-    lo, hi = 0, len(xs) - 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if xs[mid] <= raw:
-            lo = mid
-        else:
-            hi = mid
-    if xs[lo] == raw or calibrator.mode == "step":
-        return ys[lo]
-    frac = (raw - xs[lo]) / (xs[hi] - xs[lo])
-    return ys[lo] + frac * (ys[hi] - ys[lo])
+    xs, ys = np.asarray(calibrator.knots, dtype=float).T
+    last = len(xs) - 1
+    # clamped to the knot range, a raw score outside it hits the end knot
+    r = np.minimum(np.maximum(np.asarray(raw, dtype=float), xs[0]), xs[last])
+    lo = np.searchsorted(xs, r, side="right") - 1  # rightmost knot with x <= raw
+    out = ys[lo]
+    if calibrator.mode != "step":
+        hi = np.minimum(lo + 1, last)
+        with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
+            frac = (r - xs[lo]) / (xs[hi] - xs[lo])
+        out = np.where(r == xs[lo], out, out + frac * (ys[hi] - out))
+    return float(out) if out.ndim == 0 else out
 
 
 def calibrate_records(
     calibrator: PlattCalibrator | IsotonicCalibrator, scored: Iterable[ScoredRecord]
 ) -> tuple[CalibratedRecord, ...]:
     """Apply a fitted calibrator to scored records."""
-    if isinstance(calibrator, PlattCalibrator):
-        apply = lambda raw: apply_platt(calibrator, raw)  # noqa: E731
-    else:
-        apply = lambda raw: apply_isotonic(calibrator, raw)  # noqa: E731
+    scored = tuple(scored)
+    apply = apply_platt if isinstance(calibrator, PlattCalibrator) else apply_isotonic
+    calibrated = apply(calibrator, np.array([s.raw_score for s in scored], dtype=float))
     return tuple(
-        CalibratedRecord(
-            id=s.id,
-            schema_id=s.schema_id,
-            method=s.method,
-            raw_score=s.raw_score,
-            calibrated_score=apply(s.raw_score),
-            label=s.label,
-        )
-        for s in scored
+        CalibratedRecord(s.id, s.schema_id, s.method, s.raw_score, c, s.label)
+        for s, c in zip(scored, calibrated.tolist())
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,26 +54,23 @@ def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
 def _check_partition(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) -> None:
     """Re-bin the samples and require the per-bin counts, mean confidences,
     and accuracies to match the partition."""
+    c = np.asarray(confs, dtype=float)
     bins = partition.bins
     n_bins = len(bins)
-    counts = [0] * n_bins
-    conf_sums = [0.0] * n_bins
-    label_sums = [0.0] * n_bins
     if partition.mode == "uniform":
-        for c, lab in zip(confs, labels):
-            j = min(int(c * n_bins), n_bins - 1)
-            counts[j] += 1
-            conf_sums[j] += c
-            label_sums[j] += lab
+        outside = ~(c >= 0.0)  # uniform bins start at 0; NaN compares false
+        with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary index, rejected below
+            idx = np.minimum((c * n_bins).astype(int), n_bins - 1)
     else:
-        los = [b.lo for b in bins]
-        for c, lab in zip(confs, labels):
-            j = bisect.bisect_right(los, c) - 1
-            if j < 0 or c > bins[j].hi:
-                raise ValueError(f"inconsistent partition: confidence {c!r} falls outside every bin")
-            counts[j] += 1
-            conf_sums[j] += c
-            label_sums[j] += lab
+        idx = np.searchsorted([b.lo for b in bins], c, side="right") - 1
+        outside = (idx < 0) | ~(c <= np.array([b.hi for b in bins])[idx])  # NaN: outside
+    if outside.any():
+        bad = float(c[outside.argmax()])
+        raise ValueError(f"inconsistent partition: confidence {bad!r} falls outside every bin")
+    counts = np.bincount(idx, minlength=n_bins).tolist()
+    conf_sums = np.bincount(idx, weights=c, minlength=n_bins).tolist()
+    a = np.asarray(labels, dtype=float)
+    label_sums = np.bincount(idx, weights=a, minlength=n_bins).tolist()
     for j, b in enumerate(bins):
         if counts[j] != b.count:
             raise ValueError(

@@ -9,8 +9,9 @@ and platforms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,31 +119,28 @@ def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int
     return {s: i % k for i, s in enumerate(ordered)}
 
 
-def _schema_counts(records: Iterable[PredictionRecord | ScoredRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r.schema_id] = counts.get(r.schema_id, 0) + 1
-    return counts
-
-
 def make_schema_disjoint_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
-    schema_to_fold = _assign_folds(_schema_counts(dataset.records), k, seed)
+    schema_to_fold = _assign_folds(Counter(r.schema_id for r in dataset.records), k, seed)
     return FoldAssignment(k=k, schema_to_fold=schema_to_fold)
 
 
-def _fit_both(tune: Sequence[ScoredRecord]):
-    """Fit Platt and isotonic calibrators on the tuning records.
+def _fit_both(raw: np.ndarray, labels: np.ndarray):
+    """Fit Platt and isotonic calibrators on the tuning scores and labels.
 
     A single-record tuning fold cannot support the Platt optimizer; it falls
     back to the constant map at the smoothed base rate.
     """
-    pairs = [(s.raw_score, s.label) for s in tune]
+    pairs = list(zip(raw.tolist(), labels.tolist()))
     if len(pairs) >= 2:
         platt = fit_platt(pairs)
     else:
         target = float(smooth_targets([p[1] for p in pairs]).mean())
         platt = PlattCalibrator(t=0.0, b=math.log(target / (1.0 - target)))
     return platt, fit_isotonic(pairs)
+
+
+def _single_class(labels: np.ndarray) -> bool:
+    return len(labels) > 0 and bool(labels.min() == labels.max())
 
 
 def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> MetricsReport:
@@ -157,25 +155,32 @@ def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> Me
         min_bin_count=cfg.min_bin_count,
         thresholds=cfg.thresholds,
         threshold_scores=platt_scores if cfg.calibrator == "platt" else iso_scores,
-        skip_auc=len(set(labels)) == 1,
+        skip_auc=_single_class(labels),
     )
 
 
-def _evaluate_split(
-    tune: Sequence[ScoredRecord], test: Sequence[ScoredRecord], cfg: ProtocolConfig
-):
-    """Fit both calibrators on `tune`, apply them to `test` and summarize.
+def _evaluate_split(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray, test: np.ndarray,
+                    cfg: ProtocolConfig):
+    """Fit both calibrators on the `tune` rows of the score and label
+    arrays, apply them to the `test` rows and summarize.
 
-    Returns the report with the raw, Platt, isotonic and label lists it was
-    computed from, so a caller can pool them across splits.
+    `tune` and `test` are boolean masks or index arrays. Returns the report
+    with the raw, Platt, isotonic and label arrays it was computed from, so
+    a caller can pool them across splits.
     """
-    platt, isotonic = _fit_both(tune)
-    raw = [s.raw_score for s in test]
-    labels = [s.label for s in test]
-    platt_scores = [apply_platt(platt, x) for x in raw]
-    iso_scores = [apply_isotonic(isotonic, x) for x in raw]
+    platt, isotonic = _fit_both(raw[tune], labels[tune])
+    raw, labels = raw[test], labels[test]
+    platt_scores = apply_platt(platt, raw)
+    iso_scores = apply_isotonic(isotonic, raw)
     report = _summarize(raw, platt_scores, iso_scores, labels, cfg)
     return report, raw, platt_scores, iso_scores, labels
+
+
+def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw score and label arrays of the records, in their order."""
+    raw = np.fromiter((s.raw_score for s in records), dtype=float, count=len(records))
+    labels = np.fromiter((s.label for s in records), dtype=int, count=len(records))
+    return raw, labels
 
 
 def _single_method(scored: Sequence[ScoredRecord]) -> str:
@@ -235,26 +240,28 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     deviation across folds.
     """
     method = _single_method(scored)
-    schema_to_fold = _assign_folds(_schema_counts(scored), cfg.k, cfg.seed)
+    ordered = sorted(scored, key=lambda s: s.id)
+    raw, labels = _columns(ordered)
+    schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
+    fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
 
     folds: list[FoldMetrics] = []
     notes: list[str] = []
     for f in range(cfg.k):
-        tune = [s for s in scored if schema_to_fold[s.schema_id] == f]
-        test = sorted(
-            (s for s in scored if schema_to_fold[s.schema_id] != f), key=lambda s: s.id
-        )
-        degenerate = len(tune) < 2 or len({s.label for s in tune}) == 1
+        tune = fold_of == f
+        test = ~tune
+        n_tune = int(tune.sum())
+        degenerate = n_tune < 2 or _single_class(labels[tune])
         if degenerate:
             notes.append(f"fold {f}: degenerate tuning split (Platt reduces to a constant map)")
-        if len({s.label for s in test}) == 1:
+        if _single_class(labels[test]):
             notes.append(f"fold {f}: single-class test split, AUC undefined")
-        report = _evaluate_split(tune, test, cfg)[0]
+        report = _evaluate_split(raw, labels, tune, test, cfg)[0]
         folds.append(
             FoldMetrics(
                 fold=f,
-                n_tune=len(tune),
-                n_test=len(test),
+                n_tune=n_tune,
+                n_test=len(raw) - n_tune,
                 metrics=report,
                 degenerate_tune=degenerate,
             )
@@ -282,21 +289,18 @@ def schema_level_evaluate(
     remainder. Schemas below the minimum size are skipped with a reason.
     The micro row pools every held-out record across schemas."""
     method = _single_method(scored)
-    by_schema: dict[str, list[ScoredRecord]] = {}
-    for s in scored:
-        by_schema.setdefault(s.schema_id, []).append(s)
+    # by schema, then by id: each schema's records are one run of rows
+    ordered = sorted(sorted(scored, key=lambda s: s.id), key=lambda s: s.schema_id)
+    raw, labels = _columns(ordered)
+    starts = [i for i, s in enumerate(ordered) if i == 0 or s.schema_id != ordered[i - 1].schema_id]
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     rows: list[SchemaMetrics] = []
     skipped: list[tuple[str, str]] = []
-    pooled_raw: list[float] = []
-    pooled_platt: list[float] = []
-    pooled_iso: list[float] = []
-    pooled_labels: list[int] = []
+    pooled: list[list[np.ndarray]] = []  # per schema: raw, Platt, isotonic, labels
 
-    for schema_id in sorted(by_schema):
-        group = sorted(by_schema[schema_id], key=lambda s: s.id)
-        n = len(group)
+    for start, end in zip(starts, starts[1:] + [len(ordered)]):
+        schema_id, n = ordered[start].schema_id, end - start
         if n < cfg.min_schema_records:
             skipped.append((schema_id, f"only {n} records, need {cfg.min_schema_records}"))
             continue
@@ -304,21 +308,18 @@ def schema_level_evaluate(
         n_tune = max(1, int(round(cfg.tune_fraction * n)))
         if n_tune >= n:
             n_tune = n - 1
-        tune = [group[i] for i in perm[:n_tune]]
-        evaluation = sorted((group[i] for i in perm[n_tune:]), key=lambda s: s.id)
+        tune = start + perm[:n_tune]
+        evaluation = start + np.sort(perm[n_tune:])
 
-        report, raw, platt_scores, iso_scores, labels = _evaluate_split(tune, evaluation, cfg)
+        report, *arrays = _evaluate_split(raw, labels, tune, evaluation, cfg)
         rows.append(
             SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=len(evaluation), metrics=report)
         )
-        pooled_raw.extend(raw)
-        pooled_platt.extend(platt_scores)
-        pooled_iso.extend(iso_scores)
-        pooled_labels.extend(labels)
+        pooled.append(arrays)
 
     if not rows:
         raise ValueError("no schema met the minimum record count")
-    micro = _summarize(pooled_raw, pooled_platt, pooled_iso, pooled_labels, cfg)
+    micro = _summarize(*(np.concatenate(column) for column in zip(*pooled)), cfg)
     return SchemaLevelReport(
         method=method, config=cfg, schemas=tuple(rows), micro=micro, skipped=tuple(skipped)
     )

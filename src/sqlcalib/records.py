@@ -10,7 +10,7 @@ One record per line, JSON-encoded, UTF-8. Recognized fields:
     self_check_bool  object {p_true, p_false}, optional; both finite and
                      nonnegative, p_true + p_false > 0
     verbalized_prob  float in [0, 1], optional
-    alternatives     list of {score, equivalent}, optional
+    alternatives     list of {score, equivalent}, optional; scores finite
 
 Unknown fields are preserved on the record and written back by the
 serializer, but are otherwise ignored.
@@ -85,6 +85,9 @@ class PredictionRecord:
                 raise RecordError(self.id, "self_check_bool", "probabilities must be nonnegative")
             if p_true + p_false <= 0:
                 raise RecordError(self.id, "self_check_bool", "p_true + p_false must be positive")
+        for alt in self.alternatives or ():
+            if not math.isfinite(alt.score):
+                raise RecordError(self.id, "alternatives", f"score {alt.score!r} is not finite")
         if self.verbalized_prob is not None and not (0.0 <= self.verbalized_prob <= 1.0):
             raise RecordError(
                 self.id, "verbalized_prob", f"must lie in [0, 1], got {self.verbalized_prob!r}"
@@ -130,6 +133,13 @@ def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Datas
     return Dataset(records=recs, source_name=source_name)
 
 
+def _floats(rid: str, field_name: str, values: Iterable[Any]) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise RecordError(rid, field_name, "must be a number") from None
+
+
 def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object, got {type(obj).__name__}")
@@ -143,14 +153,14 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
         raw = obj["token_probs"]
         if not isinstance(raw, list):
             raise RecordError(rid, "token_probs", "must be a list of numbers")
-        token_probs = tuple(float(p) for p in raw)
+        token_probs = _floats(rid, "token_probs", raw)
 
     self_check = None
     if obj.get("self_check_bool") is not None:
         raw = obj["self_check_bool"]
         if not isinstance(raw, dict) or "p_true" not in raw or "p_false" not in raw:
             raise RecordError(rid, "self_check_bool", "must be an object with p_true and p_false")
-        self_check = (float(raw["p_true"]), float(raw["p_false"]))
+        self_check = _floats(rid, "self_check_bool", (raw["p_true"], raw["p_false"]))
 
     alternatives = None
     if obj.get("alternatives") is not None:
@@ -161,7 +171,8 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
         for entry in raw:
             if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
                 raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
-            alts.append(Alternative(score=float(entry["score"]), equivalent=bool(entry["equivalent"])))
+            (score,) = _floats(rid, "alternatives", (entry["score"],))
+            alts.append(Alternative(score=score, equivalent=bool(entry["equivalent"])))
         alternatives = tuple(alts)
 
     label = obj["label"]
@@ -169,6 +180,8 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
         raise RecordError(rid, "label", f"must be the integer 0 or 1, got {label!r}")
 
     verbalized = obj.get("verbalized_prob")
+    if verbalized is not None:
+        (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
     extra = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS}
 
     return PredictionRecord(
@@ -178,7 +191,7 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
         question=None if obj.get("question") is None else str(obj["question"]),
         token_probs=token_probs,
         self_check_bool=self_check,
-        verbalized_prob=None if verbalized is None else float(verbalized),
+        verbalized_prob=verbalized,
         alternatives=alternatives,
         extra=extra,
     )
@@ -202,7 +215,7 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a line-delimited record file into a validated Dataset.
 
     Records keep file order. Malformed lines are reported with their line
-    number; invariant violations with the record id and field name.
+    number; invariant violations with the line, record id and field name.
     """
     path = Path(path)
     records: list[PredictionRecord] = []
@@ -210,7 +223,8 @@ def load_dataset(path: str | Path) -> Dataset:
     for lineno, obj in _read_jsonl(path):
         try:
             record = _record_from_obj(obj)
-        except RecordError:
+        except RecordError as exc:
+            exc.args = (f"{path}:{lineno}: {exc}",)
             raise
         except (ValueError, TypeError) as exc:
             raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc

@@ -126,3 +126,36 @@ def central_difference_gradient(fn, t: float, b: float, step: float = 1e-5):
     dt = (fn(t + step, b) - fn(t - step, b)) / (2 * step)
     db = (fn(t, b + step) - fn(t, b - step)) / (2 * step)
     return dt, db
+
+
+def platt_reference(t: float, b: float, raw: float) -> float:
+    """sigma(t * raw + b) for one score, by the numerically stable branch on
+    the sign of z (the per-record formula the array path must reproduce)."""
+    z = t * raw + b
+    if z >= 0:
+        return float(1.0 / (1.0 + np.exp(-z)))
+    ez = np.exp(z)
+    return float(ez / (1.0 + ez))
+
+
+def isotonic_reference(knots, mode: str, raw: float) -> float:
+    """One score through an isotonic map by bisection over the knots: clamp
+    outside the knot range, the knot's own value on an exact hit or in step
+    mode, otherwise (frac first, then times the knot gap) interpolation."""
+    xs = [k[0] for k in knots]
+    ys = [k[1] for k in knots]
+    if raw <= xs[0]:
+        return ys[0]
+    if raw >= xs[-1]:
+        return ys[-1]
+    lo, hi = 0, len(xs) - 1
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if xs[mid] <= raw:
+            lo = mid
+        else:
+            hi = mid
+    if xs[lo] == raw or mode == "step":
+        return ys[lo]
+    frac = (raw - xs[lo]) / (xs[hi] - xs[lo])
+    return ys[lo] + frac * (ys[hi] - ys[lo])

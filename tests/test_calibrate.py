@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_isotonic_fit, central_difference_gradient
+from oracles import (
+    brute_isotonic_fit,
+    central_difference_gradient,
+    isotonic_reference,
+    platt_reference,
+)
 from sqlcalib.calibrate import (
     IsotonicCalibrator,
     PlattCalibrator,
@@ -227,6 +232,61 @@ class TestOutOfUnitRawScores:
         for raw, _ in pairs:
             assert 0.0 <= apply_isotonic(iso, raw) <= 1.0
             assert 0.0 <= apply_platt(platt, raw) <= 1.0
+
+
+@st.composite
+def isotonic_cases(draw):
+    """A knot set (one knot or more, flat runs likely) and raw scores on the
+    knots, between them and outside their range."""
+    xs = sorted(draw(st.sets(st.floats(-2, 2), min_size=1, max_size=8)))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
+    ys = sorted(draw(st.lists(value, min_size=len(xs), max_size=len(xs))))
+    mode = draw(st.sampled_from(["interpolate", "step"]))
+    raws = draw(st.lists(st.one_of(st.sampled_from(xs), st.floats(-3, 3)), min_size=1, max_size=20))
+    return IsotonicCalibrator(knots=tuple(zip(xs, ys)), mode=mode), raws
+
+
+class TestArrayApply:
+    """One array call maps every element to exactly the float the
+    per-record reference formula gives; a scalar gives a float."""
+
+    @given(isotonic_cases())
+    @settings(max_examples=300)
+    def test_isotonic_matches_scalar_reference_bitwise(self, case):
+        cal, raws = case
+        expected = [isotonic_reference(cal.knots, cal.mode, r) for r in raws]
+        out = apply_isotonic(cal, np.array(raws))
+        assert isinstance(out, np.ndarray) and out.shape == (len(raws),)
+        assert out.tolist() == expected
+        scalars = [apply_isotonic(cal, r) for r in raws]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == expected
+
+    @given(
+        st.floats(-200, 200),
+        st.floats(-400, 400),
+        st.lists(st.floats(-2, 2), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300)
+    def test_platt_matches_scalar_reference_bitwise(self, t, b, raws):
+        cal = PlattCalibrator(t=t, b=b)
+        expected = [platt_reference(t, b, r) for r in raws]
+        out = apply_platt(cal, np.array(raws))
+        assert isinstance(out, np.ndarray) and out.shape == (len(raws),)
+        assert out.tolist() == expected
+        scalars = [apply_platt(cal, r) for r in raws]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == expected
+
+    def test_empty_array_maps_to_empty_array(self):
+        iso = IsotonicCalibrator(knots=((0.2, 0.1), (0.8, 0.9)))
+        assert apply_isotonic(iso, np.array([])).shape == (0,)
+        assert apply_platt(PlattCalibrator(1.0, 0.0), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("raw", [0.5, np.array([0.5])])
+    def test_empty_calibrator_rejected(self, raw):
+        with pytest.raises(ValueError, match="empty isotonic calibrator"):
+            apply_isotonic(IsotonicCalibrator(knots=()), raw)
 
 
 class TestSerialization:

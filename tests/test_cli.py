@@ -36,6 +36,26 @@ class TestSimulateValidate:
         assert run("validate", "--input", bad) == 1
         assert "label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["score", "--method", "variant_alt", "--out", "scored.jsonl"],
+    ])
+    def test_non_finite_alternative_score_names_file_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        rows = [
+            {"id": "a", "schema_id": "s", "label": 1, "token_probs": [0.9],
+             "alternatives": [{"score": 0.5, "equivalent": False}]},
+            {"id": "b", "schema_id": "s", "label": 0, "token_probs": [0.4],
+             "alternatives": [{"score": float("inf"), "equivalent": False}]},
+        ]
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        command = [tmp_path / c if c.endswith(".jsonl") else c for c in command]
+        assert run(*command, "--input", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: record 'b': field 'alternatives': ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "scored.jsonl").exists()
+
     def test_seed_required(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SQLCALIB_SEED", raising=False)
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +236,7 @@ class TestLabelCommand:
         ("self_check_bool", [0.1, 0.2]),
         ("self_check_bool", {"p_true": float("inf"), "p_false": 0.1}),
         ("token_probs", [[0.5]]),
+        ("alternatives", [{"score": float("inf"), "equivalent": True}]),
         ("pred_sql", 5),
         ("db_path", 7),
     ])

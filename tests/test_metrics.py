@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import auc_pair_counting
-from sqlcalib.binning import uniform_bins
+from sqlcalib.binning import monotonic_bins, uniform_bins
 from sqlcalib.calibrate import PlattCalibrator, apply_platt
 from sqlcalib.metrics import (
     SingleClassError,
@@ -76,6 +76,19 @@ class TestEce:
             ece([0.2, 0.9, 0.5], [0, 1, 1], part)
         with pytest.raises(ValueError, match="inconsistent partition"):
             ece([0.3, 0.8], [0, 1], part)
+        for outside in (-0.5, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="falls outside every bin"):
+                ece([outside, 0.9], [0, 1], part)
+        # monotonic bins [0.2, 0.2] and [0.4, 0.9]
+        mono = monotonic_bins([0.2, 0.4, 0.9], [0, 1, 1])
+        assert [(b.lo, b.hi) for b in mono.bins] == [(0.2, 0.2), (0.4, 0.9)]
+        for outside in (0.3, 0.1, 0.95, float("nan")):
+            with pytest.raises(ValueError, match=f"confidence {outside!r} falls outside every bin"):
+                ece([0.2, outside, 0.9], [0, 1, 1], mono)
+        with pytest.raises(ValueError, match="bin 0 holds 1 samples, data places 2"):
+            ece([0.2, 0.2, 0.9], [0, 1, 1], mono)
+        with pytest.raises(ValueError, match="bin 1 accuracy disagrees"):
+            ece([0.2, 0.4, 0.9], [0, 1, 0], mono)
 
     def test_sample_order_invariant(self):
         confs, labels = [0.1, 0.6, 0.6, 0.9], [0, 1, 0, 1]

@@ -83,6 +83,40 @@ def test_field_invariants(tmp_path, field, value):
     assert err.value.field_name == field
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("token_probs", [[0.5]]),
+        ("token_probs", [0.5, "high"]),
+        ("verbalized_prob", [0.5]),
+        ("verbalized_prob", "high"),
+        ("self_check_bool", {"p_true": [0.5], "p_false": 0.1}),
+        ("self_check_bool", {"p_true": 0.5, "p_false": {"x": 1}}),
+        ("alternatives", [{"score": [0.5], "equivalent": True}]),
+        ("alternatives", [{"score": None, "equivalent": False}]),
+    ],
+)
+def test_non_numeric_value_names_the_field(tmp_path, field, value):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [_line(id="q0"), _line(**{field: value})])
+    with pytest.raises(RecordError, match="must be a number") as err:
+        load_dataset(path)
+    assert err.value.record_id == "q1"
+    assert err.value.field_name == field
+    assert str(err.value).startswith(f"{path}:2: record 'q1': field {field!r}: ")
+
+
+@pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_alternative_score_rejected(tmp_path, score):
+    path = tmp_path / "bad.jsonl"
+    # json.dumps writes Infinity and NaN, which json.loads accepts
+    write_lines(path, [_line(alternatives=[{"score": 0.5, "equivalent": False},
+                                           {"score": score, "equivalent": True}])])
+    with pytest.raises(RecordError, match="score .* is not finite") as err:
+        load_dataset(path)
+    assert err.value.field_name == "alternatives"
+
+
 def test_token_prob_of_exactly_one_is_legal():
     r = PredictionRecord(id="a", schema_id="s", label=0, token_probs=(1.0,))
     assert r.token_probs == (1.0,)
