@@ -2,12 +2,10 @@
 
 from .binning import Bin, BinPartition, monotonic_bins, uniform_bins
 from .calibrate import (
-    CalibratedRecord,
     IsotonicCalibrator,
     PlattCalibrator,
     apply_isotonic,
     apply_platt,
-    calibrate_records,
     fit_isotonic,
     fit_platt,
     load_calibrator,

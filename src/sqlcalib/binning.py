@@ -38,6 +38,11 @@ class BinPartition:
         return sum(b.count / n * abs(b.accuracy - b.mean_conf) for b in self.bins if b.count)
 
 
+def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
+    # the true mean lies in [lo, hi]; clamp away 1-ulp float excursions
+    return min(max(conf_sum / count, lo), hi)
+
+
 def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> BinPartition:
     """Equal-width bins on [0, 1]; a confidence of exactly 1.0 lands in the
     last bin. Empty bins carry count 0 (they get zero ECE weight)."""
@@ -57,8 +62,9 @@ def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> 
         mask = idx == j
         count = int(mask.sum())
         if count:
+            mean_conf = _mean_conf(float(c[mask].sum()), count, lo, hi)
             bins.append(
-                Bin(lo=lo, hi=hi, count=count, mean_conf=float(c[mask].mean()), accuracy=float(a[mask].mean()))
+                Bin(lo=lo, hi=hi, count=count, mean_conf=mean_conf, accuracy=float(a[mask].mean()))
             )
         else:
             bins.append(Bin(lo=lo, hi=hi, count=0, mean_conf=(lo + hi) / 2, accuracy=0.0))
@@ -75,11 +81,6 @@ def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
         los[:j] + [los[j]] + los[j + 2 :],
         his[:j] + [his[j + 1]] + his[j + 2 :],
     )
-
-
-def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
-    # the true mean lies in [lo, hi]; clamp away 1-ulp float excursions
-    return min(max(conf_sum / count, lo), hi)
 
 
 def monotonic_bins(

@@ -21,11 +21,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .scoring import ScoredRecord
+from .records import RecordError, _floats
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -51,16 +51,6 @@ class IsotonicCalibrator:
 
     knots: tuple[tuple[float, float], ...]
     mode: str = "interpolate"
-
-
-@dataclass(frozen=True)
-class CalibratedRecord:
-    id: str
-    schema_id: str
-    method: str
-    raw_score: float
-    calibrated_score: float
-    label: int
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -142,12 +132,16 @@ def fit_platt(pairs: Sequence[tuple[float, int]]) -> PlattCalibrator:
     b = math.log(mean_target / (1.0 - mean_target))
 
     ll = platt_log_likelihood(t, b, r, g)
-    converged = False
-    for _ in range(MAX_ITER):
+    for iteration in range(MAX_ITER + 1):
         p = _sigmoid(t * r + b)
-        grad = np.array([np.mean((g - p) * r), np.mean(g - p)])
-        if float(np.linalg.norm(grad)) <= GRAD_TOL:
-            converged = True
+        resid = g - p
+        grad = np.array([np.mean(resid * r), np.mean(resid)])
+        norm = float(np.linalg.norm(grad))
+        if norm <= GRAD_TOL:
+            break
+        if iteration == MAX_ITER:
+            message = f"Platt fit stopped at iteration cap with gradient norm {norm:.3g}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
             break
         w = p * (1.0 - p)
         h11 = float(np.mean(w * r * r))
@@ -164,24 +158,15 @@ def fit_platt(pairs: Sequence[tuple[float, int]]) -> PlattCalibrator:
 
         alpha = 1.0
         directional = float(grad @ step)
-        while alpha > 1e-12:
+        while True:
             t_new = t + alpha * step[0]
             b_new = b + alpha * step[1]
             ll_new = platt_log_likelihood(t_new, b_new, r, g)
-            if ll_new >= ll + 1e-4 * alpha * directional:
+            # the first step at or below 1e-12 is taken whether or not it passes
+            if ll_new >= ll + 1e-4 * alpha * directional or alpha <= 1e-12:
                 break
             alpha *= 0.5
-        t, b = t + alpha * step[0], b + alpha * step[1]
-        ll = platt_log_likelihood(t, b, r, g)
-
-    if not converged:
-        grad = platt_gradient(t, b, r, g)
-        if float(np.hypot(*grad)) > GRAD_TOL:
-            warnings.warn(
-                f"Platt fit stopped at iteration cap with gradient norm {np.hypot(*grad):.3g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        t, b, ll = t_new, b_new, ll_new
     return PlattCalibrator(t=float(t), b=float(b))
 
 
@@ -270,19 +255,6 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
     return float(out) if out.ndim == 0 else out
 
 
-def calibrate_records(
-    calibrator: PlattCalibrator | IsotonicCalibrator, scored: Iterable[ScoredRecord]
-) -> tuple[CalibratedRecord, ...]:
-    """Apply a fitted calibrator to scored records."""
-    scored = tuple(scored)
-    apply = apply_platt if isinstance(calibrator, PlattCalibrator) else apply_isotonic
-    calibrated = apply(calibrator, np.array([s.raw_score for s in scored], dtype=float))
-    return tuple(
-        CalibratedRecord(s.id, s.schema_id, s.method, s.raw_score, c, s.label)
-        for s, c in zip(scored, calibrated.tolist())
-    )
-
-
 def save_calibrator(
     calibrator: PlattCalibrator | IsotonicCalibrator, path: str | Path
 ) -> None:
@@ -297,12 +269,46 @@ def save_calibrator(
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def load_calibrator(path: str | Path) -> PlattCalibrator | IsotonicCalibrator:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+def _calibrator_from_obj(obj: Any) -> PlattCalibrator | IsotonicCalibrator:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "platt":
-        return PlattCalibrator(t=float(obj["t"]), b=float(obj["b"]))
-    if kind == "isotonic":
-        knots = tuple((float(x), float(y)) for x, y in obj["knots"])
-        return IsotonicCalibrator(knots=knots, mode=obj.get("mode", "interpolate"))
-    raise ValueError(f"unknown calibrator kind {kind!r} in {path}")
+        t, b = _floats(kind, "t and b", (obj.get("t"), obj.get("b")))
+        if not (math.isfinite(t) and math.isfinite(b)):
+            raise RecordError(kind, "t and b", "must be finite")
+        return PlattCalibrator(t=t, b=b)
+    if kind != "isotonic":
+        raise ValueError(f"unknown calibrator kind {kind!r}")
+    knots = obj.get("knots")
+    if not (
+        isinstance(knots, list)
+        and knots
+        and all(isinstance(k, list) and len(k) == 2 for k in knots)
+    ):
+        raise RecordError(kind, "knots", "must be a nonempty list of [x, y] pairs")
+    xs = _floats(kind, "knots", (x for x, _ in knots))
+    ys = _floats(kind, "knots", (y for _, y in knots))
+    if not all(map(math.isfinite, xs + ys)):
+        raise RecordError(kind, "knots", "must be finite")
+    if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):
+        raise RecordError(kind, "knots", "x must be strictly increasing")
+    if ys[0] < 0.0 or ys[-1] > 1.0 or any(y0 > y1 for y0, y1 in zip(ys, ys[1:])):
+        raise RecordError(kind, "knots", "y must be non-decreasing within [0, 1]")
+    mode = obj.get("mode", "interpolate")
+    if mode not in ("interpolate", "step"):
+        raise RecordError(kind, "mode", f"must be 'interpolate' or 'step', got {mode!r}")
+    return IsotonicCalibrator(knots=tuple(zip(xs, ys)), mode=mode)
+
+
+def load_calibrator(path: str | Path) -> PlattCalibrator | IsotonicCalibrator:
+    """Read a file written by `save_calibrator`.
+
+    Anything else raises a ValueError naming the file: text that is not
+    JSON, an unknown kind, Platt parameters that are not finite numbers,
+    knots that are not a monotone map into [0, 1], or an unknown mode.
+    """
+    try:
+        return _calibrator_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

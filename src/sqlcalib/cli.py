@@ -19,8 +19,7 @@ from typing import Any
 from . import calibrate as cal
 from . import report as rpt
 from .binning import monotonic_bins, uniform_bins
-from .execmatch import ExecutionError, GoldExecutionError, SQLiteExecutor, label_record
-from .metrics import SingleClassError
+from .execmatch import ExecutionError, SQLiteExecutor, label_record
 from .protocol import (
     ProtocolConfig,
     TRUE_MAPS,
@@ -29,13 +28,15 @@ from .protocol import (
     schema_level_evaluate,
 )
 from .records import (
+    Dataset,
     DatasetError,
+    PredictionRecord,
     RecordError,
-    _read_jsonl,
+    _read_records,
     _record_from_obj,
+    _require,
     dataset_summary,
     load_dataset,
-    make_dataset,
     write_dataset,
 )
 from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_dataset, write_scored
@@ -116,6 +117,8 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.compare and args.scope == "schema_level":
+        parser.error("--compare works only with --scope schema_disjoint")
     seed = _resolve_seed(args, parser)
     cfg = _config_from_args(args, seed)
     dataset = load_dataset(args.input)
@@ -163,9 +166,9 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("nothing to do: pass --out-csv and/or --out-svg")
     scored = load_scored(args.scored)
     calibrator = cal.load_calibrator(args.calibrator)
-    calibrated = cal.calibrate_records(calibrator, scored)
-    confs = [c.calibrated_score for c in calibrated]
-    labels = [c.label for c in calibrated]
+    apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
+    confs = apply(calibrator, [s.raw_score for s in scored]).tolist()
+    labels = [s.label for s in scored]
     if args.binning == "uniform":
         partition = uniform_bins(confs, labels, args.bins)
     else:
@@ -184,54 +187,38 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 _PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
 
 
-def _read_pairs(path: Path) -> list[tuple[dict, Any]]:
-    """Each pair with its carried-over fields parsed into a record, validated
-    by the same rules as `load_dataset`. The label is a placeholder until the
-    SQL has run."""
-    pairs = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise DatasetError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
-        for key in ("id", "schema_id", "gold_sql", "pred_sql"):
-            if key not in obj:
-                raise DatasetError(f"{path}:{lineno}: missing field {key!r}")
-        for key in _PAIR_ONLY_FIELDS:
-            if key in obj and not isinstance(obj[key], str):
-                raise DatasetError(f"{path}:{lineno}: field {key!r} must be a string")
-        carried = {k: v for k, v in obj.items() if k not in _PAIR_ONLY_FIELDS}
-        try:
-            record = _record_from_obj({**carried, "label": 0})
-        except (ValueError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
-        if record.id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-        seen.add(record.id)
-        pairs.append((obj, record))
-    if not pairs:
-        raise DatasetError(f"empty pair file: {path}")
-    return pairs
+def _pair_from_obj(obj: Any) -> PredictionRecord:
+    """A pair as a record validated by the same rules as `load_dataset`. The
+    label is a placeholder until the SQL has run; the pair-only fields ride in
+    `extra` until then."""
+    rid = _require(obj, "schema_id", "gold_sql", "pred_sql")
+    for key in _PAIR_ONLY_FIELDS:
+        if key in obj and not isinstance(obj[key], str):
+            raise RecordError(rid, key, "must be a string")
+    return _record_from_obj({**obj, "label": 0})
 
 
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     db_root = Path(args.db_root)
-    pairs = _read_pairs(Path(args.pairs))
+    pairs = _read_records(Path(args.pairs), _pair_from_obj)
     executors: dict[Path, SQLiteExecutor] = {}
     records = []
-    for obj, record in pairs:
-        if "db_path" in obj:
-            db_path = Path(obj["db_path"])
+    for pair in pairs:
+        if "db_path" in pair.extra:
+            db_path = Path(pair.extra["db_path"])
             if not db_path.is_absolute():
                 db_path = db_root / db_path
         else:
-            db_path = db_root / record.schema_id / f"{record.schema_id}.sqlite"
+            db_path = db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
         if db_path not in executors:
             executors[db_path] = SQLiteExecutor(db_path, timeout_s=args.timeout)
         label = label_record(
-            obj["gold_sql"], obj["pred_sql"], executors[db_path], strict_columns=args.strict_columns
+            pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
+            strict_columns=args.strict_columns,
         )
-        records.append(replace(record, label=label))
-    write_dataset(make_dataset(records, source_name=Path(args.out).name), args.out)
+        extra = {k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS}
+        records.append(replace(pair, label=label, extra=extra))
+    write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)
     n_correct = sum(r.label for r in records)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
     return 0
@@ -325,11 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except GoldExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DatasetError, RecordError, SingleClassError, ExecutionError,
-            ValueError, OSError) as exc:
+    except (ExecutionError, ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 
 class RecordError(ValueError):
@@ -136,17 +136,32 @@ def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Datas
 def _floats(rid: str, field_name: str, values: Iterable[Any]) -> tuple[float, ...]:
     try:
         return tuple(map(float, values))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise RecordError(rid, field_name, "must be a number") from None
 
 
-def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
+def _label(rid: str, value: Any) -> int:
+    """The one label rule: the integer 0 or 1, not a bool and not 1.0."""
+    if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
+        raise RecordError(rid, "label", f"must be the integer 0 or 1, got {value!r}")
+    return value
+
+
+def _require(obj: Any, *fields: str) -> str:
+    """The id of a decoded line that is an object holding `id` and `fields`."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object, got {type(obj).__name__}")
-    for required in ("id", "schema_id", "label"):
-        if required not in obj:
-            raise ValueError(f"missing required field {required!r}")
+    if "id" not in obj:
+        raise ValueError("missing required field 'id'")
     rid = str(obj["id"])
+    for name in fields:
+        if name not in obj:
+            raise RecordError(rid, name, "missing required field")
+    return rid
+
+
+def _record_from_obj(obj: Any) -> PredictionRecord:
+    rid = _require(obj, "schema_id", "label")
 
     token_probs = None
     if obj.get("token_probs") is not None:
@@ -175,10 +190,6 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
             alts.append(Alternative(score=score, equivalent=bool(entry["equivalent"])))
         alternatives = tuple(alts)
 
-    label = obj["label"]
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise RecordError(rid, "label", f"must be the integer 0 or 1, got {label!r}")
-
     verbalized = obj.get("verbalized_prob")
     if verbalized is not None:
         (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
@@ -187,7 +198,7 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
     return PredictionRecord(
         id=rid,
         schema_id=str(obj["schema_id"]),
-        label=label,
+        label=_label(rid, obj["label"]),
         question=None if obj.get("question") is None else str(obj["question"]),
         token_probs=token_probs,
         self_check_bool=self_check,
@@ -197,8 +208,11 @@ def _record_from_obj(obj: dict[str, Any]) -> PredictionRecord:
     )
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line number, decoded value) for every nonblank line of a file."""
+def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
+    """Every nonblank line of a line-delimited JSON file, parsed by `parse`.
+    Errors name `<file>:<line>:`; ids must be unique and the file nonempty."""
+    items = []
+    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -206,9 +220,23 @@ def _read_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers integer literals past the digit limit
                 raise DatasetError(f"{path}:{lineno}: malformed line: {exc}") from exc
-            yield lineno, obj
+            try:
+                item = parse(obj)
+            except RecordError as exc:
+                exc.args = (f"{path}:{lineno}: {exc}",)
+                raise
+            except (ValueError, TypeError) as exc:
+                raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
+            if item.id in seen:
+                raise DatasetError(f"{path}:{lineno}: duplicate record id {item.id!r}")
+            seen.add(item.id)
+            items.append(item)
+    if not items:
+        raise DatasetError(f"empty dataset: {path}")
+    return tuple(items)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -218,23 +246,7 @@ def load_dataset(path: str | Path) -> Dataset:
     number; invariant violations with the line, record id and field name.
     """
     path = Path(path)
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        try:
-            record = _record_from_obj(obj)
-        except RecordError as exc:
-            exc.args = (f"{path}:{lineno}: {exc}",)
-            raise
-        except (ValueError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
-        if record.id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-        seen.add(record.id)
-        records.append(record)
-    if not records:
-        raise DatasetError(f"empty dataset: {path}")
-    return Dataset(records=tuple(records), source_name=path.name)
+    return Dataset(records=_read_records(path, _record_from_obj), source_name=path.name)
 
 
 def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:

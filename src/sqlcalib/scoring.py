@@ -12,9 +12,18 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from .records import Alternative, Dataset, PredictionRecord
+from .records import (
+    Alternative,
+    Dataset,
+    PredictionRecord,
+    RecordError,
+    _floats,
+    _label,
+    _read_records,
+    _require,
+)
 
 POOLING_METHODS = ("prod", "geo", "min", "avg")
 SCORE_METHODS = POOLING_METHODS + ("self_check_bool", "self_check_probs", "variant_alt")
@@ -184,36 +193,25 @@ def write_scored(scored: Iterable[ScoredRecord], path: str | Path) -> None:
             )
 
 
+def _scored_from_obj(obj: Any) -> ScoredRecord:
+    rid = _require(obj, "schema_id", "method", "raw_score", "label")
+    method = obj["method"]
+    if method not in SCORE_METHODS:
+        raise RecordError(rid, "method", f"unknown method {method!r}")
+    (raw,) = _floats(rid, "raw_score", (obj["raw_score"],))
+    low = -1.0 if method == "variant_alt" else 0.0
+    if not (low <= raw <= 1.0):
+        raise RecordError(rid, "raw_score", f"{raw!r} outside [{low}, 1] for method {method}")
+    return ScoredRecord(
+        id=rid,
+        schema_id=str(obj["schema_id"]),
+        method=method,
+        raw_score=raw,
+        label=_label(rid, obj["label"]),
+    )
+
+
 def load_scored(path: str | Path) -> tuple[ScoredRecord, ...]:
-    path = Path(path)
-    out: list[ScoredRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                record = ScoredRecord(
-                    id=str(obj["id"]),
-                    schema_id=str(obj["schema_id"]),
-                    method=str(obj["method"]),
-                    raw_score=float(obj["raw_score"]),
-                    label=int(obj["label"]),
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: invalid scored record: {exc}") from exc
-            if record.method not in SCORE_METHODS:
-                raise ValueError(f"{path}:{lineno}: unknown method {record.method!r}")
-            if record.label not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
-            low = -1.0 if record.method == "variant_alt" else 0.0
-            if not (low <= record.raw_score <= 1.0):
-                raise ValueError(
-                    f"{path}:{lineno}: raw_score {record.raw_score!r} outside [{low}, 1] "
-                    f"for method {record.method}"
-                )
-            out.append(record)
-    if not out:
-        raise ValueError(f"empty scored-record file: {path}")
-    return tuple(out)
+    """Read a file written by `write_scored`, under the same rules as
+    `load_dataset`: errors name the file line, record and field; ids are unique."""
+    return _read_records(Path(path), _scored_from_obj)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_monotone_partition
@@ -38,6 +38,7 @@ class TestUniform:
             uniform_bins([0.5], [1], 0)
 
     @given(samples, st.integers(min_value=1, max_value=20))
+    @example([(0.7, 0)] * 3, 10)  # the float mean of three 0.7s is below 0.7
     @settings(max_examples=200)
     def test_invariants(self, data, n_bins):
         confs = [d[0] for d in data]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     isotonic_reference,
     platt_reference,
 )
+from sqlcalib import calibrate
 from sqlcalib.calibrate import (
     IsotonicCalibrator,
     PlattCalibrator,
@@ -128,6 +130,22 @@ class TestPlatt:
         cal = fit_platt(list(zip(r.tolist(), a.tolist())))
         gt, gb = platt_gradient(cal.t, cal.b, r, smooth_targets(a))
         assert abs(gt) <= 1e-6 and abs(gb) <= 1e-6
+
+
+    def test_iteration_cap_warns_once(self, monkeypatch):
+        rng = _rng(5)
+        r = rng.uniform(size=200)
+        pairs = [(float(x), int(y < x)) for x, y in zip(r, rng.uniform(size=200))]
+
+        def cap_warnings():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_platt(pairs)
+            return [w.category for w in caught if "iteration cap" in str(w.message)]
+
+        assert cap_warnings() == []
+        monkeypatch.setattr(calibrate, "MAX_ITER", 1)
+        assert cap_warnings() == [RuntimeWarning]
 
 
 class TestIsotonic:

@@ -104,6 +104,51 @@ class TestScoreCalibrate:
         assert json.loads(cal.read_text())["kind"] == "platt"
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("label", 1.7),
+        ("label", True),
+        ("label", 1.0),
+        ("label", None),
+        pytest.param("raw_score", 10**400, id="raw_score-too-large-for-a-float"),
+        ("raw_score", "high"),
+    ])
+    def test_scored_file_follows_the_record_rules(self, tmp_path, capsys, field, value):
+        scored = tmp_path / "scored.jsonl"
+        rows = [
+            {"id": "a", "schema_id": "s", "method": "prod", "raw_score": 0.2, "label": 0},
+            {"id": "b", "schema_id": "s", "method": "prod", "raw_score": 0.7, "label": 1},
+        ]
+        rows[1][field] = value
+        scored.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "cal.json"
+        assert run("calibrate", "--scored", scored, "--kind", "isotonic", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scored}:2: record 'b': field {field!r}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drop", ["schema_id", "method", "raw_score", "label"])
+    def test_scored_file_missing_field_names_it(self, tmp_path, capsys, drop):
+        scored = tmp_path / "scored.jsonl"
+        row = {"id": "a", "schema_id": "s", "method": "prod", "raw_score": 0.2, "label": 0}
+        del row[drop]
+        scored.write_text(json.dumps(row) + "\n")
+        assert run("calibrate", "--scored", scored, "--kind", "platt",
+                   "--out", tmp_path / "cal.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: {scored}:1: record 'a': field {drop!r}: missing required field\n"
+        )
+
+    def test_scored_file_duplicate_id_rejected(self, tmp_path, capsys):
+        scored = tmp_path / "scored.jsonl"
+        row = {"id": "a", "schema_id": "s", "method": "prod", "raw_score": 0.2, "label": 0}
+        scored.write_text(json.dumps(row) + "\n" + json.dumps({**row, "label": 1}) + "\n")
+        out = tmp_path / "cal.json"
+        assert run("calibrate", "--scored", scored, "--kind", "platt", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {scored}:2: duplicate record id 'a'\n"
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_writes_report_and_thresholds(self, synthetic, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -161,6 +206,15 @@ class TestEvaluate:
         assert [r["method"] for r in rows] == ["prod", "geo", "min", "avg"]
         assert all(set(r) == {"method", "bs_i", "auc", "ece_p", "ece_i"} for r in rows)
 
+    def test_compare_with_schema_level_is_a_usage_error(self, tmp_path):
+        out_dir = tmp_path / "sl"
+        with pytest.raises(SystemExit) as exc:
+            # the input does not exist: the usage check comes before any read
+            run("evaluate", "--input", tmp_path / "missing.jsonl", "--scope", "schema_level",
+                "--compare", "--seed", 2, "--out-dir", out_dir)
+        assert exc.value.code == 2
+        assert not out_dir.exists()
+
     def test_schema_level_scope(self, synthetic, tmp_path):
         out_dir = tmp_path / "sl"
         assert run("evaluate", "--input", synthetic, "--scope", "schema_level",
@@ -185,6 +239,31 @@ class TestReportCommand:
                    "--out-csv", out_csv, "--out-svg", out_svg) == 0
         assert out_csv.read_text().startswith("label,bin_lo,bin_hi,mean_conf,accuracy,count")
         assert out_svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "platt"}',
+        '[1, 2]',
+        '{"kind": "platt", "t": Infinity, "b": 0.0}',
+        '{"kind": "isotonic", "knots": [[0.8, 0.2], [0.2, 0.9]]}',
+        '{"kind": "isotonic", "knots": [[0.2, NaN], [0.8, 0.9]]}',
+        '{"kind": "isotonic", "knots": [[0.2, 0.1], [0.8, 1.5]]}',
+        '{"kind": "isotonic", "knots": []}',
+        '{"kind": "isotonic", "mode": "bogus", "knots": [[0.2, 0.1], [0.8, 0.9]]}',
+        'not json',
+    ], ids=["platt-without-t-b", "not-an-object", "infinite-t", "descending-x", "nan-y",
+            "y-above-1", "no-knots", "unknown-mode", "not-json"])
+    def test_bad_calibrator_file_exits_1(self, synthetic, tmp_path, capsys, text):
+        scored = tmp_path / "scored.jsonl"
+        run("score", "--input", synthetic, "--out", scored, "--method", "prod")
+        cal = tmp_path / "cal.json"
+        cal.write_text(text)
+        capsys.readouterr()
+        out_csv = tmp_path / "rel.csv"
+        assert run("report", "--scored", scored, "--calibrator", cal, "--out-csv", out_csv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cal}: ")
+        assert "Traceback" not in err
+        assert not out_csv.exists()
 
 
 class TestLabelCommand:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["digit-limit", "nesting-depth"])
+def test_line_past_the_decoder_limits_is_malformed(tmp_path, text):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [_line(), text])
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: malformed line: "):
+        load_dataset(path)
+
+
+def test_missing_field_names_record_and_field(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [json.dumps({"id": "q1", "label": 1})])
+    with pytest.raises(RecordError) as err:
+        load_dataset(path)
+    assert err.value.field_name == "schema_id"
+    assert str(err.value) == f"{path}:1: record 'q1': field 'schema_id': missing required field"
+
+
 def test_duplicate_id_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_lines(path, [_line(), _line()])
@@ -94,6 +112,11 @@ def test_field_invariants(tmp_path, field, value):
         ("self_check_bool", {"p_true": 0.5, "p_false": {"x": 1}}),
         ("alternatives", [{"score": [0.5], "equivalent": True}]),
         ("alternatives", [{"score": None, "equivalent": False}]),
+        # integers too large for a float
+        ("token_probs", [0.5, 10**400]),
+        pytest.param("verbalized_prob", 10**400, id="verbalized_prob-too-large-for-a-float"),
+        ("self_check_bool", {"p_true": 0.5, "p_false": -(10**400)}),
+        ("alternatives", [{"score": 10**400, "equivalent": False}]),
     ],
 )
 def test_non_numeric_value_names_the_field(tmp_path, field, value):
