@@ -14,7 +14,6 @@ from .calibrate import (
 from .execmatch import (
     ExecutionError,
     GoldExecutionError,
-    QueryExecutor,
     ResultTable,
     SQLiteExecutor,
     label_record,

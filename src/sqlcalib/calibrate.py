@@ -287,8 +287,8 @@ def _calibrator_from_obj(obj: Any) -> PlattCalibrator | IsotonicCalibrator:
         and all(isinstance(k, list) and len(k) == 2 for k in knots)
     ):
         raise RecordError(kind, "knots", "must be a nonempty list of [x, y] pairs")
-    xs = _floats(kind, "knots", (x for x, _ in knots))
-    ys = _floats(kind, "knots", (y for _, y in knots))
+    xs = _floats(kind, "knots", [x for x, _ in knots])
+    ys = _floats(kind, "knots", [y for _, y in knots])
     if not all(map(math.isfinite, xs + ys)):
         raise RecordError(kind, "knots", "must be finite")
     if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):

@@ -19,7 +19,7 @@ from typing import Any
 from . import calibrate as cal
 from . import report as rpt
 from .binning import monotonic_bins, uniform_bins
-from .execmatch import ExecutionError, SQLiteExecutor, label_record
+from .execmatch import ExecutionError, GoldExecutionError, SQLiteExecutor, label_record
 from .protocol import (
     ProtocolConfig,
     TRUE_MAPS,
@@ -54,7 +54,6 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         except ValueError:
             parser.error(f"{ENV_SEED} must be an integer, got {env!r}")
     parser.error(f"--seed is required (or set {ENV_SEED})")
-    raise AssertionError("unreachable")
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -203,21 +202,26 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     pairs = _read_records(Path(args.pairs), _pair_from_obj)
     executors: dict[Path, SQLiteExecutor] = {}
     records = []
+    gold_failures = []
     for pair in pairs:
         if "db_path" in pair.extra:
-            db_path = Path(pair.extra["db_path"])
-            if not db_path.is_absolute():
-                db_path = db_root / db_path
+            db_path = db_root / pair.extra["db_path"]  # an absolute db_path replaces db_root
         else:
             db_path = db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
         if db_path not in executors:
             executors[db_path] = SQLiteExecutor(db_path, timeout_s=args.timeout)
-        label = label_record(
-            pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
-            strict_columns=args.strict_columns,
-        )
+        try:
+            label = label_record(
+                pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
+                strict_columns=args.strict_columns,
+            )
+        except GoldExecutionError as exc:
+            gold_failures.append(f"{pair.id!r}: {exc.__cause__}")
+            continue
         extra = {k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS}
         records.append(replace(pair, label=label, extra=extra))
+    if gold_failures:
+        raise DatasetError(f"{args.pairs}: gold query failed: " + "; ".join(gold_failures))
     write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)
     n_correct = sum(r.label for r in records)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import sqlite3
 import time
-from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -63,65 +62,51 @@ class ResultTable:
             n_cols = len(rows[0]) if rows else 0
         return cls(n_cols=n_cols, rows=rows)
 
-    def column(self, j: int) -> tuple[str, ...]:
-        return tuple(row[j] for row in self.rows)
-
-
-class QueryExecutor(ABC):
-    """Runs SQL and returns a ResultTable, deterministically for a fixed
-    database state."""
-
-    @abstractmethod
-    def execute(self, sql: str) -> ResultTable:
-        """Return the result table, or raise ExecutionError."""
-
-
-def _column_fingerprint(table: ResultTable, j: int) -> tuple[str, ...]:
-    return tuple(sorted(table.column(j)))
-
 
 def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False) -> bool:
-    """True iff the tables hold the same multiset of rows up to column order.
+    """True iff some permutation of b's columns makes the row multisets equal.
 
-    Column-order insensitivity means: some permutation of b's columns makes
-    the row multisets equal. The search matches per-column value multisets
-    first and brute-forces permutations only within groups of columns that
-    share a fingerprint. `strict_columns` compares columns positionally.
+    A depth-first search gives a's columns, in order, unused b columns with the
+    same value multiset, trying identical b columns once per position. Where a
+    position has a choice, a branch ends once the rows projected so far differ.
+    `strict_columns` compares columns positionally.
     """
     if a.n_cols != b.n_cols or len(a.rows) != len(b.rows):
         return False
-    if strict_columns or a.n_cols == 0:
+    if strict_columns or a.n_cols == 0 or not a.rows:
         return sorted(a.rows) == sorted(b.rows)
 
-    k = a.n_cols
-    fps_a = [_column_fingerprint(a, j) for j in range(k)]
-    fps_b = [_column_fingerprint(b, j) for j in range(k)]
-    if sorted(fps_a) != sorted(fps_b):
-        return False
+    cols_a = list(zip(*a.rows))
+    unused = Counter(zip(*b.rows))  # b columns of identical contents are interchangeable
+    by_values: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for col in unused:
+        by_values.setdefault(tuple(sorted(col)), []).append(col)
+    candidates = [by_values.get(tuple(sorted(col)), []) for col in cols_a]
 
-    groups: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
-    for j, fp in enumerate(fps_a):
-        groups.setdefault(fp, ([], []))[0].append(j)
-    for j, fp in enumerate(fps_b):
-        if fp not in groups:
-            return False
-        groups[fp][1].append(j)
-
-    sorted_a = sorted(a.rows)
-    group_list = list(groups.values())
-    # candidate assignments: for each group, a bijection b-columns -> a-columns
-    for choice in product(*(permutations(pos_b) for _, pos_b in group_list)):
-        mapping = [0] * k  # a-column position -> b-column position
-        for (pos_a, _), perm in zip(group_list, choice):
-            for target, source in zip(pos_a, perm):
-                mapping[target] = source
-        rearranged = sorted(tuple(row[mapping[j]] for j in range(k)) for row in b.rows)
-        if rearranged == sorted_a:
+    assigned: list[tuple[str, ...]] = []  # the b column given to each of a's columns
+    stack = [iter(candidates[0])]  # the untried candidates of each position
+    while stack:
+        i = len(assigned)
+        for col in stack[-1]:
+            # row multisets compare as dict items views: in C, unlike Counter.__eq__
+            if unused[col] and ((len(candidates[i]) == 1 and i + 1 < len(cols_a))
+                                or Counter(zip(*cols_a[:i + 1])).items()
+                                == Counter(zip(*assigned, col)).items()):
+                break
+        else:
+            stack.pop()
+            if assigned:
+                unused[assigned.pop()] += 1
+            continue
+        if i + 1 == len(cols_a):
             return True
+        unused[col] -= 1
+        assigned.append(col)
+        stack.append(iter(candidates[i + 1]))
     return False
 
 
-def label_record(gold_sql: str, pred_sql: str, executor: QueryExecutor,
+def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
                  strict_columns: bool = False) -> int:
     """Execution-accuracy label: 1 iff both queries run and their result
     tables match. A failing predicted query labels 0; a failing gold query
@@ -137,7 +122,7 @@ def label_record(gold_sql: str, pred_sql: str, executor: QueryExecutor,
     return 1 if tables_equal(gold, pred, strict_columns=strict_columns) else 0
 
 
-class SQLiteExecutor(QueryExecutor):
+class SQLiteExecutor:
     """Adapter for local single-file relational databases.
 
     Opens the file read-only; queries exceeding the timeout raise

@@ -1,6 +1,7 @@
 """Prediction records and their line-delimited file format.
 
-One record per line, JSON-encoded, UTF-8. Recognized fields:
+One record per line, JSON-encoded, UTF-8; numbers are JSON numbers, never
+strings or booleans. Recognized fields:
 
     id               string, unique within a file
     schema_id        string, database/schema the question targets
@@ -10,7 +11,8 @@ One record per line, JSON-encoded, UTF-8. Recognized fields:
     self_check_bool  object {p_true, p_false}, optional; both finite and
                      nonnegative, p_true + p_false > 0
     verbalized_prob  float in [0, 1], optional
-    alternatives     list of {score, equivalent}, optional; scores finite
+    alternatives     list of {score, equivalent}, optional; scores in
+                     [0, 1], equivalent true or false
 
 Unknown fields are preserved on the record and written back by the
 serializer, but are otherwise ignored.
@@ -22,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class RecordError(ValueError):
@@ -86,8 +88,9 @@ class PredictionRecord:
             if p_true + p_false <= 0:
                 raise RecordError(self.id, "self_check_bool", "p_true + p_false must be positive")
         for alt in self.alternatives or ():
-            if not math.isfinite(alt.score):
-                raise RecordError(self.id, "alternatives", f"score {alt.score!r} is not finite")
+            if not (0.0 <= alt.score <= 1.0):
+                problem = "outside [0, 1]" if math.isfinite(alt.score) else "is not finite"
+                raise RecordError(self.id, "alternatives", f"score {alt.score!r} {problem}")
         if self.verbalized_prob is not None and not (0.0 <= self.verbalized_prob <= 1.0):
             raise RecordError(
                 self.id, "verbalized_prob", f"must lie in [0, 1], got {self.verbalized_prob!r}"
@@ -133,11 +136,14 @@ def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Datas
     return Dataset(records=recs, source_name=source_name)
 
 
-def _floats(rid: str, field_name: str, values: Iterable[Any]) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        raise RecordError(rid, field_name, "must be a number") from None
+def _floats(rid: str, field_name: str, values: Sequence[Any]) -> tuple[float, ...]:
+    """JSON numbers as floats: an int or a float, not a bool and not a string."""
+    if {int, float}.issuperset(map(type, values)):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise RecordError(rid, field_name, "must be a number")
 
 
 def _label(rid: str, value: Any) -> int:
@@ -187,7 +193,9 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
             if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
                 raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
             (score,) = _floats(rid, "alternatives", (entry["score"],))
-            alts.append(Alternative(score=score, equivalent=bool(entry["equivalent"])))
+            if not isinstance(entry["equivalent"], bool):
+                raise RecordError(rid, "alternatives", "equivalent must be true or false")
+            alts.append(Alternative(score=score, equivalent=entry["equivalent"]))
         alternatives = tuple(alts)
 
     verbalized = obj.get("verbalized_prob")
@@ -213,9 +221,13 @@ def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
     Errors name `<file>:<line>:`; ids must be unique and the file nonempty."""
     items = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with path.open("rb") as fh:
+        # bytes.splitlines ends a line at \n, \r or \r\n, as text mode does
+        for lineno, raw in enumerate((part for line in fh for part in line.splitlines()), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -65,7 +65,7 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     _check_probs(token_probs)
     if len(token_probs) == 1:
         return float(token_probs[0])
-    return math.exp(math.fsum(math.log(p) for p in token_probs))
+    return math.exp(math.fsum(map(math.log, token_probs)))
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
@@ -73,7 +73,7 @@ def pool_geo(token_probs: Sequence[float]) -> float:
     _check_probs(token_probs)
     if len(token_probs) == 1:
         return float(token_probs[0])
-    return math.exp(math.fsum(math.log(p) for p in token_probs) / len(token_probs))
+    return math.exp(math.fsum(map(math.log, token_probs)) / len(token_probs))
 
 
 def pool_min(token_probs: Sequence[float]) -> float:

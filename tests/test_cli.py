@@ -56,6 +56,50 @@ class TestSimulateValidate:
         assert "Traceback" not in err
         assert not (tmp_path / "scored.jsonl").exists()
 
+    @pytest.mark.parametrize("alternative,message", [
+        ({"score": 1.5, "equivalent": False}, "score 1.5 outside [0, 1]"),
+        ({"score": 0.5, "equivalent": "false"}, "equivalent must be true or false"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["score", "--method", "variant_alt", "--out", "scored.jsonl"],
+        ["evaluate", "--method", "variant_alt", "--seed", "1", "--out-dir", "out"],
+    ])
+    def test_bad_alternative_names_file_line(self, tmp_path, capsys, command, alternative,
+                                             message):
+        bad = tmp_path / "bad.jsonl"
+        rows = [
+            {"id": "a", "schema_id": "s", "label": 1, "token_probs": [0.9],
+             "alternatives": [{"score": 0.5, "equivalent": False}]},
+            {"id": "b", "schema_id": "s", "label": 0, "token_probs": [0.4],
+             "alternatives": [alternative]},
+        ]
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        command = [str(tmp_path / c) if c in ("scored.jsonl", "out") else c for c in command]
+        assert run(*command, "--input", bad) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: record 'b': field 'alternatives': {message}\n"
+        )
+        assert not (tmp_path / "scored.jsonl").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--input"],
+        ["label", "--db-root", "dbs", "--out", "out.jsonl", "--pairs"],
+        ["calibrate", "--kind", "platt", "--out", "out.jsonl", "--scored"],
+    ])
+    def test_line_that_is_not_utf8_names_file_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        row = {"id": "a", "schema_id": "s", "label": 1, "method": "prod", "raw_score": 0.5,
+               "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"}
+        bad.write_bytes(json.dumps(row).encode() + b"\n\xff\xfe\n")
+        command = [str(tmp_path / c) if c in ("dbs", "out.jsonl") else c for c in command]
+        assert run(*command, bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: not UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_seed_required(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SQLCALIB_SEED", raising=False)
         with pytest.raises(SystemExit) as exc:
@@ -111,6 +155,7 @@ class TestScoreCalibrate:
         ("label", None),
         pytest.param("raw_score", 10**400, id="raw_score-too-large-for-a-float"),
         ("raw_score", "high"),
+        ("raw_score", "0.5"),
     ])
     def test_scored_file_follows_the_record_rules(self, tmp_path, capsys, field, value):
         scored = tmp_path / "scored.jsonl"
@@ -250,8 +295,9 @@ class TestReportCommand:
         '{"kind": "isotonic", "knots": []}',
         '{"kind": "isotonic", "mode": "bogus", "knots": [[0.2, 0.1], [0.8, 0.9]]}',
         'not json',
+        '{"kind": "platt", "t": "1.5", "b": 0.0}',
     ], ids=["platt-without-t-b", "not-an-object", "infinite-t", "descending-x", "nan-y",
-            "y-above-1", "no-knots", "unknown-mode", "not-json"])
+            "y-above-1", "no-knots", "unknown-mode", "not-json", "string-t"])
     def test_bad_calibrator_file_exits_1(self, synthetic, tmp_path, capsys, text):
         scored = tmp_path / "scored.jsonl"
         run("score", "--input", synthetic, "--out", scored, "--method", "prod")
@@ -310,6 +356,25 @@ class TestLabelCommand:
                    "--out", tmp_path / "x.jsonl") == 1
         assert "gold query failed" in capsys.readouterr().err
 
+    def test_every_gold_failure_is_named_and_nothing_written(self, db_root, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT bogus FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+            {"id": "q2", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+            {"id": "q3", "schema_id": "concerts", "gold_sql": "SELECT nope FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+        ]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: gold query failed: 'q1': no such column: bogus; "
+            "'q3': no such column: nope\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("verbalized_prob", "high"),
         ("self_check_bool", [0.1, 0.2]),
@@ -350,6 +415,18 @@ class TestLabelCommand:
         assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {pairs}:2: duplicate record id 'q1'\n"
         assert not out.exists()
+
+    def test_absolute_db_path_ignores_db_root(self, db_root, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({
+            "id": "q1", "schema_id": "other", "gold_sql": "SELECT name FROM singer",
+            "pred_sql": "SELECT name FROM singer",
+            "db_path": str(db_root / "concerts" / "concerts.sqlite"),
+        }) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        absent = tmp_path / "absent"
+        assert run("label", "--pairs", pairs, "--db-root", absent, "--out", out) == 0
+        assert json.loads(out.read_text())["label"] == 1
 
     def test_carried_numbers_are_normalized_like_load(self, db_root, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

@@ -1,4 +1,6 @@
+import itertools
 import sqlite3
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +126,54 @@ class TestTablesEqual:
             tb = ResultTable.from_rows(rows_b, n_cols=k)
             assert tables_equal(ta, tb) == tables_equal_exhaustive(ta, tb)
 
+    @pytest.mark.parametrize("k", [9, 12])
+    @pytest.mark.parametrize("match", [True, False])
+    def test_wide_tables_sharing_one_value_multiset(self, k, match):
+        # every column is a shuffle of the same 60 values, so the value
+        # multisets leave all k! column orders open
+        rng = np.random.Generator(np.random.PCG64(k))
+        base = [i % 6 for i in range(60)]
+        rows_a = np.stack([rng.permutation(base) for _ in range(k)], axis=1).tolist()
+        perm = rng.permutation(k)
+        rows_b = [[rows_a[i][j] for j in perm] for i in rng.permutation(60)]
+        if not match:  # swap two different cells of one column
+            i = next(i for i, row in enumerate(rows_b) if row[0] != rows_b[0][0])
+            rows_b[0][0], rows_b[i][0] = rows_b[i][0], rows_b[0][0]
+        a, b = ResultTable.from_rows(rows_a), ResultTable.from_rows(rows_b)
+        # a column permutation keeps each row's multiset of cells
+        assert (sorted(map(sorted, a.rows)) == sorted(map(sorted, b.rows))) == match
+        start = time.perf_counter()
+        assert tables_equal(a, b) == match
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_parity_tables_against_oracle(self, k):
+        # k - 1 free bits plus their parity, and the same bits with the negated
+        # parity: every projection short of all k columns agrees
+        bits = [list(row) for row in itertools.product((0, 1), repeat=k - 1)]
+        a = ResultTable.from_rows([row + [sum(row) % 2] for row in bits])
+        b = ResultTable.from_rows([row + [1 - sum(row) % 2] for row in bits])
+        shuffled = ResultTable(n_cols=k, rows=tuple(row[::-1] for row in a.rows))
+        assert not tables_equal(a, b) and not tables_equal_exhaustive(a, b)
+        assert tables_equal(a, shuffled) and tables_equal_exhaustive(a, shuffled)
+
+    def test_repeated_identical_columns_against_oracle(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for trial in range(200):
+            n = int(rng.integers(1, 7))
+            bases = [[int(v) for v in rng.integers(0, 2, n)] for _ in range(3)]
+            k = int(rng.integers(2, 6))
+            picks_a = rng.integers(0, len(bases), k)
+            rows_a = [[bases[p][i] for p in picks_a] for i in range(n)]
+            if rng.random() < 0.5:
+                perm = rng.permutation(k)
+                rows_b = [[row[j] for j in perm] for row in rows_a]
+            else:
+                picks_b = rng.integers(0, len(bases), k)
+                rows_b = [[bases[p][i] for p in picks_b] for i in range(n)]
+            ta, tb = ResultTable.from_rows(rows_a), ResultTable.from_rows(rows_b)
+            assert tables_equal(ta, tb) == tables_equal_exhaustive(ta, tb)
+
 
 @pytest.fixture
 def db(tmp_path):
@@ -168,6 +218,12 @@ class TestSQLiteExecutor:
         conn.close()
         (tmp_path / "x").write_bytes(b"")  # the file a formatted URI would open
         assert SQLiteExecutor(path).execute("SELECT v FROM t").rows == (("#7",),)
+
+    def test_query_past_the_timeout_raises_execution_error(self, db):
+        endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                   "SELECT max(x) FROM c")
+        with pytest.raises(ExecutionError, match="interrupted"):
+            SQLiteExecutor(db, timeout_s=0.05).execute(endless)
 
     def test_deterministic(self, db):
         ex = SQLiteExecutor(db)
@@ -219,3 +275,18 @@ class TestLabelRecord:
         gold = "SELECT country FROM singer WHERE name = 'Caz'"
         pred = "SELECT 'NULL'"
         assert label_record(gold, pred, ex) == 0
+
+    def test_wide_result_with_reversed_columns_labels_one(self, tmp_path):
+        # 1,500 columns in identical pairs, 50 rows; the prediction lists them in reverse
+        path = tmp_path / "wide.sqlite"
+        names = [f"c{j}" for j in range(1500)]
+        conn = sqlite3.connect(path)
+        conn.execute(f"CREATE TABLE t ({', '.join(names)})")
+        conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(names))})",
+                         [[r + 100 * (j // 2) for j in range(len(names))] for r in range(50)])
+        conn.commit()
+        conn.close()
+        start = time.perf_counter()
+        pred = f"SELECT {', '.join(reversed(names))} FROM t"
+        assert label_record("SELECT * FROM t", pred, SQLiteExecutor(path)) == 1
+        assert time.perf_counter() - start < 2.0

@@ -117,6 +117,15 @@ def test_field_invariants(tmp_path, field, value):
         pytest.param("verbalized_prob", 10**400, id="verbalized_prob-too-large-for-a-float"),
         ("self_check_bool", {"p_true": 0.5, "p_false": -(10**400)}),
         ("alternatives", [{"score": 10**400, "equivalent": False}]),
+        # strings and booleans are not JSON numbers
+        ("token_probs", ["0.5", True]),
+        ("token_probs", [0.5, True]),
+        ("verbalized_prob", "1e-1"),
+        ("verbalized_prob", False),
+        ("self_check_bool", {"p_true": "0.5", "p_false": 0.1}),
+        ("self_check_bool", {"p_true": 0.5, "p_false": True}),
+        ("alternatives", [{"score": "0.5", "equivalent": False}]),
+        ("alternatives", [{"score": True, "equivalent": False}]),
     ],
 )
 def test_non_numeric_value_names_the_field(tmp_path, field, value):
@@ -138,6 +147,46 @@ def test_non_finite_alternative_score_rejected(tmp_path, score):
     with pytest.raises(RecordError, match="score .* is not finite") as err:
         load_dataset(path)
     assert err.value.field_name == "alternatives"
+
+
+@pytest.mark.parametrize("alternative,message", [
+    ({"score": 1.5, "equivalent": False}, "score 1.5 outside [0, 1]"),
+    ({"score": -0.1, "equivalent": True}, "score -0.1 outside [0, 1]"),
+    ({"score": 0.5, "equivalent": "false"}, "equivalent must be true or false"),
+    ({"score": 0.5, "equivalent": 0}, "equivalent must be true or false"),
+    ({"score": 0.5, "equivalent": None}, "equivalent must be true or false"),
+])
+def test_bad_alternative_names_the_line(tmp_path, alternative, message):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [_line(id="q0"), _line(alternatives=[alternative])])
+    with pytest.raises(RecordError) as err:
+        load_dataset(path)
+    assert err.value.field_name == "alternatives"
+    assert str(err.value) == f"{path}:2: record 'q1': field 'alternatives': {message}"
+
+
+def test_alternative_scores_at_the_bounds_are_legal(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    write_lines(path, [_line(alternatives=[{"score": 0, "equivalent": True},
+                                           {"score": 1.0, "equivalent": False}])])
+    (record,) = load_dataset(path).records
+    assert record.alternatives == (Alternative(0.0, True), Alternative(1.0, False))
+
+
+def test_line_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(_line(id="q0").encode() + b"\n\n" + _line().encode()[:-1] + b"\xff}\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: not UTF-8: "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_line_numbers_count_every_line_ending(tmp_path, newline):
+    path = tmp_path / "bad.jsonl"
+    lines = [_line(id="q0").encode(), b"", _line(id="q1").encode(), b"{not json"]
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:4: malformed line: "):
+        load_dataset(path)
 
 
 def test_token_prob_of_exactly_one_is_legal():
