@@ -31,12 +31,10 @@ from .metrics import (
 )
 from .protocol import (
     EvaluationReport,
-    FoldAssignment,
     ProtocolConfig,
     SchemaLevelReport,
     cross_validate,
     generate_synthetic,
-    make_schema_disjoint_folds,
     schema_level_evaluate,
 )
 from .records import (
@@ -51,9 +49,7 @@ from .records import (
     write_dataset,
 )
 from .report import (
-    ReliabilityPoint,
     ReliabilitySeries,
-    read_reliability_csv,
     reliability_series,
     render_reliability,
     write_reliability_csv,

@@ -3,7 +3,9 @@
 Uniform mode uses equal-width bins on [0, 1]. Monotonic mode sorts samples
 by confidence and pools adjacent bins until observed accuracies increase
 left to right (ties in confidence never split across bins), optionally
-merging undersized bins into whichever neighbor costs least.
+merging undersized bins into whichever neighbor costs least. That pooling
+pass, `_pav_groups`, is also the pool-adjacent-violators fit behind
+`calibrate.fit_isotonic`.
 """
 
 from __future__ import annotations
@@ -83,38 +85,23 @@ def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
     )
 
 
-def monotonic_bins(
-    confs: Sequence[float], labels: Sequence[int], min_bin_count: int = 1
-) -> BinPartition:
-    """Data-driven contiguous bins with non-decreasing observed accuracies.
+def _pav_groups(values: np.ndarray, labels: np.ndarray) -> tuple[list, ...]:
+    """Pool adjacent violators over the labels of ascending distinct values.
 
-    Sorts by confidence, starts from per-confidence groups (ties stay
-    together), and pools a group into its left neighbor whenever the left
-    accuracy is >= the right one, yielding the coarsest partition with
-    strictly increasing accuracies. Groups smaller than min_bin_count are
-    then merged into the neighbor that least increases the weighted
-    |accuracy - mean confidence| objective.
+    Starts from one group per distinct value (ties stay together) and pools
+    a group into its left neighbor whenever the left accuracy is >= the
+    right one, so accuracies strictly increase left to right: group by
+    group, the least-squares non-decreasing fit of the labels against the
+    values. Returns the group columns (count, label sum, value sum, lo, hi);
+    a pooled group keeps its left part's lo and its right part's hi.
     """
-    n = len(confs)
-    if len(labels) != n:
-        raise ValueError(f"length mismatch: {n} confidences vs {len(labels)} labels")
-    if min_bin_count < 1:
-        raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
-    if n < min_bin_count:
-        raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    label_sums = np.bincount(inverse, weights=labels)
 
-    c = np.asarray(confs, dtype=float)
-    a = np.asarray(labels, dtype=float)
-    uniq, inverse, counts = np.unique(c, return_inverse=True, return_counts=True)
-    label_sums = np.bincount(inverse, weights=a)
-
-    # Groups as parallel columns; confidences ascend, so a pooled group
-    # keeps its left part's lo and its right part's hi.
-    groups = ns, ys, cs, los, his = [], [], [], [], []  # count, label sum, conf sum, lo, hi
+    groups = ns, ys, cs, los, his = [], [], [], [], []
     for value, count, label_sum in zip(uniq.tolist(), counts.tolist(), label_sums.tolist()):
         cur_n, cur_y, cur_c, cur_lo = count, label_sum, value * count, value
-        # pool while left accuracy >= right accuracy (cross-product compare is
-        # exact: label sums and counts are integers)
+        # cross-product compare is exact: label sums and counts are integers
         while ns and ys[-1] * cur_n >= cur_y * ns[-1]:
             cur_n = ns.pop() + cur_n
             cur_y = ys.pop() + cur_y
@@ -126,6 +113,29 @@ def monotonic_bins(
         cs.append(cur_c)
         los.append(cur_lo)
         his.append(value)
+    return groups
+
+
+def monotonic_bins(
+    confs: Sequence[float], labels: Sequence[int], min_bin_count: int = 1
+) -> BinPartition:
+    """Data-driven contiguous bins with non-decreasing observed accuracies.
+
+    Starts from the pool-adjacent-violators groups of the confidences (the
+    coarsest partition with strictly increasing accuracies, ties kept
+    together). Groups smaller than min_bin_count are then merged into the
+    neighbor that least increases the weighted |accuracy - mean confidence|
+    objective.
+    """
+    n = len(confs)
+    if len(labels) != n:
+        raise ValueError(f"length mismatch: {n} confidences vs {len(labels)} labels")
+    if min_bin_count < 1:
+        raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
+    if n < min_bin_count:
+        raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
+
+    groups = _pav_groups(np.asarray(confs, dtype=float), np.asarray(labels, dtype=float))
 
     def total_objective(groups: tuple[list, ...]) -> float:
         return sum(

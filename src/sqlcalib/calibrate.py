@@ -6,7 +6,8 @@ Two calibrators are provided:
   with the classic target smoothing that keeps the optimum finite on
   separable data.
 * Isotonic regression: least-squares non-decreasing step fit of the labels
-  against the scores, solved by pool adjacent violators; applied out of
+  against the scores, solved by the pool-adjacent-violators pass that
+  monotonic binning also uses (`binning._pav_groups`); applied out of
   sample by linear interpolation between knots (a pure step mode is
   available for exact step semantics).
 
@@ -25,6 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .binning import _pav_groups
 from .records import RecordError, _floats
 
 GRAD_TOL = 1e-8
@@ -177,35 +179,13 @@ def apply_platt(calibrator: PlattCalibrator, raw: float | np.ndarray) -> float |
     return float(out) if out.ndim == 0 else out
 
 
-def _pava_blocks(value_sums: Sequence[float], weights: Sequence[float]) -> list[tuple[int, float]]:
-    """Pool adjacent violators on (weighted value sum, weight) pairs.
-
-    Pools while a left block mean >= right block mean, so returned block
-    means are strictly increasing. The induced step function is the
-    least-squares monotone fit. Returns (end, mean) per block, where the
-    block spans the inputs from the previous block's end up to `end`.
-    """
-    w_stack: list[float] = []
-    y_stack: list[float] = []  # weighted sums: exact integers for 0/1 labels with count weights
-    end_stack: list[int] = []
-    for end, (y, w) in enumerate(zip(value_sums, weights), start=1):
-        cur_w, cur_y = float(w), float(y)
-        # means compared via cross products: y1/w1 >= y2/w2  <=>  y1*w2 >= y2*w1
-        while w_stack and y_stack[-1] * cur_w >= cur_y * w_stack[-1]:
-            cur_w += w_stack.pop()
-            cur_y += y_stack.pop()
-            end_stack.pop()
-        w_stack.append(cur_w)
-        y_stack.append(cur_y)
-        end_stack.append(end)
-    return [(end, y / w) for end, w, y in zip(end_stack, w_stack, y_stack)]
-
-
 def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
     """Least-squares non-decreasing fit of labels as a function of raw score.
 
     Tied raw scores are merged (weighted by multiplicity) before pooling;
-    fitted values are block means, hence in [min label, max label].
+    the blocks are `binning._pav_groups` of the raw scores, the same pass
+    that monotonic ECE bins start from. Fitted values are block means,
+    hence in [min label, max label].
     """
     if len(pairs) < 1:
         raise ValueError("need at least 1 pair to fit")
@@ -216,17 +196,12 @@ def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
     if not np.all((a == 0) | (a == 1)):
         raise ValueError("labels must be 0 or 1")
 
-    uniq, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
-    label_sums = np.bincount(inverse, weights=a)
-
     # Knots at block boundaries: first and last unique raw of each block.
     knots: list[tuple[float, float]] = []
-    start = 0
-    for end, mean in _pava_blocks(label_sums.tolist(), counts.tolist()):
-        knots.append((float(uniq[start]), float(mean)))
-        if end - start > 1:
-            knots.append((float(uniq[end - 1]), float(mean)))
-        start = end
+    for n, y, _, lo, hi in zip(*_pav_groups(r, a)):
+        knots.append((lo, y / n))
+        if hi != lo:
+            knots.append((hi, y / n))
     return IsotonicCalibrator(knots=tuple(knots))
 
 

@@ -18,8 +18,8 @@ from typing import Any
 
 from . import calibrate as cal
 from . import report as rpt
-from .binning import monotonic_bins, uniform_bins
 from .execmatch import ExecutionError, GoldExecutionError, SQLiteExecutor, label_record
+from .metrics import _partition
 from .protocol import (
     ProtocolConfig,
     TRUE_MAPS,
@@ -168,10 +168,7 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
     confs = apply(calibrator, [s.raw_score for s in scored]).tolist()
     labels = [s.label for s in scored]
-    if args.binning == "uniform":
-        partition = uniform_bins(confs, labels, args.bins)
-    else:
-        partition = monotonic_bins(confs, labels, args.min_bin_count)
+    partition = _partition(confs, labels, args.binning, args.bins, args.min_bin_count)
     series = rpt.reliability_series(partition, args.label)
     if args.out_csv:
         rpt.write_reliability_csv([series], args.out_csv)
@@ -200,16 +197,19 @@ def _pair_from_obj(obj: Any) -> PredictionRecord:
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     db_root = Path(args.db_root)
     pairs = _read_records(Path(args.pairs), _pair_from_obj)
-    executors: dict[Path, SQLiteExecutor] = {}
+    db_paths = [
+        db_root / pair.extra["db_path"]  # an absolute db_path replaces db_root
+        if "db_path" in pair.extra
+        else db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
+        for pair in pairs
+    ]
+    missing = [f"{pair.id!r}: {path}" for pair, path in zip(pairs, db_paths) if not path.exists()]
+    if missing:
+        raise DatasetError(f"{args.pairs}: database file not found: " + "; ".join(missing))
+    executors = {path: SQLiteExecutor(path, timeout_s=args.timeout) for path in set(db_paths)}
     records = []
     gold_failures = []
-    for pair in pairs:
-        if "db_path" in pair.extra:
-            db_path = db_root / pair.extra["db_path"]  # an absolute db_path replaces db_root
-        else:
-            db_path = db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
-        if db_path not in executors:
-            executors[db_path] = SQLiteExecutor(db_path, timeout_s=args.timeout)
+    for pair, db_path in zip(pairs, db_paths):
         try:
             label = label_record(
                 pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],

@@ -97,7 +97,7 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     if partition.n != n:
         raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {n}")
     _check_partition(confs, labels, partition)
-    return sum(b.count / n * abs(b.accuracy - b.mean_conf) for b in partition.bins if b.count)
+    return partition.objective()
 
 
 def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:

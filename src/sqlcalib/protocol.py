@@ -29,15 +29,6 @@ from .scoring import ScoredRecord
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
-    k: int
-    schema_to_fold: Mapping[str, int]
-
-    def schemas_in_fold(self, fold: int) -> tuple[str, ...]:
-        return tuple(sorted(s for s, f in self.schema_to_fold.items() if f == fold))
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     k: int = 5
     binning: str = "uniform"  # or "monotonic"
@@ -64,6 +55,9 @@ class ProtocolConfig:
                 raise ValueError(f"threshold {t!r} outside [0, 1]")
         if not (0.0 < self.tune_fraction < 1.0):
             raise ValueError(f"tune_fraction must lie in (0, 1), got {self.tune_fraction}")
+        if self.min_schema_records < 2:
+            # a schema-level split needs one tuning and one evaluation record
+            raise ValueError(f"min_schema_records must be >= 2, got {self.min_schema_records}")
 
 
 @dataclass(frozen=True)
@@ -117,11 +111,6 @@ def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int
     shuffled = [schemas[i] for i in rng.permutation(len(schemas))]
     ordered = sorted(shuffled, key=lambda s: -counts[s])
     return {s: i % k for i, s in enumerate(ordered)}
-
-
-def make_schema_disjoint_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
-    schema_to_fold = _assign_folds(Counter(r.schema_id for r in dataset.records), k, seed)
-    return FoldAssignment(k=k, schema_to_fold=schema_to_fold)
 
 
 def _fit_both(raw: np.ndarray, labels: np.ndarray):
@@ -352,6 +341,8 @@ def generate_synthetic(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n_schemas < 1:
+        raise ValueError(f"need n_schemas >= 1, got {n_schemas}")
     fn = TRUE_MAPS[true_map] if isinstance(true_map, str) else true_map
     rng = np.random.Generator(np.random.PCG64(seed))
     r = np.maximum(rng.random(n), 1e-12)

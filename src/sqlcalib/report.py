@@ -1,8 +1,8 @@
 """Reliability-plot data and evaluation tables.
 
 Everything written here is deterministic: float fields are emitted with
-repr (so CSV round-trips are exact) and the SVG renderer is a pure function
-of its inputs.
+repr (so every float read back from a CSV equals the value written) and the
+SVG renderer is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,37 +13,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .binning import BinPartition
+from .binning import Bin, BinPartition
 from .protocol import EvaluationReport, SchemaLevelReport
 
 
 @dataclass(frozen=True)
-class ReliabilityPoint:
-    mean_conf: float
-    accuracy: float
-    count: int
-    bin_lo: float
-    bin_hi: float
-
-
-@dataclass(frozen=True)
 class ReliabilitySeries:
+    """One plotted series: the nonempty bins of a partition, under a label."""
+
     label: str
-    points: tuple[ReliabilityPoint, ...]
+    points: tuple[Bin, ...]
 
 
 def reliability_series(partition: BinPartition, label: str) -> ReliabilitySeries:
     """One point per nonempty bin, ordered by mean confidence."""
     if not partition.bins:
         raise ValueError("empty partition")
-    points = tuple(
-        ReliabilityPoint(
-            mean_conf=b.mean_conf, accuracy=b.accuracy, count=b.count, bin_lo=b.lo, bin_hi=b.hi
-        )
-        for b in partition.bins
-        if b.count > 0
-    )
-    return ReliabilitySeries(label=label, points=points)
+    return ReliabilitySeries(label=label, points=tuple(b for b in partition.bins if b.count > 0))
 
 
 def write_reliability_csv(series: Sequence[ReliabilitySeries], path: str | Path) -> None:
@@ -53,31 +39,8 @@ def write_reliability_csv(series: Sequence[ReliabilitySeries], path: str | Path)
         for s in series:
             for p in s.points:
                 writer.writerow(
-                    [s.label, repr(p.bin_lo), repr(p.bin_hi), repr(p.mean_conf), repr(p.accuracy), p.count]
+                    [s.label, repr(p.lo), repr(p.hi), repr(p.mean_conf), repr(p.accuracy), p.count]
                 )
-
-
-def read_reliability_csv(path: str | Path) -> tuple[ReliabilitySeries, ...]:
-    """Inverse of write_reliability_csv; reproduces identical points."""
-    series: dict[str, list[ReliabilityPoint]] = {}
-    order: list[str] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            label = row["label"]
-            if label not in series:
-                series[label] = []
-                order.append(label)
-            series[label].append(
-                ReliabilityPoint(
-                    mean_conf=float(row["mean_conf"]),
-                    accuracy=float(row["accuracy"]),
-                    count=int(row["count"]),
-                    bin_lo=float(row["bin_lo"]),
-                    bin_hi=float(row["bin_hi"]),
-                )
-            )
-    return tuple(ReliabilitySeries(label=lb, points=tuple(series[lb])) for lb in order)
 
 
 _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")

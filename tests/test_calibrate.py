@@ -13,6 +13,7 @@ from oracles import (
     platt_reference,
 )
 from sqlcalib import calibrate
+from sqlcalib.binning import monotonic_bins
 from sqlcalib.calibrate import (
     IsotonicCalibrator,
     PlattCalibrator,
@@ -27,10 +28,21 @@ from sqlcalib.calibrate import (
     smooth_targets,
 )
 
-pairs_strategy = st.lists(
-    st.tuples(st.floats(min_value=0, max_value=1), st.integers(min_value=0, max_value=1)),
-    min_size=1,
-    max_size=12,
+
+def _pairs(scores):
+    return st.lists(
+        st.tuples(scores, st.integers(min_value=0, max_value=1)), min_size=1, max_size=12
+    )
+
+
+pairs_strategy = st.one_of(
+    _pairs(st.floats(min_value=0, max_value=1)),
+    # tie-heavy: every score is one of a few values
+    st.lists(st.floats(min_value=-1, max_value=1), min_size=1, max_size=3).flatmap(
+        lambda values: _pairs(st.sampled_from(values))
+    ),
+    # the variant_alt range of raw scores
+    _pairs(st.floats(min_value=-1, max_value=1)),
 )
 
 
@@ -226,6 +238,19 @@ class TestIsotonic:
         y = apply_isotonic(cal, x)
         assert 0.0 <= y <= 1.0
         assert apply_isotonic(cal, x) <= apply_isotonic(cal, min(x + 0.25, 2.0))
+
+    @given(pairs_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_knots_are_the_edges_of_monotonic_bins(self, pairs):
+        # one pooling pass: each monotonic bin (no min-count merge) is one block
+        scores = [p[0] for p in pairs]
+        labels = [p[1] for p in pairs]
+        expected = []
+        for b in monotonic_bins(scores, labels).bins:
+            expected.append((b.lo, b.accuracy))
+            if b.hi != b.lo:
+                expected.append((b.hi, b.accuracy))
+        assert fit_isotonic(pairs).knots == tuple(expected)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

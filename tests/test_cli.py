@@ -1,6 +1,7 @@
 import csv
 import json
 import sqlite3
+import warnings
 
 import pytest
 
@@ -99,6 +100,13 @@ class TestSimulateValidate:
         assert err.startswith(f"error: {bad}:2: not UTF-8: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("schemas", [0, -3])
+    def test_simulate_needs_a_schema(self, tmp_path, capsys, schemas):
+        out = tmp_path / "x.jsonl"
+        assert run("simulate", "--n", 10, "--seed", 1, "--schemas", schemas, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: need n_schemas >= 1, got {schemas}\n"
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SQLCALIB_SEED", raising=False)
@@ -251,6 +259,23 @@ class TestEvaluate:
         assert [r["method"] for r in rows] == ["prod", "geo", "min", "avg"]
         assert all(set(r) == {"method", "bs_i", "auc", "ece_p", "ece_i"} for r in rows)
 
+    @pytest.mark.parametrize("minimum", [1, 0])
+    def test_schema_level_needs_two_records_per_schema(self, tmp_path, capsys, minimum):
+        data = tmp_path / "small.jsonl"
+        assert run("simulate", "--n", 30, "--schemas", 20, "--seed", 1, "--out", data) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "sl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("evaluate", "--input", data, "--scope", "schema_level",
+                       "--min-schema-records", minimum, "--seed", 1, "--out-dir", out_dir)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: min_schema_records must be >= 2, got {minimum}\n"
+        )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out_dir.exists()
+
     def test_compare_with_schema_level_is_a_usage_error(self, tmp_path):
         out_dir = tmp_path / "sl"
         with pytest.raises(SystemExit) as exc:
@@ -372,6 +397,24 @@ class TestLabelCommand:
         assert capsys.readouterr().err == (
             f"error: {pairs}: gold query failed: 'q1': no such column: bogus; "
             "'q3': no such column: nope\n"
+        )
+        assert not out.exists()
+
+    def test_every_missing_database_is_named_before_any_sql(self, db_root, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [
+            # a gold query that fails: reaching it would report "gold query failed"
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT bogus FROM singer",
+             "pred_sql": "SELECT name FROM singer"},
+            {"id": "q2", "schema_id": "zz", "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"},
+            {"id": "q3", "schema_id": "yy", "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"},
+        ]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: database file not found: 'q2': {db_root / 'zz' / 'zz.sqlite'}; "
+            f"'q3': {db_root / 'yy' / 'yy.sqlite'}\n"
         )
         assert not out.exists()
 

@@ -7,9 +7,9 @@ import pytest
 from sqlcalib.metrics import auc
 from sqlcalib.protocol import (
     ProtocolConfig,
+    _assign_folds,
     cross_validate,
     generate_synthetic,
-    make_schema_disjoint_folds,
     schema_level_evaluate,
 )
 from sqlcalib.records import PredictionRecord, make_dataset
@@ -24,6 +24,10 @@ def _dataset(n_schemas, per_schema=10):
             records.append(PredictionRecord(id=f"r{i:04d}", schema_id=f"schema{s:02d}", label=j % 2))
             i += 1
     return make_dataset(records, "fixture")
+
+
+def _folds(dataset, k, seed):
+    return _assign_folds(Counter(r.schema_id for r in dataset.records), k, seed)
 
 
 def _scored(n_schemas=6, per_schema=12, seed=0):
@@ -42,36 +46,36 @@ def _scored(n_schemas=6, per_schema=12, seed=0):
 
 class TestFolds:
     def test_twenty_schemas_balance_evenly(self):
-        folds = make_schema_disjoint_folds(_dataset(20), 5, seed=1)
-        sizes = Counter(folds.schema_to_fold.values())
+        folds = _folds(_dataset(20), 5, seed=1)
+        sizes = Counter(folds.values())
         assert sorted(sizes.values()) == [4, 4, 4, 4, 4]
 
     def test_eleven_schemas_split_3_2_2_2_2(self):
-        folds = make_schema_disjoint_folds(_dataset(11), 5, seed=1)
-        sizes = Counter(folds.schema_to_fold.values())
+        folds = _folds(_dataset(11), 5, seed=1)
+        sizes = Counter(folds.values())
         assert sorted(sizes.values(), reverse=True) == [3, 2, 2, 2, 2]
 
     def test_deterministic(self):
         ds = _dataset(9)
-        a = make_schema_disjoint_folds(ds, 4, seed=7)
-        b = make_schema_disjoint_folds(ds, 4, seed=7)
-        assert a.schema_to_fold == b.schema_to_fold
+        a = _folds(ds, 4, seed=7)
+        b = _folds(ds, 4, seed=7)
+        assert a == b
 
     def test_different_seeds_usually_differ(self):
         ds = _dataset(12)
-        a = make_schema_disjoint_folds(ds, 4, seed=1)
-        b = make_schema_disjoint_folds(ds, 4, seed=2)
-        assert a.schema_to_fold != b.schema_to_fold
+        a = _folds(ds, 4, seed=1)
+        b = _folds(ds, 4, seed=2)
+        assert a != b
 
     def test_every_schema_assigned_exactly_once(self):
         ds = _dataset(13)
-        folds = make_schema_disjoint_folds(ds, 5, seed=3)
-        assert set(folds.schema_to_fold) == {f"schema{s:02d}" for s in range(13)}
-        assert set(folds.schema_to_fold.values()) == set(range(5))
+        folds = _folds(ds, 5, seed=3)
+        assert set(folds) == {f"schema{s:02d}" for s in range(13)}
+        assert set(folds.values()) == set(range(5))
 
     def test_too_few_schemas(self):
         with pytest.raises(ValueError, match="schemas"):
-            make_schema_disjoint_folds(_dataset(3), 5, seed=0)
+            _folds(_dataset(3), 5, seed=0)
 
     def test_record_count_balancing(self):
         # one heavy schema should not share a fold with another heavy one
@@ -81,8 +85,8 @@ class TestFolds:
             for _ in range(100 if s < 2 else 5):
                 records.append(PredictionRecord(id=f"r{i}", schema_id=f"s{s}", label=0))
                 i += 1
-        folds = make_schema_disjoint_folds(make_dataset(records, "t"), 2, seed=0)
-        heavy_folds = {folds.schema_to_fold["s0"], folds.schema_to_fold["s1"]}
+        folds = _folds(make_dataset(records, "t"), 2, seed=0)
+        heavy_folds = {folds["s0"], folds["s1"]}
         assert heavy_folds == {0, 1}
 
 
@@ -172,6 +176,12 @@ class TestCrossValidate:
             ProtocolConfig(thresholds=(1.5,))
         with pytest.raises(ValueError):
             ProtocolConfig(binning="quantile")
+
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_min_schema_records_below_2_rejected(self, value):
+        # a schema-level split needs one tuning and one evaluation record
+        with pytest.raises(ValueError, match="min_schema_records must be >= 2"):
+            ProtocolConfig(scope="schema_level", min_schema_records=value)
 
 
 class TestSchemaLevel:
