@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 data error, 2 usage error. Outputs are
 deterministic for identical flags and inputs; no file is written until the
 inputs have validated fully. The SQLCALIB_SEED environment variable supplies
 a default --seed for evaluate and simulate.
+
+Only calibrate, evaluate, report and simulate import the array modules (and
+with them numpy), inside the command; validate, score and label never do.
 """
 
 from __future__ import annotations
@@ -12,20 +15,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import calibrate as cal
-from . import report as rpt
-from .execmatch import ExecutionError, GoldExecutionError, SQLiteExecutor, label_record
-from .metrics import _partition
-from .protocol import (
-    ProtocolConfig,
-    TRUE_MAPS,
-    cross_validate,
-    generate_synthetic,
-    schema_level_evaluate,
+from .execmatch import (
+    _OUTCOMES,
+    ExecutionError,
+    GoldExecutionError,
+    SQLiteExecutor,
+    label_record,
 )
 from .records import (
     Dataset,
@@ -41,7 +41,23 @@ from .records import (
 )
 from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_dataset, write_scored
 
+if TYPE_CHECKING:
+    from .protocol import ProtocolConfig
+
 ENV_SEED = "SQLCALIB_SEED"
+# sorted(protocol.TRUE_MAPS), spelled out so that building the parser loads no numpy
+_SIMULATE_MAPS = ("half", "identity", "logistic", "one")
+
+
+def __getattr__(name: str) -> Any:
+    """`cross_validate` and `schema_level_evaluate`, imported from `protocol`
+    on first access. `cmd_evaluate` looks them up on this module, so a caller
+    that replaced them here (a tracer, say) has its replacement run."""
+    if name in ("cross_validate", "schema_level_evaluate"):
+        from . import protocol
+
+        return getattr(protocol, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -89,6 +105,8 @@ def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import calibrate as cal
+
     scored = load_scored(args.scored)
     pairs = [(s.raw_score, s.label) for s in scored]
     if args.kind == "platt":
@@ -101,6 +119,8 @@ def cmd_calibrate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
+    from .protocol import ProtocolConfig
+
     return ProtocolConfig(
         k=args.k,
         binning=args.binning,
@@ -118,6 +138,9 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.compare and args.scope == "schema_level":
         parser.error("--compare works only with --scope schema_disjoint")
+    from . import report as rpt
+
+    cli = sys.modules[__name__]  # see __getattr__
     seed = _resolve_seed(args, parser)
     cfg = _config_from_args(args, seed)
     dataset = load_dataset(args.input)
@@ -132,7 +155,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         return result.scored
 
     if cfg.scope == "schema_level":
-        report = schema_level_evaluate(scored_for(args.method), cfg)
+        report = cli.schema_level_evaluate(scored_for(args.method), cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         rpt.write_schema_csv(report, out_dir / "schemas.csv")
         rpt.write_thresholds_csv([("schema_level", report.micro.prf)], out_dir / "thresholds.csv")
@@ -141,12 +164,12 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(f"wrote {out_dir / 'schemas.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
         return 0
 
-    report = cross_validate(scored_for(args.method), cfg)
+    report = cli.cross_validate(scored_for(args.method), cfg)
     compare_reports = {}
     if args.compare:
         for method in POOLING_METHODS:
             compare_reports[method] = (
-                report if method == args.method else cross_validate(scored_for(method), cfg)
+                report if method == args.method else cli.cross_validate(scored_for(method), cfg)
             )
     out_dir.mkdir(parents=True, exist_ok=True)
     rpt.write_report_csv(report, out_dir / "report.csv", dataset_name=dataset.source_name)
@@ -163,6 +186,10 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not args.out_csv and not args.out_svg:
         parser.error("nothing to do: pass --out-csv and/or --out-svg")
+    from . import calibrate as cal
+    from . import report as rpt
+    from .metrics import _partition
+
     scored = load_scored(args.scored)
     calibrator = cal.load_calibrator(args.calibrator)
     apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
@@ -209,11 +236,12 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     executors = {path: SQLiteExecutor(path, timeout_s=args.timeout) for path in set(db_paths)}
     records = []
     gold_failures = []
+    outcomes: Counter = Counter()
     for pair, db_path in zip(pairs, db_paths):
         try:
             label = label_record(
                 pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
-                strict_columns=args.strict_columns,
+                strict_columns=args.strict_columns, outcomes=outcomes,
             )
         except GoldExecutionError as exc:
             gold_failures.append(f"{pair.id!r}: {exc.__cause__}")
@@ -225,10 +253,13 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)
     n_correct = sum(r.label for r in records)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
+    print("outcomes: " + ", ".join(f"{name} {outcomes[name]}" for name in _OUTCOMES), file=sys.stderr)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .protocol import generate_synthetic
+
     seed = _resolve_seed(args, parser)
     dataset = generate_synthetic(args.n, args.map, seed, n_schemas=args.schemas)
     write_dataset(dataset, args.out)
@@ -302,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded synthetic prediction records")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--map", default="identity", choices=sorted(TRUE_MAPS))
+    p.add_argument("--map", default="identity", choices=_SIMULATE_MAPS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--schemas", type=int, default=10)
     p.add_argument("--out", required=True)

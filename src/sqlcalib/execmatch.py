@@ -1,5 +1,9 @@
 """Execution-match labeling: run gold and predicted SQL through an executor
 and compare result sets disregarding row order and (optionally) column order.
+
+A predicted result is read only as far as its label needs: a column count
+that differs from gold's fetches no row, and at most one row more than gold
+has is fetched. The match search shares the predicted query's deadline.
 """
 
 from __future__ import annotations
@@ -10,6 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+
+# Per-pair outcomes of `label_record`, in the order `label` reports them.
+_OUTCOMES = ("matched", "mismatched", "pred error", "pred timeout",
+             "shape or row-cap reject", "match timeout")
 
 
 class ExecutionError(Exception):
@@ -45,31 +53,62 @@ def canonical_cell(value: Any) -> str:
     return "t:" + str(value)
 
 
+def _canonical_float(value: float) -> str:
+    """`canonical_cell` of a float."""
+    if -1e15 < value < 1e15 and value.is_integer():
+        return f"#{int(value)}"
+    return "#" + format(value, ".6g")
+
+
+def _canonical_column(column: tuple) -> Iterable[str]:
+    """`canonical_cell` of every cell of one column. A column of one type
+    (int, str or float) skips the per-cell type dispatch."""
+    types = set(map(type, column))
+    if types == {int}:
+        return [f"#{v}" for v in column]
+    if types == {str}:
+        return ["t:" + v for v in column]
+    if types == {float}:
+        return map(_canonical_float, column)
+    return map(canonical_cell, column)
+
+
+def _check_width(rows: Sequence[Sequence[Any]], n_cols: int) -> None:
+    widths = set(map(len, rows)) - {n_cols}
+    if widths:
+        raise ValueError(f"row has {min(widths)} cells, table has {n_cols} columns")
+
+
 @dataclass(frozen=True)
 class ResultTable:
     n_cols: int
     rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != self.n_cols:
-                raise ValueError(f"row has {len(row)} cells, table has {self.n_cols} columns")
+        _check_width(self.rows, self.n_cols)
 
     @classmethod
     def from_rows(cls, raw_rows: Iterable[Sequence[Any]], n_cols: int | None = None) -> "ResultTable":
-        rows = tuple(tuple(canonical_cell(v) for v in row) for row in raw_rows)
+        """The table of `canonical_cell` strings, canonicalized a column at a time."""
+        raw_rows = list(raw_rows)
         if n_cols is None:
-            n_cols = len(rows[0]) if rows else 0
-        return cls(n_cols=n_cols, rows=rows)
+            n_cols = len(raw_rows[0]) if raw_rows else 0
+        _check_width(raw_rows, n_cols)  # before zip(), which would cut a long row short
+        if n_cols == 0:
+            return cls(n_cols=0, rows=((),) * len(raw_rows))
+        return cls(n_cols=n_cols, rows=tuple(zip(*map(_canonical_column, zip(*raw_rows)))))
 
 
-def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False) -> bool:
+def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False,
+                 deadline: float | None = None) -> bool:
     """True iff some permutation of b's columns makes the row multisets equal.
 
     A depth-first search gives a's columns, in order, unused b columns with the
     same value multiset, trying identical b columns once per position. Where a
     position has a choice, a branch ends once the rows projected so far differ.
-    `strict_columns` compares columns positionally.
+    `strict_columns` compares columns positionally. Past `deadline` (a
+    `time.monotonic()` value) the search raises TimeoutError; it looks at the
+    clock at every step, since one step over many rows can take long.
     """
     if a.n_cols != b.n_cols or len(a.rows) != len(b.rows):
         return False
@@ -86,6 +125,8 @@ def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False) -
     assigned: list[tuple[str, ...]] = []  # the b column given to each of a's columns
     stack = [iter(candidates[0])]  # the untried candidates of each position
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("column-order search ran past the deadline")
         i = len(assigned)
         for col in stack[-1]:
             # row multisets compare as dict items views: in C, unlike Counter.__eq__
@@ -107,19 +148,38 @@ def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False) -
 
 
 def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
-                 strict_columns: bool = False) -> int:
+                 strict_columns: bool = False, outcomes: Counter | None = None) -> int:
     """Execution-accuracy label: 1 iff both queries run and their result
     tables match. A failing predicted query labels 0; a failing gold query
-    raises (the dataset, not the prediction, is broken)."""
+    raises (the dataset, not the prediction, is broken).
+
+    The predicted query and the match search share one deadline,
+    `executor.timeout_s` from the start of the predicted query; a search that
+    runs past it labels 0, like a predicted query that times out. `outcomes`,
+    if given, counts the pair under one of `_OUTCOMES`.
+    """
     try:
         gold = executor.execute(gold_sql)
     except ExecutionError as exc:
         raise GoldExecutionError(f"gold query failed: {exc}") from exc
+    deadline = time.monotonic() + executor.timeout_s
     try:
-        pred = executor.execute(pred_sql)
+        pred = executor.execute(pred_sql, expect=gold, deadline=deadline)
     except ExecutionError:
-        return 0
-    return 1 if tables_equal(gold, pred, strict_columns=strict_columns) else 0
+        outcome = "pred timeout" if time.monotonic() > deadline else "pred error"
+    else:
+        if pred.n_cols != gold.n_cols or len(pred.rows) != len(gold.rows):
+            outcome = "shape or row-cap reject"
+        else:
+            try:
+                equal = tables_equal(gold, pred, strict_columns=strict_columns, deadline=deadline)
+            except TimeoutError:
+                outcome = "match timeout"
+            else:
+                outcome = "matched" if equal else "mismatched"
+    if outcomes is not None:
+        outcomes[outcome] += 1
+    return 1 if outcome == "matched" else 0
 
 
 class SQLiteExecutor:
@@ -138,12 +198,21 @@ class SQLiteExecutor:
         # read as the start of its query or fragment
         self._uri = self.database.resolve().as_uri() + "?mode=ro"
 
-    def execute(self, sql: str) -> ResultTable:
+    def execute(self, sql: str, expect: ResultTable | None = None,
+                deadline: float | None = None) -> ResultTable:
+        """The result table of `sql`, stopped at `deadline` (a
+        `time.monotonic()` value; default `timeout_s` from now).
+
+        Given the table `expect` it must match, a result of another column
+        count fetches no row, and at most `len(expect.rows) + 1` rows are
+        fetched: enough to tell that the result has more rows than `expect`.
+        """
         try:
             conn = sqlite3.connect(self._uri, uri=True)
         except sqlite3.Error as exc:
             raise ExecutionError(f"cannot open {self.database}: {exc}") from exc
-        deadline = time.monotonic() + self.timeout_s
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout_s
 
         def watchdog() -> int:
             return 1 if time.monotonic() > deadline else 0
@@ -151,8 +220,13 @@ class SQLiteExecutor:
         conn.set_progress_handler(watchdog, 10_000)
         try:
             cursor = conn.execute(sql)
-            rows = cursor.fetchall()
             n_cols = len(cursor.description) if cursor.description else 0
+            if expect is None:
+                rows = cursor.fetchall()
+            elif n_cols == expect.n_cols:
+                rows = cursor.fetchmany(len(expect.rows) + 1)
+            else:
+                rows = []
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from exc
         finally:

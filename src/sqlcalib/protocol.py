@@ -46,6 +46,10 @@ class ProtocolConfig:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.binning not in ("uniform", "monotonic"):
             raise ValueError(f"unknown binning mode {self.binning!r}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
+        if self.min_bin_count < 1:
+            raise ValueError(f"min_bin_count must be >= 1, got {self.min_bin_count}")
         if self.scope not in ("schema_disjoint", "schema_level"):
             raise ValueError(f"unknown calibration scope {self.scope!r}")
         if self.calibrator not in ("platt", "isotonic"):
@@ -275,8 +279,10 @@ def schema_level_evaluate(
 ) -> SchemaLevelReport:
     """Per-schema calibration: within each schema a seeded split reserves a
     tuning fraction for calibrator fitting; metrics are computed on the
-    remainder. Schemas below the minimum size are skipped with a reason.
-    The micro row pools every held-out record across schemas."""
+    remainder. Schemas below the minimum size, and under monotonic binning
+    schemas whose evaluation split is smaller than `min_bin_count`, are
+    skipped with a reason. The micro row pools every held-out record across
+    schemas."""
     method = _single_method(scored)
     # by schema, then by id: each schema's records are one run of rows
     ordered = sorted(sorted(scored, key=lambda s: s.id), key=lambda s: s.schema_id)
@@ -297,6 +303,11 @@ def schema_level_evaluate(
         n_tune = max(1, int(round(cfg.tune_fraction * n)))
         if n_tune >= n:
             n_tune = n - 1
+        if cfg.binning == "monotonic" and n - n_tune < cfg.min_bin_count:
+            # after the draw, so that the other schemas' splits stay the same
+            skipped.append((schema_id, f"only {n - n_tune} evaluation records, "
+                                       f"need min_bin_count {cfg.min_bin_count}"))
+            continue
         tune = start + perm[:n_tune]
         evaluation = start + np.sort(perm[n_tune:])
 
@@ -307,7 +318,9 @@ def schema_level_evaluate(
         pooled.append(arrays)
 
     if not rows:
-        raise ValueError("no schema met the minimum record count")
+        schema_id, reason = skipped[0]
+        raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
+                         f"first {schema_id}: {reason}")
     micro = _summarize(*(np.concatenate(column) for column in zip(*pooled)), cfg)
     return SchemaLevelReport(
         method=method, config=cfg, schemas=tuple(rows), micro=micro, skipped=tuple(skipped)

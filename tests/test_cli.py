@@ -1,11 +1,19 @@
 import csv
+import itertools
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from sqlcalib.cli import main
+import sqlcalib
+from sqlcalib import protocol
+from sqlcalib.cli import build_parser, main
 from sqlcalib.records import load_dataset
 
 
@@ -18,6 +26,57 @@ def synthetic(tmp_path):
     data = tmp_path / "data.jsonl"
     assert run("simulate", "--n", 400, "--map", "identity", "--seed", 3, "--out", data) == 0
     return data
+
+
+class TestStartup:
+    def test_validate_score_and_label_never_import_numpy(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"id": "a", "schema_id": "s", "label": 1,
+                                    "token_probs": [0.9, 0.5]}) + "\n")
+        (tmp_path / "dbs" / "s").mkdir(parents=True)
+        conn = sqlite3.connect(tmp_path / "dbs" / "s" / "s.sqlite")
+        conn.executescript("CREATE TABLE t (v INTEGER); INSERT INTO t VALUES (1), (2);")
+        conn.commit()
+        conn.close()
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "schema_id": "s", "gold_sql": "SELECT v FROM t",
+                                     "pred_sql": "SELECT v FROM t ORDER BY v DESC"}) + "\n")
+        script = (
+            "import sys\n"
+            "from sqlcalib.cli import main\n"
+            f"assert main(['validate', '--input', {str(data)!r}]) == 0\n"
+            f"assert main(['score', '--input', {str(data)!r}, '--method', 'prod',"
+            f" '--out', {str(tmp_path / 'scored.jsonl')!r}]) == 0\n"
+            f"assert main(['label', '--pairs', {str(pairs)!r}, '--db-root', {str(tmp_path / 'dbs')!r},"
+            f" '--out', {str(tmp_path / 'labeled.jsonl')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src = str(Path(sqlcalib.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert json.loads((tmp_path / "labeled.jsonl").read_text())["label"] == 1
+
+    def test_every_exported_name_resolves_to_its_submodule_object(self):
+        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 59
+        for name in sqlcalib.__all__:
+            value = getattr(sqlcalib, name)
+            module = sys.modules[value.__module__]
+            assert module.__name__.startswith("sqlcalib.")
+            assert getattr(module, name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sqlcalib.no_such_name
+        with pytest.raises(ImportError):
+            from sqlcalib import no_such_name  # noqa: F401
+
+    def test_simulate_map_choices_are_the_protocol_maps(self):
+        simulate = build_parser()._subparsers._group_actions[0].choices["simulate"]
+        choices = next(a.choices for a in simulate._actions if a.dest == "map")
+        assert list(choices) == sorted(protocol.TRUE_MAPS)
 
 
 class TestSimulateValidate:
@@ -276,6 +335,33 @@ class TestEvaluate:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, field", [("--bins", "n_bins"), ("--min-bin-count", "min_bin_count")])
+    @pytest.mark.parametrize("binning", ["uniform", "monotonic"])
+    def test_bin_settings_below_1_rejected_before_any_read(self, tmp_path, capsys, flag, field,
+                                                          binning):
+        out_dir = tmp_path / "out"
+        # the input does not exist: the check comes before any read
+        code = run("evaluate", "--input", tmp_path / "missing.jsonl", "--binning", binning,
+                   flag, 0, "--seed", 1, "--out-dir", out_dir)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
+        assert not out_dir.exists()
+
+    def test_schema_level_skips_schemas_below_min_bin_count(self, tmp_path, capsys):
+        # schemas 00-04 hold 21 records (17 evaluated), schemas 05-09 hold 20 (16 evaluated)
+        data = tmp_path / "uneven.jsonl"
+        assert run("simulate", "--n", 205, "--schemas", 10, "--seed", 1, "--out", data) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "sl"
+        assert run("evaluate", "--input", data, "--scope", "schema_level", "--binning", "monotonic",
+                   "--min-bin-count", 17, "--seed", 1, "--out-dir", out_dir) == 0
+        err = capsys.readouterr().err
+        for s in range(5, 10):
+            assert f"skip schema schema-{s:02d}: only 16 evaluation records, need min_bin_count 17" in err
+        with (out_dir / "schemas.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["schema"] for r in rows] == [f"schema-{s:02d}" for s in range(5)] + ["micro"]
+
     def test_compare_with_schema_level_is_a_usage_error(self, tmp_path):
         out_dir = tmp_path / "sl"
         with pytest.raises(SystemExit) as exc:
@@ -353,7 +439,7 @@ class TestLabelCommand:
         conn.close()
         return root
 
-    def test_labels_pairs_into_records(self, db_root, tmp_path):
+    def test_labels_pairs_into_records(self, db_root, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         rows = [
             {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT name FROM singer",
@@ -370,6 +456,36 @@ class TestLabelCommand:
         labels = {r.id: r.label for r in ds.records}
         assert labels == {"q1": 1, "q2": 0, "q3": 0}
         assert ds.records[0].token_probs == (0.9, 0.8)
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "outcomes: matched 1, mismatched 1, pred error 1, pred timeout 0, "
+            "shape or row-cap reject 0, match timeout 0")
+
+    def test_match_search_past_the_timeout_labels_0(self, tmp_path, capsys):
+        # 7 free bits plus their parity, and the same bits with the negated parity:
+        # every projection short of all 8 columns agrees, so without a deadline
+        # the search tries all 8! column orders, which takes seconds
+        root = tmp_path / "dbs"
+        (root / "parity").mkdir(parents=True)
+        bits = [list(row) for row in itertools.product((0, 1), repeat=7)]
+        cols = ", ".join(f"c{j}" for j in range(8))
+        conn = sqlite3.connect(root / "parity" / "parity.sqlite")
+        for name, flip in (("a", 0), ("b", 1)):
+            conn.execute(f"CREATE TABLE {name} ({cols})")
+            conn.executemany(f"INSERT INTO {name} VALUES ({', '.join('?' * 8)})",
+                             [row + [(sum(row) + flip) % 2] for row in bits])
+        conn.commit()
+        conn.close()
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p", "schema_id": "parity", "gold_sql": "SELECT * FROM a",
+                                     "pred_sql": "SELECT * FROM b"}) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        start = time.perf_counter()
+        assert run("label", "--pairs", pairs, "--db-root", root, "--out", out, "--timeout", 0.5) == 0
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(out.read_text())["label"] == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "outcomes: matched 0, mismatched 0, pred error 0, pred timeout 0, "
+            "shape or row-cap reject 0, match timeout 1")
 
     def test_gold_failure_exits_1(self, db_root, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

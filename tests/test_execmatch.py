@@ -1,6 +1,7 @@
 import itertools
 import sqlite3
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,27 @@ cell_values = st.one_of(
     st.sampled_from(["a", "b", "NULL"]),
     st.sampled_from([1.5, 2.0]),
 )
+
+
+# values whose canonical strings sit on a boundary of canonical_cell's rules
+edge_floats = st.sampled_from([
+    2.9999999, 3.0000001, 123456.7, 1e15, -1e15, 1e15 - 1, -(1e15 - 1), 0.0, -0.0,
+    float("nan"), float("inf"), float("-inf"), 1e308, 5e-324, 0.1, 2.5,
+])
+typed_cells = {
+    "int": st.one_of(st.integers(), st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63 - 1, 10**15])),
+    "str": st.text(max_size=5),
+    "float": st.one_of(st.floats(), edge_floats),
+}
+any_cell = st.one_of(*typed_cells.values(), st.none(), st.booleans(), st.binary(max_size=4))
+
+
+def typed_tables(max_cols=4, max_rows=8):
+    """Raw rows whose columns each hold one type, or any mix of types."""
+    column = st.sampled_from([*typed_cells, "mixed"]).map(
+        lambda kind: typed_cells.get(kind, any_cell))
+    return st.lists(column, min_size=1, max_size=max_cols).flatmap(
+        lambda kinds: st.lists(st.tuples(*kinds), max_size=max_rows))
 
 
 def small_tables(max_cols=4, max_rows=6):
@@ -56,6 +78,41 @@ class TestCanonicalCell:
     def test_text_is_exact(self):
         assert canonical_cell("1") != canonical_cell(1)
         assert canonical_cell("a") != canonical_cell("a ")
+
+    def test_near_integers_collapse_at_six_digits(self):
+        assert canonical_cell(2.9999999) == canonical_cell(3) == canonical_cell(3.0000001) == "#3"
+        assert canonical_cell(123456.7) == canonical_cell(123457) == "#123457"
+
+
+class TestFromRows:
+    @given(typed_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_canonical_cell_per_cell(self, rows):
+        table = ResultTable.from_rows(rows)
+        assert table.rows == tuple(tuple(canonical_cell(v) for v in row) for row in rows)
+
+    def test_edge_values_in_one_type_columns(self):
+        floats = [2.9999999, 3.0000001, 123456.7, 1e15, -1e15, 1e15 - 1, -0.0,
+                  float("nan"), float("inf"), float("-inf")]
+        ints = [2**53 + 1, -(2**53) - 1, 3, 0, -7, 2**63 - 1, 10**15, 123457, 1, 2]
+        rows = list(zip(floats, ints, map(str, ints)))
+        table = ResultTable.from_rows(rows)
+        assert [row[0] for row in table.rows] == [
+            "#3", "#3", "#123457", "#1e+15", "#-1e+15", "#999999999999999", "#0",
+            "#nan", "#inf", "#-inf"]
+        assert table.rows == tuple(tuple(canonical_cell(v) for v in row) for row in rows)
+
+    def test_bools_bytes_and_nulls_keep_their_tags(self):
+        table = ResultTable.from_rows([(True, b"\x01", None), (False, bytearray(b"a"), "x")])
+        assert table.rows == (("#1", "b:01", "n"), ("#0", "b:61", "t:x"))
+
+    def test_zero_column_rows_are_kept(self):
+        assert ResultTable.from_rows([(), ()]).rows == ((), ())
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [1, 2, 3]], [[1, 2], [1]]])
+    def test_ragged_row_rejected(self, rows):
+        with pytest.raises(ValueError, match="cells, table has 2 columns"):
+            ResultTable.from_rows(rows, n_cols=2)
 
 
 class TestTablesEqual:
@@ -157,6 +214,23 @@ class TestTablesEqual:
         assert not tables_equal(a, b) and not tables_equal_exhaustive(a, b)
         assert tables_equal(a, shuffled) and tables_equal_exhaustive(a, shuffled)
 
+    def test_search_past_its_deadline_raises_timeout(self):
+        # k = 8 parity tables take several seconds to exhaust without a deadline
+        bits = [list(row) for row in itertools.product((0, 1), repeat=7)]
+        a = ResultTable.from_rows([row + [sum(row) % 2] for row in bits])
+        b = ResultTable.from_rows([row + [1 - sum(row) % 2] for row in bits])
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            tables_equal(a, b, deadline=time.monotonic() + 0.2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_deadline_does_not_change_the_answer(self):
+        a = ResultTable.from_rows([[1, 2, "u"], [2, 1, "v"]])
+        b = ResultTable.from_rows([[2, 1, "u"], [1, 2, "v"]])
+        assert tables_equal(a, b, deadline=time.monotonic() + 60)
+        assert not tables_equal(a, ResultTable.from_rows([[1, 2, "u"], [1, 2, "v"]]),
+                                deadline=time.monotonic() + 60)
+
     def test_repeated_identical_columns_against_oracle(self):
         rng = np.random.Generator(np.random.PCG64(5))
         for trial in range(200):
@@ -230,6 +304,21 @@ class TestSQLiteExecutor:
         sql = "SELECT * FROM singer"
         assert ex.execute(sql) == ex.execute(sql)
 
+    def test_other_column_count_fetches_no_row(self, db):
+        ex = SQLiteExecutor(db)
+        gold = ex.execute("SELECT name FROM singer")
+        table = ex.execute("SELECT name, age FROM singer", expect=gold)
+        assert table == ResultTable(n_cols=2, rows=())
+
+    def test_fetch_stops_one_row_past_the_expected_count(self, db):
+        ex = SQLiteExecutor(db)
+        gold = ex.execute("SELECT name FROM singer WHERE age = 25")
+        assert len(ex.execute("SELECT name FROM singer", expect=gold).rows) == 2
+        assert ex.execute("SELECT name FROM singer WHERE age = 30", expect=gold).rows == (
+            ("t:Ava",), ("t:Caz",))
+        empty = ex.execute("SELECT name FROM singer WHERE age > 99")
+        assert ex.execute("SELECT name FROM singer", expect=empty).rows == (("t:Ava",),)
+
 
 class TestLabelRecord:
     def test_identical_queries_label_one(self, db):
@@ -275,6 +364,37 @@ class TestLabelRecord:
         gold = "SELECT country FROM singer WHERE name = 'Caz'"
         pred = "SELECT 'NULL'"
         assert label_record(gold, pred, ex) == 0
+
+    def test_outcomes_are_counted(self, db):
+        ex = SQLiteExecutor(db, timeout_s=0.2)
+        gold = "SELECT name, age FROM singer"
+        endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                   "SELECT max(x), 1 FROM c")
+        outcomes = Counter()
+        for pred in ("SELECT age, name FROM singer", "SELECT name, age + 1 FROM singer",
+                     "SELEC nope", endless, "SELECT name FROM singer",
+                     "SELECT name, age FROM singer WHERE age = 30"):
+            label_record(gold, pred, ex, outcomes=outcomes)
+        assert outcomes == Counter({"matched": 1, "mismatched": 1, "pred error": 1,
+                                    "pred timeout": 1, "shape or row-cap reject": 2})
+
+    def test_cross_join_prediction_labels_zero_at_once(self, tmp_path):
+        # 3,000 orders make a cross join of 9 million rows. Against six gold columns
+        # it is cut at 41 rows; against one gold column no row is fetched.
+        path = tmp_path / "shop.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, amount REAL, region TEXT)")
+        conn.executemany("INSERT INTO orders VALUES (?, ?, ?)",
+                         [(i, i * 0.25, f"r{i % 7}") for i in range(3000)])
+        conn.commit()
+        conn.close()
+        ex = SQLiteExecutor(path, timeout_s=2.0)
+        gold = "SELECT a.*, b.* FROM orders a JOIN orders b ON a.id = b.id WHERE a.id < 40"
+        start = time.perf_counter()
+        assert label_record(gold, "SELECT * FROM orders a, orders b", ex) == 0
+        assert label_record("SELECT id FROM orders WHERE id < 40", "SELECT * FROM orders a, orders b",
+                            ex) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_wide_result_with_reversed_columns_labels_one(self, tmp_path):
         # 1,500 columns in identical pairs, 50 rows; the prediction lists them in reverse

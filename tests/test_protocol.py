@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ class TestCrossValidate:
             ProtocolConfig(scope="schema_level", min_schema_records=value)
 
 
+    @pytest.mark.parametrize("field", ["n_bins", "min_bin_count"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_bin_settings_below_1_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            ProtocolConfig(**{field: value})
+
+
 class TestSchemaLevel:
     def test_all_correct_schema(self):
         scored = []
@@ -209,6 +217,29 @@ class TestSchemaLevel:
         report = schema_level_evaluate(scored, ProtocolConfig(seed=0, scope="schema_level"))
         assert [r.schema_id for r in report.schemas] == ["big"]
         assert report.skipped == (("tiny", "only 4 records, need 10"),)
+
+    def test_schema_below_min_bin_count_skipped_after_its_draw(self):
+        # schema00 evaluates 16 records, the others 20: only schema00 is skipped,
+        # and the split drawn for it leaves every later schema's split as it was
+        scored = _scored(n_schemas=1, per_schema=20, seed=4)
+        scored += [ScoredRecord(id=f"z{s.id}", schema_id=f"schema{int(s.schema_id[-2:]) + 1:02d}",
+                                method="prod", raw_score=s.raw_score, label=s.label)
+                   for s in _scored(n_schemas=3, per_schema=25, seed=6)]
+        cfg = ProtocolConfig(seed=3, scope="schema_level", binning="monotonic")
+        report = schema_level_evaluate(scored, replace(cfg, min_bin_count=17))
+        assert report.skipped == (("schema00", "only 16 evaluation records, need min_bin_count 17"),)
+        kept = schema_level_evaluate(scored, cfg).schemas[1:]
+        assert [r.schema_id for r in report.schemas] == [r.schema_id for r in kept]
+        for row, ref in zip(report.schemas, kept):
+            # Brier, AUC and P/R/F1 depend on the split, not on the binning
+            assert (row.metrics.bs_p, row.metrics.bs_i, row.metrics.auc, row.metrics.prf) == (
+                ref.metrics.bs_p, ref.metrics.bs_i, ref.metrics.auc, ref.metrics.prf)
+
+    def test_every_schema_skipped_names_the_first(self):
+        scored = _scored(n_schemas=2, per_schema=20, seed=4)
+        cfg = ProtocolConfig(seed=3, scope="schema_level", binning="monotonic", min_bin_count=17)
+        with pytest.raises(ValueError, match="all 2 skipped, first schema00: only 16 evaluation"):
+            schema_level_evaluate(scored, cfg)
 
     def test_deterministic(self):
         scored = _scored(n_schemas=3, per_schema=25, seed=5)
