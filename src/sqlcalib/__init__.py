@@ -12,75 +12,22 @@ from typing import Any
 
 _EXPORTS = {
     "binning": ("Bin", "BinPartition", "monotonic_bins", "uniform_bins"),
-    "calibrate": (
-        "IsotonicCalibrator",
-        "PlattCalibrator",
-        "apply_isotonic",
-        "apply_platt",
-        "fit_isotonic",
-        "fit_platt",
-        "load_calibrator",
-        "save_calibrator",
-    ),
-    "execmatch": (
-        "ExecutionError",
-        "GoldExecutionError",
-        "ResultTable",
-        "SQLiteExecutor",
-        "label_record",
-        "tables_equal",
-    ),
-    "metrics": (
-        "MetricsReport",
-        "SingleClassError",
-        "ThresholdMetrics",
-        "auc",
-        "brier",
-        "ece",
-        "prf_at_threshold",
-        "summarize",
-    ),
-    "protocol": (
-        "EvaluationReport",
-        "ProtocolConfig",
-        "SchemaLevelReport",
-        "cross_validate",
-        "generate_synthetic",
-        "schema_level_evaluate",
-    ),
-    "records": (
-        "Alternative",
-        "Dataset",
-        "DatasetError",
-        "PredictionRecord",
-        "RecordError",
-        "dataset_summary",
-        "load_dataset",
-        "make_dataset",
-        "write_dataset",
-    ),
-    "report": (
-        "ReliabilitySeries",
-        "reliability_series",
-        "render_reliability",
-        "write_reliability_csv",
-    ),
-    "scoring": (
-        "ScoredRecord",
-        "ScoringResult",
-        "SkipRecord",
-        "load_scored",
-        "pool_avg",
-        "pool_geo",
-        "pool_min",
-        "pool_prod",
-        "score_dataset",
-        "score_record",
-        "score_self_check_bool",
-        "score_self_check_probs",
-        "score_variant_alt",
-        "write_scored",
-    ),
+    "calibrate": ("IsotonicCalibrator", "PlattCalibrator", "apply_isotonic", "apply_platt",
+                  "fit_isotonic", "fit_platt", "load_calibrator", "save_calibrator"),
+    "execmatch": ("ExecutionError", "GoldExecutionError", "ResultTable", "SQLiteExecutor",
+                  "label_record", "tables_equal"),
+    "metrics": ("MetricsReport", "SingleClassError", "ThresholdMetrics", "auc", "brier", "ece",
+                "prf_at_threshold", "summarize"),
+    "protocol": ("EvaluationReport", "ProtocolConfig", "SchemaLevelReport", "cross_validate",
+                 "generate_synthetic", "schema_level_evaluate"),
+    "records": ("Alternative", "Dataset", "DatasetError", "PredictionRecord", "RecordError",
+                "dataset_summary", "load_dataset", "make_dataset", "write_dataset"),
+    "report": ("ReliabilitySeries", "reliability_series", "render_reliability",
+               "write_reliability_csv"),
+    "scoring": ("ScoredRecord", "ScoringResult", "SkipRecord", "load_scored", "pool_avg",
+                "pool_geo", "pool_min", "pool_prod", "score_dataset", "score_record",
+                "score_self_check_bool", "score_self_check_probs", "score_variant_alt",
+                "write_scored"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -165,18 +165,16 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
     deadline = time.monotonic() + executor.timeout_s
     try:
         pred = executor.execute(pred_sql, expect=gold, deadline=deadline)
-    except ExecutionError:
-        outcome = "pred timeout" if time.monotonic() > deadline else "pred error"
-    else:
         if pred.n_cols != gold.n_cols or len(pred.rows) != len(gold.rows):
             outcome = "shape or row-cap reject"
+        elif tables_equal(gold, pred, strict_columns=strict_columns, deadline=deadline):
+            outcome = "matched"
         else:
-            try:
-                equal = tables_equal(gold, pred, strict_columns=strict_columns, deadline=deadline)
-            except TimeoutError:
-                outcome = "match timeout"
-            else:
-                outcome = "matched" if equal else "mismatched"
+            outcome = "mismatched"
+    except ExecutionError:
+        outcome = "pred timeout" if time.monotonic() > deadline else "pred error"
+    except TimeoutError:  # from tables_equal
+        outcome = "match timeout"
     if outcomes is not None:
         outcomes[outcome] += 1
     return 1 if outcome == "matched" else 0
