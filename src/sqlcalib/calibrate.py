@@ -103,28 +103,41 @@ def platt_gradient(
     return float(np.mean(resid * r)), float(np.mean(resid))
 
 
-def fit_platt(pairs: Sequence[tuple[float, int]]) -> PlattCalibrator:
+def _fit_columns(raw: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw score and label columns of a fit as float arrays, after the
+    checks both fitters share: equal lengths, at least one record, finite
+    raw scores and 0/1 labels."""
+    r = np.asarray(raw, dtype=float)
+    a = np.asarray(labels, dtype=float)
+    if len(r) != len(a):
+        raise ValueError(f"length mismatch: {len(r)} raw scores vs {len(a)} labels")
+    if not len(r):
+        raise ValueError("need at least 1 record to fit")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("non-finite raw score in calibration data")
+    if not np.all((a == 0) | (a == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return r, a
+
+
+def fit_platt(raw: Sequence[float], labels: Sequence[int]) -> PlattCalibrator:
     """Maximum-likelihood fit of the sigmoid rescaling map.
 
     Newton iterations with backtracking line search and a gradient-step
     fallback when the Hessian is near singular; stops when the mean
     log-likelihood gradient norm drops below 1e-8 or after 200 iterations
-    (a warning is issued in the latter case).
+    (a warning is issued in the latter case). Newton starts at the constant
+    map at the mean smoothed target, which is the fit of one record (its
+    gradient there is exactly 0).
 
     Args:
-        pairs: (raw_score, label) tuples, label in {0, 1}. At least 2.
+        raw: raw scores, finite. At least 1.
+        labels: the 0/1 label of each raw score.
 
     Returns:
         PlattCalibrator with finite t and b.
     """
-    if len(pairs) < 2:
-        raise ValueError(f"need at least 2 pairs to fit, got {len(pairs)}")
-    r = np.asarray([p[0] for p in pairs], dtype=float)
-    a = np.asarray([p[1] for p in pairs], dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("non-finite raw score in calibration data")
-    if not np.all((a == 0) | (a == 1)):
-        raise ValueError("labels must be 0 or 1")
+    r, a = _fit_columns(raw, labels)
     order = np.lexsort((a, r))  # input order must not affect the fitted bits
     r, a = r[order], a[order]
 
@@ -179,7 +192,7 @@ def apply_platt(calibrator: PlattCalibrator, raw: float | np.ndarray) -> float |
     return float(out) if out.ndim == 0 else out
 
 
-def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
+def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibrator:
     """Least-squares non-decreasing fit of labels as a function of raw score.
 
     Tied raw scores are merged (weighted by multiplicity) before pooling;
@@ -187,14 +200,7 @@ def fit_isotonic(pairs: Sequence[tuple[float, int]]) -> IsotonicCalibrator:
     that monotonic ECE bins start from. Fitted values are block means,
     hence in [min label, max label].
     """
-    if len(pairs) < 1:
-        raise ValueError("need at least 1 pair to fit")
-    r = np.asarray([p[0] for p in pairs], dtype=float)
-    a = np.asarray([p[1] for p in pairs], dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("non-finite raw score in calibration data")
-    if not np.all((a == 0) | (a == 1)):
-        raise ValueError("labels must be 0 or 1")
+    r, a = _fit_columns(raw, labels)
 
     # Knots at block boundaries: first and last unique raw of each block.
     knots: list[tuple[float, float]] = []
@@ -226,7 +232,8 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
         hi = np.minimum(lo + 1, last)
         with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
             frac = (r - xs[lo]) / (xs[hi] - xs[lo])
-        out = np.where(r == xs[lo], out, out + frac * (ys[hi] - out))
+        # rounding can carry the sum one ulp past the next knot's value
+        out = np.where(r == xs[lo], out, np.minimum(out + frac * (ys[hi] - out), ys[hi]))
     return float(out) if out.ndim == 0 else out
 
 

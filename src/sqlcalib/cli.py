@@ -108,13 +108,10 @@ def cmd_calibrate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     from . import calibrate as cal
 
     scored = load_scored(args.scored)
-    pairs = [(s.raw_score, s.label) for s in scored]
-    if args.kind == "platt":
-        calibrator = cal.fit_platt(pairs)
-    else:
-        calibrator = cal.fit_isotonic(pairs)
+    fit = cal.fit_platt if args.kind == "platt" else cal.fit_isotonic
+    calibrator = fit([s.raw_score for s in scored], [s.label for s in scored])
     cal.save_calibrator(calibrator, args.out)
-    print(f"fitted {args.kind} calibrator on {len(pairs)} records -> {args.out}", file=sys.stderr)
+    print(f"fitted {args.kind} calibrator on {len(scored)} records -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -343,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before any command imports numpy: OpenBLAS would otherwise start a
+    # worker thread that spins, and sqlcalib's largest BLAS call is a dot of
+    # two 2-vectors (the Newton step), far too small to share.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

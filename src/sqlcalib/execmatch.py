@@ -2,8 +2,9 @@
 and compare result sets disregarding row order and (optionally) column order.
 
 A predicted result is read only as far as its label needs: a column count
-that differs from gold's fetches no row, and at most one row more than gold
-has is fetched. The match search shares the predicted query's deadline.
+that differs from gold's fetches no row, at most one row more than gold has
+is fetched, and a result of another shape is rejected before any cell is
+canonicalized. The match search shares the predicted query's deadline.
 """
 
 from __future__ import annotations
@@ -43,11 +44,7 @@ def canonical_cell(value: Any) -> str:
     if isinstance(value, int):
         return f"#{value}"
     if isinstance(value, float):
-        # the magnitude test comes first: int() of inf or NaN raises, and
-        # format() renders them as inf, -inf and nan
-        if abs(value) < 1e15 and value == int(value):
-            return f"#{int(value)}"
-        return "#" + format(value, ".6g")
+        return _canonical_float(value)
     if isinstance(value, (bytes, bytearray)):
         return "b:" + bytes(value).hex()
     return "t:" + str(value)
@@ -55,6 +52,7 @@ def canonical_cell(value: Any) -> str:
 
 def _canonical_float(value: float) -> str:
     """`canonical_cell` of a float."""
+    # inf and NaN fail both tests; format() renders them as inf, -inf and nan
     if -1e15 < value < 1e15 and value.is_integer():
         return f"#{int(value)}"
     return "#" + format(value, ".6g")
@@ -165,7 +163,7 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
     deadline = time.monotonic() + executor.timeout_s
     try:
         pred = executor.execute(pred_sql, expect=gold, deadline=deadline)
-        if pred.n_cols != gold.n_cols or len(pred.rows) != len(gold.rows):
+        if pred is None:
             outcome = "shape or row-cap reject"
         elif tables_equal(gold, pred, strict_columns=strict_columns, deadline=deadline):
             outcome = "matched"
@@ -197,13 +195,15 @@ class SQLiteExecutor:
         self._uri = self.database.resolve().as_uri() + "?mode=ro"
 
     def execute(self, sql: str, expect: ResultTable | None = None,
-                deadline: float | None = None) -> ResultTable:
+                deadline: float | None = None) -> ResultTable | None:
         """The result table of `sql`, stopped at `deadline` (a
         `time.monotonic()` value; default `timeout_s` from now).
 
-        Given the table `expect` it must match, a result of another column
-        count fetches no row, and at most `len(expect.rows) + 1` rows are
-        fetched: enough to tell that the result has more rows than `expect`.
+        Given the table `expect` it must match, the result is None when it
+        has another column count (no row is fetched) or another row count
+        (at most `len(expect.rows) + 1` rows are fetched: enough to tell that
+        the result has more rows than `expect`). No cell of such a result
+        is canonicalized.
         """
         try:
             conn = sqlite3.connect(self._uri, uri=True)
@@ -221,10 +221,12 @@ class SQLiteExecutor:
             n_cols = len(cursor.description) if cursor.description else 0
             if expect is None:
                 rows = cursor.fetchall()
-            elif n_cols == expect.n_cols:
-                rows = cursor.fetchmany(len(expect.rows) + 1)
+            elif n_cols != expect.n_cols:
+                return None
             else:
-                rows = []
+                rows = cursor.fetchmany(len(expect.rows) + 1)
+                if len(rows) != len(expect.rows):
+                    return None
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from exc
         finally:

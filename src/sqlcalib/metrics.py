@@ -100,6 +100,12 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     return partition.objective()
 
 
+def _single_class(labels: Sequence[int]) -> bool:
+    """True for nonempty labels of one class, where AUC is undefined."""
+    a = np.asarray(labels)
+    return a.size > 0 and bool(a.min() == a.max())
+
+
 def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve as the Mann-Whitney statistic.
 
@@ -168,12 +174,11 @@ def summarize(
     min_bin_count: int = 1,
     thresholds: Sequence[float] = (0.9, 0.85, 0.8, 0.7),
     threshold_scores: Sequence[float] | None = None,
-    skip_auc: bool = False,
 ) -> MetricsReport:
     """Assemble the standard metric bundle for one test set.
 
     AUC is ranked on the raw scores (both calibrators are monotone, so it is
-    unchanged by them); `skip_auc` records NaN instead for single-class data.
+    unchanged by them); it is NaN when the labels hold one class.
     Thresholded P/R/F1 uses `threshold_scores`, defaulting to the
     isotonic-calibrated scores.
     """
@@ -186,7 +191,7 @@ def summarize(
     return MetricsReport(
         bs_p=brier(platt_scores, labels),
         bs_i=brier(isotonic_scores, labels),
-        auc=float("nan") if skip_auc else auc(raw_scores, labels),
+        auc=float("nan") if _single_class(labels) else auc(raw_scores, labels),
         ece_raw=ece_raw,
         ece_p=ece(platt_scores, labels, _partition(platt_scores, labels, binning, n_bins, min_bin_count)),
         ece_i=ece(isotonic_scores, labels, _partition(isotonic_scores, labels, binning, n_bins, min_bin_count)),

@@ -15,15 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import (
-    PlattCalibrator,
-    apply_isotonic,
-    apply_platt,
-    fit_isotonic,
-    fit_platt,
-    smooth_targets,
-)
-from .metrics import MetricsReport, ThresholdMetrics, summarize
+from .calibrate import apply_isotonic, apply_platt, fit_isotonic, fit_platt
+from .metrics import MetricsReport, ThresholdMetrics, _single_class, summarize
 from .records import Dataset, PredictionRecord, make_dataset
 from .scoring import ScoredRecord
 
@@ -117,25 +110,6 @@ def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int
     return {s: i % k for i, s in enumerate(ordered)}
 
 
-def _fit_both(raw: np.ndarray, labels: np.ndarray):
-    """Fit Platt and isotonic calibrators on the tuning scores and labels.
-
-    A single-record tuning fold cannot support the Platt optimizer; it falls
-    back to the constant map at the smoothed base rate.
-    """
-    pairs = list(zip(raw.tolist(), labels.tolist()))
-    if len(pairs) >= 2:
-        platt = fit_platt(pairs)
-    else:
-        target = float(smooth_targets([p[1] for p in pairs]).mean())
-        platt = PlattCalibrator(t=0.0, b=math.log(target / (1.0 - target)))
-    return platt, fit_isotonic(pairs)
-
-
-def _single_class(labels: np.ndarray) -> bool:
-    return len(labels) > 0 and bool(labels.min() == labels.max())
-
-
 def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> MetricsReport:
     """The metric bundle for one held-out set; AUC is NaN when it is single-class."""
     return summarize(
@@ -148,7 +122,6 @@ def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> Me
         min_bin_count=cfg.min_bin_count,
         thresholds=cfg.thresholds,
         threshold_scores=platt_scores if cfg.calibrator == "platt" else iso_scores,
-        skip_auc=_single_class(labels),
     )
 
 
@@ -161,7 +134,8 @@ def _evaluate_split(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray, test:
     with the raw, Platt, isotonic and label arrays it was computed from, so
     a caller can pool them across splits.
     """
-    platt, isotonic = _fit_both(raw[tune], labels[tune])
+    platt = fit_platt(raw[tune], labels[tune])
+    isotonic = fit_isotonic(raw[tune], labels[tune])
     raw, labels = raw[test], labels[test]
     platt_scores = apply_platt(platt, raw)
     iso_scores = apply_isotonic(isotonic, raw)
@@ -230,13 +204,19 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     Each fold in turn is the tuning split: calibrators are fitted on it and
     applied to the union of the other k-1 folds, where all metrics are
     computed. Reports per-fold metrics plus mean and sample standard
-    deviation across folds.
+    deviation across folds. Under monotonic binning, a fold whose test split
+    is smaller than `min_bin_count` fails the run before the first fit.
     """
     method = _single_method(scored)
     ordered = sorted(scored, key=lambda s: s.id)
     raw, labels = _columns(ordered)
     schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
     fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
+    if cfg.binning == "monotonic":
+        for f, n_tune in enumerate(np.bincount(fold_of, minlength=cfg.k).tolist()):
+            if len(raw) - n_tune < cfg.min_bin_count:
+                raise ValueError(f"fold {f}: test split has {len(raw) - n_tune} records, "
+                                 f"below min_bin_count {cfg.min_bin_count}")
 
     folds: list[FoldMetrics] = []
     notes: list[str] = []

@@ -48,7 +48,7 @@ def test_01_isotonic_matches_exhaustive_monotone_fit():
         n = int(rng.integers(1, 13))
         scores = rng.random(n).tolist()
         labels = rng.integers(0, 2, n).tolist()
-        cal = fit_isotonic(list(zip(scores, labels)))
+        cal = fit_isotonic(scores, labels)
         fitted = np.array([apply_isotonic(cal, x) for x in scores])
         sse = float(((np.asarray(labels, dtype=float) - fitted) ** 2).sum())
         oracle_sse, oracle_fit = brute_isotonic_fit(scores, labels)
@@ -66,7 +66,7 @@ def test_02_platt_recovery_and_gradient_checks():
     n = 5000
     r = rng.random(n)
     a = (rng.random(n) < 1.0 / (1.0 + np.exp(-(2.0 * r - 1.0)))).astype(int)
-    cal = fit_platt(list(zip(r.tolist(), a.tolist())))
+    cal = fit_platt(r, a)
     assert abs(cal.t - 2.0) <= 0.15
     assert abs(cal.b - (-1.0)) <= 0.15
 

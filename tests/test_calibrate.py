@@ -35,6 +35,11 @@ def _pairs(scores):
     )
 
 
+def _columns(pairs):
+    """The raw score and label columns of (raw, label) pairs."""
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 pairs_strategy = st.one_of(
     _pairs(st.floats(min_value=0, max_value=1)),
     # tie-heavy: every score is one of a few values
@@ -82,7 +87,7 @@ class TestPlatt:
         assert abs(gb) < 1e-12  # exact: mean target is 1/2 by construction
         assert abs(gt) < 0.01
         # ...and the fit lands next to (0, 0)
-        cal = fit_platt(list(zip(r.tolist(), a.tolist())))
+        cal = fit_platt(r, a)
         assert abs(cal.t) <= 0.05
         assert abs(cal.b) <= 0.05
 
@@ -90,29 +95,28 @@ class TestPlatt:
         rng = _rng(2)
         r = rng.random(5000)
         a = (rng.random(5000) < 1 / (1 + np.exp(-(2 * r - 1)))).astype(int)
-        cal = fit_platt(list(zip(r.tolist(), a.tolist())))
+        cal = fit_platt(r, a)
         assert cal.t == pytest.approx(2.0, abs=0.15)
         assert cal.b == pytest.approx(-1.0, abs=0.15)
 
     def test_single_class_stays_finite(self):
-        pairs = [(x, 1) for x in (0.1, 0.4, 0.6, 0.9)]
-        cal = fit_platt(pairs)
+        raw = [0.1, 0.4, 0.6, 0.9]
+        cal = fit_platt(raw, [1] * len(raw))
         assert math.isfinite(cal.t) and math.isfinite(cal.b)
-        outputs = {apply_platt(cal, x) for x, _ in pairs}
+        outputs = {apply_platt(cal, x) for x in raw}
         assert all(0.0 < v < 1.0 for v in outputs)
 
     def test_separable_data_stays_finite(self):
-        pairs = [(0.1, 0), (0.2, 0), (0.8, 1), (0.9, 1)]
-        cal = fit_platt(pairs)
+        cal = fit_platt([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
         assert math.isfinite(cal.t) and math.isfinite(cal.b)
 
-    def test_too_few_pairs(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            fit_platt([(0.5, 1)])
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 record"):
+            fit_platt([], [])
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            fit_platt([(float("nan"), 0), (0.5, 1)])
+            fit_platt([float("nan"), 0.5], [0, 1])
 
     def test_gradient_matches_finite_differences(self):
         rng = _rng(8)
@@ -130,16 +134,14 @@ class TestPlatt:
         rng = _rng(14)
         r = rng.random(400)
         a = (rng.random(400) < r).astype(int)
-        pairs = list(zip(r.tolist(), a.tolist()))
-        shuffled = pairs[::-1]
-        assert fit_platt(pairs) == fit_platt(shuffled)
-        assert fit_isotonic(pairs) == fit_isotonic(shuffled)
+        assert fit_platt(r, a) == fit_platt(r[::-1], a[::-1])
+        assert fit_isotonic(r, a) == fit_isotonic(r[::-1], a[::-1])
 
     def test_gradient_small_at_returned_fit(self):
         rng = _rng(5)
         r = rng.random(2000)
         a = (rng.random(2000) < 0.3 + 0.4 * r).astype(int)
-        cal = fit_platt(list(zip(r.tolist(), a.tolist())))
+        cal = fit_platt(r, a)
         gt, gb = platt_gradient(cal.t, cal.b, r, smooth_targets(a))
         assert abs(gt) <= 1e-6 and abs(gb) <= 1e-6
 
@@ -147,12 +149,12 @@ class TestPlatt:
     def test_iteration_cap_warns_once(self, monkeypatch):
         rng = _rng(5)
         r = rng.uniform(size=200)
-        pairs = [(float(x), int(y < x)) for x, y in zip(r, rng.uniform(size=200))]
+        a = (rng.uniform(size=200) < r).astype(int)
 
         def cap_warnings():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                fit_platt(pairs)
+                fit_platt(r, a)
             return [w.category for w in caught if "iteration cap" in str(w.message)]
 
         assert cap_warnings() == []
@@ -162,27 +164,32 @@ class TestPlatt:
 
 class TestIsotonic:
     def test_worked_example(self):
-        cal = fit_isotonic([(0.1, 0), (0.2, 1), (0.3, 0)])
+        cal = fit_isotonic([0.1, 0.2, 0.3], [0, 1, 0])
         assert [apply_isotonic(cal, x) for x in (0.1, 0.2, 0.3)] == [0.0, 0.5, 0.5]
 
     def test_already_monotone_is_identity(self):
-        pairs = [(0.1, 0), (0.2, 0), (0.3, 1), (0.4, 1)]
-        cal = fit_isotonic(pairs)
-        assert [apply_isotonic(cal, x) for x, _ in pairs] == [0, 0, 1, 1]
+        raw, labels = [0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1]
+        cal = fit_isotonic(raw, labels)
+        assert [apply_isotonic(cal, x) for x in raw] == labels
 
     def test_two_point_violation_pools_to_half(self):
-        cal = fit_isotonic([(0.2, 1), (0.7, 0)])
+        cal = fit_isotonic([0.2, 0.7], [1, 0])
         assert apply_isotonic(cal, 0.2) == 0.5
         assert apply_isotonic(cal, 0.7) == 0.5
 
     def test_single_pair(self):
-        cal = fit_isotonic([(0.4, 1)])
+        cal = fit_isotonic([0.4], [1])
         assert apply_isotonic(cal, 0.0) == 1.0
         assert apply_isotonic(cal, 0.9) == 1.0
 
     def test_interpolation_midpoint(self):
         cal = IsotonicCalibrator(knots=((0.2, 0.0), (0.6, 1.0)))
         assert apply_isotonic(cal, 0.4) == pytest.approx(0.5, rel=1e-12)
+
+    def test_interpolation_stays_at_or_below_the_next_knot(self):
+        # frac rounds to 1.0 at 0.0, and 1/9 + 1.0 * (2/3 - 1/9) to one ulp above 2/3
+        cal = IsotonicCalibrator(knots=((-1.0, 1 / 9), (5.182699520162494e-251, 2 / 3), (1.0, 2 / 3)))
+        assert apply_isotonic(cal, 0.0) == apply_isotonic(cal, 0.25) == 2 / 3
 
     def test_clamping_outside_knots(self):
         cal = IsotonicCalibrator(knots=((0.2, 0.1), (0.6, 0.9)))
@@ -201,16 +208,15 @@ class TestIsotonic:
         assert apply_isotonic(cal, 0.61) == 1.0
 
     def test_tied_scores_merge_before_pooling(self):
-        cal = fit_isotonic([(0.5, 1), (0.5, 0), (0.9, 1)])
+        cal = fit_isotonic([0.5, 0.5, 0.9], [1, 0, 1])
         assert apply_isotonic(cal, 0.5) == 0.5
         assert apply_isotonic(cal, 0.9) == 1.0
 
     @given(pairs_strategy)
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, pairs):
-        scores = [p[0] for p in pairs]
-        labels = [p[1] for p in pairs]
-        cal = fit_isotonic(pairs)
+        scores, labels = _columns(pairs)
+        cal = fit_isotonic(scores, labels)
         fitted = np.array([apply_isotonic(cal, x) for x in scores])
         sse = float(((np.asarray(labels, dtype=float) - fitted) ** 2).sum())
         oracle_sse, oracle_fit = brute_isotonic_fit(scores, labels)
@@ -220,8 +226,8 @@ class TestIsotonic:
     @given(pairs_strategy)
     @settings(max_examples=200, deadline=None)
     def test_invariants(self, pairs):
-        labels = [p[1] for p in pairs]
-        cal = fit_isotonic(pairs)
+        scores, labels = _columns(pairs)
+        cal = fit_isotonic(scores, labels)
         values = [y for _, y in cal.knots]
         xs = [x for x, _ in cal.knots]
         assert all(a < b for a, b in zip(xs, xs[1:]))
@@ -234,7 +240,7 @@ class TestIsotonic:
     @given(pairs_strategy, st.floats(min_value=-0.5, max_value=1.5))
     @settings(max_examples=200, deadline=None)
     def test_apply_monotone_and_bounded(self, pairs, x):
-        cal = fit_isotonic(pairs)
+        cal = fit_isotonic(*_columns(pairs))
         y = apply_isotonic(cal, x)
         assert 0.0 <= y <= 1.0
         assert apply_isotonic(cal, x) <= apply_isotonic(cal, min(x + 0.25, 2.0))
@@ -243,38 +249,65 @@ class TestIsotonic:
     @settings(max_examples=200, deadline=None)
     def test_knots_are_the_edges_of_monotonic_bins(self, pairs):
         # one pooling pass: each monotonic bin (no min-count merge) is one block
-        scores = [p[0] for p in pairs]
-        labels = [p[1] for p in pairs]
+        scores, labels = _columns(pairs)
         expected = []
         for b in monotonic_bins(scores, labels).bins:
             expected.append((b.lo, b.accuracy))
             if b.hi != b.lo:
                 expected.append((b.hi, b.accuracy))
-        assert fit_isotonic(pairs).knots == tuple(expected)
+        assert fit_isotonic(scores, labels).knots == tuple(expected)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            fit_isotonic([(float("inf"), 1)])
+            fit_isotonic([float("inf")], [1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_isotonic([])
+            fit_isotonic([], [])
 
 
 class TestOutOfUnitRawScores:
     def test_zero_raw_from_underflowed_products_accepted(self):
-        cal = fit_isotonic([(0.0, 0), (0.5, 1), (0.9, 1)])
+        cal = fit_isotonic([0.0, 0.5, 0.9], [0, 1, 1])
         assert apply_isotonic(cal, 0.0) == 0.0
-        platt = fit_platt([(0.0, 0), (0.5, 1), (0.9, 1), (0.2, 0)])
+        platt = fit_platt([0.0, 0.5, 0.9, 0.2], [0, 1, 1, 0])
         assert 0.0 < apply_platt(platt, 0.0) < 1.0
 
     def test_variant_range_raw_scores_accepted(self):
-        pairs = [(-0.8, 0), (-0.2, 0), (0.1, 1), (0.7, 1)]
-        iso = fit_isotonic(pairs)
-        platt = fit_platt(pairs)
-        for raw, _ in pairs:
+        raws, labels = [-0.8, -0.2, 0.1, 0.7], [0, 0, 1, 1]
+        iso = fit_isotonic(raws, labels)
+        platt = fit_platt(raws, labels)
+        for raw in raws:
             assert 0.0 <= apply_isotonic(iso, raw) <= 1.0
             assert 0.0 <= apply_platt(platt, raw) <= 1.0
+
+
+class TestFitColumns:
+    """Both fitters take a raw score column and a label column."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1))
+    @settings(max_examples=300)
+    def test_one_record_fits_the_constant_map_at_the_smoothed_target(self, raw, label):
+        g = float(smooth_targets([label])[0])
+        assert fit_platt([raw], [label]) == PlattCalibrator(0.0, math.log(g / (1.0 - g)))
+
+    @pytest.mark.parametrize("fit", [fit_platt, fit_isotonic])
+    def test_lists_and_arrays_fit_alike(self, fit):
+        rng = _rng(6)
+        r = rng.random(300)
+        a = (rng.random(300) < r).astype(int)
+        assert fit(r, a) == fit(r.tolist(), a.tolist())
+
+    @pytest.mark.parametrize("fit", [fit_platt, fit_isotonic])
+    @pytest.mark.parametrize("raw, labels, message", [
+        ([0.2, 0.7], [1], "length mismatch"),
+        ([], [], "at least 1 record"),
+        ([0.2, float("nan")], [0, 1], "non-finite raw score"),
+        ([0.2, 0.7], [0, 2], "labels must be 0 or 1"),
+    ])
+    def test_bad_columns_rejected(self, fit, raw, labels, message):
+        with pytest.raises(ValueError, match=message):
+            fit(raw, labels)
 
 
 @st.composite
@@ -340,7 +373,7 @@ class TestSerialization:
         assert load_calibrator(path) == cal
 
     def test_isotonic_round_trip(self, tmp_path):
-        cal = fit_isotonic([(0.1, 0), (0.5, 1), (0.9, 1), (0.3, 0)])
+        cal = fit_isotonic([0.1, 0.5, 0.9, 0.3], [0, 1, 1, 0])
         path = tmp_path / "iso.json"
         save_calibrator(cal, path)
         assert load_calibrator(path) == cal

@@ -59,6 +59,22 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert json.loads((tmp_path / "labeled.jsonl").read_text())["label"] == 1
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    def test_evaluate_runs_on_one_thread(self, synthetic, tmp_path):
+        script = (
+            "import os\n"
+            "from sqlcalib.cli import main\n"
+            f"assert main(['evaluate', '--input', {str(synthetic)!r}, '--seed', '1',"
+            f" '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        src = str(Path(sqlcalib.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
+
     def test_every_exported_name_resolves_to_its_submodule_object(self):
         assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 59
         for name in sqlcalib.__all__:
@@ -262,6 +278,16 @@ class TestScoreCalibrate:
 
 
 class TestEvaluate:
+    def test_min_bin_count_above_a_fold_test_split_names_the_fold(self, synthetic, tmp_path,
+                                                                   capsys):
+        # 10 schemas of 40 records over k=5 folds: every test split holds 320
+        out = tmp_path / "out"
+        assert run("evaluate", "--input", synthetic, "--binning", "monotonic",
+                   "--min-bin-count", 350, "--seed", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: fold 0: test split has 320 records, below min_bin_count 350\n")
+        assert not out.exists()
+
     def test_writes_report_and_thresholds(self, synthetic, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = run(

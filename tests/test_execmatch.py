@@ -307,17 +307,29 @@ class TestSQLiteExecutor:
     def test_other_column_count_fetches_no_row(self, db):
         ex = SQLiteExecutor(db)
         gold = ex.execute("SELECT name FROM singer")
-        table = ex.execute("SELECT name, age FROM singer", expect=gold)
-        assert table == ResultTable(n_cols=2, rows=())
+        assert ex.execute("SELECT name, age FROM singer", expect=gold) is None
+        # the second row fails when it is evaluated; a fetch would reach it
+        second_fails = ("SELECT name, CASE WHEN rowid < 2 THEN age "
+                        "ELSE abs(-9223372036854775806 - rowid) END FROM singer")
+        with pytest.raises(ExecutionError, match="integer overflow"):
+            ex.execute(second_fails)
+        assert ex.execute(second_fails, expect=gold) is None
 
     def test_fetch_stops_one_row_past_the_expected_count(self, db):
         ex = SQLiteExecutor(db)
         gold = ex.execute("SELECT name FROM singer WHERE age = 25")
-        assert len(ex.execute("SELECT name FROM singer", expect=gold).rows) == 2
-        assert ex.execute("SELECT name FROM singer WHERE age = 30", expect=gold).rows == (
-            ("t:Ava",), ("t:Caz",))
+        assert ex.execute("SELECT name FROM singer", expect=gold) is None
+        assert ex.execute("SELECT name FROM singer WHERE age = 30", expect=gold) is None
         empty = ex.execute("SELECT name FROM singer WHERE age > 99")
-        assert ex.execute("SELECT name FROM singer", expect=empty).rows == (("t:Ava",),)
+        assert ex.execute("SELECT name FROM singer", expect=empty) is None
+        # the third row fails when it is evaluated; a fetch of one row stops before it
+        third_fails = ("SELECT CASE WHEN rowid < 3 THEN name "
+                       "ELSE abs(-9223372036854775805 - rowid) END FROM singer")
+        with pytest.raises(ExecutionError, match="integer overflow"):
+            ex.execute(third_fails)
+        assert ex.execute(third_fails, expect=empty) is None
+        assert ex.execute("SELECT country FROM singer WHERE age = 25", expect=gold) == (
+            ResultTable(n_cols=1, rows=(("t:US",),)))
 
 
 class TestLabelRecord:

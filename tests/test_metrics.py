@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,13 @@ class TestSummarize:
         assert report.bs_p == report.bs_i
         assert len(report.prf) == 4
         assert {tm.threshold for tm in report.prf} == {0.9, 0.85, 0.8, 0.7}
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_labels_give_nan_auc(self, label):
+        raw = [0.2, 0.5, 0.9]
+        report = summarize(raw, raw, raw, [label] * 3)
+        assert math.isnan(report.auc)
+        assert report.bs_p == report.bs_i
 
     def test_out_of_range_raw_disables_raw_ece(self):
         raw = [-0.4, 0.2, 0.9, 0.5]
