@@ -2,7 +2,9 @@
 
 Seeded `simulate` data goes through `evaluate` under both calibration scopes
 (schema-disjoint with `--compare`, schema-disjoint with monotonic bins and
-Platt thresholds, and schema-level); `prod` scores of a smaller second
+Platt thresholds, and schema-level); a seeded file of skewed schema sizes
+goes through schema-level `evaluate` with monotonic bins, Platt thresholds
+and `--min-bin-count 3`; `prod` scores of a smaller second
 `simulate` seed go through `calibrate` with both kinds, and the saved
 calibrators through `report` with both binnings on the first input's scores
 (some of which lie outside the fitted knot range); and a small SQLite fixture goes through `label`. Each output file's SHA-256 is compared with a recorded constant, so
@@ -14,6 +16,7 @@ import hashlib
 import json
 import sqlite3
 
+import numpy as np
 import pytest
 
 from sqlcalib.cli import main
@@ -23,6 +26,17 @@ EVALUATE_RUNS = {
     "monotonic_platt": ["--binning", "monotonic", "--calibrator", "platt"],
     "schema_level": ["--scope", "schema_level"],
 }
+
+# Schema-level runs on skewed schema sizes, 2 to 150 records: with
+# --min-schema-records 3 the 2-record schemas are skipped for size and the
+# 3-record ones (1 tuning, 2 evaluation records) for --min-bin-count 3;
+# 8- to 12-record schemas tune on 2 records; the schemas in SINGLE_CLASS
+# hold one label class, so their evaluation splits do too.
+SKEWED_SIZES = (2, 2, 3, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 22, 25, 29, 33,
+                40, 47, 57, 64, 80, 96, 110, 128, 150)
+SINGLE_CLASS = {5: 1, 9: 0, 17: 1, 47: 0}  # index into SKEWED_SIZES -> the one label
+SKEWED_FLAGS = ["--scope", "schema_level", "--binning", "monotonic", "--calibrator", "platt",
+                "--min-bin-count", "3", "--min-schema-records", "3"]
 
 CALIBRATOR_KINDS = ("platt", "isotonic")
 REPORT_BINNINGS = {
@@ -73,6 +87,12 @@ GOLDEN = {
         "007db3b070124390627105c512719eeaf8b764ea5867c392395be243bd129646",
     ("label", "labeled.jsonl"):
         "d2017ca9ca960961bbe1185b63cff04f731d7baec728a704f83dac5f6582de09",
+    ("skewed", "data.jsonl"):
+        "22b3ffa5d66c4ab23fff4a002c5fa5177145840128ea26429fe886e6fcc9ba0c",
+    ("schema_level_skewed", "schemas.csv"):
+        "b67c4820aa216cebcad5c2d1422733e0bea36aa5b9773752eb907e3c501035cf",
+    ("schema_level_skewed", "thresholds.csv"):
+        "d8fa8bd20588447859d85908e31cdea77cc5d4f81d63ce16afbb22927f8118e0",
 }
 
 PAIRS = [
@@ -98,6 +118,22 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_skewed(path):
+    """Records of the SKEWED_SIZES schemas, in a seeded shuffled order, with
+    two token probabilities each and labels drawn at the pooled score."""
+    rng = np.random.Generator(np.random.PCG64(29))
+    rows = []
+    for s, size in enumerate(SKEWED_SIZES):
+        probs = np.round(rng.uniform(0.3, 1.0, size=(size, 2)), 4)
+        labels = (rng.random(size) < probs.prod(axis=1)).astype(int)
+        if s in SINGLE_CLASS:
+            labels[:] = SINGLE_CLASS[s]
+        rows += [{"id": f"q{s:02d}-{i:03d}", "schema_id": f"db{s:02d}", "label": int(label),
+                  "token_probs": p.tolist()} for i, (p, label) in enumerate(zip(probs, labels))]
+    path.write_text("".join(json.dumps(rows[i]) + "\n" for i in rng.permutation(len(rows))),
+                    encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Run every command once; map (run, file name) to the written file."""
@@ -108,6 +144,11 @@ def outputs(tmp_path_factory):
     for run, flags in EVALUATE_RUNS.items():
         assert main(["evaluate", "--input", str(data), "--seed", "7",
                      "--out-dir", str(root / run), *flags]) == 0
+    (root / "skewed").mkdir()
+    skewed = root / "skewed" / "data.jsonl"
+    _write_skewed(skewed)
+    assert main(["evaluate", "--input", str(skewed), "--seed", "3",
+                 "--out-dir", str(root / "schema_level_skewed"), *SKEWED_FLAGS]) == 0
 
     db_dir = root / "dbs" / "concerts"
     db_dir.mkdir(parents=True)
@@ -146,7 +187,7 @@ def outputs(tmp_path_factory):
                          "--out-svg", f"{stem}.svg", *flags]) == 0
 
     files = {("simulate", "data.jsonl"): data}
-    for run in (*EVALUATE_RUNS, "calibrate", "report", "label"):
+    for run in (*EVALUATE_RUNS, "skewed", "schema_level_skewed", "calibrate", "report", "label"):
         for path in (root / run).iterdir():
             files[(run, path.name)] = path
     return files
