@@ -5,15 +5,20 @@ by confidence and pools adjacent bins until observed accuracies increase
 left to right (ties in confidence never split across bins), optionally
 merging undersized bins into whichever neighbor costs least. That pooling
 pass, `_pav_groups`, is also the pool-adjacent-violators fit behind
-`calibrate.fit_isotonic`.
+`calibrate.fit_isotonic`. Both modes bin every split of a batch at once
+(`_uniform_segments`, `_monotonic_segments`); the public functions are
+the one-split case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from ._segments import bounds_of, segment_ids, segment_sums, sorted_ties, stable_argsort
 
 
 @dataclass(frozen=True)
@@ -50,27 +55,36 @@ def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> 
     last bin. Empty bins carry count 0 (they get zero ECE weight)."""
     if len(confs) != len(labels):
         raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
+    c = np.asarray(confs, dtype=float)
+    return _uniform_segments(c, np.asarray(labels, dtype=float), bounds_of([len(c)]), n_bins)[0]
+
+
+def _uniform_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
+                      n_bins: int) -> list[BinPartition]:
+    """`uniform_bins` of every segment of the columns. A bin sums its
+    confidences and labels in element order, as `np.sum` of its slice."""
     if n_bins < 1:
         raise ValueError(f"need at least 1 bin, got {n_bins}")
-    c = np.asarray(confs, dtype=float)
-    a = np.asarray(labels, dtype=float)
-    if c.size and (c.min() < 0.0 or c.max() > 1.0):
+    if not np.all((c >= 0.0) & (c <= 1.0)):
         raise ValueError("confidences must lie in [0, 1] for uniform binning")
 
-    idx = np.minimum((c * n_bins).astype(int), n_bins - 1)
-    bins = []
-    for j in range(n_bins):
-        lo, hi = j / n_bins, (j + 1) / n_bins
-        mask = idx == j
-        count = int(mask.sum())
-        if count:
-            mean_conf = _mean_conf(float(c[mask].sum()), count, lo, hi)
-            bins.append(
-                Bin(lo=lo, hi=hi, count=count, mean_conf=mean_conf, accuracy=float(a[mask].mean()))
-            )
-        else:
-            bins.append(Bin(lo=lo, hi=hi, count=0, mean_conf=(lo + hi) / 2, accuracy=0.0))
-    return BinPartition(mode="uniform", bins=tuple(bins))
+    # (segment, bin) ids; a stable sort keeps each bin's elements in order
+    gid = segment_ids(bounds) * n_bins + np.minimum((c * n_bins).astype(int), n_bins - 1)
+    counts = np.bincount(gid, minlength=(len(bounds) - 1) * n_bins)
+    order = stable_argsort(gid, len(counts))
+    group_bounds = bounds_of(counts)
+    conf_sums = segment_sums(c[order], group_bounds).tolist()
+    label_sums = segment_sums(a[order], group_bounds).tolist()
+    edges = [(j / n_bins, (j + 1) / n_bins) for j in range(n_bins)]
+    bins = [
+        Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(conf_sum, k, lo, hi),
+            accuracy=label_sum / k)
+        if k else Bin(lo=lo, hi=hi, count=0, mean_conf=(lo + hi) / 2, accuracy=0.0)
+        for (lo, hi), k, conf_sum, label_sum
+        in zip(itertools.cycle(edges), counts.tolist(), conf_sums, label_sums)
+    ]
+    return [BinPartition(mode="uniform", bins=tuple(bins[i:i + n_bins]))
+            for i in range(0, len(bins), n_bins)]
 
 
 def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
@@ -95,11 +109,29 @@ def _pav_groups(values: np.ndarray, labels: np.ndarray) -> tuple[list, ...]:
     values. Returns the group columns (count, label sum, value sum, lo, hi);
     a pooled group keeps its left part's lo and its right part's hi.
     """
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    label_sums = np.bincount(inverse, weights=labels)
+    return _pav_segments(values, labels, bounds_of([len(values)]))[0]
 
-    groups = ns, ys, cs, los, his = [], [], [], [], []
-    for value, count, label_sum in zip(uniq.tolist(), counts.tolist(), label_sums.tolist()):
+
+def _pav_segments(values: np.ndarray, labels: np.ndarray,
+                  bounds: np.ndarray) -> list[tuple[list, ...]]:
+    """`_pav_groups` of every segment of the columns, in one pass over all
+    of their distinct values that starts a new stack at each segment."""
+    order, first = sorted_ties(values, bounds)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(order)))
+    # 0/1 labels: their sums are exact in any order
+    label_sums = np.bincount(np.cumsum(first) - 1, weights=labels[order])
+    group_seg = segment_ids(bounds)[order][starts]
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = group_seg[1:] != group_seg[:-1]
+    opened = np.where(opens, group_seg, -1)  # the segment a group opens, else -1
+
+    out = [([], [], [], [], []) for _ in range(len(bounds) - 1)]
+    ns = ys = cs = los = his = []
+    for value, count, label_sum, seg in zip(values[order][starts].tolist(), counts.tolist(),
+                                            label_sums.tolist(), opened.tolist()):
+        if seg >= 0:
+            ns, ys, cs, los, his = out[seg]
         cur_n, cur_y, cur_c, cur_lo = count, label_sum, value * count, value
         # cross-product compare is exact: label sums and counts are integers
         while ns and ys[-1] * cur_n >= cur_y * ns[-1]:
@@ -113,7 +145,7 @@ def _pav_groups(values: np.ndarray, labels: np.ndarray) -> tuple[list, ...]:
         cs.append(cur_c)
         los.append(cur_lo)
         his.append(value)
-    return groups
+    return out
 
 
 def monotonic_bins(
@@ -127,15 +159,29 @@ def monotonic_bins(
     neighbor that least increases the weighted |accuracy - mean confidence|
     objective.
     """
-    n = len(confs)
-    if len(labels) != n:
-        raise ValueError(f"length mismatch: {n} confidences vs {len(labels)} labels")
+    if len(labels) != len(confs):
+        raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
+    c = np.asarray(confs, dtype=float)
+    return _monotonic_segments(c, np.asarray(labels, dtype=float), bounds_of([len(c)]),
+                               min_bin_count)[0]
+
+
+def _monotonic_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
+                        min_bin_count: int) -> list[BinPartition]:
+    """`monotonic_bins` of every segment of the columns."""
     if min_bin_count < 1:
         raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
-    if n < min_bin_count:
+    lengths = np.diff(bounds)
+    if np.any(lengths < min_bin_count):
+        n = int(lengths[np.argmax(lengths < min_bin_count)])
         raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
+    return [BinPartition(mode="monotonic", bins=_merged_bins(groups, n, min_bin_count))
+            for groups, n in zip(_pav_segments(c, a, bounds), lengths.tolist())]
 
-    groups = _pav_groups(np.asarray(confs, dtype=float), np.asarray(labels, dtype=float))
+
+def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[Bin, ...]:
+    """The bins of n samples' PAV groups once every group below
+    min_bin_count is merged into its cheaper neighbor."""
 
     def total_objective(groups: tuple[list, ...]) -> float:
         return sum(
@@ -156,8 +202,7 @@ def monotonic_bins(
             candidates.append((total_objective(merged), 1, merged))
         groups = min(candidates)[2]
 
-    bins = tuple(
+    return tuple(
         Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(c, k, lo, hi), accuracy=y / k)
         for k, y, c, lo, hi in zip(*groups)
     )
-    return BinPartition(mode="monotonic", bins=bins)

@@ -13,6 +13,10 @@ Two calibrators are provided:
 
 Raw scores outside [0, 1] (the variant method produces them) are accepted
 unchanged; only calibrated outputs are required to lie in [0, 1].
+
+Both fitters also fit every split of a batch at once (`_platt_segments`,
+`_isotonic_segments`), bit for bit as one call per split; the public
+fitters are the one-split case.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .binning import _pav_groups
+from ._segments import bounds_of, length_groups, segment_ids, segment_searchsorted
+from .binning import _pav_segments
 from .records import RecordError, _floats
 
 GRAD_TOL = 1e-8
@@ -72,46 +77,74 @@ def smooth_targets(labels: Sequence[int]) -> np.ndarray:
     Keeps the likelihood bounded even when the data are separable or
     single-class.
     """
-    a = np.asarray(labels, dtype=float)
-    n_pos = float(a.sum())
-    n_neg = float(len(a) - a.sum())
+    return _smooth_rows(np.asarray(labels, dtype=float)[None, :])[0]
+
+
+def _smooth_rows(a: np.ndarray) -> np.ndarray:
+    """`smooth_targets` of every row of a label block."""
+    n_pos = a.sum(axis=1)
+    n_neg = a.shape[1] - n_pos
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
-    return np.where(a > 0, hi, lo)
+    return np.where(a > 0, hi[:, None], lo[:, None])
 
 
 def platt_log_likelihood(
     t: float, b: float, scores: Sequence[float], targets: Sequence[float]
 ) -> float:
     """Mean smoothed log-likelihood of the targets under sigma(t * r + b)."""
-    r = np.asarray(scores, dtype=float)
-    g = np.asarray(targets, dtype=float)
-    z = t * r + b
+    return float(_log_likelihood_rows(*_one_row(t, b, scores, targets))[0])
+
+
+def _one_row(t: float, b: float, scores: Sequence[float], targets: Sequence[float]):
+    """(t, b, scores, targets) as the one row of a block."""
+    return (np.array([t], dtype=float), np.array([b], dtype=float),
+            np.asarray(scores, dtype=float)[None, :], np.asarray(targets, dtype=float)[None, :])
+
+
+def _log_likelihood_rows(t: np.ndarray, b: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`platt_log_likelihood` of every row: (t, b) per row of the blocks."""
+    z = t[:, None] * r + b[:, None]
     # log sigma(z) and log(1 - sigma(z)) via logaddexp for stability
     log_p = -np.logaddexp(0.0, -z)
     log_q = -np.logaddexp(0.0, z)
-    return float(np.mean(g * log_p + (1.0 - g) * log_q))
+    return np.mean(g * log_p + (1.0 - g) * log_q, axis=1)
 
 
 def platt_gradient(
     t: float, b: float, scores: Sequence[float], targets: Sequence[float]
 ) -> tuple[float, float]:
     """Partial derivatives of the mean smoothed log-likelihood w.r.t. (t, b)."""
-    r = np.asarray(scores, dtype=float)
-    g = np.asarray(targets, dtype=float)
-    resid = g - _sigmoid(t * r + b)
-    return float(np.mean(resid * r)), float(np.mean(resid))
+    grad, _ = _gradient_rows(*_one_row(t, b, scores, targets))
+    return float(grad[0, 0]), float(grad[0, 1])
 
 
-def _fit_columns(raw: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The raw score and label columns of a fit as float arrays, after the
-    checks both fitters share: equal lengths, at least one record, finite
-    raw scores and 0/1 labels."""
+def _gradient_rows(t: np.ndarray, b: np.ndarray, r: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2) gradients of `platt_gradient` for every row, and the
+    fitted probabilities they were computed from."""
+    p = _sigmoid(t[:, None] * r + b[:, None])
+    resid = g - p
+    return np.stack((np.mean(resid * r, axis=1), np.mean(resid, axis=1)), axis=1), p
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] @ y[i] for every row of two (k, 2) arrays, through the same BLAS
+    dot as a 1-D `@` (a matmul of 1-element stacks)."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _fit_columns(raw: Sequence[float], labels: Sequence[int],
+                 bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The raw score and label columns of one or more fits, laid end to end
+    as `bounds` says, as float arrays, after the checks both fitters share:
+    equal lengths, at least one record per fit, finite raw scores and 0/1
+    labels."""
     r = np.asarray(raw, dtype=float)
     a = np.asarray(labels, dtype=float)
     if len(r) != len(a):
         raise ValueError(f"length mismatch: {len(r)} raw scores vs {len(a)} labels")
-    if not len(r):
+    if not np.all(np.diff(bounds) >= 1):
         raise ValueError("need at least 1 record to fit")
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite raw score in calibration data")
@@ -128,7 +161,8 @@ def fit_platt(raw: Sequence[float], labels: Sequence[int]) -> PlattCalibrator:
     log-likelihood gradient norm drops below 1e-8 or after 200 iterations
     (a warning is issued in the latter case). Newton starts at the constant
     map at the mean smoothed target, which is the fit of one record (its
-    gradient there is exactly 0).
+    gradient there is exactly 0). This is the one-segment case of
+    `_platt_segments`.
 
     Args:
         raw: raw scores, finite. At least 1.
@@ -137,52 +171,88 @@ def fit_platt(raw: Sequence[float], labels: Sequence[int]) -> PlattCalibrator:
     Returns:
         PlattCalibrator with finite t and b.
     """
-    r, a = _fit_columns(raw, labels)
-    order = np.lexsort((a, r))  # input order must not affect the fitted bits
+    r = np.asarray(raw, dtype=float)
+    t, b = _platt_segments(r, labels, bounds_of([len(r)]))
+    return PlattCalibrator(t=float(t[0]), b=float(b[0]))
+
+
+def _platt_segments(raw: Sequence[float], labels: Sequence[int],
+                    bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_platt` of every segment of the columns: the arrays of t and b.
+
+    Each segment's records are sorted (input order must not affect the
+    fitted bits), and the segments of one length are fitted together as
+    the rows of one block. Warns once per fit that reaches the iteration
+    cap, in segment order.
+    """
+    r, a = _fit_columns(raw, labels, bounds)
+    order = np.lexsort((a, r, segment_ids(bounds)))
     r, a = r[order], a[order]
+    t = np.empty(len(bounds) - 1)
+    b = np.empty(len(bounds) - 1)
+    capped = np.full(len(bounds) - 1, np.nan)
+    for rows, index in length_groups(bounds):
+        t[rows], b[rows], capped[rows] = _newton_rows(r[index], a[index])
+    for norm in capped[~np.isnan(capped)].tolist():
+        message = f"Platt fit stopped at iteration cap with gradient norm {norm:.3g}"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return t, b
 
-    g = smooth_targets(a)
-    mean_target = float(np.mean(g))
-    t = 0.0
-    b = math.log(mean_target / (1.0 - mean_target))
 
-    ll = platt_log_likelihood(t, b, r, g)
+def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton's method on every row of the (k, n) score and label blocks in
+    lockstep, each row stepping as `fit_platt` would step on it alone.
+    Returns t, b and the gradient norm of each row stopped by the iteration
+    cap (NaN for a converged row)."""
+    g = _smooth_rows(a)
+    mean_target = np.mean(g, axis=1)
+    t = np.zeros(len(r))
+    b = np.array([math.log(odds) for odds in (mean_target / (1.0 - mean_target)).tolist()])
+    ll = _log_likelihood_rows(t, b, r, g)
+    t_out, b_out = np.empty(len(r)), np.empty(len(r))
+    capped = np.full(len(r), np.nan)
+    rows = np.arange(len(r))  # the block rows still iterating, in r's numbering
     for iteration in range(MAX_ITER + 1):
-        p = _sigmoid(t * r + b)
-        resid = g - p
-        grad = np.array([np.mean(resid * r), np.mean(resid)])
-        norm = float(np.linalg.norm(grad))
-        if norm <= GRAD_TOL:
-            break
+        grad, p = _gradient_rows(t, b, r, g)
+        norm = np.sqrt(_row_dots(grad, grad))  # np.linalg.norm of each row
+        stop = norm <= GRAD_TOL
         if iteration == MAX_ITER:
-            message = f"Platt fit stopped at iteration cap with gradient norm {norm:.3g}"
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-            break
-        w = p * (1.0 - p)
-        h11 = float(np.mean(w * r * r))
-        h12 = float(np.mean(w * r))
-        h22 = float(np.mean(w))
-        det = h11 * h22 - h12 * h12
-        if det > 1e-12 * max(abs(h11 * h22), 1e-300):
-            # ascent direction (-H)^-1 grad; -H is the positive matrix above
-            step = np.array(
-                [(h22 * grad[0] - h12 * grad[1]) / det, (h11 * grad[1] - h12 * grad[0]) / det]
-            )
-        else:
-            step = grad
-
-        alpha = 1.0
-        directional = float(grad @ step)
-        while True:
-            t_new = t + alpha * step[0]
-            b_new = b + alpha * step[1]
-            ll_new = platt_log_likelihood(t_new, b_new, r, g)
-            # the first step at or below 1e-12 is taken whether or not it passes
-            if ll_new >= ll + 1e-4 * alpha * directional or alpha <= 1e-12:
+            capped[rows[~stop]] = norm[~stop]
+            stop[:] = True
+        if stop.any():
+            t_out[rows[stop]], b_out[rows[stop]] = t[stop], b[stop]
+            if stop.all():
                 break
-            alpha *= 0.5
+            rows, r, g, t, b, ll, grad, p = (x[~stop] for x in (rows, r, g, t, b, ll, grad, p))
+        w = p * (1.0 - p)
+        h11 = np.mean(w * r * r, axis=1)
+        h12 = np.mean(w * r, axis=1)
+        h22 = np.mean(w, axis=1)
+        det = h11 * h22 - h12 * h12
+        newton = det > 1e-12 * np.maximum(np.abs(h11 * h22), 1e-300)
+        with np.errstate(all="ignore"):  # rows with a near-singular Hessian take the gradient
+            # ascent direction (-H)^-1 grad; -H is the positive matrix above
+            step = np.stack(((h22 * grad[:, 0] - h12 * grad[:, 1]) / det,
+                             (h11 * grad[:, 1] - h12 * grad[:, 0]) / det), axis=1)
+        step = np.where(newton[:, None], step, grad)
+
+        # backtracking line search, each row halving its own step size
+        directional = _row_dots(grad, step)
+        alpha = np.ones(len(rows))
+        t_new, b_new = t + step[:, 0], b + step[:, 1]
+        ll_new = _log_likelihood_rows(t_new, b_new, r, g)
+        # the first step at or below 1e-12 is taken whether or not it passes
+        retry = np.flatnonzero(~((ll_new >= ll + 1e-4 * alpha * directional) | (alpha <= 1e-12)))
+        while retry.size:
+            alpha[retry] *= 0.5
+            t_new[retry] = t[retry] + alpha[retry] * step[retry, 0]
+            b_new[retry] = b[retry] + alpha[retry] * step[retry, 1]
+            ll_new[retry] = _log_likelihood_rows(t_new[retry], b_new[retry], r[retry], g[retry])
+            passed = ((ll_new[retry] >= ll[retry] + 1e-4 * alpha[retry] * directional[retry])
+                      | (alpha[retry] <= 1e-12))
+            retry = retry[~passed]
         t, b, ll = t_new, b_new, ll_new
-    return PlattCalibrator(t=float(t), b=float(b))
+    return t_out, b_out, capped
 
 
 def apply_platt(calibrator: PlattCalibrator, raw: float | np.ndarray) -> float | np.ndarray:
@@ -198,17 +268,33 @@ def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibra
     Tied raw scores are merged (weighted by multiplicity) before pooling;
     the blocks are `binning._pav_groups` of the raw scores, the same pass
     that monotonic ECE bins start from. Fitted values are block means,
-    hence in [min label, max label].
+    hence in [min label, max label]. This is the one-segment case of
+    `_isotonic_segments`.
     """
-    r, a = _fit_columns(raw, labels)
+    r = np.asarray(raw, dtype=float)
+    xs, ys, _ = _isotonic_segments(r, labels, bounds_of([len(r)]))
+    return IsotonicCalibrator(knots=tuple(zip(xs.tolist(), ys.tolist())))
 
+
+def _isotonic_segments(raw: Sequence[float], labels: Sequence[int],
+                       bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`fit_isotonic` of every segment of the columns: the knots' x and y,
+    laid end to end, and their bounds per segment."""
+    r, a = _fit_columns(raw, labels, bounds)
     # Knots at block boundaries: first and last unique raw of each block.
-    knots: list[tuple[float, float]] = []
-    for n, y, _, lo, hi in zip(*_pav_groups(r, a)):
-        knots.append((lo, y / n))
-        if hi != lo:
-            knots.append((hi, y / n))
-    return IsotonicCalibrator(knots=tuple(knots))
+    xs: list[float] = []
+    ys: list[float] = []
+    n_knots = []
+    for groups in _pav_segments(r, a, bounds):
+        before = len(xs)
+        for n, y, _, lo, hi in zip(*groups):
+            xs.append(lo)
+            ys.append(y / n)
+            if hi != lo:
+                xs.append(hi)
+                ys.append(y / n)
+        n_knots.append(len(xs) - before)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float), bounds_of(n_knots)
 
 
 def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> float | np.ndarray:
@@ -223,18 +309,29 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
     if not calibrator.knots:
         raise ValueError("empty isotonic calibrator")
     xs, ys = np.asarray(calibrator.knots, dtype=float).T
-    last = len(xs) - 1
+    r = np.asarray(raw, dtype=float)
+    out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(), bounds_of([r.size]),
+                        step=calibrator.mode == "step").reshape(r.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _isotonic_map(xs: np.ndarray, ys: np.ndarray, knot_bounds: np.ndarray, raw: np.ndarray,
+                  bounds: np.ndarray, step: bool = False) -> np.ndarray:
+    """Every segment of `raw` through its own isotonic map: the knots of
+    segment i are xs[knot_bounds[i]:knot_bounds[i + 1]] (nonempty)."""
+    seg = segment_ids(bounds)
+    first, last = knot_bounds[:-1][seg], knot_bounds[1:][seg] - 1
     # clamped to the knot range, a raw score outside it hits the end knot
-    r = np.minimum(np.maximum(np.asarray(raw, dtype=float), xs[0]), xs[last])
-    lo = np.searchsorted(xs, r, side="right") - 1  # rightmost knot with x <= raw
+    r = np.minimum(np.maximum(raw, xs[first]), xs[last])
+    lo = segment_searchsorted(xs, knot_bounds, r, bounds) - 1  # rightmost knot with x <= raw
     out = ys[lo]
-    if calibrator.mode != "step":
+    if not step:
         hi = np.minimum(lo + 1, last)
         with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
             frac = (r - xs[lo]) / (xs[hi] - xs[lo])
         # rounding can carry the sum one ulp past the next knot's value
         out = np.where(r == xs[lo], out, np.minimum(out + frac * (ys[hi] - out), ys[hi]))
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def save_calibrator(

@@ -202,8 +202,9 @@ class SQLiteExecutor:
         Given the table `expect` it must match, the result is None when it
         has another column count (no row is fetched) or another row count
         (at most `len(expect.rows) + 1` rows are fetched: enough to tell that
-        the result has more rows than `expect`). No cell of such a result
-        is canonicalized.
+        the result has more rows than `expect`). A row past that count that
+        fails to evaluate also gives None, not an error: the result has it.
+        No cell of such a result is canonicalized.
         """
         try:
             conn = sqlite3.connect(self._uri, uri=True)
@@ -224,8 +225,19 @@ class SQLiteExecutor:
             elif n_cols != expect.n_cols:
                 return None
             else:
-                rows = cursor.fetchmany(len(expect.rows) + 1)
-                if len(rows) != len(expect.rows):
+                # The cursor evaluates the next row as it returns one, so
+                # fetching n - 1 rows evaluates the first n: a failure there
+                # is the prediction's own.
+                n = len(expect.rows)
+                rows = cursor.fetchmany(n - 1) if n > 1 else []
+                try:
+                    # row n and row n + 1 (evaluating rows n + 1 and n + 2)
+                    rest = [cursor.fetchone()] if n else []
+                    rest.append(cursor.fetchone())
+                except sqlite3.Error:
+                    return None  # a row past the expected count failed: it is there
+                rows += [row for row in rest if row is not None]
+                if len(rows) != n:
                     return None
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from exc

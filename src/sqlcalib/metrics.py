@@ -1,4 +1,9 @@
-"""Calibration and ranking metrics: Brier score, ECE, AUC, thresholded P/R/F1."""
+"""Calibration and ranking metrics: Brier score, ECE, AUC, thresholded P/R/F1.
+
+`_summarize_segments` computes the metric bundle of every split of a batch
+at once, bit for bit as `summarize` of each split; the public functions are
+the one-split case of its parts.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .binning import BinPartition, monotonic_bins, uniform_bins
+from ._segments import (
+    bounds_of,
+    segment_ids,
+    segment_means,
+    segment_searchsorted,
+    select,
+    sorted_ties,
+)
+from .binning import (
+    BinPartition,
+    _monotonic_segments,
+    _uniform_segments,
+    monotonic_bins,
+    uniform_bins,
+)
 
 
 class SingleClassError(ValueError):
@@ -40,47 +59,60 @@ class MetricsReport:
     prf: tuple[ThresholdMetrics, ...]
 
 
-def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
-    """Mean squared difference between confidence and the 0/1 label."""
+def _check_pair(confs: Sequence[float], labels: Sequence[int]) -> None:
     if len(confs) == 0:
         raise ValueError("empty input")
     if len(confs) != len(labels):
         raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
-    c = np.asarray(confs, dtype=float)
-    a = np.asarray(labels, dtype=float)
-    return float(np.mean((a - c) ** 2))
 
 
-def _check_partition(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) -> None:
-    """Re-bin the samples and require the per-bin counts, mean confidences,
-    and accuracies to match the partition."""
+def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
+    """Mean squared difference between confidence and the 0/1 label."""
+    _check_pair(confs, labels)
     c = np.asarray(confs, dtype=float)
-    bins = partition.bins
-    n_bins = len(bins)
-    if partition.mode == "uniform":
+    return float(_briers(c, np.asarray(labels, dtype=float), bounds_of([len(c)]))[0])
+
+
+def _briers(c: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    return segment_means((a - c) ** 2, bounds)
+
+
+def _check_partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
+                      partitions: Sequence[BinPartition]) -> None:
+    """Re-bin every segment's samples into its partition and require the
+    per-bin counts, mean confidences and accuracies to match it. Each bin
+    sums its samples in element order."""
+    seg = segment_ids(bounds)
+    n_bins = np.array([len(p.bins) for p in partitions])
+    bin_bounds = bounds_of(n_bins)
+    bins = [b for p in partitions for b in p.bins]
+    if partitions and partitions[0].mode == "uniform":
         outside = ~(c >= 0.0)  # uniform bins start at 0; NaN compares false
         with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary index, rejected below
-            idx = np.minimum((c * n_bins).astype(int), n_bins - 1)
+            idx = bin_bounds[seg] + np.minimum((c * n_bins[seg]).astype(int), n_bins[seg] - 1)
     else:
-        idx = np.searchsorted([b.lo for b in bins], c, side="right") - 1
-        outside = (idx < 0) | ~(c <= np.array([b.hi for b in bins])[idx])  # NaN: outside
+        idx = segment_searchsorted(np.array([b.lo for b in bins]), bin_bounds, c, bounds) - 1
+        # a sample below its first bin has idx outside its segment's bins
+        outside = (idx < bin_bounds[seg]) | ~(c <= np.array([b.hi for b in bins])[idx])
     if outside.any():
         bad = float(c[outside.argmax()])
         raise ValueError(f"inconsistent partition: confidence {bad!r} falls outside every bin")
-    counts = np.bincount(idx, minlength=n_bins).tolist()
-    conf_sums = np.bincount(idx, weights=c, minlength=n_bins).tolist()
-    a = np.asarray(labels, dtype=float)
-    label_sums = np.bincount(idx, weights=a, minlength=n_bins).tolist()
-    for j, b in enumerate(bins):
-        if counts[j] != b.count:
-            raise ValueError(
-                f"inconsistent partition: bin {j} holds {b.count} samples, data places {counts[j]}"
-            )
-        if b.count:
-            if abs(conf_sums[j] / counts[j] - b.mean_conf) > 1e-9:
-                raise ValueError(f"inconsistent partition: bin {j} mean confidence disagrees")
-            if abs(label_sums[j] / counts[j] - b.accuracy) > 1e-9:
-                raise ValueError(f"inconsistent partition: bin {j} accuracy disagrees")
+    counts = np.bincount(idx, minlength=len(bins))
+    expected = np.array([b.count for b in bins], dtype=int)
+    with np.errstate(invalid="ignore", divide="ignore"):  # empty bins are not compared
+        conf_off = np.abs(np.bincount(idx, weights=c, minlength=len(bins)) / counts
+                          - np.array([b.mean_conf for b in bins])) > 1e-9
+        label_off = np.abs(np.bincount(idx, weights=a, minlength=len(bins)) / counts
+                           - np.array([b.accuracy for b in bins])) > 1e-9
+    wrong = (counts != expected) | ((expected > 0) & (conf_off | label_off))
+    if wrong.any():
+        i = int(wrong.argmax())
+        j = i - int(bin_bounds[np.searchsorted(bin_bounds, i, side="right") - 1])
+        if counts[i] != expected[i]:
+            raise ValueError(f"inconsistent partition: bin {j} holds {expected[i]} samples, "
+                             f"data places {counts[i]}")
+        part = "mean confidence" if conf_off[i] else "accuracy"
+        raise ValueError(f"inconsistent partition: bin {j} {part} disagrees")
 
 
 def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) -> float:
@@ -89,15 +121,26 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     The partition must have been built from the same confidences and labels;
     inconsistency is detected by re-binning the samples.
     """
+    _check_pair(confs, labels)
     n = len(confs)
-    if n == 0:
-        raise ValueError("empty input")
-    if len(labels) != n:
-        raise ValueError(f"length mismatch: {n} confidences vs {len(labels)} labels")
     if partition.n != n:
         raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {n}")
-    _check_partition(confs, labels, partition)
+    c = np.asarray(confs, dtype=float)
+    _check_partitions(c, np.asarray(labels, dtype=float), bounds_of([n]), [partition])
     return partition.objective()
+
+
+def _eces(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
+          min_bin_count: int) -> list[float]:
+    """The ECE of every segment under its own partition of the given mode."""
+    if mode == "uniform":
+        partitions = _uniform_segments(c, a, bounds, n_bins)
+    elif mode == "monotonic":
+        partitions = _monotonic_segments(c, a, bounds, min_bin_count)
+    else:
+        raise ValueError(f"unknown binning mode {mode!r}")
+    _check_partitions(c, a, bounds, partitions)
+    return [p.objective() for p in partitions]
 
 
 def _single_class(labels: Sequence[int]) -> bool:
@@ -121,13 +164,29 @@ def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:
         raise SingleClassError(
             f"AUC undefined: {n_pos} positive and {n_neg} negative labels"
         )
-    uniq, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
-    before = np.concatenate(([0.0], np.cumsum(counts)))[:-1]
-    group_rank = before + (counts + 1) / 2.0  # 1-based average rank per tie group
-    ranks = group_rank[inverse]
-    rank_sum_pos = float(np.sum(ranks[a == 1]))
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    return float(_aucs(s, a, bounds_of([len(s)]))[0])
+
+
+def _aucs(s: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The AUC of every segment, NaN where one class is absent. Ranks and
+    their sums are integers or halves, so they are exact in any order."""
+    seg = segment_ids(bounds)
+    m = len(bounds) - 1
+    n_pos = np.bincount(seg[a == 1], minlength=m)
+    n_neg = np.bincount(seg[a == 0], minlength=m)
+    order, first = sorted_ties(s, bounds)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(order)))
+    seg = seg[order]
+    # 1-based average rank of each tie group within its segment
+    group_rank = (starts - bounds[seg[starts]]) + (counts + 1) / 2.0
+    positive = a[order] == 1
+    rank_sums = np.bincount(seg[positive], weights=group_rank[np.cumsum(first) - 1][positive],
+                            minlength=m)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    out[(n_pos == 0) | (n_neg == 0)] = np.nan
+    return out
 
 
 def prf_at_threshold(
@@ -138,20 +197,30 @@ def prf_at_threshold(
     Zero-denominator convention: precision 0 with no predicted positives,
     recall 0 with no true positives, F1 0 when precision + recall is 0.
     """
-    if len(confs) == 0:
-        raise ValueError("empty input")
-    if len(confs) != len(labels):
-        raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
+    _check_pair(confs, labels)
     c = np.asarray(confs, dtype=float)
-    a = np.asarray(labels)
-    predicted = c >= tau
-    tp = int(np.sum(predicted & (a == 1)))
-    fp = int(np.sum(predicted & (a == 0)))
-    fn = int(np.sum(~predicted & (a == 1)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ThresholdMetrics(threshold=tau, precision=precision, recall=recall, f1=f1)
+    return _prfs(c, np.asarray(labels), bounds_of([len(c)]), [tau])[0][0]
+
+
+def _prfs(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
+          thresholds: Sequence[float]) -> list[tuple[ThresholdMetrics, ...]]:
+    """P/R/F1 of every segment at every threshold, from integer counts."""
+    seg = segment_ids(bounds)
+    m = len(bounds) - 1
+    pos, neg = a == 1, a == 0
+    columns = []
+    for tau in thresholds:
+        predicted = c >= tau
+        tp = np.bincount(seg[predicted & pos], minlength=m)
+        fp = np.bincount(seg[predicted & neg], minlength=m)
+        fn = np.bincount(seg[~predicted & pos], minlength=m)
+        precision = np.divide(tp, tp + fp, out=np.zeros(m), where=tp + fp > 0)
+        recall = np.divide(tp, tp + fn, out=np.zeros(m), where=tp + fn > 0)
+        total = precision + recall
+        f1 = np.divide(2 * precision * recall, total, out=np.zeros(m), where=total > 0)
+        columns.append([ThresholdMetrics(tau, *v)
+                        for v in zip(precision.tolist(), recall.tolist(), f1.tolist())])
+    return list(zip(*columns)) if columns else [()] * m
 
 
 def _partition(confs: Sequence[float], labels: Sequence[int], mode: str, n_bins: int,
@@ -180,21 +249,54 @@ def summarize(
     AUC is ranked on the raw scores (both calibrators are monotone, so it is
     unchanged by them); it is NaN when the labels hold one class.
     Thresholded P/R/F1 uses `threshold_scores`, defaulting to the
-    isotonic-calibrated scores.
+    isotonic-calibrated scores. This is the one-segment case of
+    `_summarize_segments`.
     """
-    raw = np.asarray(raw_scores, dtype=float)
-    ece_raw = None
-    if raw.size and raw.min() >= 0.0 and raw.max() <= 1.0:
-        ece_raw = ece(raw, labels, _partition(raw, labels, binning, n_bins, min_bin_count))
     if threshold_scores is None:
         threshold_scores = isotonic_scores
-    return MetricsReport(
-        bs_p=brier(platt_scores, labels),
-        bs_i=brier(isotonic_scores, labels),
-        auc=float("nan") if _single_class(labels) else auc(raw_scores, labels),
-        ece_raw=ece_raw,
-        ece_p=ece(platt_scores, labels, _partition(platt_scores, labels, binning, n_bins, min_bin_count)),
-        ece_i=ece(isotonic_scores, labels, _partition(isotonic_scores, labels, binning, n_bins, min_bin_count)),
-        binning_mode=binning,
-        prf=tuple(prf_at_threshold(threshold_scores, labels, t) for t in thresholds),
-    )
+    columns = (raw_scores, platt_scores, isotonic_scores, threshold_scores)
+    for column in columns:
+        _check_pair(column, labels)
+    raw, platt, iso, scores = (np.asarray(column, dtype=float) for column in columns)
+    return _summarize_segments(
+        raw, platt, iso, np.asarray(labels, dtype=float), bounds_of([len(raw)]),
+        binning=binning, n_bins=n_bins, min_bin_count=min_bin_count, thresholds=thresholds,
+        threshold_scores=scores,
+    )[0]
+
+
+def _summarize_segments(
+    raw: np.ndarray,
+    platt: np.ndarray,
+    iso: np.ndarray,
+    labels: np.ndarray,
+    bounds: np.ndarray,
+    *,
+    binning: str,
+    n_bins: int,
+    min_bin_count: int,
+    thresholds: Sequence[float],
+    threshold_scores: np.ndarray,
+) -> list[MetricsReport]:
+    """`summarize` of every segment of the columns; the segments are nonempty."""
+    # raw ECE only where a segment's raw scores lie in [0, 1]
+    keep = np.flatnonzero((np.minimum.reduceat(raw, bounds[:-1]) >= 0.0)
+                          & (np.maximum.reduceat(raw, bounds[:-1]) <= 1.0))
+    ece_raw: list[float | None] = [None] * (len(bounds) - 1)
+    rows, kept = select(bounds, keep)
+    for i, value in zip(keep.tolist(),
+                        _eces(raw[rows], labels[rows], kept, binning, n_bins, min_bin_count)):
+        ece_raw[i] = value
+    return [
+        MetricsReport(bs_p=bs_p, bs_i=bs_i, auc=auc_, ece_raw=e_raw, ece_p=e_p, ece_i=e_i,
+                      binning_mode=binning, prf=prf)
+        for bs_p, bs_i, auc_, e_raw, e_p, e_i, prf in zip(
+            _briers(platt, labels, bounds).tolist(),
+            _briers(iso, labels, bounds).tolist(),
+            _aucs(raw, labels, bounds).tolist(),
+            ece_raw,
+            _eces(platt, labels, bounds, binning, n_bins, min_bin_count),
+            _eces(iso, labels, bounds, binning, n_bins, min_bin_count),
+            _prfs(threshold_scores, labels, bounds, thresholds),
+        )
+    ]

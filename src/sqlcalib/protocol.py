@@ -15,8 +15,28 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import apply_isotonic, apply_platt, fit_isotonic, fit_platt
-from .metrics import MetricsReport, ThresholdMetrics, _single_class, summarize
+from ._segments import bounds_of, segment_ids
+
+# The evaluator runs every split through the segment forms of the fitters,
+# maps and summary. Their one-split forms stay importable here, where the
+# per-layer tracer of perfbench/ wraps them.
+from .calibrate import (  # noqa: F401
+    _isotonic_map,
+    _isotonic_segments,
+    _platt_segments,
+    _sigmoid,
+    apply_isotonic,
+    apply_platt,
+    fit_isotonic,
+    fit_platt,
+)
+from .metrics import (  # noqa: F401
+    MetricsReport,
+    ThresholdMetrics,
+    _single_class,
+    _summarize_segments,
+    summarize,
+)
 from .records import Dataset, PredictionRecord, make_dataset
 from .scoring import ScoredRecord
 
@@ -110,37 +130,41 @@ def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int
     return {s: i % k for i, s in enumerate(ordered)}
 
 
-def _summarize(raw, platt_scores, iso_scores, labels, cfg: ProtocolConfig) -> MetricsReport:
-    """The metric bundle for one held-out set; AUC is NaN when it is single-class."""
-    return summarize(
-        raw,
-        platt_scores,
-        iso_scores,
-        labels,
+def _summarize(raw: np.ndarray, platt: np.ndarray, iso: np.ndarray, labels: np.ndarray,
+               bounds: np.ndarray, cfg: ProtocolConfig) -> list[MetricsReport]:
+    """The metric bundle of every held-out segment; AUC is NaN for a
+    single-class one."""
+    return _summarize_segments(
+        raw, platt, iso, labels, bounds,
         binning=cfg.binning,
         n_bins=cfg.n_bins,
         min_bin_count=cfg.min_bin_count,
         thresholds=cfg.thresholds,
-        threshold_scores=platt_scores if cfg.calibrator == "platt" else iso_scores,
+        threshold_scores=platt if cfg.calibrator == "platt" else iso,
     )
 
 
-def _evaluate_split(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray, test: np.ndarray,
-                    cfg: ProtocolConfig):
-    """Fit both calibrators on the `tune` rows of the score and label
-    arrays, apply them to the `test` rows and summarize.
+def _evaluate_splits(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray,
+                     tune_bounds: np.ndarray, test: np.ndarray, test_bounds: np.ndarray,
+                     cfg: ProtocolConfig):
+    """Evaluate every split at once: fit both calibrators on each split's
+    tuning rows, apply them to its test rows and summarize each split.
 
-    `tune` and `test` are boolean masks or index arrays. Returns the report
-    with the raw, Platt, isotonic and label arrays it was computed from, so
-    a caller can pool them across splits.
+    Split i tunes on the rows tune[tune_bounds[i]:tune_bounds[i + 1]] of the
+    score and label arrays and is tested on test[test_bounds[i]:...]; every
+    output is bit for bit that of fitting, applying and summarizing one
+    split at a time. Returns the reports with the test columns (raw, Platt,
+    isotonic, labels) they were computed from, so a caller can pool them.
     """
-    platt = fit_platt(raw[tune], labels[tune])
-    isotonic = fit_isotonic(raw[tune], labels[tune])
+    tune_raw, tune_labels = raw[tune], labels[tune]
+    t, b = _platt_segments(tune_raw, tune_labels, tune_bounds)
+    knots = _isotonic_segments(tune_raw, tune_labels, tune_bounds)
     raw, labels = raw[test], labels[test]
-    platt_scores = apply_platt(platt, raw)
-    iso_scores = apply_isotonic(isotonic, raw)
-    report = _summarize(raw, platt_scores, iso_scores, labels, cfg)
-    return report, raw, platt_scores, iso_scores, labels
+    split = segment_ids(test_bounds)
+    platt_scores = _sigmoid(t[split] * raw + b[split])
+    iso_scores = _isotonic_map(*knots, raw, test_bounds)
+    columns = (raw, platt_scores, iso_scores, labels)
+    return _summarize(*columns, test_bounds, cfg), columns
 
 
 def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -218,25 +242,29 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
                 raise ValueError(f"fold {f}: test split has {len(raw) - n_tune} records, "
                                  f"below min_bin_count {cfg.min_bin_count}")
 
+    # fold f tunes on its own rows and is tested on every other row, in order
+    n_tune = np.bincount(fold_of, minlength=cfg.k)
+    tune = np.argsort(fold_of, kind="stable")
+    other = np.tile(fold_of, cfg.k) != np.repeat(np.arange(cfg.k), len(raw))
+    test = np.tile(np.arange(len(raw)), cfg.k)[other]
+    reports, _ = _evaluate_splits(raw, labels, tune, bounds_of(n_tune), test,
+                                  bounds_of(len(raw) - n_tune), cfg)
+
     folds: list[FoldMetrics] = []
     notes: list[str] = []
-    for f in range(cfg.k):
-        tune = fold_of == f
-        test = ~tune
-        n_tune = int(tune.sum())
-        degenerate = n_tune < 2 or _single_class(labels[tune])
+    for f, report in enumerate(reports):
+        degenerate = n_tune[f] < 2 or _single_class(labels[fold_of == f])
         if degenerate:
             notes.append(f"fold {f}: degenerate tuning split (Platt reduces to a constant map)")
-        if _single_class(labels[test]):
+        if _single_class(labels[fold_of != f]):
             notes.append(f"fold {f}: single-class test split, AUC undefined")
-        report = _evaluate_split(raw, labels, tune, test, cfg)[0]
         folds.append(
             FoldMetrics(
                 fold=f,
-                n_tune=n_tune,
-                n_test=len(raw) - n_tune,
+                n_tune=int(n_tune[f]),
+                n_test=len(raw) - int(n_tune[f]),
                 metrics=report,
-                degenerate_tune=degenerate,
+                degenerate_tune=bool(degenerate),
             )
         )
 
@@ -270,9 +298,10 @@ def schema_level_evaluate(
     starts = [i for i, s in enumerate(ordered) if i == 0 or s.schema_id != ordered[i - 1].schema_id]
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    rows: list[SchemaMetrics] = []
+    kept: list[tuple[str, int, int]] = []  # (schema_id, n_tune, n_eval)
     skipped: list[tuple[str, str]] = []
-    pooled: list[list[np.ndarray]] = []  # per schema: raw, Platt, isotonic, labels
+    tune: list[np.ndarray] = []
+    evaluation: list[np.ndarray] = []
 
     for start, end in zip(starts, starts[1:] + [len(ordered)]):
         schema_id, n = ordered[start].schema_id, end - start
@@ -288,22 +317,24 @@ def schema_level_evaluate(
             skipped.append((schema_id, f"only {n - n_tune} evaluation records, "
                                        f"need min_bin_count {cfg.min_bin_count}"))
             continue
-        tune = start + perm[:n_tune]
-        evaluation = start + np.sort(perm[n_tune:])
+        kept.append((schema_id, n_tune, n - n_tune))
+        tune.append(start + perm[:n_tune])
+        evaluation.append(start + np.sort(perm[n_tune:]))
 
-        report, *arrays = _evaluate_split(raw, labels, tune, evaluation, cfg)
-        rows.append(
-            SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=len(evaluation), metrics=report)
-        )
-        pooled.append(arrays)
-
-    if not rows:
+    if not kept:
         schema_id, reason = skipped[0]
         raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
                          f"first {schema_id}: {reason}")
-    micro = _summarize(*(np.concatenate(column) for column in zip(*pooled)), cfg)
+    _, n_tunes, n_evals = zip(*kept)
+    reports, pooled = _evaluate_splits(raw, labels, np.concatenate(tune), bounds_of(n_tunes),
+                                       np.concatenate(evaluation), bounds_of(n_evals), cfg)
+    rows = tuple(
+        SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=n_eval, metrics=report)
+        for (schema_id, n_tune, n_eval), report in zip(kept, reports)
+    )
+    micro = _summarize(*pooled, bounds_of([len(pooled[0])]), cfg)[0]
     return SchemaLevelReport(
-        method=method, config=cfg, schemas=tuple(rows), micro=micro, skipped=tuple(skipped)
+        method=method, config=cfg, schemas=rows, micro=micro, skipped=tuple(skipped)
     )
 
 

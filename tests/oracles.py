@@ -1,15 +1,32 @@
 """Independent brute-force oracles used to verify the fast implementations.
 
 Each is a direct enumeration; none shares code with the module it checks.
+The exception is the per-split evaluation reference at the end: it runs
+one split at a time through the public one-split fitters, maps and
+summary, which the batched evaluator must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
+from sqlcalib.calibrate import apply_isotonic, apply_platt, fit_isotonic, fit_platt
 from sqlcalib.execmatch import ResultTable
+from sqlcalib.metrics import _single_class, summarize
+from sqlcalib.protocol import (
+    EvaluationReport,
+    FoldMetrics,
+    SchemaLevelReport,
+    SchemaMetrics,
+    _aggregate,
+    _aggregate_prf,
+    _assign_folds,
+    _columns,
+    _single_method,
+)
 
 
 def _tie_groups(sorted_values) -> list[tuple[int, int]]:
@@ -160,3 +177,88 @@ def isotonic_reference(knots, mode: str, raw: float) -> float:
         return ys[lo]
     frac = (raw - xs[lo]) / (xs[hi] - xs[lo])
     return min(ys[lo] + frac * (ys[hi] - ys[lo]), ys[hi])
+
+
+def _summarize_split(raw, platt_scores, iso_scores, labels, cfg):
+    return summarize(
+        raw, platt_scores, iso_scores, labels,
+        binning=cfg.binning, n_bins=cfg.n_bins, min_bin_count=cfg.min_bin_count,
+        thresholds=cfg.thresholds,
+        threshold_scores=platt_scores if cfg.calibrator == "platt" else iso_scores,
+    )
+
+
+def evaluate_split(raw, labels, tune, test, cfg):
+    """Fit both calibrators on the `tune` rows, apply them to the `test`
+    rows and summarize: one split, as the evaluator did before it batched
+    all splits. Returns the report and the test columns it came from."""
+    platt = fit_platt(raw[tune], labels[tune])
+    isotonic = fit_isotonic(raw[tune], labels[tune])
+    raw, labels = raw[test], labels[test]
+    platt_scores = apply_platt(platt, raw)
+    iso_scores = apply_isotonic(isotonic, raw)
+    report = _summarize_split(raw, platt_scores, iso_scores, labels, cfg)
+    return report, raw, platt_scores, iso_scores, labels
+
+
+def reference_cross_validate(scored, cfg) -> EvaluationReport:
+    """`protocol.cross_validate`, one fold at a time."""
+    method = _single_method(scored)
+    ordered = sorted(scored, key=lambda s: s.id)
+    raw, labels = _columns(ordered)
+    schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
+    fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
+    if cfg.binning == "monotonic":
+        for f, n_tune in enumerate(np.bincount(fold_of, minlength=cfg.k).tolist()):
+            if len(raw) - n_tune < cfg.min_bin_count:
+                raise ValueError(f"fold {f}: test split has {len(raw) - n_tune} records, "
+                                 f"below min_bin_count {cfg.min_bin_count}")
+    folds, notes = [], []
+    for f in range(cfg.k):
+        tune = fold_of == f
+        n_tune = int(tune.sum())
+        degenerate = n_tune < 2 or _single_class(labels[tune])
+        if degenerate:
+            notes.append(f"fold {f}: degenerate tuning split (Platt reduces to a constant map)")
+        if _single_class(labels[~tune]):
+            notes.append(f"fold {f}: single-class test split, AUC undefined")
+        report = evaluate_split(raw, labels, tune, ~tune, cfg)[0]
+        folds.append(FoldMetrics(fold=f, n_tune=n_tune, n_test=len(raw) - n_tune,
+                                 metrics=report, degenerate_tune=degenerate))
+    mean, std = _aggregate(folds)
+    prf_mean, prf_std = _aggregate_prf(folds)
+    return EvaluationReport(method=method, config=cfg, folds=tuple(folds), mean=mean, std=std,
+                            prf_mean=prf_mean, prf_std=prf_std, notes=tuple(notes))
+
+
+def reference_schema_level(scored, cfg) -> SchemaLevelReport:
+    """`protocol.schema_level_evaluate`, one schema at a time."""
+    method = _single_method(scored)
+    ordered = sorted(sorted(scored, key=lambda s: s.id), key=lambda s: s.schema_id)
+    raw, labels = _columns(ordered)
+    starts = [i for i, s in enumerate(ordered) if i == 0 or s.schema_id != ordered[i - 1].schema_id]
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rows, skipped, pooled = [], [], []
+    for start, end in zip(starts, starts[1:] + [len(ordered)]):
+        schema_id, n = ordered[start].schema_id, end - start
+        if n < cfg.min_schema_records:
+            skipped.append((schema_id, f"only {n} records, need {cfg.min_schema_records}"))
+            continue
+        perm = rng.permutation(n)
+        n_tune = min(max(1, int(round(cfg.tune_fraction * n))), n - 1)
+        if cfg.binning == "monotonic" and n - n_tune < cfg.min_bin_count:
+            skipped.append((schema_id, f"only {n - n_tune} evaluation records, "
+                                       f"need min_bin_count {cfg.min_bin_count}"))
+            continue
+        evaluation = start + np.sort(perm[n_tune:])
+        report, *arrays = evaluate_split(raw, labels, start + perm[:n_tune], evaluation, cfg)
+        rows.append(SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=len(evaluation),
+                                  metrics=report))
+        pooled.append(arrays)
+    if not rows:
+        schema_id, reason = skipped[0]
+        raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
+                         f"first {schema_id}: {reason}")
+    micro = _summarize_split(*(np.concatenate(column) for column in zip(*pooled)), cfg)
+    return SchemaLevelReport(method=method, config=cfg, schemas=tuple(rows), micro=micro,
+                             skipped=tuple(skipped))

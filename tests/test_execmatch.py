@@ -328,6 +328,15 @@ class TestSQLiteExecutor:
         with pytest.raises(ExecutionError, match="integer overflow"):
             ex.execute(third_fails)
         assert ex.execute(third_fails, expect=empty) is None
+        one = ex.execute("SELECT name FROM singer WHERE age = 25")
+        # a fetch of two rows would fail at the third, which lies past one gold row
+        assert ex.execute(third_fails, expect=one) is None
+        second_fails = ("SELECT CASE WHEN rowid < 2 THEN name "
+                        "ELSE abs(-9223372036854775806 - rowid) END FROM singer")
+        assert ex.execute(second_fails, expect=one) is None
+        first_fails = "SELECT abs(-9223372036854775807 - rowid) FROM singer"
+        with pytest.raises(ExecutionError, match="integer overflow"):
+            ex.execute(first_fails, expect=one)
         assert ex.execute("SELECT country FROM singer WHERE age = 25", expect=gold) == (
             ResultTable(n_cols=1, rows=(("t:US",),)))
 
@@ -389,6 +398,15 @@ class TestLabelRecord:
             label_record(gold, pred, ex, outcomes=outcomes)
         assert outcomes == Counter({"matched": 1, "mismatched": 1, "pred error": 1,
                                     "pred timeout": 1, "shape or row-cap reject": 2})
+
+    def test_failure_past_the_gold_row_count_is_a_row_cap_reject(self, db):
+        ex = SQLiteExecutor(db)
+        gold = "SELECT name FROM singer WHERE age = 25"
+        third_fails = ("SELECT CASE WHEN rowid < 3 THEN name "
+                       "ELSE abs(-9223372036854775805 - rowid) END FROM singer")
+        outcomes = Counter()
+        assert label_record(gold, third_fails, ex, outcomes=outcomes) == 0
+        assert outcomes == Counter({"shape or row-cap reject": 1})
 
     def test_cross_join_prediction_labels_zero_at_once(self, tmp_path):
         # 3,000 orders make a cross join of 9 million rows. Against six gold columns

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_cross_validate, reference_schema_level
 
 from sqlcalib.metrics import auc
 from sqlcalib.protocol import (
@@ -314,3 +317,81 @@ class TestSynthetic:
             tune = {s for s, fold in mapping.items() if fold == f}
             test = {s for s, fold in mapping.items() if fold != f}
             assert not (tune & test)
+
+
+RAW_KINDS = ("uniform", "ties", "constant", "spread")
+LABEL_KINDS = ("drawn", "drawn", "all_0", "all_1")
+
+
+@st.composite
+def scored_sets(draw):
+    """Schemas of 1 to 300 records (numpy sums 128-element blocks pairwise),
+    each with its own kind of raw scores: continuous, few tied values, one
+    constant, or spread over [-1, 1] like the variant method's; and labels
+    drawn at the score or of one class."""
+    sizes = draw(st.lists(st.integers(1, 300), min_size=2, max_size=7))
+    raw_kinds = draw(st.lists(st.sampled_from(RAW_KINDS), min_size=len(sizes),
+                              max_size=len(sizes)))
+    label_kinds = draw(st.lists(st.sampled_from(LABEL_KINDS), min_size=len(sizes),
+                                max_size=len(sizes)))
+    variant = draw(st.booleans())
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    records = []
+    for s, (size, raw_kind, label_kind) in enumerate(zip(sizes, raw_kinds, label_kinds)):
+        raw = {
+            "uniform": lambda: rng.random(size),
+            "ties": lambda: rng.integers(0, 4, size) / 4.0,
+            "constant": lambda: np.full(size, rng.random()),
+            "spread": lambda: rng.uniform(-1.0, 1.0, size),
+        }[raw_kind]()
+        if not variant:
+            raw = np.abs(raw)
+        labels = {
+            "drawn": lambda: (rng.random(size) < np.abs(raw)).astype(int),
+            "all_0": lambda: np.zeros(size, dtype=int),
+            "all_1": lambda: np.ones(size, dtype=int),
+        }[label_kind]()
+        records += [ScoredRecord(id=f"r{s}-{j:03d}", schema_id=f"schema{s}", label=int(labels[j]),
+                                 method="variant_alt" if variant else "prod",
+                                 raw_score=float(raw[j]))
+                    for j in range(size)]
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+configs = st.builds(
+    ProtocolConfig,
+    k=st.integers(2, 4),
+    binning=st.sampled_from(["uniform", "monotonic"]),
+    n_bins=st.integers(1, 12),
+    min_bin_count=st.integers(1, 6),
+    seed=st.integers(0, 1000),
+    calibrator=st.sampled_from(["platt", "isotonic"]),
+    tune_fraction=st.floats(0.05, 0.6),
+    min_schema_records=st.integers(2, 12),
+)
+
+
+def _outcome(evaluate, scored, cfg):
+    try:
+        return repr(evaluate(scored, cfg))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSegmentedEvaluator:
+    """Both scopes evaluate every split at once; the reports must equal
+    those of one split at a time bit for bit. `repr` is compared because a
+    NaN AUC makes `==` false."""
+
+    @given(scored=scored_sets(), cfg=configs)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_schema_level_matches_per_split_reference(self, scored, cfg):
+        cfg = replace(cfg, scope="schema_level")
+        assert (_outcome(schema_level_evaluate, scored, cfg)
+                == _outcome(reference_schema_level, scored, cfg))
+
+    @given(scored=scored_sets(), cfg=configs)
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_cross_validate_matches_per_fold_reference(self, scored, cfg):
+        assert (_outcome(cross_validate, scored, cfg)
+                == _outcome(reference_cross_validate, scored, cfg))
