@@ -30,7 +30,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._segments import bounds_of, length_groups, segment_ids, segment_searchsorted
+from ._segments import (
+    bounds_of,
+    length_groups,
+    segment_ids,
+    segment_searchsorted,
+    stable_argsort,
+)
 from .binning import _pav_segments
 from .records import RecordError, _floats
 
@@ -80,6 +86,12 @@ def smooth_targets(labels: Sequence[int]) -> np.ndarray:
     return _smooth_rows(np.asarray(labels, dtype=float)[None, :])[0]
 
 
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """`np.mean(x, axis=1)` bit for bit (the row sums divided by the row
+    length), without `np.mean`'s per-call overhead."""
+    return x.sum(axis=1) / x.shape[1]
+
+
 def _smooth_rows(a: np.ndarray) -> np.ndarray:
     """`smooth_targets` of every row of a label block."""
     n_pos = a.sum(axis=1)
@@ -108,7 +120,7 @@ def _log_likelihood_rows(t: np.ndarray, b: np.ndarray, r: np.ndarray, g: np.ndar
     # log sigma(z) and log(1 - sigma(z)) via logaddexp for stability
     log_p = -np.logaddexp(0.0, -z)
     log_q = -np.logaddexp(0.0, z)
-    return np.mean(g * log_p + (1.0 - g) * log_q, axis=1)
+    return _row_means(g * log_p + (1.0 - g) * log_q)
 
 
 def platt_gradient(
@@ -125,12 +137,16 @@ def _gradient_rows(t: np.ndarray, b: np.ndarray, r: np.ndarray,
     fitted probabilities they were computed from."""
     p = _sigmoid(t[:, None] * r + b[:, None])
     resid = g - p
-    return np.stack((np.mean(resid * r, axis=1), np.mean(resid, axis=1)), axis=1), p
+    grad = np.empty((len(r), 2))
+    grad[:, 0] = _row_means(resid * r)
+    grad[:, 1] = _row_means(resid)
+    return grad, p
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[i] @ y[i] for every row of two (k, 2) arrays, through the same BLAS
-    dot as a 1-D `@` (a matmul of 1-element stacks)."""
+    """x[i] @ y[i] for every row of two (k, 2) arrays. A matmul of 1-element
+    stacks calls the BLAS dot that a 1-D `@` calls; x0 * y0 + x1 * y1 can
+    differ from it in the last bit (BLAS fuses a multiply-add)."""
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
@@ -186,7 +202,8 @@ def _platt_segments(raw: Sequence[float], labels: Sequence[int],
     cap, in segment order.
     """
     r, a = _fit_columns(raw, labels, bounds)
-    order = np.lexsort((a, r, segment_ids(bounds)))
+    order = np.lexsort((a, r))  # then stably by segment: sorted within each
+    order = order[stable_argsort(segment_ids(bounds)[order], len(bounds) - 1)]
     r, a = r[order], a[order]
     t = np.empty(len(bounds) - 1)
     b = np.empty(len(bounds) - 1)
@@ -205,7 +222,7 @@ def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     Returns t, b and the gradient norm of each row stopped by the iteration
     cap (NaN for a converged row)."""
     g = _smooth_rows(a)
-    mean_target = np.mean(g, axis=1)
+    mean_target = _row_means(g)
     t = np.zeros(len(r))
     b = np.array([math.log(odds) for odds in (mean_target / (1.0 - mean_target)).tolist()])
     ll = _log_likelihood_rows(t, b, r, g)
@@ -225,16 +242,18 @@ def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
                 break
             rows, r, g, t, b, ll, grad, p = (x[~stop] for x in (rows, r, g, t, b, ll, grad, p))
         w = p * (1.0 - p)
-        h11 = np.mean(w * r * r, axis=1)
-        h12 = np.mean(w * r, axis=1)
-        h22 = np.mean(w, axis=1)
-        det = h11 * h22 - h12 * h12
-        newton = det > 1e-12 * np.maximum(np.abs(h11 * h22), 1e-300)
+        h11 = _row_means(w * r * r)
+        h12 = _row_means(w * r)
+        h22 = _row_means(w)
+        h11_h22 = h11 * h22
+        det = h11_h22 - h12 * h12
+        newton = det > 1e-12 * np.maximum(np.abs(h11_h22), 1e-300)
+        step = np.empty_like(grad)
         with np.errstate(all="ignore"):  # rows with a near-singular Hessian take the gradient
             # ascent direction (-H)^-1 grad; -H is the positive matrix above
-            step = np.stack(((h22 * grad[:, 0] - h12 * grad[:, 1]) / det,
-                             (h11 * grad[:, 1] - h12 * grad[:, 0]) / det), axis=1)
-        step = np.where(newton[:, None], step, grad)
+            step[:, 0] = (h22 * grad[:, 0] - h12 * grad[:, 1]) / det
+            step[:, 1] = (h11 * grad[:, 1] - h12 * grad[:, 0]) / det
+        step[~newton] = grad[~newton]
 
         # backtracking line search, each row halving its own step size
         directional = _row_dots(grad, step)
@@ -320,18 +339,19 @@ def _isotonic_map(xs: np.ndarray, ys: np.ndarray, knot_bounds: np.ndarray, raw: 
     """Every segment of `raw` through its own isotonic map: the knots of
     segment i are xs[knot_bounds[i]:knot_bounds[i + 1]] (nonempty)."""
     seg = segment_ids(bounds)
-    first, last = knot_bounds[:-1][seg], knot_bounds[1:][seg] - 1
+    last = knot_bounds[1:][seg] - 1
     # clamped to the knot range, a raw score outside it hits the end knot
-    r = np.minimum(np.maximum(raw, xs[first]), xs[last])
+    r = np.minimum(np.maximum(raw, xs[knot_bounds[:-1]][seg]), xs[last])
     lo = segment_searchsorted(xs, knot_bounds, r, bounds) - 1  # rightmost knot with x <= raw
-    out = ys[lo]
-    if not step:
-        hi = np.minimum(lo + 1, last)
-        with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
-            frac = (r - xs[lo]) / (xs[hi] - xs[lo])
-        # rounding can carry the sum one ulp past the next knot's value
-        out = np.where(r == xs[lo], out, np.minimum(out + frac * (ys[hi] - out), ys[hi]))
-    return out
+    x_lo, y_lo = xs[lo], ys[lo]
+    if step:
+        return y_lo
+    hi = np.minimum(lo + 1, last)
+    x_hi, y_hi = xs[hi], ys[hi]
+    with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
+        frac = (r - x_lo) / (x_hi - x_lo)
+    # rounding can carry the sum one ulp past the next knot's value
+    return np.where(r == x_lo, y_lo, np.minimum(y_lo + frac * (y_hi - y_lo), y_hi))
 
 
 def save_calibrator(

@@ -205,15 +205,13 @@ def prf_at_threshold(
 def _prfs(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
           thresholds: Sequence[float]) -> list[tuple[ThresholdMetrics, ...]]:
     """P/R/F1 of every segment at every threshold, from integer counts."""
-    seg = segment_ids(bounds)
     m = len(bounds) - 1
-    pos, neg = a == 1, a == 0
+    # (segment, predicted, class) ids; class 1 for label 1, 2 for label 0, 0 for neither
+    base = segment_ids(bounds) * 6 + (a == 1) + 2 * (a == 0)
     columns = []
     for tau in thresholds:
-        predicted = c >= tau
-        tp = np.bincount(seg[predicted & pos], minlength=m)
-        fp = np.bincount(seg[predicted & neg], minlength=m)
-        fn = np.bincount(seg[~predicted & pos], minlength=m)
+        counts = np.bincount(base + 3 * (c >= tau), minlength=6 * m).reshape(m, 2, 3)
+        tp, fp, fn = counts[:, 1, 1], counts[:, 1, 2], counts[:, 0, 1]
         precision = np.divide(tp, tp + fp, out=np.zeros(m), where=tp + fp > 0)
         recall = np.divide(tp, tp + fn, out=np.zeros(m), where=tp + fn > 0)
         total = precision + recall
