@@ -127,7 +127,6 @@ def _pav_segments(values: np.ndarray, labels: np.ndarray,
     opened = np.where(opens, group_seg, -1)  # the segment a group opens, else -1
 
     out = [([], [], [], [], []) for _ in range(len(bounds) - 1)]
-    ns = ys = cs = los = his = []
     for value, count, label_sum, seg in zip(values[order][starts].tolist(), counts.tolist(),
                                             label_sums.tolist(), opened.tolist()):
         if seg >= 0:
