@@ -203,7 +203,9 @@ class SQLiteExecutor:
         has another column count (no row is fetched) or another row count
         (at most `len(expect.rows) + 1` rows are fetched: enough to tell that
         the result has more rows than `expect`). A row past that count that
-        fails to evaluate also gives None, not an error: the result has it.
+        fails to evaluate also gives None, not an error: the result has it;
+        but a query stopped at the deadline while it looks for that row
+        raises, as any other timeout.
         No cell of such a result is canonicalized.
         """
         try:
@@ -235,6 +237,8 @@ class SQLiteExecutor:
                     rest = [cursor.fetchone()] if n else []
                     rest.append(cursor.fetchone())
                 except sqlite3.Error:
+                    if time.monotonic() > deadline:
+                        raise  # interrupted by the watchdog: no further row is known
                     return None  # a row past the expected count failed: it is there
                 rows += [row for row in rest if row is not None]
                 if len(rows) != n:

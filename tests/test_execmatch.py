@@ -408,6 +408,18 @@ class TestLabelRecord:
         assert label_record(gold, third_fails, ex, outcomes=outcomes) == 0
         assert outcomes == Counter({"shape or row-cap reject": 1})
 
+    def test_timeout_while_looking_past_the_gold_row_count_is_a_timeout(self, db):
+        # the one row comes at once; the search for a second never ends
+        one_then_endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                            "SELECT 'Ann' FROM c WHERE x = 1 OR x < 0")
+        ex = SQLiteExecutor(db, timeout_s=0.05)
+        gold = "SELECT name FROM singer WHERE age = 25"
+        with pytest.raises(ExecutionError, match="interrupted"):
+            ex.execute(one_then_endless, expect=ex.execute(gold))
+        outcomes = Counter()
+        assert label_record(gold, one_then_endless, ex, outcomes=outcomes) == 0
+        assert outcomes == Counter({"pred timeout": 1})
+
     def test_cross_join_prediction_labels_zero_at_once(self, tmp_path):
         # 3,000 orders make a cross join of 9 million rows. Against six gold columns
         # it is cut at 41 rows; against one gold column no row is fetched.
