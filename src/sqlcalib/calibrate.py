@@ -242,8 +242,9 @@ def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
                 break
             rows, r, g, t, b, ll, grad, p = (x[~stop] for x in (rows, r, g, t, b, ll, grad, p))
         w = p * (1.0 - p)
-        h11 = _row_means(w * r * r)
-        h12 = _row_means(w * r)
+        wr = w * r
+        h11 = _row_means(wr * r)
+        h12 = _row_means(wr)
         h22 = _row_means(w)
         h11_h22 = h11 * h22
         det = h11_h22 - h12 * h12
@@ -257,11 +258,11 @@ def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
         # backtracking line search, each row halving its own step size
         directional = _row_dots(grad, step)
-        alpha = np.ones(len(rows))
         t_new, b_new = t + step[:, 0], b + step[:, 1]
         ll_new = _log_likelihood_rows(t_new, b_new, r, g)
+        retry = np.flatnonzero(~(ll_new >= ll + 1e-4 * directional))  # the full step failed
+        alpha = np.ones(len(rows))
         # the first step at or below 1e-12 is taken whether or not it passes
-        retry = np.flatnonzero(~((ll_new >= ll + 1e-4 * alpha * directional) | (alpha <= 1e-12)))
         while retry.size:
             alpha[retry] *= 0.5
             t_new[retry] = t[retry] + alpha[retry] * step[retry, 0]
@@ -329,29 +330,29 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
         raise ValueError("empty isotonic calibrator")
     xs, ys = np.asarray(calibrator.knots, dtype=float).T
     r = np.asarray(raw, dtype=float)
-    out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(), bounds_of([r.size]),
+    out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(), np.zeros(r.size, dtype=np.int64),
                         step=calibrator.mode == "step").reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def _isotonic_map(xs: np.ndarray, ys: np.ndarray, knot_bounds: np.ndarray, raw: np.ndarray,
-                  bounds: np.ndarray, step: bool = False) -> np.ndarray:
-    """Every segment of `raw` through its own isotonic map: the knots of
-    segment i are xs[knot_bounds[i]:knot_bounds[i + 1]] (nonempty)."""
-    seg = segment_ids(bounds)
-    last = knot_bounds[1:][seg] - 1
+                  seg: np.ndarray, step: bool = False) -> np.ndarray:
+    """Every raw score through the isotonic map of its segment `seg`: the
+    knots of segment i are xs[knot_bounds[i]:knot_bounds[i + 1]] (nonempty)."""
     # clamped to the knot range, a raw score outside it hits the end knot
-    r = np.minimum(np.maximum(raw, xs[knot_bounds[:-1]][seg]), xs[last])
-    lo = segment_searchsorted(xs, knot_bounds, r, bounds) - 1  # rightmost knot with x <= raw
-    x_lo, y_lo = xs[lo], ys[lo]
+    r = np.minimum(np.maximum(raw, xs[knot_bounds[:-1]][seg]), xs[knot_bounds[1:] - 1][seg])
+    lo = segment_searchsorted(xs, knot_bounds, r, seg) - 1  # rightmost knot with x <= raw
+    y_lo = ys[lo]
     if step:
         return y_lo
-    hi = np.minimum(lo + 1, last)
-    x_hi, y_hi = xs[hi], ys[hi]
+    # the next knot of each knot's segment; the last knot is its own
+    nxt = np.arange(1, len(xs) + 1)
+    nxt[knot_bounds[1:] - 1] -= 1
+    x_lo = xs[lo]
     with np.errstate(all="ignore"):  # 0 / 0 at the last knot, discarded as a knot hit
-        frac = (r - x_lo) / (x_hi - x_lo)
+        frac = (r - x_lo) / (xs[nxt] - xs)[lo]
     # rounding can carry the sum one ulp past the next knot's value
-    return np.where(r == x_lo, y_lo, np.minimum(y_lo + frac * (y_hi - y_lo), y_hi))
+    return np.where(r == x_lo, y_lo, np.minimum(y_lo + frac * (ys[nxt] - ys)[lo], ys[nxt][lo]))
 
 
 def save_calibrator(

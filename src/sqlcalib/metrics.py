@@ -91,7 +91,7 @@ def _check_partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
         with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary index, rejected below
             idx = bin_bounds[seg] + np.minimum((c * n_bins[seg]).astype(int), n_bins[seg] - 1)
     else:
-        idx = segment_searchsorted(np.array([b.lo for b in bins]), bin_bounds, c, bounds) - 1
+        idx = segment_searchsorted(np.array([b.lo for b in bins]), bin_bounds, c, seg) - 1
         # a sample below its first bin has idx outside its segment's bins
         outside = (idx < bin_bounds[seg]) | ~(c <= np.array([b.hi for b in bins])[idx])
     if outside.any():

@@ -162,7 +162,7 @@ def _evaluate_splits(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray,
     raw, labels = raw[test], labels[test]
     split = segment_ids(test_bounds)
     platt_scores = _sigmoid(t[split] * raw + b[split])
-    iso_scores = _isotonic_map(*knots, raw, test_bounds)
+    iso_scores = _isotonic_map(*knots, raw, split)
     columns = (raw, platt_scores, iso_scores, labels)
     return _summarize(*columns, test_bounds, cfg), columns
 
@@ -245,8 +245,8 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     # fold f tunes on its own rows and is tested on every other row, in order
     n_tune = np.bincount(fold_of, minlength=cfg.k)
     tune = np.argsort(fold_of, kind="stable")
-    other = np.tile(fold_of, cfg.k) != np.repeat(np.arange(cfg.k), len(raw))
-    test = np.tile(np.arange(len(raw)), cfg.k)[other]
+    other = fold_of != np.arange(cfg.k)[:, None]
+    test = np.broadcast_to(np.arange(len(raw)), other.shape)[other]
     reports, _ = _evaluate_splits(raw, labels, tune, bounds_of(n_tune), test,
                                   bounds_of(len(raw) - n_tune), cfg)
 

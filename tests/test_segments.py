@@ -6,6 +6,7 @@ import pytest
 
 from sqlcalib._segments import (
     bounds_of,
+    segment_ids,
     segment_means,
     segment_searchsorted,
     segment_sums,
@@ -47,7 +48,7 @@ def test_searchsorted_matches_numpy_per_segment():
     values[::7] = np.nan
     values[1::9] = -0.0
     value_bounds = bounds_of(value_lengths)
-    got = segment_searchsorted(keys, key_bounds, values, value_bounds)
+    got = segment_searchsorted(keys, key_bounds, values, segment_ids(value_bounds))
     want = [lo + np.searchsorted(k, v, side="right") for lo, k, v
             in zip(key_bounds, _slices(keys, key_bounds), _slices(values, value_bounds))]
     assert got.tolist() == np.concatenate(want).tolist()
