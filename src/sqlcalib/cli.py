@@ -99,8 +99,11 @@ def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 1
     write_scored(result.scored, args.out)
     print(f"scored {len(result.scored)} records, skipped {len(result.skipped)}", file=sys.stderr)
+    skipped_ids: dict[str, list[str]] = {}  # by reason
     for rid, reason in result.skipped:
-        print(f"skip {rid}: {reason}", file=sys.stderr)
+        skipped_ids.setdefault(reason, []).append(rid)
+    for reason, ids in skipped_ids.items():
+        print(f"skip {reason}: {len(ids)} records, first {ids[0]}", file=sys.stderr)
     return 0
 
 
@@ -234,17 +237,21 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     records = []
     gold_failures = []
     outcomes: Counter = Counter()
-    for pair, db_path in zip(pairs, db_paths):
-        try:
-            label = label_record(
-                pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
-                strict_columns=args.strict_columns, outcomes=outcomes,
-            )
-        except GoldExecutionError as exc:
-            gold_failures.append(f"{pair.id!r}: {exc.__cause__}")
-            continue
-        extra = {k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS}
-        records.append(replace(pair, label=label, extra=extra))
+    try:
+        for pair, db_path in zip(pairs, db_paths):
+            try:
+                label = label_record(
+                    pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
+                    strict_columns=args.strict_columns, outcomes=outcomes,
+                )
+            except GoldExecutionError as exc:
+                gold_failures.append(f"{pair.id!r}: {exc.__cause__}")
+                continue
+            extra = {k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS}
+            records.append(replace(pair, label=label, extra=extra))
+    finally:
+        for executor in executors.values():
+            executor.close()
     if gold_failures:
         raise DatasetError(f"{args.pairs}: gold query failed: " + "; ".join(gold_failures))
     write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)

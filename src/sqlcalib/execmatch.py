@@ -4,7 +4,13 @@ and compare result sets disregarding row order and (optionally) column order.
 A predicted result is read only as far as its label needs: a column count
 that differs from gold's fetches no row, at most one row more than gold has
 is fetched, and a result of another shape is rejected before any cell is
-canonicalized. The match search shares the predicted query's deadline.
+canonicalized. Gold is fetched raw and canonicalized only for a prediction
+of its shape. The match search shares the predicted query's deadline.
+
+An executor runs every query on one read-only connection to its database. A
+statement that does anything but read (a temp table, a pragma, an attached
+database, an open transaction) closes that connection after it, so it cannot
+change what a later query returns.
 """
 
 from __future__ import annotations
@@ -13,12 +19,18 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 # Per-pair outcomes of `label_record`, in the order `label` reports them.
 _OUTCOMES = ("matched", "mismatched", "pred error", "pred timeout",
              "shape or row-cap reject", "match timeout")
+
+# Authorizer actions of a statement that only reads; any other leaves the
+# connection dirty.
+_READ_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                           sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
 
 
 class ExecutionError(Exception):
@@ -67,7 +79,11 @@ def _canonical_column(column: tuple) -> Iterable[str]:
     if types == {str}:
         return ["t:" + v for v in column]
     if types == {float}:
-        return map(_canonical_float, column)
+        # one C-level pass formats every cell; only integral ones differ
+        keys = list(map("#{:.6g}".format, column))
+        for i in compress(range(len(column)), map(float.is_integer, column)):
+            keys[i] = _canonical_float(column[i])
+        return keys
     return map(canonical_cell, column)
 
 
@@ -75,6 +91,13 @@ def _check_width(rows: Sequence[Sequence[Any]], n_cols: int) -> None:
     widths = set(map(len, rows)) - {n_cols}
     if widths:
         raise ValueError(f"row has {min(widths)} cells, table has {n_cols} columns")
+
+
+class RawResult(NamedTuple):
+    """A result as SQLite returned it, no cell canonicalized."""
+
+    n_cols: int
+    rows: list[tuple]
 
 
 @dataclass(frozen=True)
@@ -110,6 +133,8 @@ def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False,
     """
     if a.n_cols != b.n_cols or len(a.rows) != len(b.rows):
         return False
+    if a.rows == b.rows:  # the identity column order, in either mode
+        return True
     if strict_columns or a.n_cols == 0 or not a.rows:
         return sorted(a.rows) == sorted(b.rows)
 
@@ -153,11 +178,13 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
 
     The predicted query and the match search share one deadline,
     `executor.timeout_s` from the start of the predicted query; a search that
-    runs past it labels 0, like a predicted query that times out. `outcomes`,
-    if given, counts the pair under one of `_OUTCOMES`.
+    runs past it labels 0, like a predicted query that times out. Gold's
+    cells are canonicalized only for a prediction of gold's shape, and that
+    time is added to the deadline. `outcomes`, if given, counts the pair
+    under one of `_OUTCOMES`.
     """
     try:
-        gold = executor.execute(gold_sql)
+        gold = executor.execute(gold_sql, raw=True)
     except ExecutionError as exc:
         raise GoldExecutionError(f"gold query failed: {exc}") from exc
     deadline = time.monotonic() + executor.timeout_s
@@ -165,10 +192,14 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         pred = executor.execute(pred_sql, expect=gold, deadline=deadline)
         if pred is None:
             outcome = "shape or row-cap reject"
-        elif tables_equal(gold, pred, strict_columns=strict_columns, deadline=deadline):
-            outcome = "matched"
         else:
-            outcome = "mismatched"
+            start = time.monotonic()
+            gold_table = ResultTable.from_rows(gold.rows, n_cols=gold.n_cols)
+            deadline += time.monotonic() - start
+            if tables_equal(gold_table, pred, strict_columns=strict_columns, deadline=deadline):
+                outcome = "matched"
+            else:
+                outcome = "mismatched"
     except ExecutionError:
         outcome = "pred timeout" if time.monotonic() > deadline else "pred error"
     except TimeoutError:  # from tables_equal
@@ -181,8 +212,11 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
 class SQLiteExecutor:
     """Adapter for local single-file relational databases.
 
-    Opens the file read-only; queries exceeding the timeout raise
-    ExecutionError (which label_record maps to 0 for predictions).
+    Opens the file read-only, once, and runs every query on that connection;
+    queries exceeding the timeout raise ExecutionError (which label_record
+    maps to 0 for predictions). A statement that does anything but read
+    marks the connection dirty: it is closed after that statement and the
+    next query opens a fresh one. No statement is denied.
     """
 
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
@@ -193,13 +227,39 @@ class SQLiteExecutor:
         # as_uri() percent-encodes '?' and '#', which a formatted URI would
         # read as the start of its query or fragment
         self._uri = self.database.resolve().as_uri() + "?mode=ro"
+        self._conn: sqlite3.Connection | None = None
+        self._dirty = False
 
-    def execute(self, sql: str, expect: ResultTable | None = None,
-                deadline: float | None = None) -> ResultTable | None:
+    def _authorize(self, action: int, *_: Any) -> int:
+        if action not in _READ_ACTIONS:
+            self._dirty = True
+        return sqlite3.SQLITE_OK
+
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            try:
+                conn = sqlite3.connect(self._uri, uri=True)
+            except sqlite3.Error as exc:
+                raise ExecutionError(f"cannot open {self.database}: {exc}") from exc
+            conn.set_authorizer(self._authorize)
+            self._conn = conn
+        return self._conn
+
+    def close(self) -> None:
+        """Close the connection; a later query opens a fresh one."""
+        if self._conn is not None:
+            self._conn.close()
+        self._conn = None
+        self._dirty = False
+
+    def execute(self, sql: str, expect: ResultTable | RawResult | None = None,
+                deadline: float | None = None,
+                raw: bool = False) -> ResultTable | RawResult | None:
         """The result table of `sql`, stopped at `deadline` (a
-        `time.monotonic()` value; default `timeout_s` from now).
+        `time.monotonic()` value; default `timeout_s` from now). With `raw`,
+        the result as SQLite returned it, no cell canonicalized.
 
-        Given the table `expect` it must match, the result is None when it
+        Given the result `expect` it must match, the result is None when it
         has another column count (no row is fetched) or another row count
         (at most `len(expect.rows) + 1` rows are fetched: enough to tell that
         the result has more rows than `expect`). A row past that count that
@@ -208,10 +268,7 @@ class SQLiteExecutor:
         raises, as any other timeout.
         No cell of such a result is canonicalized.
         """
-        try:
-            conn = sqlite3.connect(self._uri, uri=True)
-        except sqlite3.Error as exc:
-            raise ExecutionError(f"cannot open {self.database}: {exc}") from exc
+        conn = self._connection()
         if deadline is None:
             deadline = time.monotonic() + self.timeout_s
 
@@ -219,6 +276,7 @@ class SQLiteExecutor:
             return 1 if time.monotonic() > deadline else 0
 
         conn.set_progress_handler(watchdog, 10_000)
+        cursor = None
         try:
             cursor = conn.execute(sql)
             n_cols = len(cursor.description) if cursor.description else 0
@@ -246,5 +304,10 @@ class SQLiteExecutor:
         except sqlite3.Error as exc:
             raise ExecutionError(str(exc)) from exc
         finally:
-            conn.close()
+            if cursor is not None:
+                cursor.close()  # the row cap can leave the statement unfinished
+            if self._dirty:
+                self.close()
+        if raw:
+            return RawResult(n_cols, rows)
         return ResultTable.from_rows(rows, n_cols=n_cols)

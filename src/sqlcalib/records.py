@@ -138,7 +138,10 @@ def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Datas
 
 def _floats(rid: str, field_name: str, values: Sequence[Any]) -> tuple[float, ...]:
     """JSON numbers as floats: an int or a float, not a bool and not a string."""
-    if {int, float}.issuperset(map(type, values)):
+    types = set(map(type, values))
+    if types == {float}:
+        return tuple(values)
+    if types <= {int, float}:
         try:
             return tuple(map(float, values))
         except OverflowError:  # an integer too large for a float

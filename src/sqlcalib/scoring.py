@@ -56,6 +56,26 @@ def _check_probs(token_probs: Sequence[float]) -> None:
             raise ValueError(f"token probability {p!r} outside (0, 1]")
 
 
+def _prod(token_probs: Sequence[float]) -> float:
+    if len(token_probs) == 1:
+        return float(token_probs[0])
+    return math.exp(math.fsum(map(math.log, token_probs)))
+
+
+def _geo(token_probs: Sequence[float]) -> float:
+    if len(token_probs) == 1:
+        return float(token_probs[0])
+    return math.exp(math.fsum(map(math.log, token_probs)) / len(token_probs))
+
+
+def _min(token_probs: Sequence[float]) -> float:
+    return float(min(token_probs))
+
+
+def _avg(token_probs: Sequence[float]) -> float:
+    return math.fsum(token_probs) / len(token_probs)
+
+
 def pool_prod(token_probs: Sequence[float]) -> float:
     """Product of token probabilities, computed in log space.
 
@@ -63,29 +83,25 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     downstream calibrators accept that.
     """
     _check_probs(token_probs)
-    if len(token_probs) == 1:
-        return float(token_probs[0])
-    return math.exp(math.fsum(map(math.log, token_probs)))
+    return _prod(token_probs)
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
     _check_probs(token_probs)
-    if len(token_probs) == 1:
-        return float(token_probs[0])
-    return math.exp(math.fsum(map(math.log, token_probs)) / len(token_probs))
+    return _geo(token_probs)
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
     _check_probs(token_probs)
-    return float(min(token_probs))
+    return _min(token_probs)
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
     _check_probs(token_probs)
-    return math.fsum(token_probs) / len(token_probs)
+    return _avg(token_probs)
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
@@ -121,7 +137,8 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
     return r_pred - best
 
 
-_POOLERS = {"prod": pool_prod, "geo": pool_geo, "min": pool_min, "avg": pool_avg}
+# Unchecked: a PredictionRecord has checked its token list on construction.
+_POOLERS = {"prod": _prod, "geo": _geo, "min": _min, "avg": _avg}
 
 
 def score_record(record: PredictionRecord, method: str) -> float:
@@ -148,7 +165,7 @@ def score_record(record: PredictionRecord, method: str) -> float:
         raise SkipRecord("missing alternatives")
     if record.token_probs is None:
         raise SkipRecord("missing token_probs")
-    return score_variant_alt(pool_prod(record.token_probs), record.alternatives)
+    return score_variant_alt(_prod(record.token_probs), record.alternatives)
 
 
 def score_dataset(dataset: Dataset, method: str) -> ScoringResult:

@@ -218,7 +218,24 @@ class TestScoreCalibrate:
         assert run("score", "--input", data, "--out", out, "--method", "prod") == 0
         err = capsys.readouterr().err
         assert "scored 1 records, skipped 1" in err
-        assert "skip b: missing token_probs" in err
+        assert "skip missing token_probs: 1 records, first b" in err
+
+    def test_score_prints_one_skip_line_per_reason(self, tmp_path, capsys):
+        data = tmp_path / "mixed.jsonl"
+        alts = [{"score": 0.2, "equivalent": False}]
+        rows = [
+            {"id": "a", "schema_id": "s", "label": 1, "token_probs": [0.9], "alternatives": alts},
+            {"id": "b", "schema_id": "s", "label": 0},
+            {"id": "c", "schema_id": "s", "label": 0, "alternatives": alts},
+            {"id": "d", "schema_id": "s", "label": 1},
+            {"id": "e", "schema_id": "s", "label": 1, "alternatives": alts},
+        ]
+        data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "scored.jsonl"
+        assert run("score", "--input", data, "--out", out, "--method", "variant_alt") == 0
+        skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skip")]
+        assert skips == ["skip missing alternatives: 2 records, first b",
+                         "skip missing token_probs: 2 records, first c"]
 
     def test_calibrate_round_trip(self, synthetic, tmp_path):
         scored = tmp_path / "scored.jsonl"
@@ -485,6 +502,37 @@ class TestLabelCommand:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "outcomes: matched 1, mismatched 1, pred error 1, pred timeout 0, "
             "shape or row-cap reject 0, match timeout 0")
+
+    @pytest.mark.parametrize("fail_after", [None, 2])
+    def test_closes_every_connection(self, db_root, tmp_path, monkeypatch, fail_after):
+        (db_root / "empty").mkdir()
+        sqlite3.connect(db_root / "empty" / "empty.sqlite").close()
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [{"id": f"q{i}", "schema_id": schema, "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"}
+                for i, schema in enumerate(["concerts", "empty", "concerts", "empty"])]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        opened = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: opened.append(connect(*a, **k)) or opened[-1])
+        if fail_after is not None:  # labeling stops with an exception after some pairs
+            from sqlcalib import cli
+            label_record = cli.label_record
+
+            def failing(*args, **kwargs):
+                if len(opened) == fail_after:
+                    raise RuntimeError("stop")
+                return label_record(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "label_record", failing)
+            with pytest.raises(RuntimeError):
+                run("label", "--pairs", pairs, "--db-root", db_root, "--out", tmp_path / "x.jsonl")
+        else:
+            assert run("label", "--pairs", pairs, "--db-root", db_root,
+                       "--out", tmp_path / "x.jsonl") == 0
+        assert len(opened) == 2  # one per database, reused by its second pair
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
 
     def test_match_search_past_the_timeout_labels_0(self, tmp_path, capsys):
         # 7 free bits plus their parity, and the same bits with the negated parity:

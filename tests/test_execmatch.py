@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import tables_equal_exhaustive
+from sqlcalib import execmatch
 from sqlcalib.execmatch import (
     ExecutionError,
     GoldExecutionError,
+    RawResult,
     ResultTable,
     SQLiteExecutor,
     canonical_cell,
@@ -106,6 +108,13 @@ class TestFromRows:
         table = ResultTable.from_rows([(True, b"\x01", None), (False, bytearray(b"a"), "x")])
         assert table.rows == (("#1", "b:01", "n"), ("#0", "b:61", "t:x"))
 
+    @given(st.lists(st.one_of(st.floats(), edge_floats,
+                              st.integers(-(2**62), 2**62).map(float)), min_size=1, max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_float_column_equals_canonical_cell_per_cell(self, column):
+        keys = list(execmatch._canonical_column(tuple(column)))
+        assert keys == [canonical_cell(v) for v in column]
+
     def test_zero_column_rows_are_kept(self):
         assert ResultTable.from_rows([(), ()]).rows == ((), ())
 
@@ -152,6 +161,16 @@ class TestTablesEqual:
         a = ResultTable.from_rows([], n_cols=2)
         b = ResultTable.from_rows([], n_cols=2)
         assert tables_equal(a, b)
+        # equal (empty) rows do not make tables of other widths equal
+        assert not tables_equal(a, ResultTable.from_rows([], n_cols=1))
+        assert not tables_equal(ResultTable.from_rows([], n_cols=1), a, strict_columns=True)
+
+    def test_identical_rows_are_equal_in_both_modes(self):
+        a = ResultTable.from_rows([[1, 2, "u"], [2, 1, "v"]])
+        b = ResultTable.from_rows([[1, 2, "u"], [2, 1, "v"]])
+        assert tables_equal(a, b)
+        assert tables_equal(a, b, strict_columns=True)
+        assert tables_equal(a, b, deadline=time.monotonic() - 1)  # no search runs
 
     @given(small_tables())
     @settings(max_examples=100)
@@ -341,6 +360,73 @@ class TestSQLiteExecutor:
             ResultTable(n_cols=1, rows=(("t:US",),)))
 
 
+class TestConnectionReuse:
+    PROBES = ("SELECT name FROM singer", "SELECT name FROM pragma_database_list")
+
+    def test_one_connection_serves_every_read(self, db, monkeypatch):
+        opened = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: opened.append(1) or connect(*a, **k))
+        ex = SQLiteExecutor(db)
+        for sql in ("SELECT name FROM singer", "SELEC nope", "SELECT count(*) FROM singer"):
+            try:
+                ex.execute(sql)
+            except ExecutionError:
+                pass
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("statement", [
+        "CREATE TEMP TABLE singer AS SELECT 1 AS name",
+        "PRAGMA reverse_unordered_selects=1",
+        "ATTACH ':memory:' AS x",
+        "BEGIN",
+    ])
+    def test_a_statement_that_is_not_a_read_leaves_no_state(self, db, statement):
+        ex = SQLiteExecutor(db)
+        ex.execute("SELECT name FROM singer")  # the connection is open
+        try:
+            ex.execute(statement)
+        except ExecutionError:
+            pass
+        for sql in self.PROBES:
+            assert ex.execute(sql, raw=True) == SQLiteExecutor(db).execute(sql, raw=True)
+        # no transaction is left open: another connection can write, and the
+        # executor sees the write
+        writer = sqlite3.connect(db, timeout=0)
+        writer.execute("INSERT INTO singer VALUES ('Dee', 41, 'NZ')")
+        writer.commit()
+        writer.close()
+        for sql in self.PROBES:
+            assert ex.execute(sql, raw=True) == SQLiteExecutor(db).execute(sql, raw=True)
+
+    def test_a_later_pair_keeps_its_label(self, db):
+        ex = SQLiteExecutor(db)
+        gold = "SELECT name FROM singer"
+        assert label_record(gold, "CREATE TEMP TABLE singer AS SELECT 'Zed' AS name", ex) == 0
+        assert label_record(gold, "SELECT name FROM singer ORDER BY name DESC", ex) == 1
+        assert label_record(gold, "PRAGMA reverse_unordered_selects=1", ex) == 0
+        first = "SELECT name FROM singer LIMIT 1"
+        assert label_record(first, "SELECT 'Ava'", ex) == 1
+
+    def test_table_valued_function_reads_run(self, db):
+        ex = SQLiteExecutor(db)
+        assert ex.execute("SELECT value FROM json_each('[1, 2]')").rows == (("#1",), ("#2",))
+        assert ex.execute("SELECT name FROM pragma_table_info('singer')").rows == (
+            ("t:name",), ("t:age",), ("t:country",))
+        assert ex.execute("SELECT count(*) FROM singer").rows == (("#3",),)
+
+    def test_close_then_reopen(self, db):
+        ex = SQLiteExecutor(db)
+        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == (("#25",),)
+        ex.close()
+        ex.close()
+        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == (("#25",),)
+
+    def test_raw_result_keeps_sqlite_values(self, db):
+        raw = SQLiteExecutor(db).execute("SELECT name, age, country FROM singer", raw=True)
+        assert raw == RawResult(3, [("Ava", 30, "FR"), ("Ben", 25, "US"), ("Caz", 30, None)])
+
+
 class TestLabelRecord:
     def test_identical_queries_label_one(self, db):
         ex = SQLiteExecutor(db)
@@ -419,6 +505,40 @@ class TestLabelRecord:
         outcomes = Counter()
         assert label_record(gold, one_then_endless, ex, outcomes=outcomes) == 0
         assert outcomes == Counter({"pred timeout": 1})
+
+    def test_gold_is_canonicalized_only_for_a_prediction_of_its_shape(self, db, monkeypatch):
+        cells = []
+        canonical_column = execmatch._canonical_column
+        monkeypatch.setattr(execmatch, "_canonical_column",
+                            lambda column: cells.append(len(column)) or canonical_column(column))
+        ex = SQLiteExecutor(db, timeout_s=0.2)
+        gold = "SELECT name, age FROM singer"
+        endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                   "SELECT max(x), 1 FROM c")
+        for pred in ("SELECT name FROM singer",  # another column count
+                     "SELECT name, age FROM singer WHERE age = 30",  # another row count
+                     "SELEC nope", endless):
+            assert label_record(gold, pred, ex) == 0
+        assert cells == []
+        assert label_record(gold, "SELECT age, name FROM singer", ex) == 1
+        assert cells == [3] * 4  # the prediction's two columns, then gold's
+
+    def test_gold_canonicalization_does_not_count_against_the_deadline(self, db, monkeypatch):
+        calls = []
+        canonical_column = execmatch._canonical_column
+
+        def slow_for_gold(column):
+            calls.append(column)
+            if len(calls) == 3:  # gold's first column: the prediction's two come first
+                time.sleep(0.3)
+            return canonical_column(column)
+
+        monkeypatch.setattr(execmatch, "_canonical_column", slow_for_gold)
+        outcomes = Counter()
+        ex = SQLiteExecutor(db, timeout_s=0.2)
+        assert label_record("SELECT name, age FROM singer", "SELECT age, name FROM singer", ex,
+                            outcomes=outcomes) == 1
+        assert outcomes == Counter({"matched": 1})
 
     def test_cross_join_prediction_labels_zero_at_once(self, tmp_path):
         # 3,000 orders make a cross join of 9 million rows. Against six gold columns

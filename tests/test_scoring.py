@@ -174,6 +174,21 @@ class TestScoreDataset:
         with pytest.raises(SkipRecord):
             score_record(PredictionRecord(id="w", schema_id="s", label=1), "variant_alt")
 
+    @given(probs_lists)
+    @settings(max_examples=100)
+    def test_record_pools_as_the_public_poolers_without_a_second_check(self, probs):
+        import sqlcalib.scoring as scoring
+
+        record = PredictionRecord(id="a", schema_id="s", label=1, token_probs=tuple(probs))
+        expected = {m: pooler(probs) for m, pooler in (
+            ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
+        check = scoring._check_probs
+        scoring._check_probs = None  # the record checked its token list when it was built
+        try:
+            assert {m: score_record(record, m) for m in expected} == expected
+        finally:
+            scoring._check_probs = check
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
             score_record(PredictionRecord(id="a", schema_id="s", label=0), "median")
