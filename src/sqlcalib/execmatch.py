@@ -216,7 +216,8 @@ class SQLiteExecutor:
     queries exceeding the timeout raise ExecutionError (which label_record
     maps to 0 for predictions). A statement that does anything but read
     marks the connection dirty: it is closed after that statement and the
-    next query opens a fresh one. No statement is denied.
+    next query opens a fresh one. No statement is denied. The connection
+    belongs to the thread that opened it: use one executor per thread.
     """
 
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
