@@ -26,12 +26,13 @@ def segment_ids(bounds: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
 
-def select(bounds: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The element indices of the segments `keep` (ascending segment ids),
-    with the offsets of those segments laid end to end."""
-    lengths = np.diff(bounds)[keep]
-    kept = bounds_of(lengths)
-    return np.repeat(bounds[keep] - kept[:-1], lengths) + np.arange(kept[-1]), kept
+def one_split(x: Sequence[float], labels: Sequence[int],
+              what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One split's value and label columns as float arrays, and its bounds.
+    `what` names the values in the error raised when the lengths differ."""
+    if len(x) != len(labels):
+        raise ValueError(f"length mismatch: {len(x)} {what} vs {len(labels)} labels")
+    return np.asarray(x, dtype=float), np.asarray(labels, dtype=float), bounds_of([len(x)])
 
 
 def length_groups(bounds: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

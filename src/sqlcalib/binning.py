@@ -4,10 +4,10 @@ Uniform mode uses equal-width bins on [0, 1]. Monotonic mode sorts samples
 by confidence and pools adjacent bins until observed accuracies increase
 left to right (ties in confidence never split across bins), optionally
 merging undersized bins into whichever neighbor costs least. That pooling
-pass, `_pav_groups`, is also the pool-adjacent-violators fit behind
+pass, `_pav_segments`, is also the pool-adjacent-violators fit behind
 `calibrate.fit_isotonic`. Both modes bin every split of a batch at once
-(`_uniform_segments`, `_monotonic_segments`); the public functions are
-the one-split case.
+(`_uniform_segments`, `_monotonic_segments`, chosen by `_partitions`); the
+public functions are the one-split case.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._segments import bounds_of, segment_ids, segment_sums, sorted_ties, stable_argsort
+from ._segments import bounds_of, one_split, segment_ids, segment_sums, sorted_ties, stable_argsort
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
 def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> BinPartition:
     """Equal-width bins on [0, 1]; a confidence of exactly 1.0 lands in the
     last bin. Empty bins carry count 0 (they get zero ECE weight)."""
-    if len(confs) != len(labels):
-        raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
-    c = np.asarray(confs, dtype=float)
-    return _uniform_segments(c, np.asarray(labels, dtype=float), bounds_of([len(c)]), n_bins)[0]
+    return _uniform_segments(*one_split(confs, labels, "confidences"), n_bins)[0]
 
 
 def _uniform_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
@@ -99,23 +96,20 @@ def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
     )
 
 
-def _pav_groups(values: np.ndarray, labels: np.ndarray) -> tuple[list, ...]:
-    """Pool adjacent violators over the labels of ascending distinct values.
+def _pav_segments(values: np.ndarray, labels: np.ndarray,
+                  bounds: np.ndarray) -> list[tuple[list, ...]]:
+    """Pool adjacent violators over the labels of each segment's ascending
+    distinct values, in one pass over all of them that starts a new stack at
+    each segment.
 
     Starts from one group per distinct value (ties stay together) and pools
     a group into its left neighbor whenever the left accuracy is >= the
     right one, so accuracies strictly increase left to right: group by
     group, the least-squares non-decreasing fit of the labels against the
-    values. Returns the group columns (count, label sum, value sum, lo, hi);
-    a pooled group keeps its left part's lo and its right part's hi.
+    values. Returns each segment's group columns (count, label sum, value
+    sum, lo, hi); a pooled group keeps its left part's lo and its right
+    part's hi.
     """
-    return _pav_segments(values, labels, bounds_of([len(values)]))[0]
-
-
-def _pav_segments(values: np.ndarray, labels: np.ndarray,
-                  bounds: np.ndarray) -> list[tuple[list, ...]]:
-    """`_pav_groups` of every segment of the columns, in one pass over all
-    of their distinct values that starts a new stack at each segment."""
     order, first = sorted_ties(values, bounds)
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(order)))
@@ -158,11 +152,7 @@ def monotonic_bins(
     neighbor that least increases the weighted |accuracy - mean confidence|
     objective.
     """
-    if len(labels) != len(confs):
-        raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
-    c = np.asarray(confs, dtype=float)
-    return _monotonic_segments(c, np.asarray(labels, dtype=float), bounds_of([len(c)]),
-                               min_bin_count)[0]
+    return _monotonic_segments(*one_split(confs, labels, "confidences"), min_bin_count)[0]
 
 
 def _monotonic_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
@@ -176,6 +166,17 @@ def _monotonic_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
         raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
     return [BinPartition(mode="monotonic", bins=_merged_bins(groups, n, min_bin_count))
             for groups, n in zip(_pav_segments(c, a, bounds), lengths.tolist())]
+
+
+def _partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
+                min_bin_count: int) -> list[BinPartition]:
+    """The partition of every segment of the columns in the binning mode
+    `mode`: "uniform" (n_bins bins) or "monotonic" (min_bin_count)."""
+    if mode == "uniform":
+        return _uniform_segments(c, a, bounds, n_bins)
+    if mode == "monotonic":
+        return _monotonic_segments(c, a, bounds, min_bin_count)
+    raise ValueError(f"unknown binning mode {mode!r}")
 
 
 def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[Bin, ...]:

@@ -7,7 +7,7 @@ Two calibrators are provided:
   separable data.
 * Isotonic regression: least-squares non-decreasing step fit of the labels
   against the scores, solved by the pool-adjacent-violators pass that
-  monotonic binning also uses (`binning._pav_groups`); applied out of
+  monotonic binning also uses (`binning._pav_segments`); applied out of
   sample by linear interpolation between knots (a pure step mode is
   available for exact step semantics).
 
@@ -33,6 +33,7 @@ import numpy as np
 from ._segments import (
     bounds_of,
     length_groups,
+    one_split,
     segment_ids,
     segment_searchsorted,
     stable_argsort,
@@ -154,12 +155,10 @@ def _fit_columns(raw: Sequence[float], labels: Sequence[int],
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The raw score and label columns of one or more fits, laid end to end
     as `bounds` says, as float arrays, after the checks both fitters share:
-    equal lengths, at least one record per fit, finite raw scores and 0/1
-    labels."""
+    at least one record per fit, finite raw scores and 0/1 labels. The
+    columns have equal lengths."""
     r = np.asarray(raw, dtype=float)
     a = np.asarray(labels, dtype=float)
-    if len(r) != len(a):
-        raise ValueError(f"length mismatch: {len(r)} raw scores vs {len(a)} labels")
     if not np.all(np.diff(bounds) >= 1):
         raise ValueError("need at least 1 record to fit")
     if not np.all(np.isfinite(r)):
@@ -187,8 +186,7 @@ def fit_platt(raw: Sequence[float], labels: Sequence[int]) -> PlattCalibrator:
     Returns:
         PlattCalibrator with finite t and b.
     """
-    r = np.asarray(raw, dtype=float)
-    t, b = _platt_segments(r, labels, bounds_of([len(r)]))
+    t, b = _platt_segments(*one_split(raw, labels, "raw scores"))
     return PlattCalibrator(t=float(t[0]), b=float(b[0]))
 
 
@@ -286,13 +284,12 @@ def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibra
     """Least-squares non-decreasing fit of labels as a function of raw score.
 
     Tied raw scores are merged (weighted by multiplicity) before pooling;
-    the blocks are `binning._pav_groups` of the raw scores, the same pass
-    that monotonic ECE bins start from. Fitted values are block means,
+    the blocks are the `binning._pav_segments` groups of the raw scores, the
+    same pass that monotonic ECE bins start from. Fitted values are block means,
     hence in [min label, max label]. This is the one-segment case of
     `_isotonic_segments`.
     """
-    r = np.asarray(raw, dtype=float)
-    xs, ys, _ = _isotonic_segments(r, labels, bounds_of([len(r)]))
+    xs, ys, _ = _isotonic_segments(*one_split(raw, labels, "raw scores"))
     return IsotonicCalibrator(knots=tuple(zip(xs.tolist(), ys.tolist())))
 
 

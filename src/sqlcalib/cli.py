@@ -188,14 +188,15 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("nothing to do: pass --out-csv and/or --out-svg")
     from . import calibrate as cal
     from . import report as rpt
-    from .metrics import _partition
+    from ._segments import one_split
+    from .binning import _partitions
 
     scored = load_scored(args.scored)
     calibrator = cal.load_calibrator(args.calibrator)
     apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
-    confs = apply(calibrator, [s.raw_score for s in scored]).tolist()
-    labels = [s.label for s in scored]
-    partition = _partition(confs, labels, args.binning, args.bins, args.min_bin_count)
+    columns = one_split(apply(calibrator, [s.raw_score for s in scored]),
+                        [s.label for s in scored], "confidences")
+    (partition,) = _partitions(*columns, args.binning, args.bins, args.min_bin_count)
     series = rpt.reliability_series(partition, args.label)
     if args.out_csv:
         rpt.write_reliability_csv([series], args.out_csv)

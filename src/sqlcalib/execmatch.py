@@ -4,8 +4,9 @@ and compare result sets disregarding row order and (optionally) column order.
 A predicted result is read only as far as its label needs: a column count
 that differs from gold's fetches no row, at most one row more than gold has
 is fetched, and a result of another shape is rejected before any cell is
-canonicalized. Gold is fetched raw and canonicalized only for a prediction
-of its shape. The match search shares the predicted query's deadline.
+canonicalized. The executor returns results raw; the prediction's cells and
+then gold's are canonicalized only for a prediction of gold's shape. The
+match search shares the predicted query's deadline.
 
 An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
@@ -184,7 +185,7 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
     under one of `_OUTCOMES`.
     """
     try:
-        gold = executor.execute(gold_sql, raw=True)
+        gold = executor.execute(gold_sql)
     except ExecutionError as exc:
         raise GoldExecutionError(f"gold query failed: {exc}") from exc
     deadline = time.monotonic() + executor.timeout_s
@@ -193,10 +194,11 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         if pred is None:
             outcome = "shape or row-cap reject"
         else:
+            pred_table = ResultTable.from_rows(pred.rows, n_cols=pred.n_cols)
             start = time.monotonic()
             gold_table = ResultTable.from_rows(gold.rows, n_cols=gold.n_cols)
             deadline += time.monotonic() - start
-            if tables_equal(gold_table, pred, strict_columns=strict_columns, deadline=deadline):
+            if tables_equal(gold_table, pred_table, strict_columns, deadline):
                 outcome = "matched"
             else:
                 outcome = "mismatched"
@@ -253,12 +255,10 @@ class SQLiteExecutor:
         self._conn = None
         self._dirty = False
 
-    def execute(self, sql: str, expect: ResultTable | RawResult | None = None,
-                deadline: float | None = None,
-                raw: bool = False) -> ResultTable | RawResult | None:
-        """The result table of `sql`, stopped at `deadline` (a
-        `time.monotonic()` value; default `timeout_s` from now). With `raw`,
-        the result as SQLite returned it, no cell canonicalized.
+    def execute(self, sql: str, expect: RawResult | None = None,
+                deadline: float | None = None) -> RawResult | None:
+        """The result of `sql` as SQLite returned it, stopped at `deadline`
+        (a `time.monotonic()` value; default `timeout_s` from now).
 
         Given the result `expect` it must match, the result is None when it
         has another column count (no row is fetched) or another row count
@@ -267,7 +267,6 @@ class SQLiteExecutor:
         fails to evaluate also gives None, not an error: the result has it;
         but a query stopped at the deadline while it looks for that row
         raises, as any other timeout.
-        No cell of such a result is canonicalized.
         """
         conn = self._connection()
         if deadline is None:
@@ -309,6 +308,4 @@ class SQLiteExecutor:
                 cursor.close()  # the row cap can leave the statement unfinished
             if self._dirty:
                 self.close()
-        if raw:
-            return RawResult(n_cols, rows)
-        return ResultTable.from_rows(rows, n_cols=n_cols)
+        return RawResult(n_cols, rows)

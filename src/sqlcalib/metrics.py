@@ -14,19 +14,17 @@ import numpy as np
 
 from ._segments import (
     bounds_of,
+    one_split,
     segment_ids,
     segment_means,
     segment_searchsorted,
-    select,
     sorted_ties,
 )
-from .binning import (
-    BinPartition,
-    _monotonic_segments,
-    _uniform_segments,
-    monotonic_bins,
-    uniform_bins,
-)
+from .binning import BinPartition, _partitions
+
+# Nothing here calls the one-split binning functions; the per-layer tracer of
+# perfbench/ wraps them at these names.
+from .binning import monotonic_bins, uniform_bins  # noqa: F401
 
 
 class SingleClassError(ValueError):
@@ -59,18 +57,17 @@ class MetricsReport:
     prf: tuple[ThresholdMetrics, ...]
 
 
-def _check_pair(confs: Sequence[float], labels: Sequence[int]) -> None:
+def _nonempty_split(confs: Sequence[float],
+                    labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`one_split` of a metric's confidences, which must not be empty."""
     if len(confs) == 0:
         raise ValueError("empty input")
-    if len(confs) != len(labels):
-        raise ValueError(f"length mismatch: {len(confs)} confidences vs {len(labels)} labels")
+    return one_split(confs, labels, "confidences")
 
 
 def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
     """Mean squared difference between confidence and the 0/1 label."""
-    _check_pair(confs, labels)
-    c = np.asarray(confs, dtype=float)
-    return float(_briers(c, np.asarray(labels, dtype=float), bounds_of([len(c)]))[0])
+    return float(_briers(*_nonempty_split(confs, labels))[0])
 
 
 def _briers(c: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -121,24 +118,17 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     The partition must have been built from the same confidences and labels;
     inconsistency is detected by re-binning the samples.
     """
-    _check_pair(confs, labels)
-    n = len(confs)
-    if partition.n != n:
-        raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {n}")
-    c = np.asarray(confs, dtype=float)
-    _check_partitions(c, np.asarray(labels, dtype=float), bounds_of([n]), [partition])
+    c, a, bounds = _nonempty_split(confs, labels)
+    if partition.n != c.size:
+        raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {c.size}")
+    _check_partitions(c, a, bounds, [partition])
     return partition.objective()
 
 
 def _eces(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
           min_bin_count: int) -> list[float]:
     """The ECE of every segment under its own partition of the given mode."""
-    if mode == "uniform":
-        partitions = _uniform_segments(c, a, bounds, n_bins)
-    elif mode == "monotonic":
-        partitions = _monotonic_segments(c, a, bounds, min_bin_count)
-    else:
-        raise ValueError(f"unknown binning mode {mode!r}")
+    partitions = _partitions(c, a, bounds, mode, n_bins, min_bin_count)
     _check_partitions(c, a, bounds, partitions)
     return [p.objective() for p in partitions]
 
@@ -156,15 +146,14 @@ def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:
     Raises SingleClassError when one class is absent instead of returning
     an arbitrary 0.5.
     """
-    s = np.asarray(raw_scores, dtype=float)
-    a = np.asarray(labels)
+    s, a, bounds = one_split(raw_scores, labels, "raw scores")
     n_pos = int(np.sum(a == 1))
     n_neg = int(np.sum(a == 0))
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError(
             f"AUC undefined: {n_pos} positive and {n_neg} negative labels"
         )
-    return float(_aucs(s, a, bounds_of([len(s)]))[0])
+    return float(_aucs(s, a, bounds)[0])
 
 
 def _aucs(s: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -197,9 +186,7 @@ def prf_at_threshold(
     Zero-denominator convention: precision 0 with no predicted positives,
     recall 0 with no true positives, F1 0 when precision + recall is 0.
     """
-    _check_pair(confs, labels)
-    c = np.asarray(confs, dtype=float)
-    return _prfs(c, np.asarray(labels), bounds_of([len(c)]), [tau])[0][0]
+    return _prfs(*_nonempty_split(confs, labels), [tau])[0][0]
 
 
 def _prfs(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
@@ -219,15 +206,6 @@ def _prfs(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
         columns.append([ThresholdMetrics(tau, *v)
                         for v in zip(precision.tolist(), recall.tolist(), f1.tolist())])
     return list(zip(*columns)) if columns else [()] * m
-
-
-def _partition(confs: Sequence[float], labels: Sequence[int], mode: str, n_bins: int,
-               min_bin_count: int) -> BinPartition:
-    if mode == "uniform":
-        return uniform_bins(confs, labels, n_bins)
-    if mode == "monotonic":
-        return monotonic_bins(confs, labels, min_bin_count)
-    raise ValueError(f"unknown binning mode {mode!r}")
 
 
 def summarize(
@@ -252,12 +230,11 @@ def summarize(
     """
     if threshold_scores is None:
         threshold_scores = isotonic_scores
-    columns = (raw_scores, platt_scores, isotonic_scores, threshold_scores)
-    for column in columns:
-        _check_pair(column, labels)
-    raw, platt, iso, scores = (np.asarray(column, dtype=float) for column in columns)
+    (raw, a, bounds), (platt, _, _), (iso, _, _), (scores, _, _) = (
+        _nonempty_split(column, labels)
+        for column in (raw_scores, platt_scores, isotonic_scores, threshold_scores))
     return _summarize_segments(
-        raw, platt, iso, np.asarray(labels, dtype=float), bounds_of([len(raw)]),
+        raw, platt, iso, a, bounds,
         binning=binning, n_bins=n_bins, min_bin_count=min_bin_count, thresholds=thresholds,
         threshold_scores=scores,
     )[0]
@@ -278,13 +255,12 @@ def _summarize_segments(
 ) -> list[MetricsReport]:
     """`summarize` of every segment of the columns; the segments are nonempty."""
     # raw ECE only where a segment's raw scores lie in [0, 1]
-    keep = np.flatnonzero((np.minimum.reduceat(raw, bounds[:-1]) >= 0.0)
-                          & (np.maximum.reduceat(raw, bounds[:-1]) <= 1.0))
-    ece_raw: list[float | None] = [None] * (len(bounds) - 1)
-    rows, kept = select(bounds, keep)
-    for i, value in zip(keep.tolist(),
-                        _eces(raw[rows], labels[rows], kept, binning, n_bins, min_bin_count)):
-        ece_raw[i] = value
+    keep = ((np.minimum.reduceat(raw, bounds[:-1]) >= 0.0)
+            & (np.maximum.reduceat(raw, bounds[:-1]) <= 1.0))
+    rows = np.repeat(keep, np.diff(bounds))
+    kept = iter(_eces(raw[rows], labels[rows], bounds_of(np.diff(bounds)[keep]), binning,
+                      n_bins, min_bin_count))
+    ece_raw = [next(kept) if k else None for k in keep.tolist()]
     return [
         MetricsReport(bs_p=bs_p, bs_i=bs_i, auc=auc_, ece_raw=e_raw, ece_p=e_p, ece_i=e_i,
                       binning_mode=binning, prf=prf)

@@ -236,14 +236,14 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     raw, labels = _columns(ordered)
     schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
     fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
+    n_tune = np.bincount(fold_of, minlength=cfg.k)
     if cfg.binning == "monotonic":
-        for f, n_tune in enumerate(np.bincount(fold_of, minlength=cfg.k).tolist()):
-            if len(raw) - n_tune < cfg.min_bin_count:
-                raise ValueError(f"fold {f}: test split has {len(raw) - n_tune} records, "
+        for f, n_test in enumerate((len(raw) - n_tune).tolist()):
+            if n_test < cfg.min_bin_count:
+                raise ValueError(f"fold {f}: test split has {n_test} records, "
                                  f"below min_bin_count {cfg.min_bin_count}")
 
     # fold f tunes on its own rows and is tested on every other row, in order
-    n_tune = np.bincount(fold_of, minlength=cfg.k)
     tune = np.argsort(fold_of, kind="stable")
     other = fold_of != np.arange(cfg.k)[:, None]
     test = np.broadcast_to(np.arange(len(raw)), other.shape)[other]

@@ -310,7 +310,7 @@ class TestSQLiteExecutor:
         conn.commit()
         conn.close()
         (tmp_path / "x").write_bytes(b"")  # the file a formatted URI would open
-        assert SQLiteExecutor(path).execute("SELECT v FROM t").rows == (("#7",),)
+        assert SQLiteExecutor(path).execute("SELECT v FROM t").rows == [(7,)]
 
     def test_query_past_the_timeout_raises_execution_error(self, db):
         endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
@@ -357,7 +357,7 @@ class TestSQLiteExecutor:
         with pytest.raises(ExecutionError, match="integer overflow"):
             ex.execute(first_fails, expect=one)
         assert ex.execute("SELECT country FROM singer WHERE age = 25", expect=gold) == (
-            ResultTable(n_cols=1, rows=(("t:US",),)))
+            RawResult(1, [("US",)]))
 
 
 class TestConnectionReuse:
@@ -389,7 +389,7 @@ class TestConnectionReuse:
         except ExecutionError:
             pass
         for sql in self.PROBES:
-            assert ex.execute(sql, raw=True) == SQLiteExecutor(db).execute(sql, raw=True)
+            assert ex.execute(sql) == SQLiteExecutor(db).execute(sql)
         # no transaction is left open: another connection can write, and the
         # executor sees the write
         writer = sqlite3.connect(db, timeout=0)
@@ -397,7 +397,7 @@ class TestConnectionReuse:
         writer.commit()
         writer.close()
         for sql in self.PROBES:
-            assert ex.execute(sql, raw=True) == SQLiteExecutor(db).execute(sql, raw=True)
+            assert ex.execute(sql) == SQLiteExecutor(db).execute(sql)
 
     def test_a_later_pair_keeps_its_label(self, db):
         ex = SQLiteExecutor(db)
@@ -410,20 +410,20 @@ class TestConnectionReuse:
 
     def test_table_valued_function_reads_run(self, db):
         ex = SQLiteExecutor(db)
-        assert ex.execute("SELECT value FROM json_each('[1, 2]')").rows == (("#1",), ("#2",))
-        assert ex.execute("SELECT name FROM pragma_table_info('singer')").rows == (
-            ("t:name",), ("t:age",), ("t:country",))
-        assert ex.execute("SELECT count(*) FROM singer").rows == (("#3",),)
+        assert ex.execute("SELECT value FROM json_each('[1, 2]')").rows == [(1,), (2,)]
+        assert ex.execute("SELECT name FROM pragma_table_info('singer')").rows == [
+            ("name",), ("age",), ("country",)]
+        assert ex.execute("SELECT count(*) FROM singer").rows == [(3,)]
 
     def test_close_then_reopen(self, db):
         ex = SQLiteExecutor(db)
-        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == (("#25",),)
+        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == [(25,)]
         ex.close()
         ex.close()
-        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == (("#25",),)
+        assert ex.execute("SELECT age FROM singer WHERE name = 'Ben'").rows == [(25,)]
 
     def test_raw_result_keeps_sqlite_values(self, db):
-        raw = SQLiteExecutor(db).execute("SELECT name, age, country FROM singer", raw=True)
+        raw = SQLiteExecutor(db).execute("SELECT name, age, country FROM singer")
         assert raw == RawResult(3, [("Ava", 30, "FR"), ("Ben", 25, "US"), ("Caz", 30, None)])
 
 

@@ -10,8 +10,17 @@ from sqlcalib._segments import (
     segment_means,
     segment_searchsorted,
     segment_sums,
-    select,
     sorted_ties,
+)
+from sqlcalib.binning import monotonic_bins, uniform_bins
+from sqlcalib.calibrate import fit_isotonic, fit_platt
+from sqlcalib.metrics import (
+    _summarize_segments,
+    auc,
+    brier,
+    ece,
+    prf_at_threshold,
+    summarize,
 )
 
 
@@ -62,7 +71,41 @@ def test_sorted_ties_group_equal_values_within_segments():
     assert sorted(order[:5].tolist()) == [0, 1, 2, 3, 4]
 
 
-def test_select_lays_kept_segments_end_to_end():
-    rows, kept = select(bounds_of([2, 3, 1, 4]), np.array([1, 3]))
-    assert rows.tolist() == [2, 3, 4, 6, 7, 8, 9]
-    assert kept.tolist() == [0, 3, 7]
+@pytest.mark.parametrize("binning", ["uniform", "monotonic"])
+def test_raw_ece_only_for_segments_whose_raw_scores_lie_in_0_1(binning):
+    segments = [  # (raw scores, labels); raw in [0, 1], below 0 or above 1
+        ([0.1, 0.4, 0.4, 0.9], [0, 1, 0, 1]),
+        ([-0.2, 0.3, 0.8], [0, 0, 1]),
+        ([0.0, 1.0], [0, 1]),
+        ([0.5, 1.3, 0.7], [1, 1, 0]),
+        ([0.35, 0.6, 0.2, 0.95, 0.6], [0, 1, 0, 1, 1]),
+    ]
+    raw = np.concatenate([r for r, _ in segments])
+    labels = np.concatenate([a for _, a in segments]).astype(float)
+    cal = np.clip(raw, 0.0, 1.0)
+    kwargs = dict(binning=binning, n_bins=4, min_bin_count=1, thresholds=(0.5,))
+    reports = _summarize_segments(raw, cal, cal, labels, bounds_of([len(a) for _, a in segments]),
+                                  threshold_scores=cal, **kwargs)
+    assert [r.ece_raw is None for r in reports] == [False, True, False, True, False]
+    for report, (r, a) in zip(reports, segments):
+        c = np.clip(r, 0.0, 1.0)
+        assert report == summarize(r, c, c, a, **kwargs)
+
+
+ONE_SPLIT_CALLS = {
+    "brier": brier,
+    "ece": lambda c, a: ece(c, a, uniform_bins([0.1, 0.2], [0, 1], 10)),
+    "auc": auc,
+    "prf_at_threshold": lambda c, a: prf_at_threshold(c, a, 0.5),
+    "summarize": lambda c, a: summarize(a, c, a, a),  # a later column is short
+    "uniform_bins": lambda c, a: uniform_bins(c, a, 10),
+    "monotonic_bins": monotonic_bins,
+    "fit_platt": fit_platt,
+    "fit_isotonic": fit_isotonic,
+}
+
+
+@pytest.mark.parametrize("name", ONE_SPLIT_CALLS)
+def test_every_one_split_function_rejects_a_length_mismatch(name):
+    with pytest.raises(ValueError, match=r"^length mismatch: 2 (confidences|raw scores) vs 3 labels$"):
+        ONE_SPLIT_CALLS[name]([0.1, 0.2], [0, 1, 1])
