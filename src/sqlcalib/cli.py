@@ -112,7 +112,7 @@ def cmd_calibrate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     scored = load_scored(args.scored)
     fit = cal.fit_platt if args.kind == "platt" else cal.fit_isotonic
-    calibrator = fit([s.raw_score for s in scored], [s.label for s in scored])
+    calibrator = fit(scored.raw_scores, scored.labels)
     cal.save_calibrator(calibrator, args.out)
     print(f"fitted {args.kind} calibrator on {len(scored)} records -> {args.out}", file=sys.stderr)
     return 0
@@ -135,6 +135,13 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
     )
 
 
+def _check_bins(bins: int, n_scored: int, what: str) -> None:
+    """Reject more bins than scored records: the surplus bins can only stay
+    empty, and building them costs time and memory in proportion to `bins`."""
+    if bins > n_scored:
+        raise DatasetError(f"--bins {bins} exceeds the {n_scored} records {what}")
+
+
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.compare and args.scope == "schema_level":
         parser.error("--compare works only with --scope schema_disjoint")
@@ -150,6 +157,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         result = score_dataset(dataset, method)
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
+        _check_bins(args.bins, len(result.scored), f"scored with method {method}")
         if result.skipped:
             print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
         return result.scored
@@ -192,10 +200,10 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from .binning import _partitions
 
     scored = load_scored(args.scored)
+    _check_bins(args.bins, len(scored), f"in {args.scored}")
     calibrator = cal.load_calibrator(args.calibrator)
     apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
-    columns = one_split(apply(calibrator, [s.raw_score for s in scored]),
-                        [s.label for s in scored], "confidences")
+    columns = one_split(apply(calibrator, scored.raw_scores), scored.labels, "confidences")
     (partition,) = _partitions(*columns, args.binning, args.bins, args.min_bin_count)
     series = rpt.reliability_series(partition, args.label)
     if args.out_csv:

@@ -1,6 +1,12 @@
 """Evaluation procedure: schema-disjoint cross-validation, schema-level
 calibration, aggregation across folds, and a seeded synthetic-data generator.
 
+Both evaluators take scored records in either form: the `ScoredColumns` of
+`score_dataset` or `load_scored`, read column by column, or any other
+sequence of `ScoredRecord`, turned into the same columns first. They order
+the rows with Python's `sorted` over row indices (by id, or by schema and
+id) and gather the score and label arrays once in that order.
+
 All randomness flows through numpy's PCG64 generator seeded from the config,
 so fold assignments, splits, and synthetic datasets reproduce across runs
 and platforms.
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +45,7 @@ from .metrics import (  # noqa: F401
     summarize,
 )
 from .records import Dataset, PredictionRecord, make_dataset
-from .scoring import ScoredRecord
+from .scoring import ScoredColumns, ScoredRecord
 
 
 @dataclass(frozen=True)
@@ -167,21 +174,27 @@ def _evaluate_splits(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray,
     return _summarize(*columns, test_bounds, cfg), columns
 
 
-def _columns(records: Sequence[ScoredRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The raw score and label arrays of the records, in their order."""
-    raw = np.fromiter((s.raw_score for s in records), dtype=float, count=len(records))
-    labels = np.fromiter((s.label for s in records), dtype=int, count=len(records))
-    return raw, labels
+def _columns(scored: Sequence[ScoredRecord],
+             order: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The raw score and label arrays of the records, their rows taken in `order`."""
+    columns = ScoredColumns.of(scored)
+    return (np.array(columns.raw_scores, dtype=float)[order],
+            np.array(columns.labels, dtype=int)[order])
 
 
 def _single_method(scored: Sequence[ScoredRecord]) -> str:
     """The one scoring method of a nonempty evaluation input."""
-    if not scored:
+    methods = set(ScoredColumns.of(scored).methods)
+    if not methods:
         raise ValueError("no scored records to evaluate")
-    methods = {s.method for s in scored}
     if len(methods) > 1:
         raise ValueError(f"mixed scoring methods in one evaluation: {sorted(methods)}")
-    return next(iter(methods))
+    return methods.pop()
+
+
+def _by_id(columns: ScoredColumns) -> list[int]:
+    """The row indices ordered by id; equal ids keep their order."""
+    return sorted(range(len(columns)), key=columns.ids.__getitem__)
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -231,11 +244,12 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     deviation across folds. Under monotonic binning, a fold whose test split
     is smaller than `min_bin_count` fails the run before the first fit.
     """
-    method = _single_method(scored)
-    ordered = sorted(scored, key=lambda s: s.id)
-    raw, labels = _columns(ordered)
-    schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
-    fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
+    columns = ScoredColumns.of(scored)
+    method = _single_method(columns)
+    order = np.array(_by_id(columns))
+    raw, labels = _columns(columns, order)
+    schema_to_fold = _assign_folds(Counter(columns.schema_ids), cfg.k, cfg.seed)
+    fold_of = np.array([schema_to_fold[s] for s in columns.schema_ids])[order]
     n_tune = np.bincount(fold_of, minlength=cfg.k)
     if cfg.binning == "monotonic":
         for f, n_test in enumerate((len(raw) - n_tune).tolist()):
@@ -291,11 +305,15 @@ def schema_level_evaluate(
     schemas whose evaluation split is smaller than `min_bin_count`, are
     skipped with a reason. The micro row pools every held-out record across
     schemas."""
-    method = _single_method(scored)
+    columns = ScoredColumns.of(scored)
+    method = _single_method(columns)
     # by schema, then by id: each schema's records are one run of rows
-    ordered = sorted(sorted(scored, key=lambda s: s.id), key=lambda s: s.schema_id)
-    raw, labels = _columns(ordered)
-    starts = [i for i, s in enumerate(ordered) if i == 0 or s.schema_id != ordered[i - 1].schema_id]
+    order = _by_id(columns)
+    order.sort(key=columns.schema_ids.__getitem__)
+    raw, labels = _columns(columns, np.array(order))
+    counts = Counter(columns.schema_ids)
+    schemas = sorted(counts)
+    sizes = [counts[schema_id] for schema_id in schemas]
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     kept: list[tuple[str, int, int]] = []  # (schema_id, n_tune, n_eval)
@@ -303,8 +321,7 @@ def schema_level_evaluate(
     tune: list[np.ndarray] = []
     evaluation: list[np.ndarray] = []
 
-    for start, end in zip(starts, starts[1:] + [len(ordered)]):
-        schema_id, n = ordered[start].schema_id, end - start
+    for schema_id, start, n in zip(schemas, accumulate(sizes, initial=0), sizes):
         if n < cfg.min_schema_records:
             skipped.append((schema_id, f"only {n} records, need {cfg.min_schema_records}"))
             continue

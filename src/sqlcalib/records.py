@@ -219,6 +219,24 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
     )
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> Any:
+    """`json.loads(line)` for a stripped nonempty line: one `raw_decode` and
+    a check that the value ends the line. A line that fails either is
+    decoded again by `json.loads`, which raises json's own error ("Extra
+    data" for text after the value, "Unexpected UTF-8 BOM" for a leading
+    byte-order mark)."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
     """Every nonblank line of a line-delimited JSON file, parsed by `parse`.
     Errors name `<file>:<line>:`; ids must be unique and the file nonempty."""
@@ -234,7 +252,7 @@ def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
             except (ValueError, RecursionError) as exc:
                 # ValueError also covers integer literals past the digit limit
                 raise DatasetError(f"{path}:{lineno}: malformed line: {exc}") from exc

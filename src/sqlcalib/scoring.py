@@ -4,15 +4,24 @@ Four pooling rules reduce per-token probabilities to one sequence score
 (prod, geo, min, avg); two self-check rules read follow-up probe outputs;
 the variant rule scores a prediction relative to its best inequivalent
 alternative.
+
+Scored records travel as `ScoredColumns`: one tuple per field (id, schema
+id, method, raw score, label), with no object per record. It is a sequence
+of `ScoredRecord`s, built only when an element is read, so code that
+indexes or iterates it sees records; the evaluators, the writer and the CLI
+read the columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from .records import (
     Alternative,
@@ -42,9 +51,66 @@ class ScoredRecord:
     label: int
 
 
+_RECORD_FIELDS = attrgetter("id", "schema_id", "method", "raw_score", "label")
+
+
+class ScoredColumns(Sequence):
+    """Scored records as five columns of equal length, in `ScoredRecord`
+    field order: `ids`, `schema_ids`, `methods`, `raw_scores`, `labels`.
+
+    An immutable sequence of `ScoredRecord`: indexing or iterating it builds
+    the records on demand. It equals another `ScoredColumns` with the same
+    columns, or a tuple of the same records.
+    """
+
+    __slots__ = ("ids", "schema_ids", "methods", "raw_scores", "labels")
+
+    def __init__(self, ids: Iterable[str], schema_ids: Iterable[str], methods: Iterable[str],
+                 raw_scores: Iterable[float], labels: Iterable[int]):
+        columns = tuple(map(tuple, (ids, schema_ids, methods, raw_scores, labels)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, scored: Iterable[ScoredRecord]) -> ScoredColumns:
+        """`scored` itself when it is columns already, else its records as columns."""
+        if isinstance(scored, cls):
+            return scored
+        return cls(*(list(zip(*map(_RECORD_FIELDS, scored))) or [()] * 5))
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return self.ids, self.schema_ids, self.methods, self.raw_scores, self.labels
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"ScoredColumns is immutable: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScoredColumns(*(column[index] for column in self._columns()))
+        return ScoredRecord(*(column[index] for column in self._columns()))
+
+    def __iter__(self):
+        return map(ScoredRecord, *self._columns())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScoredColumns):
+            return self._columns() == other._columns()
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScoredColumns({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class ScoringResult:
-    scored: tuple[ScoredRecord, ...]
+    scored: ScoredColumns
     skipped: tuple[tuple[str, str], ...]  # (record id, reason)
 
 
@@ -173,41 +239,32 @@ def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
 
     Both the scored records and the skips keep dataset order.
     """
-    scored: list[ScoredRecord] = []
+    kept: list[PredictionRecord] = []
+    raw_scores: list[float] = []
     skipped: list[tuple[str, str]] = []
     for record in dataset.records:
         try:
-            raw = score_record(record, method)
+            raw_scores.append(score_record(record, method))
         except SkipRecord as exc:
             skipped.append((record.id, str(exc)))
             continue
-        scored.append(
-            ScoredRecord(
-                id=record.id,
-                schema_id=record.schema_id,
-                method=method,
-                raw_score=raw,
-                label=record.label,
-            )
-        )
-    return ScoringResult(scored=tuple(scored), skipped=tuple(skipped))
+        kept.append(record)
+    scored = ScoredColumns(map(attrgetter("id"), kept), map(attrgetter("schema_id"), kept),
+                           (method,) * len(kept), raw_scores, map(attrgetter("label"), kept))
+    return ScoringResult(scored=scored, skipped=tuple(skipped))
 
 
 def write_scored(scored: Iterable[ScoredRecord], path: str | Path) -> None:
+    """One JSON object per record, with the keys id, schema_id, method,
+    raw_score and label: the bytes `json.dumps` writes for that dict."""
+    columns = ScoredColumns.of(scored)
+    line = '{"id": %s, "schema_id": %s, "method": %s, "raw_score": %s, "label": %d}\n'
     with Path(path).open("w", encoding="utf-8") as fh:
-        for s in scored:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "schema_id": s.schema_id,
-                        "method": s.method,
-                        "raw_score": s.raw_score,
-                        "label": s.label,
-                    }
-                )
-                + "\n"
-            )
+        fh.writelines(
+            line % (encode_basestring_ascii(rid), encode_basestring_ascii(schema_id),
+                    encode_basestring_ascii(method), repr(float(raw)), label)
+            for rid, schema_id, method, raw, label in zip(*columns._columns())
+        )
 
 
 def _scored_from_obj(obj: Any) -> ScoredRecord:
@@ -228,7 +285,7 @@ def _scored_from_obj(obj: Any) -> ScoredRecord:
     )
 
 
-def load_scored(path: str | Path) -> tuple[ScoredRecord, ...]:
+def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
     `load_dataset`: errors name the file line, record and field; ids are unique."""
-    return _read_records(Path(path), _scored_from_obj)
+    return ScoredColumns.of(_read_records(Path(path), _scored_from_obj))

@@ -426,6 +426,45 @@ class TestEvaluate:
             trows = list(csv.DictReader(fh))
         assert all(r["scope"] == "schema_level" for r in trows)
 
+    def test_bins_above_the_scored_records_exit_1_before_any_bin(self, synthetic, tmp_path,
+                                                                capsys):
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run("evaluate", "--input", synthetic, "--bins", 80000, "--seed", 1,
+                   "--out-dir", out_dir)
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --bins 80000 exceeds the 400 records scored with method prod\n")
+        assert elapsed < 0.5  # building 80,000 bins per split took 3.4 s
+        assert not out_dir.exists()
+
+    def test_no_scored_record_is_built_per_record(self, synthetic, tmp_path, monkeypatch):
+        """`score` and both evaluation scopes run on columns end to end."""
+        from sqlcalib.scoring import ScoredRecord
+
+        commands = {
+            "score": ("score", "--input", synthetic, "--method", "prod", "--out"),
+            "compare": ("evaluate", "--input", synthetic, "--compare", "--seed", 1, "--out-dir"),
+            "schema_level": ("evaluate", "--input", synthetic, "--scope", "schema_level",
+                             "--binning", "monotonic", "--seed", 1, "--out-dir"),
+        }
+        (tmp_path / "expected").mkdir()
+        (tmp_path / "columns").mkdir()
+        for name, argv in commands.items():
+            assert run(*argv, tmp_path / "expected" / name) == 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a ScoredRecord was built")
+
+        monkeypatch.setattr(ScoredRecord, "__init__", refuse)
+        for name, argv in commands.items():
+            assert run(*argv, tmp_path / "columns" / name) == 0
+        for expected in (tmp_path / "expected").rglob("*"):
+            if expected.is_file():
+                actual = tmp_path / "columns" / expected.relative_to(tmp_path / "expected")
+                assert actual.read_bytes() == expected.read_bytes(), actual
 
 class TestReportCommand:
     def test_writes_csv_and_svg(self, synthetic, tmp_path):
@@ -438,6 +477,20 @@ class TestReportCommand:
                    "--out-csv", out_csv, "--out-svg", out_svg) == 0
         assert out_csv.read_text().startswith("label,bin_lo,bin_hi,mean_conf,accuracy,count")
         assert out_svg.read_text().startswith("<svg")
+
+    def test_bins_above_the_scored_records_exit_1(self, synthetic, tmp_path, capsys):
+        scored = tmp_path / "scored.jsonl"
+        cal = tmp_path / "cal.json"
+        run("score", "--input", synthetic, "--out", scored, "--method", "prod")
+        run("calibrate", "--scored", scored, "--kind", "isotonic", "--out", cal)
+        capsys.readouterr()
+        out_csv = tmp_path / "rel.csv"
+        assert run("report", "--scored", scored, "--calibrator", cal, "--bins", 401,
+                   "--out-csv", out_csv) == 1
+        assert capsys.readouterr().err == f"error: --bins 401 exceeds the 400 records in {scored}\n"
+        assert not out_csv.exists()
+        assert run("report", "--scored", scored, "--calibrator", cal, "--bins", 400,
+                   "--out-csv", out_csv) == 0
 
     @pytest.mark.parametrize("text", [
         '{"kind": "platt"}',

@@ -395,3 +395,46 @@ class TestSegmentedEvaluator:
     def test_cross_validate_matches_per_fold_reference(self, scored, cfg):
         assert (_outcome(cross_validate, scored, cfg)
                 == _outcome(reference_cross_validate, scored, cfg))
+
+
+class TestColumnarInput:
+    """Both evaluators take the columns of `score_dataset` or any sequence of
+    `ScoredRecord`, and order the rows by Python's string order either way."""
+
+    @staticmethod
+    def _scored_columns():
+        rng = np.random.Generator(np.random.PCG64(12))
+        ids = iter(f"id{p:04d}" for p in rng.permutation(200))  # file order is not id order
+        records = []
+        for s in range(6):
+            # "a" and "a\x00" tie as numpy strings, which drop trailing NULs
+            names = ["a\x00", "a"] if s == 2 else []
+            names += [next(ids) for _ in range(14 - len(names))]
+            for name in names:
+                p = float(rng.uniform(0.05, 1.0))
+                records.append(PredictionRecord(id=name, schema_id=f"s{s}",
+                                                label=int(rng.random() < p),
+                                                token_probs=(p, float(rng.uniform(0.5, 1.0)))))
+        records[28:30] = [replace(records[28], token_probs=(0.05,), label=1),
+                          replace(records[29], token_probs=(0.95,), label=0)]
+        return score_dataset(make_dataset(records, "columns"), "prod").scored
+
+    @pytest.mark.parametrize("cfg", [
+        ProtocolConfig(seed=4, k=3),
+        ProtocolConfig(seed=5, k=4, binning="monotonic", calibrator="platt"),
+    ], ids=["uniform-isotonic", "monotonic-platt"])
+    def test_columns_and_record_lists_give_the_same_reports(self, cfg):
+        columns = self._scored_columns()
+        assert [s.id for s in columns[28:30]] == ["a\x00", "a"]
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        reversed_list = list(columns)[::-1]
+        shuffled = [reversed_list[i] for i in rng.permutation(len(reversed_list))]
+        for evaluate, reference, scope in (
+            (cross_validate, reference_cross_validate, "schema_disjoint"),
+            (schema_level_evaluate, reference_schema_level, "schema_level"),
+        ):
+            cfg = replace(cfg, scope=scope)
+            expected = repr(reference(reversed_list, cfg))
+            assert repr(evaluate(columns, cfg)) == expected
+            assert repr(evaluate(reversed_list, cfg)) == expected
+            assert repr(evaluate(shuffled, cfg)) == expected

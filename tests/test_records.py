@@ -257,3 +257,59 @@ def test_summary_matches_file_line_count(tmp_path):
     summary = dataset_summary(load_dataset(path))
     assert summary.n_records == 1034
     assert summary.n_schemas == 11
+
+
+# The parse contract of the one line reader, through each of its callers:
+# `load_dataset`, the pair reading of `label` and `load_scored`.
+def _pair_ids(path):
+    from sqlcalib.cli import _pair_from_obj
+    from sqlcalib.records import _read_records
+
+    return [pair.id for pair in _read_records(path, _pair_from_obj)]
+
+
+def _scored_ids(path):
+    from sqlcalib.scoring import load_scored
+
+    return [s.id for s in load_scored(path)]
+
+
+READERS = {
+    "dataset": (lambda path: [r.id for r in load_dataset(path).records],
+                lambda i: _line(id=f"q{i}")),
+    "pairs": (_pair_ids,
+              lambda i: json.dumps({"id": f"q{i}", "schema_id": "s", "gold_sql": "SELECT 1",
+                                    "pred_sql": "SELECT 1"})),
+    "scored": (_scored_ids,
+               lambda i: json.dumps({"id": f"q{i}", "schema_id": "s", "method": "prod",
+                                     "raw_score": 0.5, "label": 1})),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("bad, message", [
+    (lambda good: good + " x", "Extra data"),
+    (lambda good: good + good, "Extra data"),
+    (lambda good: good + " \t" + good, "Extra data"),
+    (lambda good: "\ufeff" + good, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+], ids=["text-after-object", "two-objects", "two-objects-spaced", "bom"])
+def test_reader_rejects_what_json_loads_rejects(tmp_path, reader, bad, message):
+    read, line = READERS[reader]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([line(0), "", bad(line(1))]) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: malformed line: "
+                                           f"{re.escape(message)}"):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_reader_skips_blank_lines_at_every_line_ending(tmp_path, reader, newline):
+    read, line = READERS[reader]
+    path = tmp_path / "data.jsonl"
+    lines = [line(0), " ", line(1), "\t  \t", "", "  " + line(2) + " \t", line(3)]
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    assert read(path) == ["q0", "q1", "q2", "q3"]
+    path.write_bytes(newline.join(lines + ["  ", "{not json"]).encode("utf-8"))
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:9: malformed line: "):
+        read(path)

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlcalib.records import Alternative, PredictionRecord, make_dataset
 from sqlcalib.scoring import (
+    SCORE_METHODS,
     SkipRecord,
     pool_avg,
     pool_geo,
@@ -209,3 +212,39 @@ class TestScoreDataset:
                         '"raw_score": 0.5, "label": 1}\n')
         with pytest.raises(ValueError, match="unknown method"):
             load_scored(path)
+
+
+class TestScoredColumns:
+    def test_a_sequence_of_scored_records(self):
+        from sqlcalib.scoring import ScoredColumns, ScoredRecord
+
+        records = (ScoredRecord("a", "s", "prod", 0.25, 1), ScoredRecord("b", "t", "prod", 0.5, 0))
+        columns = ScoredColumns.of(records)
+        assert columns.raw_scores == (0.25, 0.5) and columns.labels == (1, 0)
+        assert columns == records and records == columns
+        assert list(columns) == list(records) and columns[-1] == records[-1]
+        assert columns[1:] == ScoredColumns.of(records[1:])
+        assert ScoredColumns.of(columns) is columns
+        assert columns != ScoredColumns.of(records[:1]) and not ScoredColumns.of(())
+        with pytest.raises(AttributeError, match="immutable"):
+            columns.labels = (0, 0)
+        with pytest.raises(ValueError, match="unequal length"):
+            ScoredColumns(["a"], ["s"], ["prod"], [0.5], [])
+
+    @pytest.mark.parametrize("method", SCORE_METHODS)
+    def test_writer_bytes_are_json_dumps_of_each_record(self, tmp_path, method):
+        from sqlcalib.scoring import ScoredColumns, write_scored
+
+        ids = ['plain', 'quote "q"', "back\\slash", "naïve 数据   \x00", "tab\there"]
+        raws = [pool_prod([1e-5] * 100), 1.0, 5e-324, 0.1 + 0.2,
+                -0.25 if method == "variant_alt" else 0.75]
+        assert raws[0] == 0.0  # a long product underflows
+        labels = [0, 1, 1, 0, 1]
+        schema_ids = [f"schéma {i}" for i in range(5)]
+        columns = ScoredColumns(ids, schema_ids, [method] * 5, raws, labels)
+        expected = "".join(
+            json.dumps({"id": i, "schema_id": s, "method": method, "raw_score": r, "label": y}) + "\n"
+            for i, s, r, y in zip(ids, schema_ids, raws, labels))
+        for scored in (columns, list(columns)):
+            write_scored(scored, tmp_path / "scored.jsonl")
+            assert (tmp_path / "scored.jsonl").read_bytes() == expected.encode("utf-8")
