@@ -14,7 +14,6 @@ read the columns.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
