@@ -21,8 +21,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .execmatch import (
+    _IDENTICAL,
     _OUTCOMES,
     ExecutionError,
+    Gold,
     GoldExecutionError,
     SQLiteExecutor,
     label_record,
@@ -151,19 +153,25 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     seed = _resolve_seed(args, parser)
     cfg = _config_from_args(args, seed)
     dataset = load_dataset(args.input)
+    source_name = dataset.source_name
     out_dir = Path(args.out_dir)
 
-    def scored_for(method: str):
+    # Every method is scored and its --bins bound checked before any
+    # evaluation. The records are dropped then: only their scores are used.
+    methods = dict.fromkeys((args.method, *(POOLING_METHODS if args.compare else ())))
+    scored = {}
+    for method in methods:
         result = score_dataset(dataset, method)
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
         _check_bins(args.bins, len(result.scored), f"scored with method {method}")
         if result.skipped:
             print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
-        return result.scored
+        scored[method] = result.scored
+    del dataset, result
 
     if cfg.scope == "schema_level":
-        report = cli.schema_level_evaluate(scored_for(args.method), cfg)
+        report = cli.schema_level_evaluate(scored.pop(args.method), cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         rpt.write_schema_csv(report, out_dir / "schemas.csv")
         rpt.write_thresholds_csv([("schema_level", report.micro.prf)], out_dir / "thresholds.csv")
@@ -172,16 +180,16 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(f"wrote {out_dir / 'schemas.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
         return 0
 
-    report = cli.cross_validate(scored_for(args.method), cfg)
+    report = cli.cross_validate(scored.pop(args.method), cfg)
     compare_reports = {}
     if args.compare:
         for method in POOLING_METHODS:
             compare_reports[method] = (
-                report if method == args.method else cli.cross_validate(scored_for(method), cfg)
+                report if method == args.method else cli.cross_validate(scored.pop(method), cfg)
             )
     out_dir.mkdir(parents=True, exist_ok=True)
-    rpt.write_report_csv(report, out_dir / "report.csv", dataset_name=dataset.source_name)
-    rpt.write_report_json(report, out_dir / "report.json", dataset_name=dataset.source_name)
+    rpt.write_report_csv(report, out_dir / "report.csv", dataset_name=source_name)
+    rpt.write_report_json(report, out_dir / "report.json", dataset_name=source_name)
     rpt.write_thresholds_csv([("schema_disjoint", report.prf_mean)], out_dir / "thresholds.csv")
     if compare_reports:
         rpt.write_compare_csv(compare_reports, out_dir / "compare.csv")
@@ -242,30 +250,50 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     missing = [f"{pair.id!r}: {path}" for pair, path in zip(pairs, db_paths) if not path.exists()]
     if missing:
         raise DatasetError(f"{args.pairs}: database file not found: " + "; ".join(missing))
-    executors = {path: SQLiteExecutor(path, timeout_s=args.timeout) for path in set(db_paths)}
-    records = []
+    # Pairs grouped by database, then by gold query, each group in file order:
+    # one connection is open at a time, and gold runs once per group.
+    order = sorted(range(len(pairs)), key=lambda i: (str(db_paths[i]), pairs[i].extra["gold_sql"]))
+    labels = [0] * len(pairs)
     gold_failures = []
     outcomes: Counter = Counter()
+    gold_runs = 0
+    executor = gold = None
     try:
-        for pair, db_path in zip(pairs, db_paths):
+        for i in order:
+            pair = pairs[i]
+            gold_sql = pair.extra["gold_sql"]
+            if executor is None or executor.database != db_paths[i]:
+                if executor is not None:
+                    executor.close()  # after its database's last pair
+                executor = SQLiteExecutor(db_paths[i], timeout_s=args.timeout)
+                gold = None
+            if gold is None or gold.sql != gold_sql or not gold.shared:
+                gold = None  # the last result is freed before gold runs again
+                gold = Gold(gold_sql, executor)
+                gold_runs += 1
             try:
-                label = label_record(
-                    pair.extra["gold_sql"], pair.extra["pred_sql"], executors[db_path],
-                    strict_columns=args.strict_columns, outcomes=outcomes,
+                labels[i] = label_record(
+                    gold_sql, pair.extra["pred_sql"], executor,
+                    strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
                 )
             except GoldExecutionError as exc:
-                gold_failures.append(f"{pair.id!r}: {exc.__cause__}")
-                continue
-            extra = {k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS}
-            records.append(replace(pair, label=label, extra=extra))
+                gold_failures.append((i, f"{pair.id!r}: {exc.__cause__}"))
     finally:
-        for executor in executors.values():
+        if executor is not None:
             executor.close()
     if gold_failures:
-        raise DatasetError(f"{args.pairs}: gold query failed: " + "; ".join(gold_failures))
+        raise DatasetError(f"{args.pairs}: gold query failed: "
+                           + "; ".join(message for _, message in sorted(gold_failures)))
+    records = [
+        replace(pair, label=label,
+                extra={k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS})
+        for pair, label in zip(pairs, labels)
+    ]
     write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)
-    n_correct = sum(r.label for r in records)
+    n_correct = sum(labels)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
+    print(f"gold executions: {gold_runs} for {len(pairs)} pairs; "
+          f"{outcomes[_IDENTICAL]} predictions identical to gold not run", file=sys.stderr)
     print("outcomes: " + ", ".join(f"{name} {outcomes[name]}" for name in _OUTCOMES), file=sys.stderr)
     return 0
 

@@ -12,6 +12,11 @@ An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
 database, an open transaction) closes that connection after it, so it cannot
 change what a later query returns.
+
+Gold's result is held by a `Gold`, which pairs sharing that gold query on
+one database may reuse when the query is a pure read calling no volatile
+function; a prediction whose text is such a gold's own then matches without
+running.
 """
 
 from __future__ import annotations
@@ -27,11 +32,23 @@ from typing import Any, Iterable, NamedTuple, Sequence
 # Per-pair outcomes of `label_record`, in the order `label` reports them.
 _OUTCOMES = ("matched", "mismatched", "pred error", "pred timeout",
              "shape or row-cap reject", "match timeout")
+# Counted besides "matched" for a pair whose prediction did not run: its text
+# is that of a gold that may be shared.
+_IDENTICAL = "identical to gold"
 
 # Authorizer actions of a statement that only reads; any other leaves the
 # connection dirty.
 _READ_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                            sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
+
+# Functions whose result can differ between two runs of one query on one
+# database: a query calling any of them is never shared. The date/time
+# functions are all listed, since any of them may be given 'now'.
+_VOLATILE_FUNCTIONS = frozenset((
+    "random", "randomblob", "changes", "total_changes", "last_insert_rowid",
+    "date", "time", "datetime", "julianday", "unixepoch", "strftime", "timediff",
+    "current_date", "current_time", "current_timestamp",
+))
 
 
 class ExecutionError(Exception):
@@ -171,32 +188,67 @@ def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False,
     return False
 
 
+class Gold:
+    """Gold's result on one executor, run once: its raw rows or its error,
+    and its canonical table, built at most once, for the first prediction of
+    gold's shape. `shared` is true when gold ran as a pure read calling no
+    volatile function, so that later pairs with the same gold SQL on the same
+    executor may reuse this result instead of running gold again."""
+
+    __slots__ = ("sql", "raw", "error", "shared", "_table")
+
+    def __init__(self, sql: str, executor: SQLiteExecutor):
+        self.sql = sql
+        self.raw: RawResult | None = None
+        self.error: ExecutionError | None = None
+        try:
+            self.raw = executor.execute(sql)
+        except ExecutionError as exc:
+            self.error = exc
+        self.shared = executor.shareable(sql)
+        self._table: ResultTable | None = None
+
+    def table(self) -> ResultTable:
+        if self._table is None:
+            self._table = ResultTable.from_rows(self.raw.rows, n_cols=self.raw.n_cols)
+        return self._table
+
+
 def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
-                 strict_columns: bool = False, outcomes: Counter | None = None) -> int:
+                 strict_columns: bool = False, outcomes: Counter | None = None,
+                 gold: Gold | None = None) -> int:
     """Execution-accuracy label: 1 iff both queries run and their result
     tables match. A failing predicted query labels 0; a failing gold query
     raises (the dataset, not the prediction, is broken).
 
-    The predicted query and the match search share one deadline,
-    `executor.timeout_s` from the start of the predicted query; a search that
-    runs past it labels 0, like a predicted query that times out. Gold's
-    cells are canonicalized only for a prediction of gold's shape, and that
-    time is added to the deadline. `outcomes`, if given, counts the pair
-    under one of `_OUTCOMES`.
+    `gold`, if given, is `Gold(gold_sql, executor)` from this or an earlier
+    pair; otherwise gold runs here. A prediction whose text is a shared
+    gold's own matches without running. The predicted query and the match
+    search share one deadline, `executor.timeout_s` from the start of the
+    predicted query; a search that runs past it labels 0, like a predicted
+    query that times out. Gold's cells are canonicalized only for a
+    prediction of gold's shape, and that time is added to the deadline.
+    `outcomes`, if given, counts the pair under one of `_OUTCOMES`, and under
+    `_IDENTICAL` too when its prediction did not run.
     """
-    try:
-        gold = executor.execute(gold_sql)
-    except ExecutionError as exc:
-        raise GoldExecutionError(f"gold query failed: {exc}") from exc
+    if gold is None:
+        gold = Gold(gold_sql, executor)
+    if gold.error is not None:
+        raise GoldExecutionError(f"gold query failed: {gold.error}") from gold.error
+    if gold.shared and pred_sql == gold_sql:
+        if outcomes is not None:
+            outcomes[_IDENTICAL] += 1
+            outcomes["matched"] += 1
+        return 1
     deadline = time.monotonic() + executor.timeout_s
     try:
-        pred = executor.execute(pred_sql, expect=gold, deadline=deadline)
+        pred = executor.execute(pred_sql, expect=gold.raw, deadline=deadline)
         if pred is None:
             outcome = "shape or row-cap reject"
         else:
             pred_table = ResultTable.from_rows(pred.rows, n_cols=pred.n_cols)
             start = time.monotonic()
-            gold_table = ResultTable.from_rows(gold.rows, n_cols=gold.n_cols)
+            gold_table = gold.table()
             deadline += time.monotonic() - start
             if tables_equal(gold_table, pred_table, strict_columns, deadline):
                 outcome = "matched"
@@ -220,6 +272,12 @@ class SQLiteExecutor:
     marks the connection dirty: it is closed after that statement and the
     next query opens a fresh one. No statement is denied. The connection
     belongs to the thread that opened it: use one executor per thread.
+
+    The executor remembers every SQL text that ran dirty or called a volatile
+    function (see `shareable`). The authorizer sees a statement only when
+    sqlite3 prepares it, not when its statement cache runs it again, so the
+    record is made per text at that first preparation and kept for the
+    executor's life, across connections.
     """
 
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
@@ -232,11 +290,21 @@ class SQLiteExecutor:
         self._uri = self.database.resolve().as_uri() + "?mode=ro"
         self._conn: sqlite3.Connection | None = None
         self._dirty = False
+        self._volatile = False  # the statement being prepared calls a volatile function
+        self._unshareable: set[str] = set()
 
-    def _authorize(self, action: int, *_: Any) -> int:
+    def _authorize(self, action: int, _arg1: Any, arg2: Any, *_: Any) -> int:
         if action not in _READ_ACTIONS:
             self._dirty = True
+        elif action == sqlite3.SQLITE_FUNCTION and arg2 in _VOLATILE_FUNCTIONS:
+            self._volatile = True
         return sqlite3.SQLITE_OK
+
+    def shareable(self, sql: str) -> bool:
+        """Whether a result of `sql`, which has run on this executor, may be
+        reused: false once it has run as anything but a read or called a
+        volatile function, since another run could then return otherwise."""
+        return sql not in self._unshareable
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -277,6 +345,7 @@ class SQLiteExecutor:
 
         conn.set_progress_handler(watchdog, 10_000)
         cursor = None
+        self._volatile = False
         try:
             cursor = conn.execute(sql)
             n_cols = len(cursor.description) if cursor.description else 0
@@ -306,6 +375,8 @@ class SQLiteExecutor:
         finally:
             if cursor is not None:
                 cursor.close()  # the row cap can leave the statement unfinished
+            if self._dirty or self._volatile:
+                self._unshareable.add(sql)
             if self._dirty:
                 self.close()
         return RawResult(n_cols, rows)

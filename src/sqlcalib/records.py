@@ -69,8 +69,7 @@ class PredictionRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise RecordError(self.id, "label", f"must be 0 or 1, got {self.label!r}")
+        _label(self.id, self.label)
         if self.token_probs is not None:
             if len(self.token_probs) == 0:
                 raise RecordError(self.id, "token_probs", "must be nonempty when present")
@@ -209,7 +208,7 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
     return PredictionRecord(
         id=rid,
         schema_id=str(obj["schema_id"]),
-        label=_label(rid, obj["label"]),
+        label=obj["label"],  # checked by _label in __post_init__
         question=None if obj.get("question") is None else str(obj["question"]),
         token_probs=token_probs,
         self_check_bool=self_check,

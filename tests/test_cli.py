@@ -7,13 +7,17 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sqlcalib
 from sqlcalib import protocol
 from sqlcalib.cli import build_parser, main
+from sqlcalib.execmatch import _OUTCOMES, SQLiteExecutor, label_record
 from sqlcalib.records import load_dataset
 
 
@@ -466,6 +470,34 @@ class TestEvaluate:
                 actual = tmp_path / "columns" / expected.relative_to(tmp_path / "expected")
                 assert actual.read_bytes() == expected.read_bytes(), actual
 
+    def test_compare_checks_every_bins_bound_before_any_evaluation(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # 200 records with self_check_bool, 100 of them with token_probs: --bins 150
+        # passes for the primary method and fails for every pooling method
+        data = tmp_path / "data.jsonl"
+        rows = []
+        for i in range(200):
+            row = {"id": f"r{i}", "schema_id": f"s{i % 10}", "label": i % 2,
+                   "self_check_bool": {"p_true": 0.2 + 0.003 * i, "p_false": 0.5}}
+            if i % 2:
+                row["token_probs"] = [0.9, 0.5 + 0.002 * i]
+            rows.append(json.dumps(row))
+        data.write_text("\n".join(rows) + "\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross_validate ran before every --bins bound was checked")
+
+        from sqlcalib import cli
+
+        monkeypatch.setattr(cli, "cross_validate", refuse, raising=False)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert run("evaluate", "--input", data, "--method", "self_check_bool", "--compare",
+                   "--bins", 150, "--seed", 1, "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: --bins 150 exceeds the 100 records scored with method prod")
+        assert not out_dir.exists()
+
 class TestReportCommand:
     def test_writes_csv_and_svg(self, synthetic, tmp_path):
         scored = tmp_path / "scored.jsonl"
@@ -561,12 +593,27 @@ class TestLabelCommand:
         (db_root / "empty").mkdir()
         sqlite3.connect(db_root / "empty" / "empty.sqlite").close()
         pairs = tmp_path / "pairs.jsonl"
-        rows = [{"id": f"q{i}", "schema_id": schema, "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"}
-                for i, schema in enumerate(["concerts", "empty", "concerts", "empty"])]
+        schemas_and_preds = [("concerts", "SELECT 1"), ("empty", "SELECT 2"),
+                             ("concerts", "SELECT 2"), ("empty", "SELECT 1")]
+        rows = [{"id": f"q{i}", "schema_id": schema, "gold_sql": "SELECT 1", "pred_sql": pred}
+                for i, (schema, pred) in enumerate(schemas_and_preds)]
         pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         opened = []
         connect = sqlite3.connect
-        monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: opened.append(connect(*a, **k)) or opened[-1])
+
+        def is_closed(conn):
+            try:
+                conn.total_changes
+            except sqlite3.ProgrammingError:
+                return True
+            return False
+
+        def connect_one_at_a_time(*args, **kwargs):
+            assert all(map(is_closed, opened)), "a connection opened while another was open"
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", connect_one_at_a_time)
         if fail_after is not None:  # labeling stops with an exception after some pairs
             from sqlcalib import cli
             label_record = cli.label_record
@@ -583,9 +630,7 @@ class TestLabelCommand:
             assert run("label", "--pairs", pairs, "--db-root", db_root,
                        "--out", tmp_path / "x.jsonl") == 0
         assert len(opened) == 2  # one per database, reused by its second pair
-        for conn in opened:
-            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
-                conn.execute("SELECT 1")
+        assert all(map(is_closed, opened))
 
     def test_match_search_past_the_timeout_labels_0(self, tmp_path, capsys):
         # 7 free bits plus their parity, and the same bits with the negated parity:
@@ -642,6 +687,124 @@ class TestLabelCommand:
             "'q3': no such column: nope\n"
         )
         assert not out.exists()
+
+    def label_rows(self, db_root, tmp_path, capsys, rows):
+        """Exit code, stderr lines and the labels by id of `label` on `rows`."""
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(json.dumps({"schema_id": "concerts", **r}) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        capsys.readouterr()
+        code = run("label", "--pairs", pairs, "--db-root", db_root, "--out", out)
+        labels = None
+        if code == 0:
+            labels = {r["id"]: r["label"] for r in map(json.loads, out.read_text().splitlines())}
+        return code, capsys.readouterr().err.splitlines(), labels
+
+    def test_gold_runs_once_per_database_and_query(self, db_root, tmp_path, capsys):
+        names, ages = "SELECT name FROM singer", "SELECT age FROM singer"
+        rows = [
+            {"id": "q1", "gold_sql": names, "pred_sql": names},
+            {"id": "q2", "gold_sql": ages, "pred_sql": "SELECT age FROM singer ORDER BY age"},
+            {"id": "q3", "gold_sql": names, "pred_sql": "SELECT name FROM singer WHERE age > 26"},
+            {"id": "q4", "gold_sql": ages, "pred_sql": ages},
+            {"id": "q5", "gold_sql": names, "pred_sql": "SELECT upper(name) FROM singer"},
+        ]
+        code, err, labels = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 0
+        assert list(labels.items()) == [("q1", 1), ("q2", 1), ("q3", 0), ("q4", 1), ("q5", 0)]
+        assert err[-2:] == [
+            "gold executions: 2 for 5 pairs; 2 predictions identical to gold not run",
+            "outcomes: matched 3, mismatched 1, pred error 0, pred timeout 0, "
+            "shape or row-cap reject 1, match timeout 0",
+        ]
+
+    @pytest.mark.parametrize("gold", ["SELECT random()", "SELECT CURRENT_TIMESTAMP",
+                                      "SELECT date('now')"])
+    def test_volatile_gold_runs_once_per_pair(self, db_root, tmp_path, capsys, gold):
+        rows = [{"id": f"q{i}", "gold_sql": gold, "pred_sql": pred}
+                for i, pred in enumerate([gold, "SELECT 1", gold])]
+        code, err, _ = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 0
+        assert err[-2] == "gold executions: 3 for 3 pairs; 0 predictions identical to gold not run"
+
+    def test_volatile_text_run_first_as_a_prediction_is_not_shared(self, db_root, tmp_path,
+                                                                      capsys):
+        # "SELECT 1" sorts first, so its prediction prepares "SELECT random()" before
+        # any gold does; the gold runs come from sqlite3's statement cache
+        rows = [
+            {"id": "q1", "gold_sql": "SELECT random()", "pred_sql": "SELECT random()"},
+            {"id": "q2", "gold_sql": "SELECT 1", "pred_sql": "SELECT random()"},
+            {"id": "q3", "gold_sql": "SELECT random()", "pred_sql": "SELECT random()"},
+        ]
+        code, err, labels = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 0
+        assert labels == {"q1": 0, "q2": 0, "q3": 0}
+        assert err[-2] == "gold executions: 3 for 3 pairs; 0 predictions identical to gold not run"
+
+    @pytest.mark.parametrize("gold", ["PRAGMA table_info(singer)",
+                                      "SELECT value FROM json_each('[1, 2]')"])
+    def test_dirty_gold_runs_once_per_pair(self, db_root, tmp_path, capsys, gold):
+        rows = [{"id": f"q{i}", "gold_sql": gold, "pred_sql": gold} for i in range(3)]
+        code, err, labels = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 0
+        assert labels == {"q0": 1, "q1": 1, "q2": 1}
+        assert err[-2] == "gold executions: 3 for 3 pairs; 0 predictions identical to gold not run"
+
+    def test_shared_gold_failure_names_its_pairs_in_file_order(self, db_root, tmp_path, capsys):
+        bogus, nope, names = ("SELECT bogus FROM singer", "SELECT nope FROM singer",
+                              "SELECT name FROM singer")
+        rows = [
+            {"id": "q1", "gold_sql": bogus, "pred_sql": names},
+            {"id": "q2", "gold_sql": nope, "pred_sql": names},
+            {"id": "q3", "gold_sql": names, "pred_sql": names},
+            {"id": "q4", "gold_sql": bogus, "pred_sql": bogus},
+            {"id": "q5", "gold_sql": bogus, "pred_sql": names},
+        ]
+        code, err, _ = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 1
+        assert err == [
+            f"error: {tmp_path / 'pairs.jsonl'}: gold query failed: 'q1': no such column: bogus; "
+            "'q2': no such column: nope; 'q4': no such column: bogus; "
+            "'q5': no such column: bogus"
+        ]
+        assert not (tmp_path / "labeled.jsonl").exists()
+
+    PROPERTY_GOLDS = ("SELECT name FROM singer", "SELECT name, age FROM singer",
+                      "SELECT count(*) FROM singer", "SELECT age FROM singer WHERE age > 26",
+                      "SELECT value FROM json_each('[1, 2]')")
+    PROPERTY_PREDS = PROPERTY_GOLDS + (
+        "SELECT age, name FROM singer ORDER BY age", "SELECT name FROM singer ORDER BY name DESC",
+        "SELEC nope", "SELECT age FROM singer", "SELECT 2", "PRAGMA table_info(singer)",
+        "CREATE TEMP TABLE singer AS SELECT 'Zed' AS name",
+    )
+
+    @given(pairs=st.lists(st.tuples(st.sampled_from(["concerts", "tour"]),
+                                    st.sampled_from(PROPERTY_GOLDS),
+                                    st.sampled_from(PROPERTY_PREDS)), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_labels_equal_per_pair_labeling_on_fresh_executors(self, db_root, tmp_path, capsys,
+                                                                pairs):
+        tour = db_root / "tour" / "tour.sqlite"
+        if not tour.exists():
+            tour.parent.mkdir()
+            with sqlite3.connect(tour) as conn:
+                conn.executescript("CREATE TABLE singer (name TEXT, age INTEGER);"
+                                   "INSERT INTO singer VALUES ('Cy', 41), ('Di', 19), ('Cy', 41);")
+            conn.close()
+        rows = [{"id": f"q{i}", "schema_id": schema, "gold_sql": gold, "pred_sql": pred}
+                for i, (schema, gold, pred) in enumerate(pairs)]
+        code, err, labels = self.label_rows(db_root, tmp_path, capsys, rows)
+        assert code == 0
+        want, want_outcomes = {}, Counter()
+        for row in rows:
+            executor = SQLiteExecutor(db_root / row["schema_id"] / f"{row['schema_id']}.sqlite")
+            want[row["id"]] = label_record(row["gold_sql"], row["pred_sql"], executor,
+                                           outcomes=want_outcomes)
+            executor.close()
+        assert list(labels.items()) == list(want.items())
+        assert err[-1] == "outcomes: " + ", ".join(f"{name} {want_outcomes[name]}"
+                                                   for name in _OUTCOMES)
 
     def test_every_missing_database_is_named_before_any_sql(self, db_root, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

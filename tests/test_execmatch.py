@@ -12,6 +12,7 @@ from oracles import tables_equal_exhaustive
 from sqlcalib import execmatch
 from sqlcalib.execmatch import (
     ExecutionError,
+    Gold,
     GoldExecutionError,
     RawResult,
     ResultTable,
@@ -425,6 +426,86 @@ class TestConnectionReuse:
     def test_raw_result_keeps_sqlite_values(self, db):
         raw = SQLiteExecutor(db).execute("SELECT name, age, country FROM singer")
         assert raw == RawResult(3, [("Ava", 30, "FR"), ("Ben", 25, "US"), ("Caz", 30, None)])
+
+
+class TestGoldSharing:
+    @pytest.mark.parametrize("sql", [
+        "SELECT random()", "SELECT CURRENT_TIMESTAMP", "SELECT date('now')",
+        "SELECT randomblob(4)", "SELECT strftime('%s', 'now')", "SELECT changes()",
+        "SELECT name FROM singer WHERE age < random()",
+    ])
+    def test_volatile_gold_is_not_shared(self, db, sql):
+        ex = SQLiteExecutor(db)
+        for _ in range(2):  # the second run comes from the statement cache
+            assert not Gold(sql, ex).shared
+
+    @pytest.mark.parametrize("sql", [
+        "PRAGMA table_info(singer)",
+        "SELECT value FROM json_each('[1, 2]')",
+        "SELECT name FROM pragma_table_info('singer')",
+    ])
+    def test_dirty_gold_is_not_shared(self, db, sql):
+        ex = SQLiteExecutor(db)
+        gold = Gold(sql, ex)
+        assert gold.error is None
+        assert not gold.shared
+
+    @pytest.mark.parametrize("sql", ["SELECT name FROM singer",
+                                     "SELECT abs(age), upper(name) FROM singer"])
+    def test_pure_read_is_shared(self, db, sql):
+        ex = SQLiteExecutor(db)
+        for _ in range(2):
+            assert Gold(sql, ex).shared
+
+    def test_volatile_text_first_run_as_a_prediction_is_not_shared_as_gold(self, db):
+        # sqlite3's statement cache runs a text again without the authorizer
+        seen = []
+        conn = sqlite3.connect(db)
+        conn.set_authorizer(lambda action, arg1, arg2, *_: seen.append(arg2) or sqlite3.SQLITE_OK)
+        for _ in range(2):
+            conn.execute("SELECT random()").fetchall()
+        conn.close()
+        assert seen.count("random") == 1
+
+        ex = SQLiteExecutor(db)
+        outcomes = Counter()
+        assert label_record("SELECT 1", "SELECT random()", ex, outcomes=outcomes) == 0
+        gold = Gold("SELECT random()", ex)  # served from the cache
+        assert not gold.shared
+        assert label_record(gold.sql, gold.sql, ex, outcomes=outcomes, gold=gold) == 0
+        assert outcomes == Counter({"mismatched": 2})
+
+    def test_identical_prediction_of_a_shared_gold_does_not_run(self, db, monkeypatch):
+        ex = SQLiteExecutor(db)
+        gold = Gold("SELECT name FROM singer", ex)
+        monkeypatch.setattr(ex, "execute", lambda *args, **kwargs: pytest.fail("a query ran"))
+        outcomes = Counter()
+        assert label_record(gold.sql, gold.sql, ex, outcomes=outcomes, gold=gold) == 1
+        assert outcomes == Counter({"matched": 1, execmatch._IDENTICAL: 1})
+
+    def test_gold_is_canonicalized_once_for_every_pair_sharing_it(self, db, monkeypatch):
+        ex = SQLiteExecutor(db)
+        gold = Gold("SELECT name, age FROM singer", ex)
+        tables = []
+        from_rows = ResultTable.from_rows.__func__
+
+        def counted(cls, *args, **kwargs):
+            tables.append(1)
+            return from_rows(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ResultTable, "from_rows", classmethod(counted))
+        for pred in ("SELECT age, name FROM singer", "SELECT name, age + 1 FROM singer",
+                     "SELECT name, age FROM singer ORDER BY age"):
+            label_record(gold.sql, pred, ex, gold=gold)
+        assert len(tables) == 3 + 1  # every prediction's table, and gold's once
+
+    def test_failing_gold_fails_every_pair_sharing_it(self, db):
+        ex = SQLiteExecutor(db)
+        gold = Gold("SELECT bogus FROM singer", ex)
+        assert gold.shared
+        for pred in ("SELECT name FROM singer", gold.sql):
+            with pytest.raises(GoldExecutionError, match="no such column: bogus"):
+                label_record(gold.sql, pred, ex, gold=gold)
 
 
 class TestLabelRecord:

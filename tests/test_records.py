@@ -235,6 +235,15 @@ def test_round_trip_reproduces_records(tmp_path):
     assert ds.records[0].alternatives == (Alternative(score=0.5, equivalent=False),)
 
 
+@pytest.mark.parametrize("label", [True, False, 1.0, 0.0])
+def test_record_with_a_label_load_rejects_is_not_built(label):
+    # such a record would be written with "label": true or 1.0, which load_dataset rejects
+    with pytest.raises(RecordError, match="must be the integer 0 or 1") as err:
+        PredictionRecord(id="a", schema_id="s", label=label, token_probs=(0.5,))
+    assert err.value.record_id == "a"
+    assert err.value.field_name == "label"
+
+
 def test_summary_counts_and_pct():
     records = [
         PredictionRecord(id=f"r{i}", schema_id=f"s{i % 3}", label=label)
