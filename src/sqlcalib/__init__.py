@@ -24,7 +24,7 @@ _EXPORTS = {
                 "dataset_summary", "load_dataset", "make_dataset", "write_dataset"),
     "report": ("ReliabilitySeries", "reliability_series", "render_reliability",
                "write_reliability_csv"),
-    "scoring": ("ScoredRecord", "ScoringResult", "SkipRecord", "load_scored", "pool_avg",
+    "scoring": ("ScoredColumns", "ScoringResult", "SkipRecord", "load_scored", "pool_avg",
                 "pool_geo", "pool_min", "pool_prod", "score_dataset", "score_record",
                 "score_self_check_bool", "score_self_check_probs", "score_variant_alt",
                 "write_scored"),

@@ -13,6 +13,7 @@ with them numpy), inside the command; validate, score and label never do.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -84,6 +85,18 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     return values
 
 
+def _timeout(text: str) -> float:
+    """A positive finite number of seconds: NaN or infinity would disable the
+    deadline, and zero or less would time out every query."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     dataset = load_dataset(args.input)
     summary = dataset_summary(dataset)
@@ -137,11 +150,12 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
     )
 
 
-def _check_bins(bins: int, n_scored: int, what: str) -> None:
-    """Reject more bins than scored records: the surplus bins can only stay
-    empty, and building them costs time and memory in proportion to `bins`."""
-    if bins > n_scored:
-        raise DatasetError(f"--bins {bins} exceeds the {n_scored} records {what}")
+def _check_bins(args: argparse.Namespace, n_scored: int, what: str) -> None:
+    """Under uniform binning, reject more bins than scored records: the
+    surplus bins can only stay empty, and building them costs time and
+    memory in proportion to `--bins`. Monotonic binning never reads it."""
+    if args.binning == "uniform" and args.bins > n_scored:
+        raise DatasetError(f"--bins {args.bins} exceeds the {n_scored} records {what}")
 
 
 def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -164,7 +178,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         result = score_dataset(dataset, method)
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
-        _check_bins(args.bins, len(result.scored), f"scored with method {method}")
+        _check_bins(args, len(result.scored), f"scored with method {method}")
         if result.skipped:
             print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
         scored[method] = result.scored
@@ -208,7 +222,7 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from .binning import _partitions
 
     scored = load_scored(args.scored)
-    _check_bins(args.bins, len(scored), f"in {args.scored}")
+    _check_bins(args, len(scored), f"in {args.scored}")
     calibrator = cal.load_calibrator(args.calibrator)
     apply = cal.apply_platt if isinstance(calibrator, cal.PlattCalibrator) else cal.apply_isotonic
     columns = one_split(apply(calibrator, scored.raw_scores), scored.labels, "confidences")
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-root", required=True,
                    help="directory holding <schema_id>/<schema_id>.sqlite files")
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_timeout, default=30.0)
     p.add_argument("--strict-columns", action="store_true")
     p.set_defaults(func=cmd_label)
 

@@ -1,11 +1,10 @@
 """Evaluation procedure: schema-disjoint cross-validation, schema-level
 calibration, aggregation across folds, and a seeded synthetic-data generator.
 
-Both evaluators take scored records in either form: the `ScoredColumns` of
-`score_dataset` or `load_scored`, read column by column, or any other
-sequence of `ScoredRecord`, turned into the same columns first. They order
-the rows with Python's `sorted` over row indices (by id, or by schema and
-id) and gather the score and label arrays once in that order.
+Both evaluators take the `ScoredColumns` of `score_dataset` or
+`load_scored`. They order the rows with Python's `sorted` over row indices
+(by id, or by schema and id) and gather the score and label arrays once in
+that order.
 
 All randomness flows through numpy's PCG64 generator seeded from the config,
 so fold assignments, splits, and synthetic datasets reproduce across runs
@@ -45,7 +44,7 @@ from .metrics import (  # noqa: F401
     summarize,
 )
 from .records import Dataset, PredictionRecord, make_dataset
-from .scoring import ScoredColumns, ScoredRecord
+from .scoring import ScoredColumns
 
 
 @dataclass(frozen=True)
@@ -174,17 +173,16 @@ def _evaluate_splits(raw: np.ndarray, labels: np.ndarray, tune: np.ndarray,
     return _summarize(*columns, test_bounds, cfg), columns
 
 
-def _columns(scored: Sequence[ScoredRecord],
+def _columns(scored: ScoredColumns,
              order: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """The raw score and label arrays of the records, their rows taken in `order`."""
-    columns = ScoredColumns.of(scored)
-    return (np.array(columns.raw_scores, dtype=float)[order],
-            np.array(columns.labels, dtype=int)[order])
+    return (np.array(scored.raw_scores, dtype=float)[order],
+            np.array(scored.labels, dtype=int)[order])
 
 
-def _single_method(scored: Sequence[ScoredRecord]) -> str:
+def _single_method(scored: ScoredColumns) -> str:
     """The one scoring method of a nonempty evaluation input."""
-    methods = set(ScoredColumns.of(scored).methods)
+    methods = set(scored.methods)
     if not methods:
         raise ValueError("no scored records to evaluate")
     if len(methods) > 1:
@@ -192,9 +190,9 @@ def _single_method(scored: Sequence[ScoredRecord]) -> str:
     return methods.pop()
 
 
-def _by_id(columns: ScoredColumns) -> list[int]:
+def _by_id(scored: ScoredColumns) -> list[int]:
     """The row indices ordered by id; equal ids keep their order."""
-    return sorted(range(len(columns)), key=columns.ids.__getitem__)
+    return sorted(range(len(scored)), key=scored.ids.__getitem__)
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -235,7 +233,7 @@ def _aggregate_prf(
     return tuple(means), tuple(stds)
 
 
-def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> EvaluationReport:
+def cross_validate(scored: ScoredColumns, cfg: ProtocolConfig) -> EvaluationReport:
     """Schema-disjoint k-fold evaluation.
 
     Each fold in turn is the tuning split: calibrators are fitted on it and
@@ -244,12 +242,11 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     deviation across folds. Under monotonic binning, a fold whose test split
     is smaller than `min_bin_count` fails the run before the first fit.
     """
-    columns = ScoredColumns.of(scored)
-    method = _single_method(columns)
-    order = np.array(_by_id(columns))
-    raw, labels = _columns(columns, order)
-    schema_to_fold = _assign_folds(Counter(columns.schema_ids), cfg.k, cfg.seed)
-    fold_of = np.array([schema_to_fold[s] for s in columns.schema_ids])[order]
+    method = _single_method(scored)
+    order = np.array(_by_id(scored))
+    raw, labels = _columns(scored, order)
+    schema_to_fold = _assign_folds(Counter(scored.schema_ids), cfg.k, cfg.seed)
+    fold_of = np.array([schema_to_fold[s] for s in scored.schema_ids])[order]
     n_tune = np.bincount(fold_of, minlength=cfg.k)
     if cfg.binning == "monotonic":
         for f, n_test in enumerate((len(raw) - n_tune).tolist()):
@@ -296,22 +293,19 @@ def cross_validate(scored: Sequence[ScoredRecord], cfg: ProtocolConfig) -> Evalu
     )
 
 
-def schema_level_evaluate(
-    scored: Sequence[ScoredRecord], cfg: ProtocolConfig
-) -> SchemaLevelReport:
+def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaLevelReport:
     """Per-schema calibration: within each schema a seeded split reserves a
     tuning fraction for calibrator fitting; metrics are computed on the
     remainder. Schemas below the minimum size, and under monotonic binning
     schemas whose evaluation split is smaller than `min_bin_count`, are
     skipped with a reason. The micro row pools every held-out record across
     schemas."""
-    columns = ScoredColumns.of(scored)
-    method = _single_method(columns)
+    method = _single_method(scored)
     # by schema, then by id: each schema's records are one run of rows
-    order = _by_id(columns)
-    order.sort(key=columns.schema_ids.__getitem__)
-    raw, labels = _columns(columns, np.array(order))
-    counts = Counter(columns.schema_ids)
+    order = _by_id(scored)
+    order.sort(key=scored.schema_ids.__getitem__)
+    raw, labels = _columns(scored, np.array(order))
+    counts = Counter(scored.schema_ids)
     schemas = sorted(counts)
     sizes = [counts[schema_id] for schema_id in schemas]
 

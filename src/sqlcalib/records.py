@@ -262,9 +262,10 @@ def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
                 raise
             except (ValueError, TypeError) as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            if item.id in seen:
-                raise DatasetError(f"{path}:{lineno}: duplicate record id {item.id!r}")
-            seen.add(item.id)
+            rid = str(obj["id"])  # the id that `parse` checked
+            if rid in seen:
+                raise DatasetError(f"{path}:{lineno}: duplicate record id {rid!r}")
+            seen.add(rid)
             items.append(item)
     if not items:
         raise DatasetError(f"empty dataset: {path}")

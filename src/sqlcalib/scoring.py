@@ -5,18 +5,17 @@ Four pooling rules reduce per-token probabilities to one sequence score
 the variant rule scores a prediction relative to its best inequivalent
 alternative.
 
-Scored records travel as `ScoredColumns`: one tuple per field (id, schema
-id, method, raw score, label), with no object per record. It is a sequence
-of `ScoredRecord`s, built only when an element is read, so code that
-indexes or iterates it sees records; the evaluators, the writer and the CLI
-read the columns.
+Scored records have one form, `ScoredColumns`: one tuple per field (id,
+schema id, method, raw score, label), with no object per record. The
+scorer, the reader and the writer of scored files, the evaluators and the
+CLI all work on those columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -42,69 +41,25 @@ class SkipRecord(Exception):
 
 
 @dataclass(frozen=True)
-class ScoredRecord:
-    id: str
-    schema_id: str
-    method: str
-    raw_score: float
-    label: int
+class ScoredColumns:
+    """Scored records as five columns of equal length, one tuple per field.
+    A column given as another iterable is stored as a tuple."""
 
+    ids: tuple[str, ...]
+    schema_ids: tuple[str, ...]
+    methods: tuple[str, ...]
+    raw_scores: tuple[float, ...]
+    labels: tuple[int, ...]
 
-_RECORD_FIELDS = attrgetter("id", "schema_id", "method", "raw_score", "label")
-
-
-class ScoredColumns(Sequence):
-    """Scored records as five columns of equal length, in `ScoredRecord`
-    field order: `ids`, `schema_ids`, `methods`, `raw_scores`, `labels`.
-
-    An immutable sequence of `ScoredRecord`: indexing or iterating it builds
-    the records on demand. It equals another `ScoredColumns` with the same
-    columns, or a tuple of the same records.
-    """
-
-    __slots__ = ("ids", "schema_ids", "methods", "raw_scores", "labels")
-
-    def __init__(self, ids: Iterable[str], schema_ids: Iterable[str], methods: Iterable[str],
-                 raw_scores: Iterable[float], labels: Iterable[int]):
-        columns = tuple(map(tuple, (ids, schema_ids, methods, raw_scores, labels)))
-        if len(set(map(len, columns))) > 1:
-            raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
-        for name, column in zip(self.__slots__, columns):
+    def __post_init__(self) -> None:
+        columns = [(f.name, tuple(getattr(self, f.name))) for f in fields(self)]
+        if len({len(column) for _, column in columns}) > 1:
+            raise ValueError(f"columns of unequal length: {[len(c) for _, c in columns]}")
+        for name, column in columns:
             object.__setattr__(self, name, column)
-
-    @classmethod
-    def of(cls, scored: Iterable[ScoredRecord]) -> ScoredColumns:
-        """`scored` itself when it is columns already, else its records as columns."""
-        if isinstance(scored, cls):
-            return scored
-        return cls(*(list(zip(*map(_RECORD_FIELDS, scored))) or [()] * 5))
-
-    def _columns(self) -> tuple[tuple, ...]:
-        return self.ids, self.schema_ids, self.methods, self.raw_scores, self.labels
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"ScoredColumns is immutable: cannot set {name!r}")
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ScoredColumns(*(column[index] for column in self._columns()))
-        return ScoredRecord(*(column[index] for column in self._columns()))
-
-    def __iter__(self):
-        return map(ScoredRecord, *self._columns())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScoredColumns):
-            return self._columns() == other._columns()
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ScoredColumns({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -253,20 +208,20 @@ def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
     return ScoringResult(scored=scored, skipped=tuple(skipped))
 
 
-def write_scored(scored: Iterable[ScoredRecord], path: str | Path) -> None:
+def write_scored(scored: ScoredColumns, path: str | Path) -> None:
     """One JSON object per record, with the keys id, schema_id, method,
     raw_score and label: the bytes `json.dumps` writes for that dict."""
-    columns = ScoredColumns.of(scored)
     line = '{"id": %s, "schema_id": %s, "method": %s, "raw_score": %s, "label": %d}\n'
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(
             line % (encode_basestring_ascii(rid), encode_basestring_ascii(schema_id),
                     encode_basestring_ascii(method), repr(float(raw)), label)
-            for rid, schema_id, method, raw, label in zip(*columns._columns())
+            for rid, schema_id, method, raw, label in zip(
+                scored.ids, scored.schema_ids, scored.methods, scored.raw_scores, scored.labels)
         )
 
 
-def _scored_from_obj(obj: Any) -> ScoredRecord:
+def _scored_from_obj(obj: Any) -> tuple[str, str, str, float, int]:
     rid = _require(obj, "schema_id", "method", "raw_score", "label")
     method = obj["method"]
     if method not in SCORE_METHODS:
@@ -275,16 +230,10 @@ def _scored_from_obj(obj: Any) -> ScoredRecord:
     low = -1.0 if method == "variant_alt" else 0.0
     if not (low <= raw <= 1.0):
         raise RecordError(rid, "raw_score", f"{raw!r} outside [{low}, 1] for method {method}")
-    return ScoredRecord(
-        id=rid,
-        schema_id=str(obj["schema_id"]),
-        method=method,
-        raw_score=raw,
-        label=_label(rid, obj["label"]),
-    )
+    return rid, str(obj["schema_id"]), method, raw, _label(rid, obj["label"])
 
 
 def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
     `load_dataset`: errors name the file line, record and field; ids are unique."""
-    return ScoredColumns.of(_read_records(Path(path), _scored_from_obj))
+    return ScoredColumns(*zip(*_read_records(Path(path), _scored_from_obj)))

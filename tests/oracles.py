@@ -391,10 +391,11 @@ def _single_class(labels) -> bool:
 def reference_cross_validate(scored, cfg) -> EvaluationReport:
     """`protocol.cross_validate`, one fold at a time."""
     method = _single_method(scored)
-    ordered = sorted(scored, key=lambda s: s.id)
-    raw, labels = _columns(ordered)
-    schema_to_fold = _assign_folds(Counter(s.schema_id for s in ordered), cfg.k, cfg.seed)
-    fold_of = np.array([schema_to_fold[s.schema_id] for s in ordered])
+    order = sorted(range(len(scored)), key=lambda i: scored.ids[i])
+    raw, labels = _columns(scored, order)
+    schema_ids = [scored.schema_ids[i] for i in order]
+    schema_to_fold = _assign_folds(Counter(schema_ids), cfg.k, cfg.seed)
+    fold_of = np.array([schema_to_fold[s] for s in schema_ids])
     if cfg.binning == "monotonic":
         for f, n_tune in enumerate(np.bincount(fold_of, minlength=cfg.k).tolist()):
             if len(raw) - n_tune < cfg.min_bin_count:
@@ -421,13 +422,15 @@ def reference_cross_validate(scored, cfg) -> EvaluationReport:
 def reference_schema_level(scored, cfg) -> SchemaLevelReport:
     """`protocol.schema_level_evaluate`, one schema at a time."""
     method = _single_method(scored)
-    ordered = sorted(sorted(scored, key=lambda s: s.id), key=lambda s: s.schema_id)
-    raw, labels = _columns(ordered)
-    starts = [i for i, s in enumerate(ordered) if i == 0 or s.schema_id != ordered[i - 1].schema_id]
+    order = sorted(sorted(range(len(scored)), key=lambda i: scored.ids[i]),
+                   key=lambda i: scored.schema_ids[i])
+    raw, labels = _columns(scored, order)
+    schema_ids = [scored.schema_ids[i] for i in order]
+    starts = [i for i, s in enumerate(schema_ids) if i == 0 or s != schema_ids[i - 1]]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     rows, skipped, pooled = [], [], []
-    for start, end in zip(starts, starts[1:] + [len(ordered)]):
-        schema_id, n = ordered[start].schema_id, end - start
+    for start, end in zip(starts, starts[1:] + [len(order)]):
+        schema_id, n = schema_ids[start], end - start
         if n < cfg.min_schema_records:
             skipped.append((schema_id, f"only {n} records, need {cfg.min_schema_records}"))
             continue

@@ -34,7 +34,7 @@ from sqlcalib.cli import main as cli_main
 from sqlcalib.execmatch import ResultTable, SQLiteExecutor, label_record, tables_equal
 from sqlcalib.metrics import auc, ece, prf_at_threshold
 from sqlcalib.protocol import ProtocolConfig, cross_validate, generate_synthetic
-from sqlcalib.scoring import ScoredRecord, pool_avg, pool_geo, pool_min, pool_prod, score_dataset
+from sqlcalib.scoring import ScoredColumns, pool_avg, pool_geo, pool_min, pool_prod, score_dataset
 
 
 def _rng(seed):
@@ -157,8 +157,8 @@ def test_07_protocol_integrity(tmp_path):
     from sqlcalib.protocol import _assign_folds
 
     counts = {}
-    for s in scored:
-        counts[s.schema_id] = counts.get(s.schema_id, 0) + 1
+    for schema_id in scored.schema_ids:
+        counts[schema_id] = counts.get(schema_id, 0) + 1
     mapping = _assign_folds(counts, cfg.k, cfg.seed)
     for f in range(cfg.k):
         tune_schemas = {s for s, fold in mapping.items() if fold == f}
@@ -168,9 +168,9 @@ def test_07_protocol_integrity(tmp_path):
     report = cross_validate(scored, cfg)
     tested = {}
     for f in range(cfg.k):
-        for s in scored:
-            if mapping[s.schema_id] != f:
-                tested[s.id] = tested.get(s.id, 0) + 1
+        for rid, schema_id in zip(scored.ids, scored.schema_ids):
+            if mapping[schema_id] != f:
+                tested[rid] = tested.get(rid, 0) + 1
     assert set(tested.values()) == {cfg.k - 1}
     assert sum(fm.n_test for fm in report.folds) == len(scored) * (cfg.k - 1)
 
@@ -261,10 +261,9 @@ def test_10_end_to_end_separable_and_independent():
     i = 0
     for s in range(6):
         for label in (0, 1) * 5:
-            scored.append(ScoredRecord(id=f"r{i:03d}", schema_id=f"s{s}", method="prod",
-                                       raw_score=float(label), label=label))
+            scored.append((f"r{i:03d}", f"s{s}", "prod", float(label), label))
             i += 1
-    separable = cross_validate(scored, ProtocolConfig(seed=10))
+    separable = cross_validate(ScoredColumns(*zip(*scored)), ProtocolConfig(seed=10))
     assert separable.mean["auc"] == 1.0
     assert separable.mean["bs_i"] <= 0.01
 

@@ -444,31 +444,21 @@ class TestEvaluate:
         assert elapsed < 0.5  # building 80,000 bins per split took 3.4 s
         assert not out_dir.exists()
 
-    def test_no_scored_record_is_built_per_record(self, synthetic, tmp_path, monkeypatch):
-        """`score` and both evaluation scopes run on columns end to end."""
-        from sqlcalib.scoring import ScoredRecord
-
-        commands = {
-            "score": ("score", "--input", synthetic, "--method", "prod", "--out"),
-            "compare": ("evaluate", "--input", synthetic, "--compare", "--seed", 1, "--out-dir"),
-            "schema_level": ("evaluate", "--input", synthetic, "--scope", "schema_level",
-                             "--binning", "monotonic", "--seed", 1, "--out-dir"),
-        }
-        (tmp_path / "expected").mkdir()
-        (tmp_path / "columns").mkdir()
-        for name, argv in commands.items():
-            assert run(*argv, tmp_path / "expected" / name) == 0
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a ScoredRecord was built")
-
-        monkeypatch.setattr(ScoredRecord, "__init__", refuse)
-        for name, argv in commands.items():
-            assert run(*argv, tmp_path / "columns" / name) == 0
-        for expected in (tmp_path / "expected").rglob("*"):
-            if expected.is_file():
-                actual = tmp_path / "columns" / expected.relative_to(tmp_path / "expected")
-                assert actual.read_bytes() == expected.read_bytes(), actual
+    @pytest.mark.parametrize("n, argv", [
+        (8, ("--k", 2)),
+        (9, ("--scope", "schema_level", "--min-schema-records", 2)),
+    ], ids=["schema_disjoint", "schema_level"])
+    def test_bins_bound_holds_under_uniform_binning_only(self, tmp_path, capsys, n, argv):
+        # monotonic binning never reads --bins, so its default 10 may exceed the records
+        data = tmp_path / "data.jsonl"
+        assert run("simulate", "--n", n, "--schemas", 2, "--seed", 3, "--out", data) == 0
+        evaluate = ("evaluate", "--input", data, *argv, "--seed", 1, "--out-dir")
+        assert run(*evaluate, tmp_path / "monotonic", "--binning", "monotonic") == 0
+        capsys.readouterr()
+        assert run(*evaluate, tmp_path / "uniform") == 1
+        assert capsys.readouterr().err == (
+            f"error: --bins 10 exceeds the {n} records scored with method prod\n")
+        assert not (tmp_path / "uniform").exists()
 
     def test_compare_checks_every_bins_bound_before_any_evaluation(self, tmp_path, capsys,
                                                                     monkeypatch):
@@ -523,6 +513,18 @@ class TestReportCommand:
         assert not out_csv.exists()
         assert run("report", "--scored", scored, "--calibrator", cal, "--bins", 400,
                    "--out-csv", out_csv) == 0
+
+    def test_bins_bound_holds_under_uniform_binning_only(self, tmp_path, capsys):
+        data, scored, cal = tmp_path / "data.jsonl", tmp_path / "scored.jsonl", tmp_path / "cal.json"
+        run("simulate", "--n", 8, "--schemas", 2, "--seed", 3, "--out", data)
+        run("score", "--input", data, "--out", scored, "--method", "prod")
+        run("calibrate", "--scored", scored, "--kind", "isotonic", "--out", cal)
+        report = ("report", "--scored", scored, "--calibrator", cal, "--out-csv")
+        assert run(*report, tmp_path / "monotonic.csv", "--binning", "monotonic") == 0
+        capsys.readouterr()
+        assert run(*report, tmp_path / "uniform.csv") == 1
+        assert capsys.readouterr().err == f"error: --bins 10 exceeds the 8 records in {scored}\n"
+        assert not (tmp_path / "uniform.csv").exists()
 
     @pytest.mark.parametrize("text", [
         '{"kind": "platt"}',
@@ -587,6 +589,21 @@ class TestLabelCommand:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "outcomes: matched 1, mismatched 1, pred error 1, pred timeout 0, "
             "shape or row-cap reject 0, match timeout 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_timeout_must_be_positive_and_finite(self, db_root, tmp_path, capsys, value):
+        # NaN or infinity would disable the deadline; zero or less would time out every query
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "q1", "schema_id": "concerts",
+                                     "gold_sql": "SELECT name FROM singer",
+                                     "pred_sql": "SELECT age FROM singer"}) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run("label", "--pairs", pairs, "--db-root", db_root, "--out", out, "--timeout", value)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"argument --timeout: must be a positive finite number, got {value!r}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fail_after", [None, 2])
     def test_closes_every_connection(self, db_root, tmp_path, monkeypatch, fail_after):

@@ -17,7 +17,7 @@ from sqlcalib.protocol import (
     schema_level_evaluate,
 )
 from sqlcalib.records import PredictionRecord, make_dataset
-from sqlcalib.scoring import ScoredRecord, pool_prod, score_dataset
+from sqlcalib.scoring import ScoredColumns, pool_prod, score_dataset
 
 
 def _dataset(n_schemas, per_schema=10):
@@ -34,7 +34,18 @@ def _folds(dataset, k, seed):
     return _assign_folds(Counter(r.schema_id for r in dataset.records), k, seed)
 
 
-def _scored(n_schemas=6, per_schema=12, seed=0):
+def _columns_of(rows):
+    """Rows of (id, schema_id, method, raw_score, label) as `ScoredColumns`."""
+    return ScoredColumns(*zip(*rows))
+
+
+def _permuted(columns, order):
+    """The rows of `columns` taken in `order`."""
+    return ScoredColumns(*([column[i] for i in order] for column in (
+        columns.ids, columns.schema_ids, columns.methods, columns.raw_scores, columns.labels)))
+
+
+def _rows(n_schemas=6, per_schema=12, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
     i = 0
@@ -42,10 +53,13 @@ def _scored(n_schemas=6, per_schema=12, seed=0):
         for _ in range(per_schema):
             raw = float(rng.random())
             label = int(rng.random() < raw)
-            out.append(ScoredRecord(id=f"r{i:04d}", schema_id=f"schema{s:02d}",
-                                    method="prod", raw_score=raw, label=label))
+            out.append((f"r{i:04d}", f"schema{s:02d}", "prod", raw, label))
             i += 1
     return out
+
+
+def _scored(n_schemas=6, per_schema=12, seed=0):
+    return _columns_of(_rows(n_schemas, per_schema, seed))
 
 
 class TestFolds:
@@ -113,10 +127,9 @@ class TestCrossValidate:
         i = 0
         for s in range(6):
             for label in (0, 1) * 4:
-                scored.append(ScoredRecord(id=f"r{i:03d}", schema_id=f"s{s}",
-                                           method="prod", raw_score=float(label), label=label))
+                scored.append((f"r{i:03d}", f"s{s}", "prod", float(label), label))
                 i += 1
-        report = cross_validate(scored, ProtocolConfig(seed=5))
+        report = cross_validate(_columns_of(scored), ProtocolConfig(seed=5))
         assert report.mean["auc"] == 1.0
         assert report.mean["bs_i"] <= 0.01
 
@@ -143,10 +156,9 @@ class TestCrossValidate:
         for s in range(5):
             label_pool = [1, 1] if s == 0 else [0, 1]  # schema s0 single-class
             for label in label_pool * 3:
-                scored.append(ScoredRecord(id=f"r{i:03d}", schema_id=f"s{s}",
-                                           method="prod", raw_score=0.3 + 0.1 * label, label=label))
+                scored.append((f"r{i:03d}", f"s{s}", "prod", 0.3 + 0.1 * label, label))
                 i += 1
-        report = cross_validate(scored, ProtocolConfig(k=5, seed=1))
+        report = cross_validate(_columns_of(scored), ProtocolConfig(k=5, seed=1))
         assert any(f.degenerate_tune for f in report.folds)
         assert any("degenerate" in note for note in report.notes)
 
@@ -156,9 +168,8 @@ class TestCrossValidate:
         scored = []
         for s, label_pool in enumerate(([1, 1], [0, 1])):
             for j, label in enumerate(label_pool * 4):
-                scored.append(ScoredRecord(id=f"s{s}-{j}", schema_id=f"s{s}", method="prod",
-                                           raw_score=0.2 + 0.1 * j, label=label))
-        report = cross_validate(scored, ProtocolConfig(k=2, seed=0))
+                scored.append((f"s{s}-{j}", f"s{s}", "prod", 0.2 + 0.1 * j, label))
+        report = cross_validate(_columns_of(scored), ProtocolConfig(k=2, seed=0))
         nan_folds = [f.fold for f in report.folds if math.isnan(f.metrics.auc)]
         assert len(nan_folds) == 1
         assert f"fold {nan_folds[0]}: single-class test split, AUC undefined" in report.notes
@@ -166,12 +177,11 @@ class TestCrossValidate:
         assert math.isnan(report.mean["auc"])
 
     def test_mixed_methods_rejected(self):
-        scored = _scored()
-        bad = scored[:1][0]
-        mixed = scored + [ScoredRecord(id="zz", schema_id=bad.schema_id, method="geo",
-                                       raw_score=0.5, label=1)]
+        scored = _rows()
+        bad = scored[0]
+        mixed = scored + [("zz", bad[1], "geo", 0.5, 1)]
         with pytest.raises(ValueError, match="mixed scoring methods"):
-            cross_validate(mixed, ProtocolConfig(seed=0))
+            cross_validate(_columns_of(mixed), ProtocolConfig(seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -201,10 +211,9 @@ class TestSchemaLevel:
         for s in range(2):
             for j in range(20):
                 label = 1 if s == 0 else j % 2
-                scored.append(ScoredRecord(id=f"r{s}{j:02d}", schema_id=f"s{s}",
-                                           method="prod", raw_score=0.5 + 0.4 * label, label=label))
+                scored.append((f"r{s}{j:02d}", f"s{s}", "prod", 0.5 + 0.4 * label, label))
         cfg = ProtocolConfig(seed=0, scope="schema_level")
-        report = schema_level_evaluate(scored, cfg)
+        report = schema_level_evaluate(_columns_of(scored), cfg)
         row = next(r for r in report.schemas if r.schema_id == "s0")
         # every held-out record is positive, so precision is 1 wherever recall > 0
         for tm in row.metrics.prf:
@@ -213,21 +222,20 @@ class TestSchemaLevel:
         assert math.isnan(row.metrics.auc)  # single-class schema
 
     def test_small_schema_skipped_with_reason(self):
-        scored = [ScoredRecord(id=f"a{j}", schema_id="tiny", method="prod",
-                               raw_score=0.5, label=j % 2) for j in range(4)]
-        scored += [ScoredRecord(id=f"b{j}", schema_id="big", method="prod",
-                                raw_score=0.1 + 0.05 * j, label=j % 2) for j in range(16)]
-        report = schema_level_evaluate(scored, ProtocolConfig(seed=0, scope="schema_level"))
+        scored = [(f"a{j}", "tiny", "prod", 0.5, j % 2) for j in range(4)]
+        scored += [(f"b{j}", "big", "prod", 0.1 + 0.05 * j, j % 2) for j in range(16)]
+        report = schema_level_evaluate(_columns_of(scored),
+                                       ProtocolConfig(seed=0, scope="schema_level"))
         assert [r.schema_id for r in report.schemas] == ["big"]
         assert report.skipped == (("tiny", "only 4 records, need 10"),)
 
     def test_schema_below_min_bin_count_skipped_after_its_draw(self):
         # schema00 evaluates 16 records, the others 20: only schema00 is skipped,
         # and the split drawn for it leaves every later schema's split as it was
-        scored = _scored(n_schemas=1, per_schema=20, seed=4)
-        scored += [ScoredRecord(id=f"z{s.id}", schema_id=f"schema{int(s.schema_id[-2:]) + 1:02d}",
-                                method="prod", raw_score=s.raw_score, label=s.label)
-                   for s in _scored(n_schemas=3, per_schema=25, seed=6)]
+        scored = _rows(n_schemas=1, per_schema=20, seed=4)
+        scored += [(f"z{rid}", f"schema{int(schema_id[-2:]) + 1:02d}", "prod", raw, label)
+                   for rid, schema_id, _, raw, label in _rows(n_schemas=3, per_schema=25, seed=6)]
+        scored = _columns_of(scored)
         cfg = ProtocolConfig(seed=3, scope="schema_level", binning="monotonic")
         report = schema_level_evaluate(scored, replace(cfg, min_bin_count=17))
         assert report.skipped == (("schema00", "only 16 evaluation records, need min_bin_count 17"),)
@@ -256,18 +264,19 @@ class TestSchemaLevel:
         i = 0
         for j in range(60):
             label = int(rng.random() < 0.5)
-            scored.append(ScoredRecord(id=f"r{i:03d}", schema_id="s0", method="prod",
-                                       raw_score=0.7 * label + 0.2 * float(rng.random()), label=label))
+            scored.append((f"r{i:03d}", "s0", "prod", 0.7 * label + 0.2 * float(rng.random()),
+                           label))
             i += 1
         for j in range(60):
             label = int(rng.random() < 0.5)
-            scored.append(ScoredRecord(id=f"r{i:03d}", schema_id="s1", method="prod",
-                                       raw_score=0.9 - 0.7 * label - 0.1 * float(rng.random()), label=label))
+            scored.append((f"r{i:03d}", "s1", "prod",
+                           0.9 - 0.7 * label - 0.1 * float(rng.random()), label))
             i += 1
+        scored = _columns_of(scored)
         report = schema_level_evaluate(scored, ProtocolConfig(seed=8, scope="schema_level"))
         aucs = {r.schema_id: r.metrics.auc for r in report.schemas}
         assert aucs["s1"] < 0.5 < aucs["s0"]
-        pooled = auc([s.raw_score for s in scored], [s.label for s in scored])
+        pooled = auc(list(scored.raw_scores), list(scored.labels))
         assert pooled > aucs["s1"]
 
     def test_micro_pools_all_held_out_records(self):
@@ -308,8 +317,8 @@ class TestSynthetic:
         ds = generate_synthetic(300, "identity", seed=1)
         scored = score_dataset(ds, "prod").scored
         counts = {}
-        for s in scored:
-            counts[s.schema_id] = counts.get(s.schema_id, 0) + 1
+        for schema_id in scored.schema_ids:
+            counts[schema_id] = counts.get(schema_id, 0) + 1
         from sqlcalib.protocol import _assign_folds
 
         mapping = _assign_folds(counts, 5, 1)
@@ -351,11 +360,10 @@ def scored_sets(draw):
             "all_0": lambda: np.zeros(size, dtype=int),
             "all_1": lambda: np.ones(size, dtype=int),
         }[label_kind]()
-        records += [ScoredRecord(id=f"r{s}-{j:03d}", schema_id=f"schema{s}", label=int(labels[j]),
-                                 method="variant_alt" if variant else "prod",
-                                 raw_score=float(raw[j]))
+        records += [(f"r{s}-{j:03d}", f"schema{s}", "variant_alt" if variant else "prod",
+                     float(raw[j]), int(labels[j]))
                     for j in range(size)]
-    return [records[i] for i in rng.permutation(len(records))]
+    return _columns_of([records[i] for i in rng.permutation(len(records))])
 
 
 configs = st.builds(
@@ -398,8 +406,8 @@ class TestSegmentedEvaluator:
 
 
 class TestColumnarInput:
-    """Both evaluators take the columns of `score_dataset` or any sequence of
-    `ScoredRecord`, and order the rows by Python's string order either way."""
+    """Both evaluators order the rows by Python's string order, so the row
+    order of the columns does not change the report."""
 
     @staticmethod
     def _scored_columns():
@@ -425,16 +433,16 @@ class TestColumnarInput:
     ], ids=["uniform-isotonic", "monotonic-platt"])
     def test_columns_and_record_lists_give_the_same_reports(self, cfg):
         columns = self._scored_columns()
-        assert [s.id for s in columns[28:30]] == ["a\x00", "a"]
+        assert list(columns.ids[28:30]) == ["a\x00", "a"]
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        reversed_list = list(columns)[::-1]
-        shuffled = [reversed_list[i] for i in rng.permutation(len(reversed_list))]
+        reversed_columns = _permuted(columns, range(len(columns) - 1, -1, -1))
+        shuffled = _permuted(reversed_columns, rng.permutation(len(columns)))
         for evaluate, reference, scope in (
             (cross_validate, reference_cross_validate, "schema_disjoint"),
             (schema_level_evaluate, reference_schema_level, "schema_level"),
         ):
             cfg = replace(cfg, scope=scope)
-            expected = repr(reference(reversed_list, cfg))
+            expected = repr(reference(reversed_columns, cfg))
             assert repr(evaluate(columns, cfg)) == expected
-            assert repr(evaluate(reversed_list, cfg)) == expected
+            assert repr(evaluate(reversed_columns, cfg)) == expected
             assert repr(evaluate(shuffled, cfg)) == expected

@@ -280,7 +280,7 @@ def _pair_ids(path):
 def _scored_ids(path):
     from sqlcalib.scoring import load_scored
 
-    return [s.id for s in load_scored(path)]
+    return list(load_scored(path).ids)
 
 
 READERS = {

@@ -156,7 +156,7 @@ class TestScoreDataset:
 
     def test_skips_records_missing_fields(self):
         result = score_dataset(self._dataset(), "prod")
-        assert [s.id for s in result.scored] == ["a", "c"]
+        assert list(result.scored.ids) == ["a", "c"]
         assert result.skipped == (("b", "missing token_probs"),)
 
     def test_self_check_bool_scores_all_applicable(self):
@@ -166,7 +166,7 @@ class TestScoreDataset:
         ]
         result = score_dataset(make_dataset(records, "t"), "self_check_bool")
         assert len(result.scored) == 4
-        assert all(s.raw_score == pytest.approx(0.875) for s in result.scored)
+        assert all(raw == pytest.approx(0.875) for raw in result.scored.raw_scores)
 
     def test_variant_alt_needs_probs_and_alternatives(self):
         record = PredictionRecord(
@@ -215,18 +215,14 @@ class TestScoreDataset:
 
 
 class TestScoredColumns:
-    def test_a_sequence_of_scored_records(self):
-        from sqlcalib.scoring import ScoredColumns, ScoredRecord
+    def test_immutable_columns_of_equal_length(self):
+        from sqlcalib.scoring import ScoredColumns
 
-        records = (ScoredRecord("a", "s", "prod", 0.25, 1), ScoredRecord("b", "t", "prod", 0.5, 0))
-        columns = ScoredColumns.of(records)
+        columns = ScoredColumns(["a", "b"], ["s", "t"], ["prod", "prod"], [0.25, 0.5], [1, 0])
         assert columns.raw_scores == (0.25, 0.5) and columns.labels == (1, 0)
-        assert columns == records and records == columns
-        assert list(columns) == list(records) and columns[-1] == records[-1]
-        assert columns[1:] == ScoredColumns.of(records[1:])
-        assert ScoredColumns.of(columns) is columns
-        assert columns != ScoredColumns.of(records[:1]) and not ScoredColumns.of(())
-        with pytest.raises(AttributeError, match="immutable"):
+        assert len(columns) == 2 and not ScoredColumns((), (), (), (), ())
+        assert columns != ScoredColumns(["a"], ["s"], ["prod"], [0.25], [1])
+        with pytest.raises(AttributeError, match="cannot .* 'labels'"):
             columns.labels = (0, 0)
         with pytest.raises(ValueError, match="unequal length"):
             ScoredColumns(["a"], ["s"], ["prod"], [0.5], [])
@@ -245,6 +241,5 @@ class TestScoredColumns:
         expected = "".join(
             json.dumps({"id": i, "schema_id": s, "method": method, "raw_score": r, "label": y}) + "\n"
             for i, s, r, y in zip(ids, schema_ids, raws, labels))
-        for scored in (columns, list(columns)):
-            write_scored(scored, tmp_path / "scored.jsonl")
-            assert (tmp_path / "scored.jsonl").read_bytes() == expected.encode("utf-8")
+        write_scored(columns, tmp_path / "scored.jsonl")
+        assert (tmp_path / "scored.jsonl").read_bytes() == expected.encode("utf-8")
