@@ -13,17 +13,18 @@ with them numpy), inside the command; validate, score and label never do.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .execmatch import (
     _IDENTICAL,
     _OUTCOMES,
+    _check_timeout,
     ExecutionError,
     Gold,
     GoldExecutionError,
@@ -86,15 +87,11 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 
 def _timeout(text: str) -> float:
-    """A positive finite number of seconds: NaN or infinity would disable the
-    deadline, and zero or less would time out every query."""
+    """A positive finite number of seconds, by `execmatch`'s rule."""
     try:
-        value = float(text)
+        return _check_timeout(float(text))
     except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}") from None
 
 
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -143,7 +140,6 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
         min_bin_count=args.min_bin_count,
         thresholds=_parse_thresholds(args.thresholds),
         seed=seed,
-        scope=args.scope,
         calibrator=args.calibrator,
         tune_fraction=args.tune_fraction,
         min_schema_records=args.min_schema_records,
@@ -184,7 +180,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         scored[method] = result.scored
     del dataset, result
 
-    if cfg.scope == "schema_level":
+    if args.scope == "schema_level":
         report = cli.schema_level_evaluate(scored.pop(args.method), cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         rpt.write_schema_csv(report, out_dir / "schemas.csv")
@@ -271,30 +267,26 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     gold_failures = []
     outcomes: Counter = Counter()
     gold_runs = 0
-    executor = gold = None
-    try:
-        for i in order:
-            pair = pairs[i]
-            gold_sql = pair.extra["gold_sql"]
-            if executor is None or executor.database != db_paths[i]:
-                if executor is not None:
-                    executor.close()  # after its database's last pair
-                executor = SQLiteExecutor(db_paths[i], timeout_s=args.timeout)
-                gold = None
-            if gold is None or gold.sql != gold_sql or not gold.shared:
-                gold = None  # the last result is freed before gold runs again
-                gold = Gold(gold_sql, executor)
-                gold_runs += 1
-            try:
-                labels[i] = label_record(
-                    gold_sql, pair.extra["pred_sql"], executor,
-                    strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
-                )
-            except GoldExecutionError as exc:
-                gold_failures.append((i, f"{pair.id!r}: {exc.__cause__}"))
-    finally:
-        if executor is not None:
-            executor.close()
+    for db_path, group in groupby(order, key=db_paths.__getitem__):
+        executor = SQLiteExecutor(db_path, timeout_s=args.timeout)
+        try:
+            gold = None
+            for i in group:
+                pair = pairs[i]
+                gold_sql = pair.extra["gold_sql"]
+                if gold is None or gold.sql != gold_sql or not gold.shared:
+                    gold = None  # the last result is freed before gold runs again
+                    gold = Gold(gold_sql, executor)
+                    gold_runs += 1
+                try:
+                    labels[i] = label_record(
+                        gold_sql, pair.extra["pred_sql"], executor,
+                        strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
+                    )
+                except GoldExecutionError as exc:
+                    gold_failures.append((i, f"{pair.id!r}: {exc.__cause__}"))
+        finally:
+            executor.close()  # after its database's last pair
     if gold_failures:
         raise DatasetError(f"{args.pairs}: gold query failed: "
                            + "; ".join(message for _, message in sorted(gold_failures)))

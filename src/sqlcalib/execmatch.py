@@ -11,16 +11,18 @@ match search shares the predicted query's deadline.
 An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
 database, an open transaction) closes that connection after it, so it cannot
-change what a later query returns.
+change what a later query returns. SQLite prepares every run again, so each
+run is judged on its own.
 
 Gold's result is held by a `Gold`, which pairs sharing that gold query on
-one database may reuse when the query is a pure read calling no volatile
+one database may reuse when its run was a pure read calling no volatile
 function; a prediction whose text is such a gold's own then matches without
 running.
 """
 
 from __future__ import annotations
 
+import math
 import sqlite3
 import time
 from collections import Counter
@@ -205,7 +207,7 @@ class Gold:
             self.raw = executor.execute(sql)
         except ExecutionError as exc:
             self.error = exc
-        self.shared = executor.shareable(sql)
+        self.shared = executor.pure
         self._table: ResultTable | None = None
 
     def table(self) -> ResultTable:
@@ -263,6 +265,14 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
     return 1 if outcome == "matched" else 0
 
 
+def _check_timeout(timeout_s: float) -> float:
+    """`timeout_s`, if a positive finite number of seconds: NaN or infinity
+    would disable the deadline, and zero or less time out every query."""
+    if not 0.0 < timeout_s < math.inf:
+        raise ValueError(f"timeout_s must be a positive finite number, got {timeout_s!r}")
+    return timeout_s
+
+
 class SQLiteExecutor:
     """Adapter for local single-file relational databases.
 
@@ -273,16 +283,16 @@ class SQLiteExecutor:
     next query opens a fresh one. No statement is denied. The connection
     belongs to the thread that opened it: use one executor per thread.
 
-    The executor remembers every SQL text that ran dirty or called a volatile
-    function (see `shareable`). The authorizer sees a statement only when
-    sqlite3 prepares it, not when its statement cache runs it again, so the
-    record is made per text at that first preparation and kept for the
-    executor's life, across connections.
+    The connection keeps no statement cache, so SQLite prepares every run
+    again and the authorizer sees each one. After a run, `pure` tells
+    whether that statement was a pure read calling no volatile function:
+    only such a result may be reused, since another run of any other could
+    return otherwise. `timeout_s` must be a positive finite number.
     """
 
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
         self.database = Path(database)
-        self.timeout_s = timeout_s
+        self.timeout_s = _check_timeout(timeout_s)
         if not self.database.exists():
             raise FileNotFoundError(f"database file not found: {self.database}")
         # as_uri() percent-encodes '?' and '#', which a formatted URI would
@@ -291,7 +301,7 @@ class SQLiteExecutor:
         self._conn: sqlite3.Connection | None = None
         self._dirty = False
         self._volatile = False  # the statement being prepared calls a volatile function
-        self._unshareable: set[str] = set()
+        self.pure = False  # the last statement run was a read calling no volatile function
 
     def _authorize(self, action: int, _arg1: Any, arg2: Any, *_: Any) -> int:
         if action not in _READ_ACTIONS:
@@ -300,16 +310,10 @@ class SQLiteExecutor:
             self._volatile = True
         return sqlite3.SQLITE_OK
 
-    def shareable(self, sql: str) -> bool:
-        """Whether a result of `sql`, which has run on this executor, may be
-        reused: false once it has run as anything but a read or called a
-        volatile function, since another run could then return otherwise."""
-        return sql not in self._unshareable
-
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
             try:
-                conn = sqlite3.connect(self._uri, uri=True)
+                conn = sqlite3.connect(self._uri, uri=True, cached_statements=0)
             except sqlite3.Error as exc:
                 raise ExecutionError(f"cannot open {self.database}: {exc}") from exc
             conn.set_authorizer(self._authorize)
@@ -336,17 +340,17 @@ class SQLiteExecutor:
         but a query stopped at the deadline while it looks for that row
         raises, as any other timeout.
         """
-        conn = self._connection()
         if deadline is None:
             deadline = time.monotonic() + self.timeout_s
 
         def watchdog() -> int:
             return 1 if time.monotonic() > deadline else 0
 
-        conn.set_progress_handler(watchdog, 10_000)
         cursor = None
         self._volatile = False
         try:
+            conn = self._connection()
+            conn.set_progress_handler(watchdog, 10_000)
             cursor = conn.execute(sql)
             n_cols = len(cursor.description) if cursor.description else 0
             if expect is None:
@@ -375,8 +379,7 @@ class SQLiteExecutor:
         finally:
             if cursor is not None:
                 cursor.close()  # the row cap can leave the statement unfinished
-            if self._dirty or self._volatile:
-                self._unshareable.add(sql)
+            self.pure = not (self._dirty or self._volatile)
             if self._dirty:
                 self.close()
         return RawResult(n_cols, rows)

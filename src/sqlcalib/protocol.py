@@ -55,7 +55,6 @@ class ProtocolConfig:
     min_bin_count: int = 1
     thresholds: tuple[float, ...] = (0.9, 0.85, 0.8, 0.7)
     seed: int = 0
-    scope: str = "schema_disjoint"  # or "schema_level"
     calibrator: str = "isotonic"  # scores used for thresholded P/R/F1
     tune_fraction: float = 0.2  # schema-level tuning share
     min_schema_records: int = 10  # schema-level minimum evaluable size
@@ -69,8 +68,6 @@ class ProtocolConfig:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
         if self.min_bin_count < 1:
             raise ValueError(f"min_bin_count must be >= 1, got {self.min_bin_count}")
-        if self.scope not in ("schema_disjoint", "schema_level"):
-            raise ValueError(f"unknown calibration scope {self.scope!r}")
         if self.calibrator not in ("platt", "isotonic"):
             raise ValueError(f"unknown calibrator {self.calibrator!r}")
         for t in self.thresholds:
@@ -320,9 +317,7 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
             skipped.append((schema_id, f"only {n} records, need {cfg.min_schema_records}"))
             continue
         perm = rng.permutation(n)
-        n_tune = max(1, int(round(cfg.tune_fraction * n)))
-        if n_tune >= n:
-            n_tune = n - 1
+        n_tune = min(max(1, int(round(cfg.tune_fraction * n))), n - 1)
         if cfg.binning == "monotonic" and n - n_tune < cfg.min_bin_count:
             # after the draw, so that the other schemas' splits stay the same
             skipped.append((schema_id, f"only {n - n_tune} evaluation records, "

@@ -460,6 +460,89 @@ class TestEvaluate:
             f"error: --bins 10 exceeds the {n} records scored with method prod\n")
         assert not (tmp_path / "uniform").exists()
 
+    def test_prints_the_records_each_method_skipped(self, tmp_path, capsys):
+        # every third record lacks token_probs: each pooling method skips 20 of 60
+        data = tmp_path / "data.jsonl"
+        rows = []
+        for i in range(60):
+            row = {"id": f"r{i:02d}", "schema_id": f"s{i % 10}", "label": i % 2,
+                   "self_check_bool": {"p_true": 0.2 + 0.01 * i, "p_false": 0.5}}
+            if i % 3:
+                row["token_probs"] = [0.3 + 0.01 * i]
+            rows.append(json.dumps(row))
+        data.write_text("\n".join(rows) + "\n")
+        assert run("evaluate", "--input", data, "--method", "self_check_bool", "--compare",
+                   "--seed", 1, "--out-dir", tmp_path / "out") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("method ")] == [
+            f"method {method}: skipped 20 records" for method in ("prod", "geo", "min", "avg")]
+
+    def test_degenerate_tuning_split_is_a_note(self, tmp_path, capsys):
+        # schema s0 is all correct, so the fold that tunes on it alone holds one class
+        data = tmp_path / "data.jsonl"
+        rows = [{"id": f"r{i:02d}", "schema_id": f"s{i % 5}",
+                 "label": 1 if i % 5 == 0 else i // 5 % 2, "token_probs": [0.2 + 0.01 * i]}
+                for i in range(60)]
+        data.write_text("\n".join(map(json.dumps, rows)) + "\n")
+        fold = protocol._assign_folds(Counter(r["schema_id"] for r in rows), 5, 1)["s0"]
+        out_dir = tmp_path / "out"
+        assert run("evaluate", "--input", data, "--seed", 1, "--out-dir", out_dir) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("note: ")] == [
+            f"note: fold {fold}: degenerate tuning split (Platt reduces to a constant map)"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [f["degenerate_tune"] for f in report["folds"]] == [f == fold for f in range(5)]
+
+    @staticmethod
+    def _variant_rows(path):
+        """10 schemas of 20 records whose variant scores are negative for every
+        odd record, so every evaluated split holds a score below 0."""
+        rows = [{"id": f"r{i:03d}", "schema_id": f"s{i // 20}",
+                 "label": int((i % 2 == 0) != (i % 5 == 0)),
+                 "token_probs": [0.3 + 0.03 * (i * 7 % 20)],
+                 "alternatives": [{"score": 0.95 if i % 2 else 0.1, "equivalent": False}]}
+                for i in range(200)]
+        path.write_text("\n".join(map(json.dumps, rows)) + "\n")
+
+    def test_variant_scores_below_0_leave_ece_raw_empty(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        self._variant_rows(data)
+        out_dir = tmp_path / "out"
+        assert run("evaluate", "--input", data, "--method", "variant_alt", "--seed", 1,
+                   "--out-dir", out_dir) == 0
+        with (out_dir / "report.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * (5 + 2)  # both calibrators, 5 folds, mean and std
+        assert {r["ece_raw"] for r in rows} == {""}
+        assert all(r["ece_cal"] for r in rows)
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [f["metrics"]["ece_raw"] for f in report["folds"]] == [None] * 5
+        for agg in (report["mean"], report["std"]):
+            assert "ece_raw" not in agg and "ece_i" in agg
+
+    def test_variant_scores_below_0_leave_schema_level_ece_raw_empty(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        self._variant_rows(data)
+        out_dir = tmp_path / "out"
+        assert run("evaluate", "--input", data, "--method", "variant_alt", "--scope",
+                   "schema_level", "--seed", 1, "--out-dir", out_dir) == 0
+        with (out_dir / "schemas.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10 + 1  # every schema and micro
+        assert {r["ece_raw"] for r in rows} == {""}
+        assert all(r["ece_i"] for r in rows)
+
+    def test_schema_level_tuning_split_leaves_one_evaluation_record(self, tmp_path):
+        # round(0.9 * 2) = 2 would tune on both records of a schema
+        data = tmp_path / "data.jsonl"
+        assert run("simulate", "--n", 12, "--schemas", 6, "--seed", 3, "--out", data) == 0
+        out_dir = tmp_path / "out"
+        assert run("evaluate", "--input", data, "--scope", "schema_level", "--tune-fraction",
+                   0.9, "--min-schema-records", 2, "--seed", 1, "--out-dir", out_dir) == 0
+        with (out_dir / "schemas.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n_tune"], r["n_eval"]) for r in rows] == [("1", "1")] * 6 + [("6", "6")]
+
     def test_compare_checks_every_bins_bound_before_any_evaluation(self, tmp_path, capsys,
                                                                     monkeypatch):
         # 200 records with self_check_bool, 100 of them with token_probs: --bins 150
@@ -649,6 +732,29 @@ class TestLabelCommand:
         assert len(opened) == 2  # one per database, reused by its second pair
         assert all(map(is_closed, opened))
 
+    def test_one_executor_per_database(self, db_root, tmp_path, monkeypatch):
+        # a dirty gold reopens its connection, but never its executor
+        (db_root / "empty").mkdir()
+        sqlite3.connect(db_root / "empty" / "empty.sqlite").close()
+        pairs = tmp_path / "pairs.jsonl"
+        golds = ["PRAGMA table_info(singer)", "SELECT 1", "SELECT random()"]
+        rows = [{"id": f"q{i}", "schema_id": schema, "gold_sql": gold, "pred_sql": "SELECT 1"}
+                for i, (schema, gold) in enumerate(itertools.product(["empty", "concerts"] * 2,
+                                                                      golds))]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        from sqlcalib import cli
+
+        built = []
+
+        def counted(database, **kwargs):
+            built.append(Path(database).parent.name)
+            return SQLiteExecutor(database, **kwargs)
+
+        monkeypatch.setattr(cli, "SQLiteExecutor", counted)
+        assert run("label", "--pairs", pairs, "--db-root", db_root,
+                   "--out", tmp_path / "x.jsonl") == 0
+        assert built == ["concerts", "empty"]
+
     def test_match_search_past_the_timeout_labels_0(self, tmp_path, capsys):
         # 7 free bits plus their parity, and the same bits with the negated parity:
         # every projection short of all 8 columns agrees, so without a deadline
@@ -747,7 +853,7 @@ class TestLabelCommand:
     def test_volatile_text_run_first_as_a_prediction_is_not_shared(self, db_root, tmp_path,
                                                                       capsys):
         # "SELECT 1" sorts first, so its prediction prepares "SELECT random()" before
-        # any gold does; the gold runs come from sqlite3's statement cache
+        # any gold does; each gold run is then judged on its own
         rows = [
             {"id": "q1", "gold_sql": "SELECT random()", "pred_sql": "SELECT random()"},
             {"id": "q2", "gold_sql": "SELECT 1", "pred_sql": "SELECT random()"},

@@ -319,6 +319,12 @@ class TestSQLiteExecutor:
         with pytest.raises(ExecutionError, match="interrupted"):
             SQLiteExecutor(db, timeout_s=0.05).execute(endless)
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0, -1])
+    def test_timeout_must_be_positive_and_finite(self, db, timeout_s):
+        # NaN or infinity would disable the deadline; zero or less would time out every query
+        with pytest.raises(ValueError, match="timeout_s must be a positive finite number"):
+            SQLiteExecutor(db, timeout_s=timeout_s)
+
     def test_deterministic(self, db):
         ex = SQLiteExecutor(db)
         sql = "SELECT * FROM singer"
@@ -436,7 +442,7 @@ class TestGoldSharing:
     ])
     def test_volatile_gold_is_not_shared(self, db, sql):
         ex = SQLiteExecutor(db)
-        for _ in range(2):  # the second run comes from the statement cache
+        for _ in range(2):  # the second run is prepared, and judged, again
             assert not Gold(sql, ex).shared
 
     @pytest.mark.parametrize("sql", [
@@ -457,8 +463,16 @@ class TestGoldSharing:
         for _ in range(2):
             assert Gold(sql, ex).shared
 
+    def test_each_run_is_judged_on_its_own(self, db):
+        ex = SQLiteExecutor(db)
+        for sql, shared in [("SELECT random()", False), ("SELECT name FROM singer", True),
+                            ("PRAGMA table_info(singer)", False), ("SELECT name FROM singer", True),
+                            ("SELECT random()", False), ("SELECT bogus FROM singer", True)]:
+            assert Gold(sql, ex).shared is shared
+
     def test_volatile_text_first_run_as_a_prediction_is_not_shared_as_gold(self, db):
-        # sqlite3's statement cache runs a text again without the authorizer
+        # a default sqlite3 connection's statement cache runs a text again
+        # without the authorizer; the executor's connection caches none
         seen = []
         conn = sqlite3.connect(db)
         conn.set_authorizer(lambda action, arg1, arg2, *_: seen.append(arg2) or sqlite3.SQLITE_OK)
@@ -470,7 +484,7 @@ class TestGoldSharing:
         ex = SQLiteExecutor(db)
         outcomes = Counter()
         assert label_record("SELECT 1", "SELECT random()", ex, outcomes=outcomes) == 0
-        gold = Gold("SELECT random()", ex)  # served from the cache
+        gold = Gold("SELECT random()", ex)  # prepared again
         assert not gold.shared
         assert label_record(gold.sql, gold.sql, ex, outcomes=outcomes, gold=gold) == 0
         assert outcomes == Counter({"mismatched": 2})

@@ -195,7 +195,7 @@ class TestCrossValidate:
     def test_min_schema_records_below_2_rejected(self, value):
         # a schema-level split needs one tuning and one evaluation record
         with pytest.raises(ValueError, match="min_schema_records must be >= 2"):
-            ProtocolConfig(scope="schema_level", min_schema_records=value)
+            ProtocolConfig(min_schema_records=value)
 
 
     @pytest.mark.parametrize("field", ["n_bins", "min_bin_count"])
@@ -212,7 +212,7 @@ class TestSchemaLevel:
             for j in range(20):
                 label = 1 if s == 0 else j % 2
                 scored.append((f"r{s}{j:02d}", f"s{s}", "prod", 0.5 + 0.4 * label, label))
-        cfg = ProtocolConfig(seed=0, scope="schema_level")
+        cfg = ProtocolConfig(seed=0)
         report = schema_level_evaluate(_columns_of(scored), cfg)
         row = next(r for r in report.schemas if r.schema_id == "s0")
         # every held-out record is positive, so precision is 1 wherever recall > 0
@@ -224,8 +224,7 @@ class TestSchemaLevel:
     def test_small_schema_skipped_with_reason(self):
         scored = [(f"a{j}", "tiny", "prod", 0.5, j % 2) for j in range(4)]
         scored += [(f"b{j}", "big", "prod", 0.1 + 0.05 * j, j % 2) for j in range(16)]
-        report = schema_level_evaluate(_columns_of(scored),
-                                       ProtocolConfig(seed=0, scope="schema_level"))
+        report = schema_level_evaluate(_columns_of(scored), ProtocolConfig(seed=0))
         assert [r.schema_id for r in report.schemas] == ["big"]
         assert report.skipped == (("tiny", "only 4 records, need 10"),)
 
@@ -236,7 +235,7 @@ class TestSchemaLevel:
         scored += [(f"z{rid}", f"schema{int(schema_id[-2:]) + 1:02d}", "prod", raw, label)
                    for rid, schema_id, _, raw, label in _rows(n_schemas=3, per_schema=25, seed=6)]
         scored = _columns_of(scored)
-        cfg = ProtocolConfig(seed=3, scope="schema_level", binning="monotonic")
+        cfg = ProtocolConfig(seed=3, binning="monotonic")
         report = schema_level_evaluate(scored, replace(cfg, min_bin_count=17))
         assert report.skipped == (("schema00", "only 16 evaluation records, need min_bin_count 17"),)
         kept = schema_level_evaluate(scored, cfg).schemas[1:]
@@ -248,13 +247,13 @@ class TestSchemaLevel:
 
     def test_every_schema_skipped_names_the_first(self):
         scored = _scored(n_schemas=2, per_schema=20, seed=4)
-        cfg = ProtocolConfig(seed=3, scope="schema_level", binning="monotonic", min_bin_count=17)
+        cfg = ProtocolConfig(seed=3, binning="monotonic", min_bin_count=17)
         with pytest.raises(ValueError, match="all 2 skipped, first schema00: only 16 evaluation"):
             schema_level_evaluate(scored, cfg)
 
     def test_deterministic(self):
         scored = _scored(n_schemas=3, per_schema=25, seed=5)
-        cfg = ProtocolConfig(seed=5, scope="schema_level")
+        cfg = ProtocolConfig(seed=5)
         assert schema_level_evaluate(scored, cfg) == schema_level_evaluate(scored, cfg)
 
     def test_anti_informative_schema_has_low_auc(self):
@@ -273,15 +272,23 @@ class TestSchemaLevel:
                            0.9 - 0.7 * label - 0.1 * float(rng.random()), label))
             i += 1
         scored = _columns_of(scored)
-        report = schema_level_evaluate(scored, ProtocolConfig(seed=8, scope="schema_level"))
+        report = schema_level_evaluate(scored, ProtocolConfig(seed=8))
         aucs = {r.schema_id: r.metrics.auc for r in report.schemas}
         assert aucs["s1"] < 0.5 < aucs["s0"]
         pooled = auc(list(scored.raw_scores), list(scored.labels))
         assert pooled > aucs["s1"]
 
+    def test_tuning_split_leaves_one_evaluation_record(self):
+        # round(0.9 * 2) = 2 would tune on both records; the draws stay tune_fraction <= 0.6
+        scored = _scored(n_schemas=6, per_schema=2, seed=9)
+        cfg = ProtocolConfig(seed=9, tune_fraction=0.9, min_schema_records=2)
+        report = schema_level_evaluate(scored, cfg)
+        assert [(r.n_tune, r.n_eval) for r in report.schemas] == [(1, 1)] * 6
+        assert repr(report) == repr(reference_schema_level(scored, cfg))
+
     def test_micro_pools_all_held_out_records(self):
         scored = _scored(n_schemas=4, per_schema=20, seed=2)
-        report = schema_level_evaluate(scored, ProtocolConfig(seed=2, scope="schema_level"))
+        report = schema_level_evaluate(scored, ProtocolConfig(seed=2))
         assert sum(r.n_eval for r in report.schemas) == 4 * 16  # 20% of 20 reserved
         assert all(r.n_tune == 4 for r in report.schemas)
 
@@ -394,7 +401,6 @@ class TestSegmentedEvaluator:
     @given(scored=scored_sets(), cfg=configs)
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_schema_level_matches_per_split_reference(self, scored, cfg):
-        cfg = replace(cfg, scope="schema_level")
         assert (_outcome(schema_level_evaluate, scored, cfg)
                 == _outcome(reference_schema_level, scored, cfg))
 
@@ -437,11 +443,10 @@ class TestColumnarInput:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         reversed_columns = _permuted(columns, range(len(columns) - 1, -1, -1))
         shuffled = _permuted(reversed_columns, rng.permutation(len(columns)))
-        for evaluate, reference, scope in (
-            (cross_validate, reference_cross_validate, "schema_disjoint"),
-            (schema_level_evaluate, reference_schema_level, "schema_level"),
+        for evaluate, reference in (
+            (cross_validate, reference_cross_validate),
+            (schema_level_evaluate, reference_schema_level),
         ):
-            cfg = replace(cfg, scope=scope)
             expected = repr(reference(reversed_columns, cfg))
             assert repr(evaluate(columns, cfg)) == expected
             assert repr(evaluate(reversed_columns, cfg)) == expected

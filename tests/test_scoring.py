@@ -168,6 +168,20 @@ class TestScoreDataset:
         assert len(result.scored) == 4
         assert all(raw == pytest.approx(0.875) for raw in result.scored.raw_scores)
 
+    def test_self_check_methods_score_and_skip_through_score_dataset(self):
+        dataset = make_dataset([
+            PredictionRecord(id="p", schema_id="s", label=1, verbalized_prob=0.25),
+            PredictionRecord(id="q", schema_id="s", label=0, self_check_bool=(0.7, 0.1)),
+            PredictionRecord(id="r", schema_id="s", label=0, verbalized_prob=1.0),
+        ], "t")
+        result = score_dataset(dataset, "self_check_probs")
+        assert (result.scored.ids, result.scored.raw_scores) == (("p", "r"), (0.25, 1.0))
+        assert result.skipped == (("q", "missing verbalized_prob"),)
+        result = score_dataset(dataset, "self_check_bool")
+        assert (result.scored.ids, result.scored.raw_scores) == (("q",), (0.7 / (0.7 + 0.1),))
+        assert result.skipped == (("p", "missing self_check_bool"),
+                                  ("r", "missing self_check_bool"))
+
     def test_variant_alt_needs_probs_and_alternatives(self):
         record = PredictionRecord(
             id="v", schema_id="s", label=1, token_probs=(0.8,),
