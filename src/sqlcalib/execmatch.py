@@ -283,11 +283,11 @@ class SQLiteExecutor:
     next query opens a fresh one. No statement is denied. The connection
     belongs to the thread that opened it: use one executor per thread.
 
-    The connection keeps no statement cache, so SQLite prepares every run
-    again and the authorizer sees each one. After a run, `pure` tells
-    whether that statement was a pure read calling no volatile function:
-    only such a result may be reused, since another run of any other could
-    return otherwise. `timeout_s` must be a positive finite number.
+    The connection keeps no statement cache (Python >= 3.11 honours
+    `cached_statements=0`), so the authorizer sees every run. After a run,
+    `pure` tells whether that statement was a read calling no volatile
+    function: only such a result may be reused, since another run of any
+    other could return otherwise. `timeout_s` must be a positive finite number.
     """
 
     def __init__(self, database: str | Path, timeout_s: float = 30.0):

@@ -532,17 +532,6 @@ class TestEvaluate:
         assert {r["ece_raw"] for r in rows} == {""}
         assert all(r["ece_i"] for r in rows)
 
-    def test_schema_level_tuning_split_leaves_one_evaluation_record(self, tmp_path):
-        # round(0.9 * 2) = 2 would tune on both records of a schema
-        data = tmp_path / "data.jsonl"
-        assert run("simulate", "--n", 12, "--schemas", 6, "--seed", 3, "--out", data) == 0
-        out_dir = tmp_path / "out"
-        assert run("evaluate", "--input", data, "--scope", "schema_level", "--tune-fraction",
-                   0.9, "--min-schema-records", 2, "--seed", 1, "--out-dir", out_dir) == 0
-        with (out_dir / "schemas.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["n_tune"], r["n_eval"]) for r in rows] == [("1", "1")] * 6 + [("6", "6")]
-
     def test_compare_checks_every_bins_bound_before_any_evaluation(self, tmp_path, capsys,
                                                                     monkeypatch):
         # 200 records with self_check_bool, 100 of them with token_probs: --bins 150
