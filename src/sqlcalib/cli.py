@@ -43,7 +43,11 @@ from .records import (
     load_dataset,
     write_dataset,
 )
-from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_dataset, write_scored
+from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_file, write_scored
+
+# Not called here since `score` and `evaluate` use `score_file`; the per-layer
+# tracer of perfbench/ still wraps it at this name.
+from .scoring import score_dataset  # noqa: F401
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -104,8 +108,7 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dataset = load_dataset(args.input)
-    result = score_dataset(dataset, args.method)
+    result = score_file(args.input, (args.method,))[args.method]
     if not result.scored:
         print(f"error: no record is scorable with method {args.method}", file=sys.stderr)
         return 1
@@ -162,23 +165,20 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     cli = sys.modules[__name__]  # see __getattr__
     seed = _resolve_seed(args, parser)
     cfg = _config_from_args(args, seed)
-    dataset = load_dataset(args.input)
-    source_name = dataset.source_name
+    source_name = Path(args.input).name
     out_dir = Path(args.out_dir)
 
-    # Every method is scored and its --bins bound checked before any
-    # evaluation. The records are dropped then: only their scores are used.
-    methods = dict.fromkeys((args.method, *(POOLING_METHODS if args.compare else ())))
+    # Every method is scored in one pass over the input, and its --bins
+    # bound checked, before any evaluation.
+    methods = tuple(dict.fromkeys((args.method, *(POOLING_METHODS if args.compare else ()))))
     scored = {}
-    for method in methods:
-        result = score_dataset(dataset, method)
+    for method, result in score_file(args.input, methods).items():
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
         _check_bins(args, len(result.scored), f"scored with method {method}")
         if result.skipped:
             print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
         scored[method] = result.scored
-    del dataset, result
 
     if args.scope == "schema_level":
         report = cli.schema_level_evaluate(scored.pop(args.method), cfg)

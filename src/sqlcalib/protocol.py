@@ -1,8 +1,8 @@
 """Evaluation procedure: schema-disjoint cross-validation, schema-level
 calibration, aggregation across folds, and a seeded synthetic-data generator.
 
-Both evaluators take the `ScoredColumns` of `score_dataset` or
-`load_scored`. They order the rows with Python's `sorted` over row indices
+Both evaluators take the `ScoredColumns` of `score_file`, `score_dataset`
+or `load_scored`. They order the rows with Python's `sorted` over row indices
 (by id, or by schema and id) and gather the score and label arrays once in
 that order.
 

@@ -16,6 +16,11 @@ strings or booleans. Recognized fields:
 
 Unknown fields are preserved on the record and written back by the
 serializer, but are otherwise ignored.
+
+A line is checked in two steps: `_fields` applies the type rules and returns
+plain values, `_check_values` the value rules. `PredictionRecord` checks
+itself by `_check_values` too, and `scoring.score_file` runs both steps on
+each line without building a record, so every error text comes from one place.
 """
 
 from __future__ import annotations
@@ -69,31 +74,7 @@ class PredictionRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _label(self.id, self.label)
-        if self.token_probs is not None:
-            if len(self.token_probs) == 0:
-                raise RecordError(self.id, "token_probs", "must be nonempty when present")
-            for p in self.token_probs:
-                if not (0.0 < p <= 1.0):
-                    raise RecordError(
-                        self.id, "token_probs", f"every probability must lie in (0, 1], got {p!r}"
-                    )
-        if self.self_check_bool is not None:
-            p_true, p_false = self.self_check_bool
-            if not (math.isfinite(p_true) and math.isfinite(p_false)):
-                raise RecordError(self.id, "self_check_bool", "probabilities must be finite")
-            if p_true < 0 or p_false < 0:
-                raise RecordError(self.id, "self_check_bool", "probabilities must be nonnegative")
-            if p_true + p_false <= 0:
-                raise RecordError(self.id, "self_check_bool", "p_true + p_false must be positive")
-        for alt in self.alternatives or ():
-            if not (0.0 <= alt.score <= 1.0):
-                problem = "outside [0, 1]" if math.isfinite(alt.score) else "is not finite"
-                raise RecordError(self.id, "alternatives", f"score {alt.score!r} {problem}")
-        if self.verbalized_prob is not None and not (0.0 <= self.verbalized_prob <= 1.0):
-            raise RecordError(
-                self.id, "verbalized_prob", f"must lie in [0, 1], got {self.verbalized_prob!r}"
-            )
+        _check_values(self.id, self.label, *_values(self))
 
 
 @dataclass(frozen=True)
@@ -168,7 +149,12 @@ def _require(obj: Any, *fields: str) -> str:
     return rid
 
 
-def _record_from_obj(obj: Any) -> PredictionRecord:
+def _fields(obj: Any) -> tuple:
+    """The type rules of a prediction line. Returns its id, schema id and
+    label, then the scored fields as plain values, each None when absent:
+    token_probs and self_check_bool as tuples of floats, verbalized_prob as a
+    float, alternatives as a tuple of (score, equivalent) pairs. Their values
+    are left to `_check_values`."""
     rid = _require(obj, "schema_id", "label")
 
     token_probs = None
@@ -197,24 +183,67 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
             (score,) = _floats(rid, "alternatives", (entry["score"],))
             if not isinstance(entry["equivalent"], bool):
                 raise RecordError(rid, "alternatives", "equivalent must be true or false")
-            alts.append(Alternative(score=score, equivalent=entry["equivalent"]))
+            alts.append((score, entry["equivalent"]))
         alternatives = tuple(alts)
 
     verbalized = obj.get("verbalized_prob")
     if verbalized is not None:
         (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
-    extra = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS}
+    schema_id = str(obj["schema_id"])
+    return rid, schema_id, obj["label"], token_probs, self_check, verbalized, alternatives
 
+
+def _check_values(rid: str, label: Any, token_probs: Sequence[float] | None,
+                  self_check: Sequence[float] | None, verbalized: float | None,
+                  alternatives: Iterable[tuple[float, bool]] | None) -> None:
+    """The value rules of a record, on the plain values of `_fields`: the
+    label, the ranges of every number, a nonempty token list and a positive
+    self-check sum."""
+    _label(rid, label)
+    if token_probs is not None:
+        if len(token_probs) == 0:
+            raise RecordError(rid, "token_probs", "must be nonempty when present")
+        for p in token_probs:
+            if not (0.0 < p <= 1.0):
+                raise RecordError(
+                    rid, "token_probs", f"every probability must lie in (0, 1], got {p!r}"
+                )
+    if self_check is not None:
+        p_true, p_false = self_check
+        if not (math.isfinite(p_true) and math.isfinite(p_false)):
+            raise RecordError(rid, "self_check_bool", "probabilities must be finite")
+        if p_true < 0 or p_false < 0:
+            raise RecordError(rid, "self_check_bool", "probabilities must be nonnegative")
+        if p_true + p_false <= 0:
+            raise RecordError(rid, "self_check_bool", "p_true + p_false must be positive")
+    for score, _ in alternatives or ():
+        if not (0.0 <= score <= 1.0):
+            problem = "outside [0, 1]" if math.isfinite(score) else "is not finite"
+            raise RecordError(rid, "alternatives", f"score {score!r} {problem}")
+    if verbalized is not None and not (0.0 <= verbalized <= 1.0):
+        raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
+
+
+def _values(record: PredictionRecord) -> tuple:
+    """The scored fields of a record as the plain values of `_fields`."""
+    alternatives = record.alternatives
+    if alternatives is not None:
+        alternatives = tuple((alt.score, alt.equivalent) for alt in alternatives)
+    return record.token_probs, record.self_check_bool, record.verbalized_prob, alternatives
+
+
+def _record_from_obj(obj: Any) -> PredictionRecord:
+    rid, schema_id, label, token_probs, self_check, verbalized, alternatives = _fields(obj)
     return PredictionRecord(
         id=rid,
-        schema_id=str(obj["schema_id"]),
-        label=obj["label"],  # checked by _label in __post_init__
+        schema_id=schema_id,
+        label=label,  # checked in __post_init__
         question=None if obj.get("question") is None else str(obj["question"]),
         token_probs=token_probs,
         self_check_bool=self_check,
         verbalized_prob=verbalized,
-        alternatives=alternatives,
-        extra=extra,
+        alternatives=None if alternatives is None else tuple(Alternative(*a) for a in alternatives),
+        extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS},
     )
 
 

@@ -9,15 +9,18 @@ Scored records have one form, `ScoredColumns`: one tuple per field (id,
 schema id, method, raw score, label), with no object per record. The
 scorer, the reader and the writer of scored files, the evaluators and the
 CLI all work on those columns.
+
+`score_file` scores a prediction file in one pass that keeps no record or
+token list past its line; `score_dataset` scores records already loaded.
+Both take their scores from `_scores`, on a record's plain field values.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -26,10 +29,13 @@ from .records import (
     Dataset,
     PredictionRecord,
     RecordError,
+    _check_values,
+    _fields,
     _floats,
     _label,
     _read_records,
     _require,
+    _values,
 )
 
 POOLING_METHODS = ("prod", "geo", "min", "avg")
@@ -76,24 +82,47 @@ def _check_probs(token_probs: Sequence[float]) -> None:
             raise ValueError(f"token probability {p!r} outside (0, 1]")
 
 
-def _prod(token_probs: Sequence[float]) -> float:
-    if len(token_probs) == 1:
-        return float(token_probs[0])
-    return math.exp(math.fsum(map(math.log, token_probs)))
+def _variant_alt(r_pred: float, alternatives: Iterable[tuple[float, bool]]) -> float:
+    """`score_variant_alt` on (score, equivalent) pairs, unchecked."""
+    best = 0.0
+    for score, equivalent in alternatives:
+        if not equivalent:
+            best = max(best, score)
+    return r_pred - best
 
 
-def _geo(token_probs: Sequence[float]) -> float:
-    if len(token_probs) == 1:
-        return float(token_probs[0])
-    return math.exp(math.fsum(map(math.log, token_probs)) / len(token_probs))
-
-
-def _min(token_probs: Sequence[float]) -> float:
-    return float(min(token_probs))
-
-
-def _avg(token_probs: Sequence[float]) -> float:
-    return math.fsum(token_probs) / len(token_probs)
+def _scores(token_probs: Sequence[float] | None, self_check: Sequence[float] | None,
+            verbalized: float | None, alternatives: Sequence[tuple[float, bool]] | None,
+            methods: Sequence[str]) -> list[float | str]:
+    """The raw score of each of `methods`, or the reason it skips the record
+    (a str), from the record's checked plain values (see
+    `records._fields`). prod, geo and variant_alt share one sum of logs."""
+    log_sum = None
+    scores: list[float | str] = []
+    for method in methods:
+        if method == "self_check_bool":
+            scores.append("missing self_check_bool" if self_check is None
+                          else score_self_check_bool(*self_check))
+        elif method == "self_check_probs":
+            scores.append("missing verbalized_prob" if verbalized is None else float(verbalized))
+        elif method == "variant_alt" and alternatives is None:
+            scores.append("missing alternatives")
+        elif token_probs is None:
+            scores.append("missing token_probs")
+        elif method == "min":
+            scores.append(float(min(token_probs)))
+        elif method == "avg":
+            scores.append(math.fsum(token_probs) / len(token_probs))
+        else:  # prod and geo; variant_alt starts from prod
+            if len(token_probs) == 1:
+                pooled = float(token_probs[0])
+            else:
+                if log_sum is None:
+                    log_sum = math.fsum(map(math.log, token_probs))
+                pooled = math.exp(log_sum / len(token_probs) if method == "geo" else log_sum)
+            scores.append(_variant_alt(pooled, alternatives) if method == "variant_alt"
+                          else pooled)
+    return scores
 
 
 def pool_prod(token_probs: Sequence[float]) -> float:
@@ -103,34 +132,38 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     downstream calibrators accept that.
     """
     _check_probs(token_probs)
-    return _prod(token_probs)
+    return _scores(token_probs, None, None, None, ("prod",))[0]
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
     _check_probs(token_probs)
-    return _geo(token_probs)
+    return _scores(token_probs, None, None, None, ("geo",))[0]
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
     _check_probs(token_probs)
-    return _min(token_probs)
+    return _scores(token_probs, None, None, None, ("min",))[0]
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
     _check_probs(token_probs)
-    return _avg(token_probs)
+    return _scores(token_probs, None, None, None, ("avg",))[0]
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
     """Normalized probability of the "correct" option token."""
     if p_true < 0 or p_false < 0:
         raise ValueError("self-check probabilities must be nonnegative")
-    if p_true + p_false <= 0:
+    total = p_true + p_false
+    if total <= 0:
         raise ValueError("degenerate self-check: p_true + p_false must be positive")
-    return p_true / (p_true + p_false)
+    if total == math.inf:  # halves in the same ratio, with a finite sum
+        p_true, p_false = p_true / 2, p_false / 2
+        total = p_true + p_false
+    return p_true / total
 
 
 def score_self_check_probs(verbalized_prob: float) -> float:
@@ -148,17 +181,16 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
     """
     if not (0.0 <= r_pred <= 1.0):
         raise ValueError(f"predicted score {r_pred!r} outside [0, 1]")
-    best = 0.0
     for alt in alternatives:
         if not (0.0 <= alt.score <= 1.0):
             raise ValueError(f"alternative score {alt.score!r} outside [0, 1]")
-        if not alt.equivalent:
-            best = max(best, alt.score)
-    return r_pred - best
+    return _variant_alt(r_pred, ((alt.score, alt.equivalent) for alt in alternatives))
 
 
-# Unchecked: a PredictionRecord has checked its token list on construction.
-_POOLERS = {"prod": _prod, "geo": _geo, "min": _min, "avg": _avg}
+def _check_methods(methods: Sequence[str]) -> None:
+    for method in methods:
+        if method not in SCORE_METHODS:
+            raise ValueError(f"unknown scoring method {method!r}")
 
 
 def score_record(record: PredictionRecord, method: str) -> float:
@@ -166,26 +198,21 @@ def score_record(record: PredictionRecord, method: str) -> float:
 
     Raises SkipRecord when the record lacks the fields the method needs.
     """
-    if method not in SCORE_METHODS:
-        raise ValueError(f"unknown scoring method {method!r}")
-    if method in _POOLERS:
-        if record.token_probs is None:
-            raise SkipRecord("missing token_probs")
-        return _POOLERS[method](record.token_probs)
-    if method == "self_check_bool":
-        if record.self_check_bool is None:
-            raise SkipRecord("missing self_check_bool")
-        return score_self_check_bool(*record.self_check_bool)
-    if method == "self_check_probs":
-        if record.verbalized_prob is None:
-            raise SkipRecord("missing verbalized_prob")
-        return score_self_check_probs(record.verbalized_prob)
-    # variant_alt: the prediction's own score is its pooled sequence probability
-    if record.alternatives is None:
-        raise SkipRecord("missing alternatives")
-    if record.token_probs is None:
-        raise SkipRecord("missing token_probs")
-    return score_variant_alt(_prod(record.token_probs), record.alternatives)
+    _check_methods((method,))
+    (score,) = _scores(*_values(record), (method,))
+    if isinstance(score, str):
+        raise SkipRecord(score)
+    return score
+
+
+def _result(method: str, rows: list[tuple[str, str, int, float | str]]) -> ScoringResult:
+    """The scored columns and skips, in row order, of (id, schema id, label,
+    score or skip reason) rows."""
+    kept = [row for row in rows if not isinstance(row[3], str)]
+    ids, schema_ids, labels, raw_scores = zip(*kept) if kept else ((),) * 4
+    skipped = tuple((row[0], row[3]) for row in rows if isinstance(row[3], str))
+    return ScoringResult(ScoredColumns(ids, schema_ids, (method,) * len(ids), raw_scores, labels),
+                         skipped)
 
 
 def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
@@ -193,19 +220,26 @@ def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
 
     Both the scored records and the skips keep dataset order.
     """
-    kept: list[PredictionRecord] = []
-    raw_scores: list[float] = []
-    skipped: list[tuple[str, str]] = []
-    for record in dataset.records:
-        try:
-            raw_scores.append(score_record(record, method))
-        except SkipRecord as exc:
-            skipped.append((record.id, str(exc)))
-            continue
-        kept.append(record)
-    scored = ScoredColumns(map(attrgetter("id"), kept), map(attrgetter("schema_id"), kept),
-                           (method,) * len(kept), raw_scores, map(attrgetter("label"), kept))
-    return ScoringResult(scored=scored, skipped=tuple(skipped))
+    _check_methods((method,))
+    return _result(method, [(r.id, r.schema_id, r.label, *_scores(*_values(r), (method,)))
+                            for r in dataset.records])
+
+
+def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringResult]:
+    """`score_dataset(load_dataset(path), m)` for each of `methods`, in one
+    pass that builds no record: each line is checked by `load_dataset`'s
+    rules and reduced at once to its id, schema id, label and scores."""
+    _check_methods(methods)
+
+    def parse(obj: Any) -> tuple[str, str, int, tuple[float | str, ...]]:
+        rid, schema_id, label, *values = _fields(obj)
+        _check_values(rid, label, *values)
+        return rid, schema_id, label, tuple(_scores(*values, methods))
+
+    rows = _read_records(Path(path), parse)
+    return {method: _result(method, [(rid, schema_id, label, scores[i])
+                                     for rid, schema_id, label, scores in rows])
+            for i, method in enumerate(methods)}
 
 
 def write_scored(scored: ScoredColumns, path: str | Path) -> None:

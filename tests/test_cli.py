@@ -2,10 +2,12 @@ import csv
 import itertools
 import json
 import os
+import random
 import sqlite3
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -15,10 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqlcalib
-from sqlcalib import protocol
+from sqlcalib import protocol, records
 from sqlcalib.cli import build_parser, main
 from sqlcalib.execmatch import _OUTCOMES, SQLiteExecutor, label_record
 from sqlcalib.records import load_dataset
+from sqlcalib.scoring import SCORE_METHODS, score_dataset, score_file
 
 
 def run(*args):
@@ -559,6 +562,86 @@ class TestEvaluate:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: --bins 150 exceeds the 100 records scored with method prod")
         assert not out_dir.exists()
+
+
+def full_records(path, n, n_tokens=None, seed=0):
+    """`n` records over ten schemas with every field; `n_tokens` per record,
+    or between 1 and 40."""
+    rng = random.Random(seed)
+    with path.open("w", encoding="utf-8") as fh:
+        for i in range(n):
+            probs = [round(rng.uniform(0.05, 1.0), 6) for _ in range(n_tokens or rng.randint(1, 40))]
+            fh.write(json.dumps({
+                "id": f"r{i:05d}", "schema_id": f"s{i % 10}", "label": rng.randint(0, 1),
+                "question": f"q{i}", "token_probs": probs,
+                "self_check_bool": {"p_true": rng.random(), "p_false": rng.random() + 0.01},
+                "verbalized_prob": rng.random(),
+                "alternatives": [{"score": rng.random(), "equivalent": rng.random() < 0.3}
+                                 for _ in range(rng.randint(0, 3))],
+                "difficulty": "easy",
+            }) + "\n")
+    return path
+
+
+class TestScoreFromTheLine:
+    def test_score_and_evaluate_build_no_record(self, tmp_path, monkeypatch):
+        data = full_records(tmp_path / "data.jsonl", 300)
+        runs = {
+            "prod": ["score", "--method", "prod", "--out", "{out}/scored.jsonl"],
+            "variant_alt": ["score", "--method", "variant_alt", "--out", "{out}/scored.jsonl"],
+            "compare": ["evaluate", "--method", "self_check_bool", "--compare", "--seed", 1,
+                        "--out-dir", "{out}"],
+            "schema_level": ["evaluate", "--scope", "schema_level", "--binning", "monotonic",
+                             "--seed", 1, "--out-dir", "{out}"],
+        }
+
+        def outputs(tag):
+            for name, argv in runs.items():
+                out = tmp_path / tag / name
+                out.mkdir(parents=True)
+                assert run(argv[0], "--input", data,
+                           *(str(a).format(out=out) for a in argv[1:])) == 0
+            return {str(f.relative_to(tmp_path / tag)): f.read_bytes()
+                    for f in sorted((tmp_path / tag).rglob("*")) if f.is_file()}
+
+        plain = outputs("plain")
+
+        def refuse(self):
+            raise AssertionError("a PredictionRecord was built")
+
+        monkeypatch.setattr(records.PredictionRecord, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="was built"):
+            load_dataset(data)
+        assert outputs("patched") == plain
+        assert len(plain) == 2 + 4 + 2
+
+    @pytest.mark.parametrize("methods", [("prod",), SCORE_METHODS])
+    def test_one_pass_scores_every_method_as_score_dataset(self, tmp_path, methods):
+        data = full_records(tmp_path / "data.jsonl", 200, seed=1)
+        with data.open("a", encoding="utf-8") as fh:  # a record only the pooling methods score
+            fh.write(json.dumps({"id": "bare", "schema_id": "s", "label": 0, "token_probs": [0.5]}))
+        dataset = load_dataset(data)
+        assert score_file(data, methods) == {m: score_dataset(dataset, m) for m in methods}
+
+    def test_peak_memory_does_not_grow_with_token_count(self, tmp_path):
+        # a first run, untraced, so that neither traced run pays for a first call
+        assert run("score", "--input", full_records(tmp_path / "warm.jsonl", 5), "--method", "prod",
+                   "--out", tmp_path / "scored.jsonl") == 0
+        peaks = {}
+        for n_tokens in (10, 200):
+            data = full_records(tmp_path / f"data{n_tokens}.jsonl", 2000, n_tokens)
+            tracemalloc.start()
+            try:
+                assert run("score", "--input", data, "--method", "prod",
+                           "--out", tmp_path / "scored.jsonl") == 0
+                peaks[n_tokens] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Loading every record before scoring peaked 5 times as high with 200
+        # tokens per record as with 10 (2.8 and 14.8 MB); one pass holds no
+        # token list past its line, so the peak stays nearly flat.
+        assert peaks[200] < 1.25 * peaks[10], peaks
+
 
 class TestReportCommand:
     def test_writes_csv_and_svg(self, synthetic, tmp_path):

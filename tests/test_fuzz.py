@@ -6,6 +6,10 @@ Most lines are a record valid in all three files with some fields replaced
 by arbitrary JSON values or dropped, so the field rules are reached; the
 rest are arbitrary JSON values and text. Whatever the input, each command
 must return an exit code (0, 1 or 2); no exception may escape `main`.
+
+The same lines as a prediction file also check that `score` and `evaluate`,
+which score in one pass without building records, apply exactly the rules
+of `validate` and score as `score_dataset` does on the loaded records.
 """
 
 import json
@@ -15,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqlcalib.cli import main
+from sqlcalib.records import load_dataset
+from sqlcalib.scoring import SCORE_METHODS, score_dataset, write_scored
 
 FIELDS = ("id", "schema_id", "label", "question", "token_probs", "self_check_bool",
           "verbalized_prob", "alternatives", "method", "raw_score", "gold_sql",
@@ -94,3 +100,35 @@ def test_every_input_line_ends_in_an_exit_code(tmp_path, lines):
     ]
     for argv in runs:
         assert main([str(a) for a in argv]) in (0, 1, 2)
+
+
+@given(lines=lines)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_score_and_evaluate_keep_the_rules_and_scores_of_the_records(tmp_path, capsys, lines):
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, expected = tmp_path / "scored.jsonl", tmp_path / "expected.jsonl"
+
+    def run(*argv):
+        capsys.readouterr()
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    code, err = run("validate", "--input", data)
+    dataset = load_dataset(data) if code == 0 else None
+    for method in SCORE_METHODS:
+        out.unlink(missing_ok=True)
+        score = run("score", "--input", data, "--out", out, "--method", method)
+        if dataset is None:
+            assert score == (code, err) and err.startswith("error: ")
+            assert run("evaluate", "--input", data, "--method", method, "--compare", "--seed", 0,
+                       "--out-dir", tmp_path / "eval") == (code, err)
+            assert not out.exists() and not (tmp_path / "eval").exists()
+            continue
+        scored = score_dataset(dataset, method).scored
+        if not scored:
+            assert score == (1, f"error: no record is scorable with method {method}\n")
+            continue
+        write_scored(scored, expected)
+        assert score[0] == 0 and out.read_bytes() == expected.read_bytes()

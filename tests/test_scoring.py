@@ -101,6 +101,24 @@ class TestSelfCheck:
         total = score_self_check_bool(p, q) + score_self_check_bool(q, p)
         assert total == pytest.approx(1.0, rel=1e-12)
 
+    def test_bool_sum_past_the_float_range(self, tmp_path):
+        from sqlcalib.cli import main
+
+        assert score_self_check_bool(1e308, 1e308) == 0.5
+        assert score_self_check_bool(1.5e308, 0.5e308) == 0.75
+        assert score_self_check_bool(1e308, 5e-324) == 1.0
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"id": "a", "schema_id": "s", "label": 1,
+                                    "self_check_bool": {"p_true": 1e308, "p_false": 1e308}}) + "\n")
+        out = tmp_path / "scored.jsonl"
+        assert main(["score", "--input", str(data), "--out", str(out),
+                     "--method", "self_check_bool"]) == 0
+        assert json.loads(out.read_text())["raw_score"] == 0.5
+
+    @given(st.floats(min_value=0, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
+    def test_bool_with_a_finite_sum_is_the_plain_ratio(self, p, q):
+        assert score_self_check_bool(p, q) == p / (p + q)
+
     def test_probs_identity(self):
         assert score_self_check_probs(0.7) == 0.7
         assert score_self_check_probs(1.0) == 1.0
