@@ -7,7 +7,8 @@ inputs have validated fully. The SQLCALIB_SEED environment variable supplies
 a default --seed for evaluate and simulate.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
-with them numpy), inside the command; validate, score and label never do.
+with them numpy), inside the command. validate, score and evaluate read
+their input in one pass through `records._checked` that keeps no record.
 """
 
 from __future__ import annotations
@@ -36,17 +37,16 @@ from .records import (
     DatasetError,
     PredictionRecord,
     RecordError,
+    _checked,
     _read_records,
     _record_from_obj,
     _require,
-    dataset_summary,
-    load_dataset,
     write_dataset,
 )
 from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_file, write_scored
 
-# Not called here since `score` and `evaluate` use `score_file`; the per-layer
-# tracer of perfbench/ still wraps it at this name.
+# Not called here; the per-layer tracer of perfbench/ still wraps them at these names.
+from .records import load_dataset  # noqa: F401
 from .scoring import score_dataset  # noqa: F401
 
 if TYPE_CHECKING:
@@ -99,19 +99,17 @@ def _timeout(text: str) -> float:
 
 
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dataset = load_dataset(args.input)
-    summary = dataset_summary(dataset)
-    print(f"records: {summary.n_records}")
-    print(f"schemas: {summary.n_schemas}")
-    print(f"pct_correct: {summary.pct_correct:.1f}")
+    rows = _read_records(Path(args.input), lambda obj: _checked(obj)[1:3])  # schema id, label
+    print(f"records: {len(rows)}")
+    print(f"schemas: {len({schema_id for schema_id, _ in rows})}")
+    print(f"pct_correct: {100.0 * sum(label for _, label in rows) / len(rows):.1f}")
     return 0
 
 
 def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     result = score_file(args.input, (args.method,))[args.method]
     if not result.scored:
-        print(f"error: no record is scorable with method {args.method}", file=sys.stderr)
-        return 1
+        raise DatasetError(f"no record is scorable with method {args.method}")
     write_scored(result.scored, args.out)
     print(f"scored {len(result.scored)} records, skipped {len(result.skipped)}", file=sys.stderr)
     skipped_ids: dict[str, list[str]] = {}  # by reason

@@ -3,8 +3,8 @@
 One record per line, JSON-encoded, UTF-8; numbers are JSON numbers, never
 strings or booleans. Recognized fields:
 
-    id               string, unique within a file
-    schema_id        string, database/schema the question targets
+    id               string, or a number read as one; unique within a file
+    schema_id        string, or a number read as one; the target database/schema
     question         string, optional
     token_probs      list of floats in (0, 1], optional, nonempty when present
     label            0 or 1 (execution-match correctness)
@@ -17,10 +17,10 @@ strings or booleans. Recognized fields:
 Unknown fields are preserved on the record and written back by the
 serializer, but are otherwise ignored.
 
-A line is checked in two steps: `_fields` applies the type rules and returns
-plain values, `_check_values` the value rules. `PredictionRecord` checks
-itself by `_check_values` too, and `scoring.score_file` runs both steps on
-each line without building a record, so every error text comes from one place.
+A line is checked in two steps, both run by `_checked`: `_fields` applies
+the type and label rules and returns plain values, `_check_values` the value
+rules. `PredictionRecord` and the scalar scorers of `scoring` check by
+`_check_values` too, so every error text comes from one place.
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 class RecordError(ValueError):
     """A single record violates the data model.
 
-    Carries the offending record id and field name so callers can report
-    precisely which input is bad.
+    Carries the offending record id (None for a bad id or a scalar) and
+    field name so callers can report precisely which input is bad.
     """
 
-    def __init__(self, record_id: str, field_name: str, message: str):
+    def __init__(self, record_id: str | None, field_name: str, message: str):
         self.record_id = record_id
         self.field_name = field_name
-        super().__init__(f"record {record_id!r}: field {field_name!r}: {message}")
+        where = f"field {field_name!r}: {message}"
+        super().__init__(where if record_id is None else f"record {record_id!r}: {where}")
 
 
 class DatasetError(ValueError):
@@ -74,20 +75,14 @@ class PredictionRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_values(self.id, self.label, *_values(self))
+        _label(self.id, self.label)
+        _check_values(self.id, *_values(self))
 
 
 @dataclass(frozen=True)
 class Dataset:
     records: tuple[PredictionRecord, ...]
     source_name: str
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_records: int
-    n_schemas: int
-    pct_correct: float
 
 
 # Fields the parser understands; everything else lands in `extra`.
@@ -136,13 +131,20 @@ def _label(rid: str, value: Any) -> int:
     return value
 
 
+def _ident(rid: str | None, field_name: str, value: Any) -> str:
+    """An id or schema id: a string, or a JSON number read as its string."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise RecordError(rid, field_name, "must be a string or a number")
+
+
 def _require(obj: Any, *fields: str) -> str:
     """The id of a decoded line that is an object holding `id` and `fields`."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object, got {type(obj).__name__}")
     if "id" not in obj:
         raise ValueError("missing required field 'id'")
-    rid = str(obj["id"])
+    rid = _ident(None, "id", obj["id"])
     for name in fields:
         if name not in obj:
             raise RecordError(rid, name, "missing required field")
@@ -150,11 +152,11 @@ def _require(obj: Any, *fields: str) -> str:
 
 
 def _fields(obj: Any) -> tuple:
-    """The type rules of a prediction line. Returns its id, schema id and
-    label, then the scored fields as plain values, each None when absent:
-    token_probs and self_check_bool as tuples of floats, verbalized_prob as a
-    float, alternatives as a tuple of (score, equivalent) pairs. Their values
-    are left to `_check_values`."""
+    """The type rules and the label rule of a prediction line. Returns its
+    id, schema id and label, then the scored fields as plain values, each
+    None when absent: token_probs and self_check_bool as tuples of floats,
+    verbalized_prob as a float, alternatives as a tuple of (score,
+    equivalent) pairs. Their values are left to `_check_values`."""
     rid = _require(obj, "schema_id", "label")
 
     token_probs = None
@@ -189,17 +191,17 @@ def _fields(obj: Any) -> tuple:
     verbalized = obj.get("verbalized_prob")
     if verbalized is not None:
         (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
-    schema_id = str(obj["schema_id"])
-    return rid, schema_id, obj["label"], token_probs, self_check, verbalized, alternatives
+    schema_id = _ident(rid, "schema_id", obj["schema_id"])
+    label = _label(rid, obj["label"])
+    return rid, schema_id, label, token_probs, self_check, verbalized, alternatives
 
 
-def _check_values(rid: str, label: Any, token_probs: Sequence[float] | None,
-                  self_check: Sequence[float] | None, verbalized: float | None,
-                  alternatives: Iterable[tuple[float, bool]] | None) -> None:
+def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
+                  self_check: Sequence[float] | None = None, verbalized: float | None = None,
+                  alternatives: Iterable[tuple[float, bool]] | None = None) -> None:
     """The value rules of a record, on the plain values of `_fields`: the
-    label, the ranges of every number, a nonempty token list and a positive
-    self-check sum."""
-    _label(rid, label)
+    ranges of every number, a nonempty token list and a positive self-check
+    sum."""
     if token_probs is not None:
         if len(token_probs) == 0:
             raise RecordError(rid, "token_probs", "must be nonempty when present")
@@ -210,15 +212,17 @@ def _check_values(rid: str, label: Any, token_probs: Sequence[float] | None,
                 )
     if self_check is not None:
         p_true, p_false = self_check
-        if not (math.isfinite(p_true) and math.isfinite(p_false)):
+        # abs() < inf, not math.isfinite, which overflows on an int past the float range
+        if not (abs(p_true) < math.inf and abs(p_false) < math.inf):
             raise RecordError(rid, "self_check_bool", "probabilities must be finite")
         if p_true < 0 or p_false < 0:
             raise RecordError(rid, "self_check_bool", "probabilities must be nonnegative")
         if p_true + p_false <= 0:
-            raise RecordError(rid, "self_check_bool", "p_true + p_false must be positive")
+            raise RecordError(rid, "self_check_bool",
+                              "degenerate self-check: p_true + p_false must be positive")
     for score, _ in alternatives or ():
         if not (0.0 <= score <= 1.0):
-            problem = "outside [0, 1]" if math.isfinite(score) else "is not finite"
+            problem = "outside [0, 1]" if abs(score) < math.inf else "is not finite"
             raise RecordError(rid, "alternatives", f"score {score!r} {problem}")
     if verbalized is not None and not (0.0 <= verbalized <= 1.0):
         raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
@@ -232,12 +236,19 @@ def _values(record: PredictionRecord) -> tuple:
     return record.token_probs, record.self_check_bool, record.verbalized_prob, alternatives
 
 
+def _checked(obj: Any) -> tuple:
+    """The plain values of `_fields`, checked by `_check_values` too."""
+    fields = _fields(obj)
+    _check_values(fields[0], *fields[3:])
+    return fields
+
+
 def _record_from_obj(obj: Any) -> PredictionRecord:
     rid, schema_id, label, token_probs, self_check, verbalized, alternatives = _fields(obj)
     return PredictionRecord(
         id=rid,
         schema_id=schema_id,
-        label=label,  # checked in __post_init__
+        label=label,
         question=None if obj.get("question") is None else str(obj["question"]),
         token_probs=token_probs,
         self_check_bool=self_check,
@@ -337,11 +348,3 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for r in dataset.records:
             fh.write(json.dumps(_record_to_obj(r)) + "\n")
-
-
-def dataset_summary(dataset: Dataset) -> DatasetSummary:
-    """Record count, distinct schema count, and percent of correct labels."""
-    n = len(dataset.records)
-    schemas = {r.schema_id for r in dataset.records}
-    pct = 100.0 * sum(r.label for r in dataset.records) / n
-    return DatasetSummary(n_records=n, n_schemas=len(schemas), pct_correct=pct)

@@ -12,7 +12,8 @@ CLI all work on those columns.
 
 `score_file` scores a prediction file in one pass that keeps no record or
 token list past its line; `score_dataset` scores records already loaded.
-Both take their scores from `_scores`, on a record's plain field values.
+Both take their scores from `_scores`, on a record's plain field values;
+the scalar scorers check theirs by the record rules, `records._check_values`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .records import (
     PredictionRecord,
     RecordError,
     _check_values,
-    _fields,
+    _checked,
     _floats,
+    _ident,
     _label,
     _read_records,
     _require,
@@ -74,12 +76,13 @@ class ScoringResult:
     skipped: tuple[tuple[str, str], ...]  # (record id, reason)
 
 
-def _check_probs(token_probs: Sequence[float]) -> None:
-    if len(token_probs) == 0:
-        raise ValueError("token probability list is empty")
-    for p in token_probs:
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"token probability {p!r} outside (0, 1]")
+def _self_check_ratio(p_true: float, p_false: float) -> float:
+    """`score_self_check_bool`, unchecked."""
+    total = p_true + p_false
+    if total == math.inf:  # halves in the same ratio, with a finite sum
+        p_true, p_false = p_true / 2, p_false / 2
+        total = p_true + p_false
+    return p_true / total
 
 
 def _variant_alt(r_pred: float, alternatives: Iterable[tuple[float, bool]]) -> float:
@@ -102,7 +105,7 @@ def _scores(token_probs: Sequence[float] | None, self_check: Sequence[float] | N
     for method in methods:
         if method == "self_check_bool":
             scores.append("missing self_check_bool" if self_check is None
-                          else score_self_check_bool(*self_check))
+                          else _self_check_ratio(*self_check))
         elif method == "self_check_probs":
             scores.append("missing verbalized_prob" if verbalized is None else float(verbalized))
         elif method == "variant_alt" and alternatives is None:
@@ -131,45 +134,37 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     The exponentiated result may underflow to 0.0 for very long sequences;
     downstream calibrators accept that.
     """
-    _check_probs(token_probs)
+    _check_values(None, token_probs)
     return _scores(token_probs, None, None, None, ("prod",))[0]
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
-    _check_probs(token_probs)
+    _check_values(None, token_probs)
     return _scores(token_probs, None, None, None, ("geo",))[0]
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
-    _check_probs(token_probs)
+    _check_values(None, token_probs)
     return _scores(token_probs, None, None, None, ("min",))[0]
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
-    _check_probs(token_probs)
+    _check_values(None, token_probs)
     return _scores(token_probs, None, None, None, ("avg",))[0]
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
     """Normalized probability of the "correct" option token."""
-    if p_true < 0 or p_false < 0:
-        raise ValueError("self-check probabilities must be nonnegative")
-    total = p_true + p_false
-    if total <= 0:
-        raise ValueError("degenerate self-check: p_true + p_false must be positive")
-    if total == math.inf:  # halves in the same ratio, with a finite sum
-        p_true, p_false = p_true / 2, p_false / 2
-        total = p_true + p_false
-    return p_true / total
+    _check_values(None, self_check=(p_true, p_false))
+    return _self_check_ratio(p_true, p_false)
 
 
 def score_self_check_probs(verbalized_prob: float) -> float:
     """The model's stated probability, passed through unchanged."""
-    if not (0.0 <= verbalized_prob <= 1.0):
-        raise ValueError(f"verbalized probability {verbalized_prob!r} outside [0, 1]")
+    _check_values(None, verbalized=verbalized_prob)
     return float(verbalized_prob)
 
 
@@ -181,10 +176,9 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
     """
     if not (0.0 <= r_pred <= 1.0):
         raise ValueError(f"predicted score {r_pred!r} outside [0, 1]")
-    for alt in alternatives:
-        if not (0.0 <= alt.score <= 1.0):
-            raise ValueError(f"alternative score {alt.score!r} outside [0, 1]")
-    return _variant_alt(r_pred, ((alt.score, alt.equivalent) for alt in alternatives))
+    pairs = [(alt.score, alt.equivalent) for alt in alternatives]
+    _check_values(None, alternatives=pairs)
+    return _variant_alt(r_pred, pairs)
 
 
 def _check_methods(methods: Sequence[str]) -> None:
@@ -232,8 +226,7 @@ def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringRes
     _check_methods(methods)
 
     def parse(obj: Any) -> tuple[str, str, int, tuple[float | str, ...]]:
-        rid, schema_id, label, *values = _fields(obj)
-        _check_values(rid, label, *values)
+        rid, schema_id, label, *values = _checked(obj)
         return rid, schema_id, label, tuple(_scores(*values, methods))
 
     rows = _read_records(Path(path), parse)
@@ -264,7 +257,7 @@ def _scored_from_obj(obj: Any) -> tuple[str, str, str, float, int]:
     low = -1.0 if method == "variant_alt" else 0.0
     if not (low <= raw <= 1.0):
         raise RecordError(rid, "raw_score", f"{raw!r} outside [{low}, 1] for method {method}")
-    return rid, str(obj["schema_id"]), method, raw, _label(rid, obj["label"])
+    return rid, _ident(rid, "schema_id", obj["schema_id"]), method, raw, _label(rid, obj["label"])
 
 
 def load_scored(path: str | Path) -> ScoredColumns:

@@ -20,7 +20,7 @@ import sqlcalib
 from sqlcalib import protocol, records
 from sqlcalib.cli import build_parser, main
 from sqlcalib.execmatch import _OUTCOMES, SQLiteExecutor, label_record
-from sqlcalib.records import load_dataset
+from sqlcalib.records import PredictionRecord, load_dataset, make_dataset, write_dataset
 from sqlcalib.scoring import SCORE_METHODS, score_dataset, score_file
 
 
@@ -83,7 +83,7 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "1"
 
     def test_every_exported_name_resolves_to_its_submodule_object(self):
-        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 59
+        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 58
         for name in sqlcalib.__all__:
             value = getattr(sqlcalib, name)
             module = sys.modules[value.__module__]
@@ -112,6 +112,48 @@ class TestSimulateValidate:
         out = capsys.readouterr().out
         assert "records: 400" in out
         assert "schemas: 10" in out
+
+    def validate(self, path, capsys):
+        capsys.readouterr()
+        assert run("validate", "--input", path) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_validate_counts_records_schemas_and_pct(self, tmp_path, capsys):
+        records = [
+            PredictionRecord(id=f"r{i}", schema_id=f"s{i % 3}", label=label)
+            for i, label in enumerate([1, 0, 1, 0])
+        ]
+        write_dataset(make_dataset(records, "t"), tmp_path / "data.jsonl")
+        assert self.validate(tmp_path / "data.jsonl", capsys) == [
+            "records: 4", "schemas: 3", "pct_correct: 50.0"]
+
+    def test_validate_all_correct(self, tmp_path, capsys):
+        records = [PredictionRecord(id=f"r{i}", schema_id="s", label=1) for i in range(7)]
+        write_dataset(make_dataset(records, "t"), tmp_path / "data.jsonl")
+        assert self.validate(tmp_path / "data.jsonl", capsys)[2] == "pct_correct: 100.0"
+
+    def test_validate_matches_file_line_count(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"q{i}", "schema_id": f"db{i % 11}", "label": 1,
+                        "token_probs": [0.9, 0.8]}) + "\n" for i in range(1034)))
+        assert self.validate(path, capsys)[:2] == ["records: 1034", "schemas: 11"]
+
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["score", "--method", "prod", "--out", "scored.jsonl"],
+        ["evaluate", "--seed", "1", "--out-dir", "out"],
+    ])
+    def test_schema_id_null_is_not_the_string_none(self, tmp_path, capsys, command):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"id": rid, "schema_id": schema_id, "label": 1, "token_probs": [0.5]})
+            + "\n" for rid, schema_id in [("a", "None"), ("b", None)]))
+        command = [str(tmp_path / c) if c in ("scored.jsonl", "out") else c for c in command]
+        assert run(*command, "--input", data) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: record 'b': field 'schema_id': must be a string or a number\n")
+        assert not (tmp_path / "scored.jsonl").exists() and not (tmp_path / "out").exists()
 
     def test_validate_bad_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -613,6 +655,7 @@ class TestScoreFromTheLine:
         with pytest.raises(AssertionError, match="was built"):
             load_dataset(data)
         assert outputs("patched") == plain
+        assert run("validate", "--input", data) == 0
         assert len(plain) == 2 + 4 + 2
 
     @pytest.mark.parametrize("methods", [("prod",), SCORE_METHODS])
@@ -624,23 +667,24 @@ class TestScoreFromTheLine:
         assert score_file(data, methods) == {m: score_dataset(dataset, m) for m in methods}
 
     def test_peak_memory_does_not_grow_with_token_count(self, tmp_path):
-        # a first run, untraced, so that neither traced run pays for a first call
-        assert run("score", "--input", full_records(tmp_path / "warm.jsonl", 5), "--method", "prod",
-                   "--out", tmp_path / "scored.jsonl") == 0
-        peaks = {}
-        for n_tokens in (10, 200):
-            data = full_records(tmp_path / f"data{n_tokens}.jsonl", 2000, n_tokens)
-            tracemalloc.start()
-            try:
-                assert run("score", "--input", data, "--method", "prod",
-                           "--out", tmp_path / "scored.jsonl") == 0
-                peaks[n_tokens] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # Loading every record before scoring peaked 5 times as high with 200
-        # tokens per record as with 10 (2.8 and 14.8 MB); one pass holds no
-        # token list past its line, so the peak stays nearly flat.
-        assert peaks[200] < 1.25 * peaks[10], peaks
+        inputs = {n_tokens: full_records(tmp_path / f"data{n_tokens}.jsonl", 2000, n_tokens)
+                  for n_tokens in (10, 200)}
+        for command in (["score", "--method", "prod", "--out", tmp_path / "scored.jsonl"],
+                        ["validate"]):
+            # a first run, untraced, so that neither traced run pays for a first call
+            assert run(*command, "--input", full_records(tmp_path / "warm.jsonl", 5)) == 0
+            peaks = {}
+            for n_tokens, data in inputs.items():
+                tracemalloc.start()
+                try:
+                    assert run(*command, "--input", data) == 0
+                    peaks[n_tokens] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            # Loading every record first peaked 5 times as high with 200 tokens
+            # per record as with 10 (2.8 and 14.8 MB for score); one pass holds
+            # no token list past its line, so the peak stays nearly flat.
+            assert peaks[200] < 1.25 * peaks[10], (command[0], peaks)
 
 
 class TestReportCommand:

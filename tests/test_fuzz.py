@@ -7,9 +7,10 @@ by arbitrary JSON values or dropped, so the field rules are reached; the
 rest are arbitrary JSON values and text. Whatever the input, each command
 must return an exit code (0, 1 or 2); no exception may escape `main`.
 
-The same lines as a prediction file also check that `score` and `evaluate`,
-which score in one pass without building records, apply exactly the rules
-of `validate` and score as `score_dataset` does on the loaded records.
+The same lines as a prediction file also check that `validate`, `score` and
+`evaluate`, which read in one pass without building records, apply exactly
+the rules of `load_dataset`, and that `validate` counts and `score` scores as
+the loaded records give.
 """
 
 import json
@@ -115,8 +116,19 @@ def test_score_and_evaluate_keep_the_rules_and_scores_of_the_records(tmp_path, c
         code = main([str(a) for a in argv])
         return code, capsys.readouterr().err
 
-    code, err = run("validate", "--input", data)
-    dataset = load_dataset(data) if code == 0 else None
+    capsys.readouterr()
+    code = main(["validate", "--input", str(data)])
+    out_text, err = capsys.readouterr()
+    try:
+        dataset = load_dataset(data)
+    except ValueError as exc:
+        dataset = None
+        assert (code, out_text, err) == (1, "", f"error: {exc}\n")
+    else:
+        labels = [r.label for r in dataset.records]
+        assert (code, err) == (0, "") and out_text == (
+            f"records: {len(labels)}\nschemas: {len({r.schema_id for r in dataset.records})}\n"
+            f"pct_correct: {100.0 * sum(labels) / len(labels):.1f}\n")
     for method in SCORE_METHODS:
         out.unlink(missing_ok=True)
         score = run("score", "--input", data, "--out", out, "--method", method)

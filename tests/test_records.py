@@ -8,9 +8,7 @@ from sqlcalib.records import (
     DatasetError,
     PredictionRecord,
     RecordError,
-    dataset_summary,
     load_dataset,
-    make_dataset,
     write_dataset,
 )
 
@@ -244,28 +242,9 @@ def test_record_with_a_label_load_rejects_is_not_built(label):
     assert err.value.field_name == "label"
 
 
-def test_summary_counts_and_pct():
-    records = [
-        PredictionRecord(id=f"r{i}", schema_id=f"s{i % 3}", label=label)
-        for i, label in enumerate([1, 0, 1, 0])
-    ]
-    summary = dataset_summary(make_dataset(records, "t"))
-    assert summary.n_records == 4
-    assert summary.n_schemas == 3
-    assert summary.pct_correct == 50.0
-
-
-def test_summary_all_correct():
-    records = [PredictionRecord(id=f"r{i}", schema_id="s", label=1) for i in range(7)]
-    assert dataset_summary(make_dataset(records, "t")).pct_correct == 100.0
-
-
-def test_summary_matches_file_line_count(tmp_path):
-    path = tmp_path / "data.jsonl"
-    write_lines(path, [_line(id=f"q{i}", schema_id=f"db{i % 11}") for i in range(1034)])
-    summary = dataset_summary(load_dataset(path))
-    assert summary.n_records == 1034
-    assert summary.n_schemas == 11
+def test_record_error_without_a_record_id_names_the_field():
+    assert str(RecordError(None, "token_probs", "bad")) == "field 'token_probs': bad"
+    assert str(RecordError("a", "token_probs", "bad")) == "record 'a': field 'token_probs': bad"
 
 
 # The parse contract of the one line reader, through each of its callers:
@@ -322,3 +301,29 @@ def test_reader_skips_blank_lines_at_every_line_ending(tmp_path, reader, newline
     path.write_bytes(newline.join(lines + ["  ", "{not json"]).encode("utf-8"))
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:9: malformed line: "):
         read(path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("field", ["id", "schema_id"])
+@pytest.mark.parametrize("value", [None, True, False, [1], {"id": "q1"}],
+                         ids=["null", "true", "false", "array", "object"])
+def test_reader_rejects_an_id_that_is_not_a_string_or_a_number(tmp_path, reader, field, value):
+    read, line = READERS[reader]
+    path = tmp_path / "bad.jsonl"
+    bad = json.dumps({**json.loads(line(1)), field: value})
+    path.write_text("\n".join([line(0), bad]) + "\n", encoding="utf-8")
+    where = "" if field == "id" else "record 'q1': "
+    with pytest.raises(RecordError, match=f"^{re.escape(str(path))}:2: {where}field '{field}': "
+                                          "must be a string or a number$"):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_reader_reads_a_numeric_id_as_its_string(tmp_path, reader):
+    read, line = READERS[reader]
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(json.dumps({**json.loads(line(i)), "id": rid, "schema_id": 3})
+                              for i, rid in enumerate([7, 1.5, "7.0"])) + "\n")
+    assert read(path) == ["7", "1.5", "7.0"]
+    if reader == "dataset":
+        assert {r.schema_id for r in load_dataset(path).records} == {"3"}

@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlcalib.records import Alternative, PredictionRecord, make_dataset
+from sqlcalib.records import Alternative, PredictionRecord, RecordError, make_dataset
 from sqlcalib.scoring import (
     SCORE_METHODS,
     SkipRecord,
@@ -93,6 +94,18 @@ class TestSelfCheck:
         with pytest.raises(ValueError, match="degenerate self-check"):
             score_self_check_bool(0.0, 0.0)
 
+    @pytest.mark.parametrize("p_true, p_false", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan), (-math.inf, 1.0),
+    ])
+    def test_bool_non_finite_rejected(self, p_true, p_false):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            score_self_check_bool(p_true, p_false)
+
+    def test_ints_past_the_float_range_are_compared_exactly(self):
+        assert score_self_check_bool(10**400, 1) == 1.0
+        with pytest.raises(RecordError, match=r"score 1\d+ outside \[0, 1\]$"):
+            score_variant_alt(0.5, [Alternative(10**400, False)])
+
     @given(
         st.floats(min_value=0, max_value=1e6),
         st.floats(min_value=1e-9, max_value=1e6),
@@ -161,6 +174,24 @@ class TestVariantAlt:
         assert -1.0 <= score_variant_alt(0.0, [Alternative(1.0, False)]) <= 1.0
 
 
+@pytest.mark.parametrize("score, field, message", [
+    (lambda: pool_prod([]), "token_probs", "must be nonempty when present"),
+    (lambda: pool_min([0.5, 0.0]), "token_probs", "every probability must lie in (0, 1], got 0.0"),
+    (lambda: score_self_check_bool(-0.1, 1.0), "self_check_bool",
+     "probabilities must be nonnegative"),
+    (lambda: score_self_check_bool(0.0, 0.0), "self_check_bool",
+     "degenerate self-check: p_true + p_false must be positive"),
+    (lambda: score_self_check_probs(1.3), "verbalized_prob", "must lie in [0, 1], got 1.3"),
+    (lambda: score_variant_alt(0.5, [Alternative(math.nan, False)]), "alternatives",
+     "score nan is not finite"),
+], ids=["empty", "zero", "negative", "degenerate", "verbalized", "alternative"])
+def test_scalar_scorers_raise_the_record_rules(tmp_path, score, field, message):
+    with pytest.raises(RecordError) as err:
+        score()
+    assert (err.value.record_id, err.value.field_name) == (None, field)
+    assert str(err.value) == f"field {field!r}: {message}"
+
+
 class TestScoreDataset:
     def _dataset(self):
         return make_dataset(
@@ -217,12 +248,29 @@ class TestScoreDataset:
         record = PredictionRecord(id="a", schema_id="s", label=1, token_probs=tuple(probs))
         expected = {m: pooler(probs) for m, pooler in (
             ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
-        check = scoring._check_probs
-        scoring._check_probs = None  # the record checked its token list when it was built
+        check = scoring._check_values
+        scoring._check_values = None  # the record checked its token list when it was built
         try:
             assert {m: score_record(record, m) for m in expected} == expected
         finally:
-            scoring._check_probs = check
+            scoring._check_values = check
+
+    def test_score_file_checks_each_line_once(self, tmp_path, monkeypatch):
+        import sqlcalib.records as records
+        import sqlcalib.scoring as scoring
+
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps({
+            "id": "a", "schema_id": "s", "label": 1, "token_probs": [0.5, 0.9],
+            "self_check_bool": {"p_true": 0.6, "p_false": 0.2}, "verbalized_prob": 0.3,
+            "alternatives": [{"score": 0.1, "equivalent": False}]}) + "\n")
+        expected = scoring.score_file(path, SCORE_METHODS)
+        calls = []
+        check = records._check_values
+        monkeypatch.setattr(records, "_check_values", lambda *a: calls.append(a) or check(*a))
+        monkeypatch.setattr(scoring, "_check_values", None)  # no check past `_checked`
+        assert scoring.score_file(path, SCORE_METHODS) == expected
+        assert len(calls) == 1
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
