@@ -24,10 +24,9 @@ _EXPORTS = {
                 "load_dataset", "make_dataset", "write_dataset"),
     "report": ("ReliabilitySeries", "reliability_series", "render_reliability",
                "write_reliability_csv"),
-    "scoring": ("ScoredColumns", "ScoringResult", "SkipRecord", "load_scored", "pool_avg",
-                "pool_geo", "pool_min", "pool_prod", "score_dataset", "score_record",
-                "score_self_check_bool", "score_self_check_probs", "score_variant_alt",
-                "write_scored"),
+    "scoring": ("ScoredColumns", "ScoringResult", "load_scored", "pool_avg", "pool_geo",
+                "pool_min", "pool_prod", "score_dataset", "score_self_check_bool",
+                "score_self_check_probs", "score_variant_alt", "write_scored"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,8 +8,7 @@ Two calibrators are provided:
 * Isotonic regression: least-squares non-decreasing step fit of the labels
   against the scores, solved by the pool-adjacent-violators pass that
   monotonic binning also uses (`binning._pav_segments`); applied out of
-  sample by linear interpolation between knots (a pure step mode is
-  available for exact step semantics).
+  sample by linear interpolation between knots.
 
 Raw scores outside [0, 1] (the variant method produces them) are accepted
 unchanged; only calibrated outputs are required to lie in [0, 1].
@@ -55,16 +54,13 @@ class PlattCalibrator:
 
 @dataclass(frozen=True)
 class IsotonicCalibrator:
-    """Monotone step/interpolation map defined by ascending knots.
+    """Monotone map that interpolates linearly between ascending knots.
 
     knots: (raw_score, fitted_value) pairs with strictly increasing raw
     scores and non-decreasing fitted values in [0, 1].
-    mode: "interpolate" (default) draws straight lines between knots;
-    "step" holds each fitted value until the next knot.
     """
 
     knots: tuple[tuple[float, float], ...]
-    mode: str = "interpolate"
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -318,30 +314,27 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
     """Evaluate the fitted monotone map at `raw`, elementwise: a float for a
     scalar `raw`, an ndarray for an array.
 
-    Interpolation mode draws straight lines between adjacent knots and
-    clamps to the first/last fitted value outside the knot range; a raw
-    score exactly on a knot gets that knot's value. Step mode holds each
-    knot's value until the next knot.
+    Straight lines join adjacent knots, and the first/last fitted value
+    holds outside the knot range; a raw score exactly on a knot gets that
+    knot's value.
     """
     if not calibrator.knots:
         raise ValueError("empty isotonic calibrator")
     xs, ys = np.asarray(calibrator.knots, dtype=float).T
     r = np.asarray(raw, dtype=float)
-    out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(), np.zeros(r.size, dtype=np.int64),
-                        step=calibrator.mode == "step").reshape(r.shape)
+    out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(),
+                        np.zeros(r.size, dtype=np.int64)).reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def _isotonic_map(xs: np.ndarray, ys: np.ndarray, knot_bounds: np.ndarray, raw: np.ndarray,
-                  seg: np.ndarray, step: bool = False) -> np.ndarray:
+                  seg: np.ndarray) -> np.ndarray:
     """Every raw score through the isotonic map of its segment `seg`: the
     knots of segment i are xs[knot_bounds[i]:knot_bounds[i + 1]] (nonempty)."""
     # clamped to the knot range, a raw score outside it hits the end knot
     r = np.minimum(np.maximum(raw, xs[knot_bounds[:-1]][seg]), xs[knot_bounds[1:] - 1][seg])
     lo = segment_searchsorted(xs, knot_bounds, r, seg) - 1  # rightmost knot with x <= raw
     y_lo = ys[lo]
-    if step:
-        return y_lo
     # the next knot of each knot's segment; the last knot is its own
     nxt = np.arange(1, len(xs) + 1)
     nxt[knot_bounds[1:] - 1] -= 1
@@ -358,11 +351,9 @@ def save_calibrator(
     if isinstance(calibrator, PlattCalibrator):
         obj = {"kind": "platt", "t": calibrator.t, "b": calibrator.b}
     else:
-        obj = {
-            "kind": "isotonic",
-            "mode": calibrator.mode,
-            "knots": [[x, y] for x, y in calibrator.knots],
-        }
+        # the one way knots are applied, kept so that calibrator files keep their bytes
+        obj = {"kind": "isotonic", "mode": "interpolate",
+               "knots": [[x, y] for x, y in calibrator.knots]}
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
@@ -393,9 +384,9 @@ def _calibrator_from_obj(obj: Any) -> PlattCalibrator | IsotonicCalibrator:
     if ys[0] < 0.0 or ys[-1] > 1.0 or any(y0 > y1 for y0, y1 in zip(ys, ys[1:])):
         raise RecordError(kind, "knots", "y must be non-decreasing within [0, 1]")
     mode = obj.get("mode", "interpolate")
-    if mode not in ("interpolate", "step"):
-        raise RecordError(kind, "mode", f"must be 'interpolate' or 'step', got {mode!r}")
-    return IsotonicCalibrator(knots=tuple(zip(xs, ys)), mode=mode)
+    if mode != "interpolate":
+        raise RecordError(kind, "mode", f"must be 'interpolate', got {mode!r}")
+    return IsotonicCalibrator(knots=tuple(zip(xs, ys)))
 
 
 def load_calibrator(path: str | Path) -> PlattCalibrator | IsotonicCalibrator:
@@ -403,7 +394,7 @@ def load_calibrator(path: str | Path) -> PlattCalibrator | IsotonicCalibrator:
 
     Anything else raises a ValueError naming the file: text that is not
     JSON, an unknown kind, Platt parameters that are not finite numbers,
-    knots that are not a monotone map into [0, 1], or an unknown mode.
+    knots that are not a monotone map into [0, 1], or a mode but "interpolate".
     """
     try:
         return _calibrator_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))

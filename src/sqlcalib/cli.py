@@ -3,8 +3,7 @@ label, simulate.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Outputs are
 deterministic for identical flags and inputs; no file is written until the
-inputs have validated fully. The SQLCALIB_SEED environment variable supplies
-a default --seed for evaluate and simulate.
+inputs have validated fully.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
 with them numpy), inside the command. validate, score and evaluate read
@@ -20,7 +19,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .execmatch import (
     _IDENTICAL,
@@ -49,10 +48,6 @@ from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_file, wr
 from .records import load_dataset  # noqa: F401
 from .scoring import score_dataset  # noqa: F401
 
-if TYPE_CHECKING:
-    from .protocol import ProtocolConfig
-
-ENV_SEED = "SQLCALIB_SEED"
 # sorted(protocol.TRUE_MAPS), spelled out so that building the parser loads no numpy
 _SIMULATE_MAPS = ("half", "identity", "logistic", "one")
 
@@ -66,18 +61,6 @@ def __getattr__(name: str) -> Any:
 
         return getattr(protocol, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"{ENV_SEED} must be an integer, got {env!r}")
-    parser.error(f"--seed is required (or set {ENV_SEED})")
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -131,22 +114,6 @@ def cmd_calibrate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
-    from .protocol import ProtocolConfig
-
-    return ProtocolConfig(
-        k=args.k,
-        binning=args.binning,
-        n_bins=args.bins,
-        min_bin_count=args.min_bin_count,
-        thresholds=_parse_thresholds(args.thresholds),
-        seed=seed,
-        calibrator=args.calibrator,
-        tune_fraction=args.tune_fraction,
-        min_schema_records=args.min_schema_records,
-    )
-
-
 def _check_bins(args: argparse.Namespace, n_scored: int, what: str) -> None:
     """Under uniform binning, reject more bins than scored records: the
     surplus bins can only stay empty, and building them costs time and
@@ -159,10 +126,20 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.compare and args.scope == "schema_level":
         parser.error("--compare works only with --scope schema_disjoint")
     from . import report as rpt
+    from .protocol import ProtocolConfig
 
     cli = sys.modules[__name__]  # see __getattr__
-    seed = _resolve_seed(args, parser)
-    cfg = _config_from_args(args, seed)
+    cfg = ProtocolConfig(
+        k=args.k,
+        binning=args.binning,
+        n_bins=args.bins,
+        min_bin_count=args.min_bin_count,
+        thresholds=_parse_thresholds(args.thresholds),
+        seed=args.seed,
+        calibrator=args.calibrator,
+        tune_fraction=args.tune_fraction,
+        min_schema_records=args.min_schema_records,
+    )
     source_name = Path(args.input).name
     out_dir = Path(args.out_dir)
 
@@ -178,9 +155,12 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
         scored[method] = result.scored
 
+    # one evaluator over every method; each method's columns are freed once evaluated
+    evaluate = cli.schema_level_evaluate if args.scope == "schema_level" else cli.cross_validate
+    reports = {method: evaluate(scored.pop(method), cfg) for method in methods}
+    report = reports[args.method]
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scope == "schema_level":
-        report = cli.schema_level_evaluate(scored.pop(args.method), cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
         rpt.write_schema_csv(report, out_dir / "schemas.csv")
         rpt.write_thresholds_csv([("schema_level", report.micro.prf)], out_dir / "thresholds.csv")
         for schema_id, reason in report.skipped:
@@ -188,19 +168,11 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(f"wrote {out_dir / 'schemas.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
         return 0
 
-    report = cli.cross_validate(scored.pop(args.method), cfg)
-    compare_reports = {}
-    if args.compare:
-        for method in POOLING_METHODS:
-            compare_reports[method] = (
-                report if method == args.method else cli.cross_validate(scored.pop(method), cfg)
-            )
-    out_dir.mkdir(parents=True, exist_ok=True)
     rpt.write_report_csv(report, out_dir / "report.csv", dataset_name=source_name)
     rpt.write_report_json(report, out_dir / "report.json", dataset_name=source_name)
     rpt.write_thresholds_csv([("schema_disjoint", report.prf_mean)], out_dir / "thresholds.csv")
-    if compare_reports:
-        rpt.write_compare_csv(compare_reports, out_dir / "compare.csv")
+    if args.compare:
+        rpt.write_compare_csv({m: reports[m] for m in POOLING_METHODS}, out_dir / "compare.csv")
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
@@ -293,7 +265,7 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 extra={k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS})
         for pair, label in zip(pairs, labels)
     ]
-    write_dataset(Dataset(records=tuple(records), source_name=Path(args.out).name), args.out)
+    write_dataset(Dataset(records=tuple(records)), args.out)
     n_correct = sum(labels)
     print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
     print(f"gold executions: {gold_runs} for {len(pairs)} pairs; "
@@ -305,8 +277,7 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .protocol import generate_synthetic
 
-    seed = _resolve_seed(args, parser)
-    dataset = generate_synthetic(args.n, args.map, seed, n_schemas=args.schemas)
+    dataset = generate_synthetic(args.n, args.map, args.seed, n_schemas=args.schemas)
     write_dataset(dataset, args.out)
     print(f"wrote {args.n} synthetic records -> {args.out}", file=sys.stderr)
     return 0
@@ -345,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-bin-count", type=int, default=1)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--thresholds", default="0.9,0.85,0.8,0.7")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scope", default="schema_disjoint",
                    choices=("schema_disjoint", "schema_level"))
     p.add_argument("--tune-fraction", type=float, default=0.2)
@@ -379,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded synthetic prediction records")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--map", default="identity", choices=_SIMULATE_MAPS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--schemas", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -43,7 +43,7 @@ from .metrics import (  # noqa: F401
     _summarize_segments,
     summarize,
 )
-from .records import Dataset, PredictionRecord, make_dataset
+from .records import Dataset, PredictionRecord
 from .scoring import ScoredColumns
 
 
@@ -356,16 +356,11 @@ TRUE_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def generate_synthetic(
-    n: int,
-    true_map: str | Callable[[np.ndarray], np.ndarray],
-    seed: int,
-    n_schemas: int = 10,
-) -> Dataset:
+def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) -> Dataset:
     """Synthetic dataset for oracle tests.
 
     Raw scores are uniform on (0, 1), dealt round-robin over synthetic
-    schema ids; labels are Bernoulli draws at true_map(score); each record
+    schema ids; labels are Bernoulli draws at TRUE_MAPS[true_map](score); each record
     carries a single token probability equal to its score, so prod pooling
     reproduces the score exactly.
     """
@@ -373,12 +368,13 @@ def generate_synthetic(
         raise ValueError(f"need n >= 1, got {n}")
     if n_schemas < 1:
         raise ValueError(f"need n_schemas >= 1, got {n_schemas}")
-    fn = TRUE_MAPS[true_map] if isinstance(true_map, str) else true_map
+    if true_map not in TRUE_MAPS:
+        raise ValueError(f"unknown true map {true_map!r}: expected one of {sorted(TRUE_MAPS)}")
     rng = np.random.Generator(np.random.PCG64(seed))
     r = np.maximum(rng.random(n), 1e-12)
-    p = np.clip(fn(r), 0.0, 1.0)
+    p = np.clip(TRUE_MAPS[true_map](r), 0.0, 1.0)
     labels = (rng.random(n) < p).astype(int)
-    records = [
+    return Dataset(records=tuple(
         PredictionRecord(
             id=f"syn-{i:06d}",
             schema_id=f"schema-{i % n_schemas:02d}",
@@ -386,5 +382,4 @@ def generate_synthetic(
             token_probs=(float(r[i]),),
         )
         for i in range(n)
-    ]
-    return make_dataset(records, source_name=f"synthetic-{true_map}-{seed}")
+    ))

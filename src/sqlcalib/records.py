@@ -5,7 +5,7 @@ strings or booleans. Recognized fields:
 
     id               string, or a number read as one; unique within a file
     schema_id        string, or a number read as one; the target database/schema
-    question         string, optional
+    question         string, optional (null is absent)
     token_probs      list of floats in (0, 1], optional, nonempty when present
     label            0 or 1 (execution-match correctness)
     self_check_bool  object {p_true, p_false}, optional; both finite and
@@ -19,14 +19,16 @@ serializer, but are otherwise ignored.
 
 A line is checked in two steps, both run by `_checked`: `_fields` applies
 the type and label rules and returns plain values, `_check_values` the value
-rules. `PredictionRecord` and the scalar scorers of `scoring` check by
-`_check_values` too, so every error text comes from one place.
+rules. `PredictionRecord` and the scalar scorers of `scoring` check values
+given in code by `_check_objects`, the number rule and then `_check_values`,
+so every error text comes from one place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -76,13 +78,12 @@ class PredictionRecord:
 
     def __post_init__(self) -> None:
         _label(self.id, self.label)
-        _check_values(self.id, *_values(self))
+        _check_objects(self.id, *_values(self))
 
 
 @dataclass(frozen=True)
 class Dataset:
     records: tuple[PredictionRecord, ...]
-    source_name: str
 
 
 # Fields the parser understands; everything else lands in `extra`.
@@ -108,15 +109,21 @@ def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Datas
         if r.id in seen:
             raise DatasetError(f"duplicate record id {r.id!r} in {source_name}")
         seen.add(r.id)
-    return Dataset(records=recs, source_name=source_name)
+    return Dataset(records=recs)
+
+
+def _is_real(kind: type) -> bool:
+    """The number rule: a `numbers.Real`, not a bool. Of the JSON types, an
+    int or a float; numpy's floats and ints pass, `numpy.True_` does not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
 def _floats(rid: str, field_name: str, values: Sequence[Any]) -> tuple[float, ...]:
-    """JSON numbers as floats: an int or a float, not a bool and not a string."""
+    """JSON numbers as floats, by `_is_real`: not a bool and not a string."""
     types = set(map(type, values))
     if types == {float}:
         return tuple(values)
-    if types <= {int, float}:
+    if all(map(_is_real, types)):
         try:
             return tuple(map(float, values))
         except OverflowError:  # an integer too large for a float
@@ -158,6 +165,8 @@ def _fields(obj: Any) -> tuple:
     verbalized_prob as a float, alternatives as a tuple of (score,
     equivalent) pairs. Their values are left to `_check_values`."""
     rid = _require(obj, "schema_id", "label")
+    if not isinstance(obj.get("question", ""), (str, type(None))):
+        raise RecordError(rid, "question", "must be a string")
 
     token_probs = None
     if obj.get("token_probs") is not None:
@@ -228,6 +237,20 @@ def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
         raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
 
 
+def _check_objects(rid: str | None, token_probs: Sequence[Any] | None = None,
+                   self_check: Sequence[Any] | None = None, verbalized: Any = None,
+                   alternatives: Sequence[tuple[Any, bool]] | None = None) -> None:
+    """`_check_values` for values given in code, not decoded JSON: first the
+    type of each number passes `_is_real`."""
+    scores = None if alternatives is None else [score for score, _ in alternatives]
+    for name, values in (("token_probs", token_probs), ("self_check_bool", self_check),
+                         ("alternatives", scores),
+                         ("verbalized_prob", None if verbalized is None else (verbalized,))):
+        if values is not None and not all(map(_is_real, set(map(type, values)))):
+            raise RecordError(rid, name, "must be a number")
+    _check_values(rid, token_probs, self_check, verbalized, alternatives)
+
+
 def _values(record: PredictionRecord) -> tuple:
     """The scored fields of a record as the plain values of `_fields`."""
     alternatives = record.alternatives
@@ -249,7 +272,7 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
         id=rid,
         schema_id=schema_id,
         label=label,
-        question=None if obj.get("question") is None else str(obj["question"]),
+        question=obj.get("question"),
         token_probs=token_probs,
         self_check_bool=self_check,
         verbalized_prob=verbalized,
@@ -318,8 +341,7 @@ def load_dataset(path: str | Path) -> Dataset:
     Records keep file order. Malformed lines are reported with their line
     number; invariant violations with the line, record id and field name.
     """
-    path = Path(path)
-    return Dataset(records=_read_records(path, _record_from_obj), source_name=path.name)
+    return Dataset(records=_read_records(Path(path), _record_from_obj))
 
 
 def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:

@@ -13,7 +13,7 @@ CLI all work on those columns.
 `score_file` scores a prediction file in one pass that keeps no record or
 token list past its line; `score_dataset` scores records already loaded.
 Both take their scores from `_scores`, on a record's plain field values;
-the scalar scorers check theirs by the record rules, `records._check_values`.
+the scalar scorers check theirs as a record built in code, `_check_objects`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from typing import Any
 from .records import (
     Alternative,
     Dataset,
-    PredictionRecord,
+    DatasetError,
     RecordError,
-    _check_values,
+    _check_objects,
     _checked,
     _floats,
     _ident,
+    _is_real,
     _label,
     _read_records,
     _require,
@@ -42,10 +43,6 @@ from .records import (
 
 POOLING_METHODS = ("prod", "geo", "min", "avg")
 SCORE_METHODS = POOLING_METHODS + ("self_check_bool", "self_check_probs", "variant_alt")
-
-
-class SkipRecord(Exception):
-    """The record lacks the fields a scoring method needs; skip, don't fail."""
 
 
 @dataclass(frozen=True)
@@ -134,37 +131,37 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     The exponentiated result may underflow to 0.0 for very long sequences;
     downstream calibrators accept that.
     """
-    _check_values(None, token_probs)
+    _check_objects(None, token_probs)
     return _scores(token_probs, None, None, None, ("prod",))[0]
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
-    _check_values(None, token_probs)
+    _check_objects(None, token_probs)
     return _scores(token_probs, None, None, None, ("geo",))[0]
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
-    _check_values(None, token_probs)
+    _check_objects(None, token_probs)
     return _scores(token_probs, None, None, None, ("min",))[0]
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
-    _check_values(None, token_probs)
+    _check_objects(None, token_probs)
     return _scores(token_probs, None, None, None, ("avg",))[0]
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
     """Normalized probability of the "correct" option token."""
-    _check_values(None, self_check=(p_true, p_false))
+    _check_objects(None, self_check=(p_true, p_false))
     return _self_check_ratio(p_true, p_false)
 
 
 def score_self_check_probs(verbalized_prob: float) -> float:
     """The model's stated probability, passed through unchanged."""
-    _check_values(None, verbalized=verbalized_prob)
+    _check_objects(None, verbalized=verbalized_prob)
     return float(verbalized_prob)
 
 
@@ -174,10 +171,12 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
     With no inequivalent alternative the competing score is taken as 0, so
     an unrivaled prediction keeps its own confidence.
     """
+    if not _is_real(type(r_pred)):
+        raise ValueError(f"predicted score {r_pred!r} is not a number")
     if not (0.0 <= r_pred <= 1.0):
         raise ValueError(f"predicted score {r_pred!r} outside [0, 1]")
     pairs = [(alt.score, alt.equivalent) for alt in alternatives]
-    _check_values(None, alternatives=pairs)
+    _check_objects(None, alternatives=pairs)
     return _variant_alt(r_pred, pairs)
 
 
@@ -185,18 +184,6 @@ def _check_methods(methods: Sequence[str]) -> None:
     for method in methods:
         if method not in SCORE_METHODS:
             raise ValueError(f"unknown scoring method {method!r}")
-
-
-def score_record(record: PredictionRecord, method: str) -> float:
-    """Raw confidence of one record under `method`.
-
-    Raises SkipRecord when the record lacks the fields the method needs.
-    """
-    _check_methods((method,))
-    (score,) = _scores(*_values(record), (method,))
-    if isinstance(score, str):
-        raise SkipRecord(score)
-    return score
 
 
 def _result(method: str, rows: list[tuple[str, str, int, float | str]]) -> ScoringResult:
@@ -262,5 +249,10 @@ def _scored_from_obj(obj: Any) -> tuple[str, str, str, float, int]:
 
 def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
-    `load_dataset`: errors name the file line, record and field; ids are unique."""
-    return ScoredColumns(*zip(*_read_records(Path(path), _scored_from_obj)))
+    `load_dataset`: errors name the file line, record and field; ids are
+    unique, and every record carries the same method."""
+    scored = ScoredColumns(*zip(*_read_records(Path(path), _scored_from_obj)))
+    methods = sorted(set(scored.methods))
+    if len(methods) > 1:
+        raise DatasetError(f"{path}: mixed scoring methods in one file: {methods}")
+    return scored

@@ -158,11 +158,11 @@ def platt_reference(t: float, b: float, raw: float) -> float:
     return float(ez / (1.0 + ez))
 
 
-def isotonic_reference(knots, mode: str, raw: float) -> float:
+def isotonic_reference(knots, raw: float) -> float:
     """One score through an isotonic map by bisection over the knots: clamp
-    outside the knot range, the knot's own value on an exact hit or in step
-    mode, otherwise (frac first, then times the knot gap) interpolation, at
-    most the next knot's value."""
+    outside the knot range, the knot's own value on an exact hit, otherwise
+    (frac first, then times the knot gap) interpolation, at most the next
+    knot's value."""
     xs = [k[0] for k in knots]
     ys = [k[1] for k in knots]
     if raw <= xs[0]:
@@ -176,7 +176,7 @@ def isotonic_reference(knots, mode: str, raw: float) -> float:
             lo = mid
         else:
             hi = mid
-    if xs[lo] == raw or mode == "step":
+    if xs[lo] == raw:
         return ys[lo]
     frac = (raw - xs[lo]) / (xs[hi] - xs[lo])
     return min(ys[lo] + frac * (ys[hi] - ys[lo]), ys[hi])

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -201,12 +202,6 @@ class TestIsotonic:
         for x, y in cal.knots:
             assert apply_isotonic(cal, x) == y
 
-    def test_step_mode_holds_left_value(self):
-        cal = IsotonicCalibrator(knots=((0.2, 0.0), (0.6, 1.0)), mode="step")
-        assert apply_isotonic(cal, 0.4) == 0.0
-        assert apply_isotonic(cal, 0.6) == 1.0
-        assert apply_isotonic(cal, 0.61) == 1.0
-
     def test_tied_scores_merge_before_pooling(self):
         cal = fit_isotonic([0.5, 0.5, 0.9], [1, 0, 1])
         assert apply_isotonic(cal, 0.5) == 0.5
@@ -317,9 +312,8 @@ def isotonic_cases(draw):
     xs = sorted(draw(st.sets(st.floats(-2, 2), min_size=1, max_size=8)))
     value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
     ys = sorted(draw(st.lists(value, min_size=len(xs), max_size=len(xs))))
-    mode = draw(st.sampled_from(["interpolate", "step"]))
     raws = draw(st.lists(st.one_of(st.sampled_from(xs), st.floats(-3, 3)), min_size=1, max_size=20))
-    return IsotonicCalibrator(knots=tuple(zip(xs, ys)), mode=mode), raws
+    return IsotonicCalibrator(knots=tuple(zip(xs, ys))), raws
 
 
 class TestArrayApply:
@@ -330,7 +324,7 @@ class TestArrayApply:
     @settings(max_examples=300)
     def test_isotonic_matches_scalar_reference_bitwise(self, case):
         cal, raws = case
-        expected = [isotonic_reference(cal.knots, cal.mode, r) for r in raws]
+        expected = [isotonic_reference(cal.knots, r) for r in raws]
         out = apply_isotonic(cal, np.array(raws))
         assert isinstance(out, np.ndarray) and out.shape == (len(raws),)
         assert out.tolist() == expected
@@ -377,6 +371,17 @@ class TestSerialization:
         path = tmp_path / "iso.json"
         save_calibrator(cal, path)
         assert load_calibrator(path) == cal
+        assert json.loads(path.read_text())["mode"] == "interpolate"
+
+    def test_isotonic_mode_may_be_absent_but_not_step(self, tmp_path):
+        path = tmp_path / "iso.json"
+        path.write_text('{"kind": "isotonic", "knots": [[0.2, 0.1], [0.8, 0.9]]}')
+        assert load_calibrator(path) == IsotonicCalibrator(knots=((0.2, 0.1), (0.8, 0.9)))
+        path.write_text('{"kind": "isotonic", "mode": "step", "knots": [[0.2, 0.1], [0.8, 0.9]]}')
+        with pytest.raises(ValueError) as err:
+            load_calibrator(path)
+        assert str(err.value) == (
+            f"{path}: record 'isotonic': field 'mode': must be 'interpolate', got 'step'")
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -83,7 +83,7 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "1"
 
     def test_every_exported_name_resolves_to_its_submodule_object(self):
-        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 58
+        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 56
         for name in sqlcalib.__all__:
             value = getattr(sqlcalib, name)
             module = sys.modules[value.__module__]
@@ -238,13 +238,20 @@ class TestSimulateValidate:
             run("simulate", "--n", 10, "--out", tmp_path / "x.jsonl")
         assert exc.value.code == 2
 
-    def test_seed_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQLCALIB_SEED", "3")
-        out = tmp_path / "env.jsonl"
-        assert run("simulate", "--n", 50, "--out", out) == 0
-        explicit = tmp_path / "explicit.jsonl"
-        assert run("simulate", "--n", 50, "--seed", 3, "--out", explicit) == 0
-        assert out.read_bytes() == explicit.read_bytes()
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--n", 10, "--out"),
+        ("evaluate", "--input", "missing.jsonl", "--out-dir"),
+    ], ids=["simulate", "evaluate"])
+    def test_seed_is_required_whatever_the_environment(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        monkeypatch.setenv("SQLCALIB_SEED", "3")  # a variable no command reads
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*command, tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"sqlcalib {command[0]}: error: the following arguments are required: --seed\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScoreCalibrate:
@@ -285,6 +292,40 @@ class TestScoreCalibrate:
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skip")]
         assert skips == ["skip missing alternatives: 2 records, first b",
                          "skip missing token_probs: 2 records, first c"]
+
+    @pytest.mark.parametrize("command", ["calibrate", "report"])
+    def test_scored_file_mixing_methods_exits_1(self, tmp_path, capsys, command):
+        scored = tmp_path / "scored.jsonl"
+        rows = [{"id": rid, "schema_id": "s", "method": method, "raw_score": 0.5, "label": 1}
+                for rid, method in [("a", "prod"), ("b", "variant_alt"), ("c", "geo")]]
+        scored.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        cal, out = tmp_path / "cal.json", tmp_path / "out"
+        cal.write_text('{"kind": "platt", "t": 1.0, "b": 0.0}')
+        argv = (("calibrate", "--scored", scored, "--kind", "platt", "--out", out)
+                if command == "calibrate" else
+                ("report", "--scored", scored, "--calibrator", cal, "--out-csv", out))
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scored}: mixed scoring methods in one file: ['geo', 'prod', 'variant_alt']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, True, [1, 2], {"x": [1, 2]}],
+                             ids=["int", "bool", "list", "object"])
+    def test_question_that_is_not_a_string_fails_every_reader(self, tmp_path, capsys, value):
+        data, out = tmp_path / "data.jsonl", tmp_path / "out"
+        good = {"id": "a", "schema_id": "s", "label": 1, "question": "Why?", "token_probs": [0.5],
+                "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"}
+        data.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", "question": value})
+                        + "\n")
+        for argv in [("validate", "--input", data),
+                     ("score", "--input", data, "--out", out, "--method", "prod"),
+                     ("evaluate", "--input", data, "--seed", 1, "--out-dir", out),
+                     ("label", "--pairs", data, "--db-root", tmp_path, "--out", out)]:
+            capsys.readouterr()
+            assert run(*argv) == 1
+            assert capsys.readouterr() == (
+                "", f"error: {data}:2: record 'b': field 'question': must be a string\n")
+        assert not out.exists()
 
     def test_calibrate_round_trip(self, synthetic, tmp_path):
         scored = tmp_path / "scored.jsonl"
@@ -409,6 +450,26 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["prod", "geo", "min", "avg"]
         assert all(set(r) == {"method", "bs_i", "auc", "ece_p", "ece_i"} for r in rows)
+
+    def test_compare_evaluates_each_method_once_and_lists_the_pooling_methods(
+            self, synthetic, tmp_path, monkeypatch):
+        from sqlcalib import cli
+
+        evaluated = []
+
+        def cross_validate(scored, cfg):
+            evaluated.append(scored.methods[0])
+            return protocol.cross_validate(scored, cfg)
+
+        monkeypatch.setattr(cli, "cross_validate", cross_validate, raising=False)
+        for method in ("geo", "prod"):
+            assert run("evaluate", "--input", synthetic, "--method", method, "--seed", 5,
+                       "--out-dir", tmp_path / method, "--compare") == 0
+        assert evaluated == ["geo", "prod", "min", "avg", "prod", "geo", "min", "avg"]
+        with (tmp_path / "geo" / "compare.csv").open() as fh:
+            assert [r["method"] for r in csv.DictReader(fh)] == ["prod", "geo", "min", "avg"]
+        assert ((tmp_path / "geo" / "compare.csv").read_bytes()
+                == (tmp_path / "prod" / "compare.csv").read_bytes())
 
     @pytest.mark.parametrize("minimum", [1, 0])
     def test_schema_level_needs_two_records_per_schema(self, tmp_path, capsys, minimum):
@@ -724,6 +785,25 @@ class TestReportCommand:
         assert run(*report, tmp_path / "uniform.csv") == 1
         assert capsys.readouterr().err == f"error: --bins 10 exceeds the 8 records in {scored}\n"
         assert not (tmp_path / "uniform.csv").exists()
+
+    def test_step_mode_calibrator_exits_1_and_an_absent_mode_applies_knots(self, synthetic,
+                                                                           tmp_path, capsys):
+        scored, cal = tmp_path / "scored.jsonl", tmp_path / "cal.json"
+        run("score", "--input", synthetic, "--out", scored, "--method", "prod")
+        run("calibrate", "--scored", scored, "--kind", "isotonic", "--out", cal)
+        report = ("report", "--scored", scored, "--calibrator", cal, "--out-csv")
+        assert run(*report, tmp_path / "saved.csv") == 0
+        obj = json.loads(cal.read_text())
+        assert obj.pop("mode") == "interpolate"
+        cal.write_text(json.dumps(obj))
+        assert run(*report, tmp_path / "no-mode.csv") == 0
+        assert (tmp_path / "no-mode.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
+        cal.write_text(json.dumps({**obj, "mode": "step"}))
+        capsys.readouterr()
+        assert run(*report, tmp_path / "step.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: {cal}: record 'isotonic': field 'mode': must be 'interpolate', got 'step'\n")
+        assert not (tmp_path / "step.csv").exists()
 
     @pytest.mark.parametrize("text", [
         '{"kind": "platt"}',

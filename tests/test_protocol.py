@@ -310,6 +310,12 @@ class TestSynthetic:
         assert len(counts) == 10
         assert max(counts.values()) - min(counts.values()) <= 1
 
+    def test_unknown_true_map_is_a_value_error_listing_the_maps(self):
+        with pytest.raises(ValueError) as err:
+            generate_synthetic(10, "nope", 1)
+        assert str(err.value) == (
+            "unknown true map 'nope': expected one of ['half', 'identity', 'logistic', 'one']")
+
     def test_deterministic(self):
         assert generate_synthetic(100, "identity", 5).records == \
             generate_synthetic(100, "identity", 5).records

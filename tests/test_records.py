@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from sqlcalib.records import (
@@ -240,6 +241,34 @@ def test_record_with_a_label_load_rejects_is_not_built(label):
         PredictionRecord(id="a", schema_id="s", label=label, token_probs=(0.5,))
     assert err.value.record_id == "a"
     assert err.value.field_name == "label"
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"token_probs": (True,)}, "token_probs"),
+    ({"token_probs": (0.5, np.True_)}, "token_probs"),
+    ({"token_probs": ("0.5",)}, "token_probs"),
+    ({"self_check_bool": (True, 1.0)}, "self_check_bool"),
+    ({"verbalized_prob": False}, "verbalized_prob"),
+    ({"alternatives": (Alternative(True, False),)}, "alternatives"),
+], ids=["true", "numpy-true", "string", "self-check", "verbalized", "alternative"])
+def test_record_takes_numbers_not_bools(fields, name):
+    # such a record would be written with true or "0.5", which load_dataset rejects
+    with pytest.raises(RecordError) as err:
+        PredictionRecord(id="a", schema_id="s", label=1, **fields)
+    assert str(err.value) == f"record 'a': field {name!r}: must be a number"
+
+
+def test_record_takes_numpy_numbers():
+    record = PredictionRecord(id="a", schema_id="s", label=1,
+                              token_probs=(np.float64(0.5), np.float32(0.25), 1),
+                              self_check_bool=(np.int64(3), 1.0), verbalized_prob=np.float64(0.5))
+    assert record.token_probs == (0.5, 0.25, 1.0)
+
+
+def test_question_is_a_string_or_null(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [_line(question="How many?"), _line(id="q2", question=None)])
+    assert [r.question for r in load_dataset(path).records] == ["How many?", None]
 
 
 def test_record_error_without_a_record_id_names_the_field():

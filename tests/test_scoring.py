@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +9,11 @@ from hypothesis import strategies as st
 from sqlcalib.records import Alternative, PredictionRecord, RecordError, make_dataset
 from sqlcalib.scoring import (
     SCORE_METHODS,
-    SkipRecord,
     pool_avg,
     pool_geo,
     pool_min,
     pool_prod,
     score_dataset,
-    score_record,
     score_self_check_bool,
     score_self_check_probs,
     score_variant_alt,
@@ -192,6 +191,31 @@ def test_scalar_scorers_raise_the_record_rules(tmp_path, score, field, message):
     assert str(err.value) == f"field {field!r}: {message}"
 
 
+@pytest.mark.parametrize("score, field", [
+    (lambda: pool_prod([True]), "token_probs"),
+    (lambda: pool_avg([0.5, np.True_]), "token_probs"),
+    (lambda: pool_min(["0.5"]), "token_probs"),
+    (lambda: score_self_check_bool(True, 1), "self_check_bool"),
+    (lambda: score_self_check_probs(False), "verbalized_prob"),
+    (lambda: score_variant_alt(0.5, [Alternative(True, False)]), "alternatives"),
+], ids=["prod-true", "avg-numpy-true", "min-string", "self-check-bool", "verbalized",
+        "alternative"])
+def test_scalar_scorers_take_numbers_not_bools(score, field):
+    with pytest.raises(RecordError) as err:
+        score()
+    assert str(err.value) == f"field {field!r}: must be a number"
+
+
+def test_scalar_scorers_take_numpy_numbers():
+    assert pool_prod(np.array([0.5, 0.5])) == 0.25
+    assert pool_min([np.float32(0.5), 1]) == 0.5
+    assert score_self_check_bool(np.int64(3), np.int64(1)) == 0.75
+    assert score_self_check_probs(np.float64(0.25)) == 0.25
+    assert score_variant_alt(np.float64(0.75), [Alternative(np.float64(0.25), False)]) == 0.5
+    with pytest.raises(ValueError, match="^predicted score True is not a number$"):
+        score_variant_alt(True, [])
+
+
 class TestScoreDataset:
     def _dataset(self):
         return make_dataset(
@@ -236,9 +260,11 @@ class TestScoreDataset:
             id="v", schema_id="s", label=1, token_probs=(0.8,),
             alternatives=(Alternative(0.3, False),),
         )
-        assert score_record(record, "variant_alt") == pytest.approx(0.5)
-        with pytest.raises(SkipRecord):
-            score_record(PredictionRecord(id="w", schema_id="s", label=1), "variant_alt")
+        bare = PredictionRecord(id="w", schema_id="s", label=1)
+        result = score_dataset(make_dataset([record, bare], "t"), "variant_alt")
+        assert result.scored.ids == ("v",)
+        assert result.scored.raw_scores == (pytest.approx(0.5),)
+        assert result.skipped == (("w", "missing alternatives"),)
 
     @given(probs_lists)
     @settings(max_examples=100)
@@ -248,12 +274,13 @@ class TestScoreDataset:
         record = PredictionRecord(id="a", schema_id="s", label=1, token_probs=tuple(probs))
         expected = {m: pooler(probs) for m, pooler in (
             ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
-        check = scoring._check_values
-        scoring._check_values = None  # the record checked its token list when it was built
+        dataset = make_dataset([record], "t")
+        check = scoring._check_objects
+        scoring._check_objects = None  # the record checked its token list when it was built
         try:
-            assert {m: score_record(record, m) for m in expected} == expected
+            assert {m: score_dataset(dataset, m).scored.raw_scores[0] for m in expected} == expected
         finally:
-            scoring._check_values = check
+            scoring._check_objects = check
 
     def test_score_file_checks_each_line_once(self, tmp_path, monkeypatch):
         import sqlcalib.records as records
@@ -268,13 +295,14 @@ class TestScoreDataset:
         calls = []
         check = records._check_values
         monkeypatch.setattr(records, "_check_values", lambda *a: calls.append(a) or check(*a))
-        monkeypatch.setattr(scoring, "_check_values", None)  # no check past `_checked`
+        monkeypatch.setattr(scoring, "_check_objects", None)  # no check past `_checked`
         assert scoring.score_file(path, SCORE_METHODS) == expected
         assert len(calls) == 1
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
-            score_record(PredictionRecord(id="a", schema_id="s", label=0), "median")
+            score_dataset(make_dataset([PredictionRecord(id="a", schema_id="s", label=0)], "t"),
+                          "median")
 
     def test_scored_file_round_trip(self, tmp_path):
         from sqlcalib.scoring import load_scored, write_scored
