@@ -227,7 +227,7 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
         for pair in pairs
     ]
-    missing = [f"{pair.id!r}: {path}" for pair, path in zip(pairs, db_paths) if not path.exists()]
+    missing = [f"{pair.id!r}: {path}" for pair, path in zip(pairs, db_paths) if not path.is_file()]
     if missing:
         raise DatasetError(f"{args.pairs}: database file not found: " + "; ".join(missing))
     # Pairs grouped by database, then by gold query, each group in file order:

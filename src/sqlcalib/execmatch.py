@@ -4,9 +4,11 @@ and compare result sets disregarding row order and (optionally) column order.
 A predicted result is read only as far as its label needs: a column count
 that differs from gold's fetches no row, at most one row more than gold has
 is fetched, and a result of another shape is rejected before any cell is
-canonicalized. The executor returns results raw; the prediction's cells and
-then gold's are canonicalized only for a prediction of gold's shape. The
-match search shares the predicted query's deadline.
+canonicalized. The executor returns results raw. A prediction of gold's
+shape is first matched on those raw values, which decide its label where
+they can (`_raw_outcome`); only the other pairs canonicalize, the
+prediction's cells and then gold's. Both searches share the predicted
+query's deadline.
 
 An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
@@ -107,6 +109,29 @@ def _canonical_column(column: tuple) -> Iterable[str]:
     return map(canonical_cell, column)
 
 
+# Cell types whose Python equality implies equal `canonical_cell` strings, a
+# float only below this magnitude: 10**15 == 1e15, but their strings differ.
+_RAW_TYPES = frozenset((int, float, str, bytes))
+_RAW_FLOAT_LIMIT = 1e15
+
+
+def _raw_kinds(*results: RawResult) -> set[type] | None:
+    """The cell types of `results` when each of their columns holds one type
+    of `_RAW_TYPES` and every float lies below `_RAW_FLOAT_LIMIT` in
+    magnitude (so it is neither NaN nor infinite); None otherwise. A NULL
+    or mixed-type column could not be sorted."""
+    kinds: set[type] = set()
+    for result in results:
+        for column in zip(*result.rows):
+            types = set(map(type, column))
+            if len(types) != 1 or not types <= _RAW_TYPES:
+                return None
+            if float in types and not all(map(_RAW_FLOAT_LIMIT.__gt__, map(abs, column))):
+                return None
+            kinds |= types
+    return kinds
+
+
 def _check_width(rows: Sequence[Sequence[Any]], n_cols: int) -> None:
     widths = set(map(len, rows)) - {n_cols}
     if widths:
@@ -140,9 +165,12 @@ class ResultTable:
         return cls(n_cols=n_cols, rows=tuple(zip(*map(_canonical_column, zip(*raw_rows)))))
 
 
-def tables_equal(a: ResultTable, b: ResultTable, strict_columns: bool = False,
-                 deadline: float | None = None) -> bool:
+def tables_equal(a: ResultTable | RawResult, b: ResultTable | RawResult,
+                 strict_columns: bool = False, deadline: float | None = None) -> bool:
     """True iff some permutation of b's columns makes the row multisets equal.
+
+    Cells compare by Python equality and each column is sorted, so a and b
+    are canonical tables, or raw results that `_raw_kinds` accepts.
 
     A depth-first search gives a's columns, in order, unused b columns with the
     same value multiset, trying identical b columns once per position. Where a
@@ -216,6 +244,20 @@ class Gold:
         return self._table
 
 
+def _raw_outcome(gold: RawResult, pred: RawResult, strict_columns: bool,
+                 deadline: float) -> str | None:
+    """The outcome of two results of one shape when their raw values decide
+    it, "matched" or "mismatched"; None when canonical strings must. Without a
+    float column a raw mismatch is a mismatch: the canonical strings of int,
+    str and bytes are injective, with disjoint tags."""
+    kinds = _raw_kinds(gold, pred)
+    if kinds is None:
+        return None
+    if tables_equal(gold, pred, strict_columns, deadline):
+        return "matched"
+    return None if float in kinds else "mismatched"
+
+
 def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
                  strict_columns: bool = False, outcomes: Counter | None = None,
                  gold: Gold | None = None) -> int:
@@ -228,8 +270,9 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
     gold's own matches without running. The predicted query and the match
     search share one deadline, `executor.timeout_s` from the start of the
     predicted query; a search that runs past it labels 0, like a predicted
-    query that times out. Gold's cells are canonicalized only for a
-    prediction of gold's shape, and that time is added to the deadline.
+    query that times out. A prediction of gold's shape is decided on raw
+    values where `_raw_outcome` can; otherwise its cells and then gold's
+    are canonicalized, and gold's time is added to the deadline.
     `outcomes`, if given, counts the pair under one of `_OUTCOMES`, and under
     `_IDENTICAL` too when its prediction did not run.
     """
@@ -248,6 +291,8 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         if pred is None:
             outcome = "shape or row-cap reject"
         else:
+            outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline)
+        if outcome is None:
             pred_table = ResultTable.from_rows(pred.rows, n_cols=pred.n_cols)
             start = time.monotonic()
             gold_table = gold.table()
@@ -293,7 +338,7 @@ class SQLiteExecutor:
     def __init__(self, database: str | Path, timeout_s: float = 30.0):
         self.database = Path(database)
         self.timeout_s = _check_timeout(timeout_s)
-        if not self.database.exists():
+        if not self.database.is_file():
             raise FileNotFoundError(f"database file not found: {self.database}")
         # as_uri() percent-encodes '?' and '#', which a formatted URI would
         # read as the start of its query or fragment

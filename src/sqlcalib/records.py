@@ -348,14 +348,18 @@ def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
     obj: dict[str, Any] = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
     if r.question is not None:
         obj["question"] = r.question
+    # numbers as Python floats, as `load` reads them; a record built in code
+    # may hold numpy numbers, which json cannot write
     if r.token_probs is not None:
-        obj["token_probs"] = list(r.token_probs)
+        obj["token_probs"] = list(map(float, r.token_probs))
     if r.self_check_bool is not None:
-        obj["self_check_bool"] = {"p_true": r.self_check_bool[0], "p_false": r.self_check_bool[1]}
+        p_true, p_false = r.self_check_bool
+        obj["self_check_bool"] = {"p_true": float(p_true), "p_false": float(p_false)}
     if r.verbalized_prob is not None:
-        obj["verbalized_prob"] = r.verbalized_prob
+        obj["verbalized_prob"] = float(r.verbalized_prob)
     if r.alternatives is not None:
-        obj["alternatives"] = [{"score": a.score, "equivalent": a.equivalent} for a in r.alternatives]
+        obj["alternatives"] = [{"score": float(a.score), "equivalent": a.equivalent}
+                               for a in r.alternatives]
     for k in sorted(r.extra):
         obj[k] = r.extra[k]
     return obj
@@ -365,8 +369,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Serialize a Dataset back to the line-delimited format.
 
     load_dataset(write_dataset(d)) reproduces semantically identical records.
+    Every line is serialized before the file is opened, so a record that
+    cannot be written leaves an existing file as it was.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for r in dataset.records:
-            fh.write(json.dumps(_record_to_obj(r)) + "\n")
+    text = "".join([json.dumps(_record_to_obj(r)) + "\n" for r in dataset.records])
+    Path(path).write_text(text, encoding="utf-8")

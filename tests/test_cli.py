@@ -1143,6 +1143,22 @@ class TestLabelCommand:
         )
         assert not out.exists()
 
+    def test_database_path_that_is_a_directory_is_named_before_any_sql(self, db_root, tmp_path,
+                                                                          capsys, monkeypatch):
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: pytest.fail("a query ran"))
+        pairs = tmp_path / "pairs.jsonl"
+        rows = [
+            {"id": "q1", "schema_id": "concerts", "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"},
+            {"id": "q2", "schema_id": "concerts", "gold_sql": "SELECT 1", "pred_sql": "SELECT 1",
+             "db_path": "."},
+        ]
+        pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "labeled.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: database file not found: 'q2': {db_root / '.'}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("verbalized_prob", "high"),
         ("self_check_bool", [0.1, 0.2]),
@@ -1206,3 +1222,40 @@ class TestLabelCommand:
         assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 0
         assert json.loads(out.read_text())["verbalized_prob"] == 1.0
         assert '"verbalized_prob": 1.0' in out.read_text()
+
+    def test_raw_values_first_writes_what_canonical_strings_alone_write(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        root = tmp_path / "dbs"
+        (root / "mixed").mkdir(parents=True)
+        with sqlite3.connect(root / "mixed" / "mixed.sqlite") as conn:
+            conn.executescript(
+                "CREATE TABLE t (i INTEGER, f REAL, s TEXT, n TEXT);"
+                "INSERT INTO t VALUES (1, 0.5, 'a', NULL), (2, 1e15, 'b', 'x'), (3, 7.0, 'c', NULL);")
+        conn.close()
+        golds = ["SELECT i, s FROM t", "SELECT f / 3.0, s FROM t", "SELECT i, n FROM t",
+                 "SELECT 1000000000000000", "SELECT i, f FROM t WHERE f < 1e15"]
+        preds = golds + ["SELECT s, i FROM t ORDER BY s DESC", "SELECT s, f / 3.0 + 1e-12 FROM t",
+                         "SELECT i + 1, s FROM t", "SELECT n, i FROM t", "SELECT 1e15",
+                         "SELECT i * 1.0, f FROM t WHERE f < 1e15", "SELECT f, i FROM t WHERE i < 3"]
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(
+            json.dumps({"id": f"q{i}", "schema_id": "mixed", "gold_sql": gold, "pred_sql": pred}) + "\n"
+            for i, (gold, pred) in enumerate(itertools.product(golds, preds))))
+        from sqlcalib import execmatch
+
+        raw_outcome = execmatch._raw_outcome
+        decided = []
+
+        def counted(*args):
+            decided.append(raw_outcome(*args))
+            return decided[-1]
+
+        written = []
+        for patch in (counted, lambda *args: None):
+            monkeypatch.setattr(execmatch, "_raw_outcome", patch)
+            out = tmp_path / f"labeled{len(written)}.jsonl"
+            capsys.readouterr()
+            assert run("label", "--pairs", pairs, "--db-root", root, "--out", out) == 0
+            written.append((out.read_bytes(), capsys.readouterr().err.splitlines()[-2:]))
+        assert written[0] == written[1]
+        assert {"matched", "mismatched", None} <= set(decided)

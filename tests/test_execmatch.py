@@ -1,4 +1,5 @@
 import itertools
+import math
 import sqlite3
 import time
 from collections import Counter
@@ -49,6 +50,40 @@ def typed_tables(max_cols=4, max_rows=8):
         lambda kind: typed_cells.get(kind, any_cell))
     return st.lists(column, min_size=1, max_size=max_cols).flatmap(
         lambda kinds: st.lists(st.tuples(*kinds), max_size=max_rows))
+
+
+def _near(value):
+    """Values that canonical strings may or may not tell apart from `value`."""
+    if isinstance(value, str):
+        return [value + "x"]
+    if isinstance(value, int) and abs(value) < 2**1000:
+        return [float(value), value + 1]
+    if isinstance(value, float) and math.isfinite(value):
+        near = [value * (1 + 1e-9), value + 1e-12, -value]
+        return near + [int(value)] if value.is_integer() else near
+    return [value]
+
+
+@st.composite
+def raw_pairs(draw, max_cols=4, max_rows=6):
+    """Two raw results of one shape: b is a with its rows and columns
+    shuffled, the same with one cell replaced, or drawn with a's column types."""
+    kinds = draw(st.lists(st.sampled_from([*typed_cells, "bytes", "mixed"]),
+                          min_size=1, max_size=max_cols))
+    cells = [{**typed_cells, "bytes": st.binary(max_size=3)}.get(kind, any_cell) for kind in kinds]
+    rows_a = draw(st.lists(st.tuples(*cells), max_size=max_rows))
+    variant = draw(st.sampled_from(["permuted", "perturbed", "drawn"]))
+    if variant == "drawn":
+        rows_b = draw(st.lists(st.tuples(*cells), min_size=len(rows_a), max_size=len(rows_a)))
+    else:
+        order = draw(st.permutations(range(len(kinds))))
+        rows_b = [[row[j] for j in order] for row in draw(st.permutations(rows_a))]
+        if variant == "perturbed" and rows_b:
+            row = draw(st.sampled_from(rows_b))
+            j = draw(st.integers(0, len(kinds) - 1))
+            row[j] = draw(st.one_of(cells[order[j]], st.sampled_from(_near(row[j]))))
+        rows_b = list(map(tuple, rows_b))
+    return RawResult(len(kinds), rows_a), RawResult(len(kinds), rows_b)
 
 
 def small_tables(max_cols=4, max_rows=6):
@@ -299,6 +334,10 @@ class TestSQLiteExecutor:
         with pytest.raises(FileNotFoundError):
             SQLiteExecutor(tmp_path / "absent.sqlite")
 
+    def test_directory_is_not_a_database(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="database file not found"):
+            SQLiteExecutor(tmp_path)
+
     def test_read_only(self, db):
         ex = SQLiteExecutor(db)
         with pytest.raises(ExecutionError):
@@ -498,8 +537,9 @@ class TestGoldSharing:
         assert outcomes == Counter({"matched": 1, execmatch._IDENTICAL: 1})
 
     def test_gold_is_canonicalized_once_for_every_pair_sharing_it(self, db, monkeypatch):
+        # float results that match only once quantized, so raw values decide no pair
         ex = SQLiteExecutor(db)
-        gold = Gold("SELECT name, age FROM singer", ex)
+        gold = Gold("SELECT name, age / 3.0 FROM singer", ex)
         tables = []
         from_rows = ResultTable.from_rows.__func__
 
@@ -508,8 +548,9 @@ class TestGoldSharing:
             return from_rows(cls, *args, **kwargs)
 
         monkeypatch.setattr(ResultTable, "from_rows", classmethod(counted))
-        for pred in ("SELECT age, name FROM singer", "SELECT name, age + 1 FROM singer",
-                     "SELECT name, age FROM singer ORDER BY age"):
+        for pred in ("SELECT age / 3.0 + 1e-12, name FROM singer",
+                     "SELECT name, age / 3.0 + 1 FROM singer",
+                     "SELECT name, age / 3.0 + 1e-12 FROM singer ORDER BY age"):
             label_record(gold.sql, pred, ex, gold=gold)
         assert len(tables) == 3 + 1  # every prediction's table, and gold's once
 
@@ -607,15 +648,15 @@ class TestLabelRecord:
         monkeypatch.setattr(execmatch, "_canonical_column",
                             lambda column: cells.append(len(column)) or canonical_column(column))
         ex = SQLiteExecutor(db, timeout_s=0.2)
-        gold = "SELECT name, age FROM singer"
+        gold = "SELECT name, age / 3.0 FROM singer"  # matched only once quantized
         endless = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
                    "SELECT max(x), 1 FROM c")
         for pred in ("SELECT name FROM singer",  # another column count
-                     "SELECT name, age FROM singer WHERE age = 30",  # another row count
+                     "SELECT name, age / 3.0 FROM singer WHERE age = 30",  # another row count
                      "SELEC nope", endless):
             assert label_record(gold, pred, ex) == 0
         assert cells == []
-        assert label_record(gold, "SELECT age, name FROM singer", ex) == 1
+        assert label_record(gold, "SELECT age / 3.0 + 1e-12, name FROM singer", ex) == 1
         assert cells == [3] * 4  # the prediction's two columns, then gold's
 
     def test_gold_canonicalization_does_not_count_against_the_deadline(self, db, monkeypatch):
@@ -631,7 +672,9 @@ class TestLabelRecord:
         monkeypatch.setattr(execmatch, "_canonical_column", slow_for_gold)
         outcomes = Counter()
         ex = SQLiteExecutor(db, timeout_s=0.2)
-        assert label_record("SELECT name, age FROM singer", "SELECT age, name FROM singer", ex,
+        # matched only once quantized, so gold is canonicalized
+        assert label_record("SELECT name, age / 3.0 FROM singer",
+                            "SELECT age / 3.0 + 1e-12, name FROM singer", ex,
                             outcomes=outcomes) == 1
         assert outcomes == Counter({"matched": 1})
 
@@ -667,3 +710,61 @@ class TestLabelRecord:
         pred = f"SELECT {', '.join(reversed(names))} FROM t"
         assert label_record("SELECT * FROM t", pred, SQLiteExecutor(path)) == 1
         assert time.perf_counter() - start < 2.0
+
+
+class TestRawValues:
+    @staticmethod
+    def canonical(result):
+        return ResultTable.from_rows(result.rows, n_cols=result.n_cols)
+
+    @given(raw_pairs())
+    @settings(max_examples=600, deadline=None)
+    def test_raw_verdict_agrees_with_canonical_tables(self, pair):
+        a, b = pair
+        for strict in (False, True):
+            verdict = execmatch._raw_outcome(a, b, strict, time.monotonic() + 60)
+            if verdict is not None:
+                assert (verdict == "matched") == tables_equal(self.canonical(a), self.canonical(b),
+                                                              strict)
+
+    def test_ten_to_the_fifteen_and_its_float_stay_mismatched(self, db):
+        # 10**15 == 1e15, but their canonical strings are #1000000000000000 and #1e+15
+        ex = SQLiteExecutor(db)
+        assert ex.execute("SELECT 1e15").rows == [(1e15,)]
+        assert execmatch._raw_kinds(ex.execute("SELECT 1e15")) is None
+        outcomes = Counter()
+        assert label_record("SELECT 1000000000000000", "SELECT 1e15", ex, outcomes=outcomes) == 0
+        assert outcomes == Counter({"mismatched": 1})
+
+    @pytest.mark.parametrize("gold,pred,strict", [
+        ("SELECT 0", "SELECT -0.0", False), ("SELECT 0", "SELECT -0.0", True),
+        ("SELECT 3", "SELECT 3.0", True),
+        ("SELECT name, age FROM singer", "SELECT age * 1.0, name FROM singer", False)])
+    def test_int_and_its_float_match_without_canonical_strings(self, db, monkeypatch, gold, pred,
+                                                               strict):
+        monkeypatch.setattr(execmatch, "_canonical_column",
+                            lambda column: pytest.fail("a cell was canonicalized"))
+        outcomes = Counter()
+        assert label_record(gold, pred, SQLiteExecutor(db), strict, outcomes) == 1
+        assert outcomes == Counter({"matched": 1})
+
+    def test_raw_mismatch_without_floats_is_a_mismatch(self, db, monkeypatch):
+        monkeypatch.setattr(execmatch, "_canonical_column",
+                            lambda column: pytest.fail("a cell was canonicalized"))
+        outcomes = Counter()
+        assert label_record("SELECT name, age FROM singer", "SELECT name, age + 1 FROM singer",
+                            SQLiteExecutor(db), outcomes=outcomes) == 0
+        assert outcomes == Counter({"mismatched": 1})
+
+    def test_null_column_and_nan_cell_take_the_canonical_path(self, db, monkeypatch):
+        cells = []
+        canonical_column = execmatch._canonical_column
+        monkeypatch.setattr(execmatch, "_canonical_column",
+                            lambda column: cells.append(len(column)) or canonical_column(column))
+        assert label_record("SELECT name, country FROM singer",
+                            "SELECT country, name FROM singer ORDER BY name", SQLiteExecutor(db)) == 1
+        assert cells == [3] * 4
+        nan = RawResult(1, [(math.nan,), (1.5,)])
+        assert execmatch._raw_kinds(nan) is None
+        assert execmatch._raw_outcome(nan, nan, False, time.monotonic() + 60) is None
+        assert tables_equal(self.canonical(nan), self.canonical(nan))

@@ -6,6 +6,7 @@ import pytest
 
 from sqlcalib.records import (
     Alternative,
+    Dataset,
     DatasetError,
     PredictionRecord,
     RecordError,
@@ -263,6 +264,34 @@ def test_record_takes_numpy_numbers():
                               token_probs=(np.float64(0.5), np.float32(0.25), 1),
                               self_check_bool=(np.int64(3), 1.0), verbalized_prob=np.float64(0.5))
     assert record.token_probs == (0.5, 0.25, 1.0)
+
+
+def test_numpy_numbers_are_written_as_floats(tmp_path):
+    record = PredictionRecord(id="a", schema_id="s", label=1,
+                              token_probs=(np.float32(0.5), np.int64(1), 0.25),
+                              self_check_bool=(np.int64(3), np.float32(1.5)),
+                              verbalized_prob=np.float32(0.75),
+                              alternatives=(Alternative(np.float64(0.125), True),
+                                            Alternative(np.int64(1), False)))
+    out = tmp_path / "out.jsonl"
+    write_dataset(Dataset(records=(record,)), out)
+    assert json.loads(out.read_text()) == {
+        "id": "a", "schema_id": "s", "label": 1, "token_probs": [0.5, 1.0, 0.25],
+        "self_check_bool": {"p_true": 3.0, "p_false": 1.5}, "verbalized_prob": 0.75,
+        "alternatives": [{"score": 0.125, "equivalent": True}, {"score": 1.0, "equivalent": False}],
+    }
+    assert '"token_probs": [0.5, 1.0, 0.25]' in out.read_text()
+    assert load_dataset(out).records == (record,)
+
+
+def test_record_that_cannot_be_written_leaves_the_file_as_it_was(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n")
+    good = PredictionRecord(id="a", schema_id="s", label=1)
+    unwritable = PredictionRecord(id="b", schema_id="s", label=0, extra={"tags": {"x"}})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_dataset(Dataset(records=(good, unwritable)), out)
+    assert out.read_text() == "old\n"
 
 
 def test_question_is_a_string_or_null(tmp_path):
