@@ -11,9 +11,16 @@ Searches, ranks and tie groups rest on comparisons only.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Python 3.11's `sum`: left to right from 0, with no compensation (3.12's has)."""
+    return reduce(add, values, 0)
 
 
 def bounds_of(lengths: Sequence[int] | np.ndarray) -> np.ndarray:

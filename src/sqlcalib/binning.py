@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._segments import bounds_of, one_split, segment_ids, segment_sums, sorted_ties, stable_argsort
+from ._segments import (bounds_of, one_split, ordered_sum, segment_ids, segment_sums, sorted_ties,
+                        stable_argsort)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class BinPartition:
     def objective(self) -> float:
         """Weighted mean absolute gap between bin accuracy and bin confidence."""
         n = self.n
-        return sum(b.count / n * abs(b.accuracy - b.mean_conf) for b in self.bins if b.count)
+        return ordered_sum(b.count / n * abs(b.accuracy - b.mean_conf) for b in self.bins if b.count)
 
 
 def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
@@ -184,7 +185,7 @@ def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[
     min_bin_count is merged into its cheaper neighbor."""
 
     def total_objective(groups: tuple[list, ...]) -> float:
-        return sum(
+        return ordered_sum(
             k / n * abs(y / k - _mean_conf(c, k, lo, hi)) for k, y, c, lo, hi in zip(*groups)
         )
 

@@ -115,20 +115,19 @@ _RAW_TYPES = frozenset((int, float, str, bytes))
 _RAW_FLOAT_LIMIT = 1e15
 
 
-def _raw_kinds(*results: RawResult) -> set[type] | None:
-    """The cell types of `results` when each of their columns holds one type
-    of `_RAW_TYPES` and every float lies below `_RAW_FLOAT_LIMIT` in
-    magnitude (so it is neither NaN nor infinite); None otherwise. A NULL
-    or mixed-type column could not be sorted."""
+def _raw_kinds(result: RawResult) -> set[type] | None:
+    """The cell types of `result` when each of its columns holds one type of
+    `_RAW_TYPES` and every float lies below `_RAW_FLOAT_LIMIT` in magnitude
+    (so it is neither NaN nor infinite); None otherwise. A NULL or
+    mixed-type column could not be sorted."""
     kinds: set[type] = set()
-    for result in results:
-        for column in zip(*result.rows):
-            types = set(map(type, column))
-            if len(types) != 1 or not types <= _RAW_TYPES:
-                return None
-            if float in types and not all(map(_RAW_FLOAT_LIMIT.__gt__, map(abs, column))):
-                return None
-            kinds |= types
+    for column in zip(*result.rows):
+        types = set(map(type, column))
+        if len(types) != 1 or not types <= _RAW_TYPES:
+            return None
+        if float in types and not all(map(_RAW_FLOAT_LIMIT.__gt__, map(abs, column))):
+            return None
+        kinds |= types
     return kinds
 
 
@@ -219,13 +218,13 @@ def tables_equal(a: ResultTable | RawResult, b: ResultTable | RawResult,
 
 
 class Gold:
-    """Gold's result on one executor, run once: its raw rows or its error,
-    and its canonical table, built at most once, for the first prediction of
-    gold's shape. `shared` is true when gold ran as a pure read calling no
-    volatile function, so that later pairs with the same gold SQL on the same
+    """Gold's result on one executor, run once: its raw rows or its error, and
+    its cell types (`_raw_kinds`) and canonical table, each found at most once.
+    `shared` is true when gold ran as a pure read calling no volatile
+    function, so that later pairs with the same gold SQL on the same
     executor may reuse this result instead of running gold again."""
 
-    __slots__ = ("sql", "raw", "error", "shared", "_table")
+    __slots__ = ("sql", "raw", "error", "shared", "_table", "_kinds")
 
     def __init__(self, sql: str, executor: SQLiteExecutor):
         self.sql = sql
@@ -243,19 +242,25 @@ class Gold:
             self._table = ResultTable.from_rows(self.raw.rows, n_cols=self.raw.n_cols)
         return self._table
 
+    def kinds(self) -> set[type] | None:
+        if not hasattr(self, "_kinds"):  # the slot stays unset until the first call
+            self._kinds = _raw_kinds(self.raw)
+        return self._kinds
 
-def _raw_outcome(gold: RawResult, pred: RawResult, strict_columns: bool,
-                 deadline: float) -> str | None:
-    """The outcome of two results of one shape when their raw values decide
-    it, "matched" or "mismatched"; None when canonical strings must. Without a
-    float column a raw mismatch is a mismatch: the canonical strings of int,
-    str and bytes are injective, with disjoint tags."""
-    kinds = _raw_kinds(gold, pred)
-    if kinds is None:
+
+def _raw_outcome(gold: RawResult, pred: RawResult, strict_columns: bool, deadline: float,
+                 gold_kinds: set[type] | None = None) -> str | None:
+    """The outcome of two results of one shape when their raw values decide it,
+    "matched" or "mismatched"; None when canonical strings must. Without a float
+    column a raw mismatch is a mismatch: the canonical strings of int, str and
+    bytes are injective, with disjoint tags. `gold_kinds`, if given, is `_raw_kinds(gold)`."""
+    gold_kinds = _raw_kinds(gold) if gold_kinds is None else gold_kinds
+    pred_kinds = None if gold_kinds is None else _raw_kinds(pred)
+    if pred_kinds is None:
         return None
     if tables_equal(gold, pred, strict_columns, deadline):
         return "matched"
-    return None if float in kinds else "mismatched"
+    return None if float in gold_kinds | pred_kinds else "mismatched"
 
 
 def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
@@ -290,8 +295,10 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         pred = executor.execute(pred_sql, expect=gold.raw, deadline=deadline)
         if pred is None:
             outcome = "shape or row-cap reject"
+        elif gold.kinds() is None:  # gold's own cells rule out raw values
+            outcome = None
         else:
-            outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline)
+            outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline, gold.kinds())
         if outcome is None:
             pred_table = ResultTable.from_rows(pred.rows, n_cols=pred.n_cols)
             start = time.monotonic()

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._segments import bounds_of, segment_ids
+from ._segments import bounds_of, ordered_sum, segment_ids
 
 # The evaluator runs every split through the segment forms of the fitters,
 # maps and summary. Their one-split forms stay importable here, where the
@@ -193,10 +193,10 @@ def _by_id(scored: ScoredColumns) -> list[int]:
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    m = sum(values) / len(values)
+    m = ordered_sum(values) / len(values)
     if len(values) < 2:
         return m, 0.0
-    var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
+    var = ordered_sum((v - m) ** 2 for v in values) / (len(values) - 1)
     return m, math.sqrt(var)
 
 

@@ -19,8 +19,10 @@ serializer, but are otherwise ignored.
 
 A line is checked in two steps, both run by `_checked`: `_fields` applies
 the type and label rules and returns plain values, `_check_values` the value
-rules. `PredictionRecord` and the scalar scorers of `scoring` check values
-given in code by `_check_objects`, the number rule and then `_check_values`,
+rules. `_fields` passes each field of its plain JSON type inline and calls
+its rule helper only to convert another type or raise. `PredictionRecord`
+and the scalar scorers of `scoring` check values given in code by
+`_check_objects`, the number and equivalent rules and then `_check_values`,
 so every error text comes from one place.
 """
 
@@ -78,6 +80,7 @@ class PredictionRecord:
 
     def __post_init__(self) -> None:
         _label(self.id, self.label)
+        _question(self.id, self.question)
         _check_objects(self.id, *_values(self))
 
 
@@ -118,14 +121,14 @@ def _is_real(kind: type) -> bool:
     return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
-def _floats(rid: str, field_name: str, values: Sequence[Any]) -> tuple[float, ...]:
-    """JSON numbers as floats, by `_is_real`: not a bool and not a string."""
+def _floats(rid: str, field_name: str, values: Sequence[Any]) -> Sequence[float]:
+    """JSON numbers as floats, by `_is_real` (no bool, no string); all floats as given."""
     types = set(map(type, values))
     if types == {float}:
-        return tuple(values)
+        return values
     if all(map(_is_real, types)):
         try:
-            return tuple(map(float, values))
+            return list(map(float, values))
         except OverflowError:  # an integer too large for a float
             pass
     raise RecordError(rid, field_name, "must be a number")
@@ -158,50 +161,69 @@ def _require(obj: Any, *fields: str) -> str:
     return rid
 
 
+def _question(rid: str, value: Any) -> None:
+    if not isinstance(value, (str, type(None))):
+        raise RecordError(rid, "question", "must be a string")
+
+
+def _equivalent(rid: str | None, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise RecordError(rid, "alternatives", "equivalent must be true or false")
+    return value
+
+
+def _alternative(rid: str, entry: Any) -> tuple[float, bool]:
+    if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
+        raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
+    (score,) = _floats(rid, "alternatives", (entry["score"],))
+    return score, _equivalent(rid, entry["equivalent"])
+
+
 def _fields(obj: Any) -> tuple:
     """The type rules and the label rule of a prediction line. Returns its
     id, schema id and label, then the scored fields as plain values, each
-    None when absent: token_probs and self_check_bool as tuples of floats,
-    verbalized_prob as a float, alternatives as a tuple of (score,
-    equivalent) pairs. Their values are left to `_check_values`."""
-    rid = _require(obj, "schema_id", "label")
-    if not isinstance(obj.get("question", ""), (str, type(None))):
-        raise RecordError(rid, "question", "must be a string")
+    None when absent: token_probs as a list of floats, self_check_bool as a
+    pair of floats, verbalized_prob as a float, alternatives as a list of
+    (score, equivalent) pairs. Their values are left to `_check_values`."""
+    plain = type(obj) is dict and type(obj.get("id")) is str and "schema_id" in obj and "label" in obj
+    rid = obj["id"] if plain else _require(obj, "schema_id", "label")
+    if type(obj.get("question", "")) is not str:
+        _question(rid, obj["question"])
 
-    token_probs = None
-    if obj.get("token_probs") is not None:
-        raw = obj["token_probs"]
-        if not isinstance(raw, list):
+    token_probs = obj.get("token_probs")
+    if token_probs is not None:
+        if not isinstance(token_probs, list):
             raise RecordError(rid, "token_probs", "must be a list of numbers")
-        token_probs = _floats(rid, "token_probs", raw)
+        if set(map(type, token_probs)) != {float}:
+            token_probs = _floats(rid, "token_probs", token_probs)
 
-    self_check = None
-    if obj.get("self_check_bool") is not None:
-        raw = obj["self_check_bool"]
+    self_check = raw = obj.get("self_check_bool")
+    if raw is not None:
         if not isinstance(raw, dict) or "p_true" not in raw or "p_false" not in raw:
             raise RecordError(rid, "self_check_bool", "must be an object with p_true and p_false")
-        self_check = _floats(rid, "self_check_bool", (raw["p_true"], raw["p_false"]))
+        self_check = raw["p_true"], raw["p_false"]
+        if type(self_check[0]) is not float or type(self_check[1]) is not float:
+            self_check = _floats(rid, "self_check_bool", self_check)
 
-    alternatives = None
-    if obj.get("alternatives") is not None:
-        raw = obj["alternatives"]
-        if not isinstance(raw, list):
+    alternatives = obj.get("alternatives")
+    if alternatives is not None:
+        if not isinstance(alternatives, list):
             raise RecordError(rid, "alternatives", "must be a list of {score, equivalent}")
-        alts = []
-        for entry in raw:
-            if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
-                raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
-            (score,) = _floats(rid, "alternatives", (entry["score"],))
-            if not isinstance(entry["equivalent"], bool):
-                raise RecordError(rid, "alternatives", "equivalent must be true or false")
-            alts.append((score, entry["equivalent"]))
-        alternatives = tuple(alts)
+        alternatives = [
+            (entry["score"], entry["equivalent"]) if type(entry) is dict
+            and type(entry.get("score")) is float and type(entry.get("equivalent")) is bool
+            else _alternative(rid, entry)
+            for entry in alternatives
+        ]
 
     verbalized = obj.get("verbalized_prob")
-    if verbalized is not None:
+    if verbalized is not None and type(verbalized) is not float:
         (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
-    schema_id = _ident(rid, "schema_id", obj["schema_id"])
-    label = _label(rid, obj["label"])
+    schema_id, label = obj["schema_id"], obj["label"]
+    if type(schema_id) is not str:
+        schema_id = _ident(rid, "schema_id", schema_id)
+    if type(label) is not int or label not in (0, 1):
+        label = _label(rid, label)
     return rid, schema_id, label, token_probs, self_check, verbalized, alternatives
 
 
@@ -241,13 +263,15 @@ def _check_objects(rid: str | None, token_probs: Sequence[Any] | None = None,
                    self_check: Sequence[Any] | None = None, verbalized: Any = None,
                    alternatives: Sequence[tuple[Any, bool]] | None = None) -> None:
     """`_check_values` for values given in code, not decoded JSON: first the
-    type of each number passes `_is_real`."""
+    type of each number passes `_is_real`, and each equivalent is a bool."""
     scores = None if alternatives is None else [score for score, _ in alternatives]
     for name, values in (("token_probs", token_probs), ("self_check_bool", self_check),
                          ("alternatives", scores),
                          ("verbalized_prob", None if verbalized is None else (verbalized,))):
         if values is not None and not all(map(_is_real, set(map(type, values)))):
             raise RecordError(rid, name, "must be a number")
+    for _, equivalent in alternatives or ():
+        _equivalent(rid, equivalent)
     _check_values(rid, token_probs, self_check, verbalized, alternatives)
 
 
@@ -273,28 +297,28 @@ def _record_from_obj(obj: Any) -> PredictionRecord:
         schema_id=schema_id,
         label=label,
         question=obj.get("question"),
-        token_probs=token_probs,
-        self_check_bool=self_check,
+        token_probs=None if token_probs is None else tuple(token_probs),
+        self_check_bool=None if self_check is None else tuple(self_check),
         verbalized_prob=verbalized,
         alternatives=None if alternatives is None else tuple(Alternative(*a) for a in alternatives),
         extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS},
     )
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _decode_line(line: str) -> Any:
-    """`json.loads(line)` for a stripped nonempty line: one `raw_decode` and
-    a check that the value ends the line. A line that fails either is
-    decoded again by `json.loads`, which raises json's own error ("Extra
-    data" for text after the value, "Unexpected UTF-8 BOM" for a leading
-    byte-order mark)."""
+    """`json.loads(line)` for a stripped nonempty line: one scan for a value
+    at its start and a check that the value ends the line. A line that fails
+    either is decoded again by `json.loads`, which raises json's own error
+    ("Extra data" for text after the value, "Unexpected UTF-8 BOM" for a
+    leading byte-order mark)."""
     try:
-        obj, end = _raw_decode(line)
+        obj, end = _scan_once(line, 0)
         if end == len(line):
             return obj
-    except ValueError:
+    except (ValueError, StopIteration):  # StopIteration: no value at the start
         pass
     return json.loads(line)
 

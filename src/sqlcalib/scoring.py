@@ -186,13 +186,15 @@ def _check_methods(methods: Sequence[str]) -> None:
             raise ValueError(f"unknown scoring method {method!r}")
 
 
-def _result(method: str, rows: list[tuple[str, str, int, float | str]]) -> ScoringResult:
-    """The scored columns and skips, in row order, of (id, schema id, label,
-    score or skip reason) rows."""
-    kept = [row for row in rows if not isinstance(row[3], str)]
-    ids, schema_ids, labels, raw_scores = zip(*kept) if kept else ((),) * 4
-    skipped = tuple((row[0], row[3]) for row in rows if isinstance(row[3], str))
-    return ScoringResult(ScoredColumns(ids, schema_ids, (method,) * len(ids), raw_scores, labels),
+def _result(method: str, ids: Sequence[str] = (), schema_ids: Sequence[str] = (),
+            labels: Sequence[int] = (), scores: Sequence[float | str] = ()) -> ScoringResult:
+    """The scored columns and skips, in row order, of rows given as columns
+    (none for no rows), each row's score a float or its skip reason."""
+    skipped = tuple((rid, score) for rid, score in zip(ids, scores) if isinstance(score, str))
+    if skipped:
+        kept = [row for row in zip(ids, schema_ids, labels, scores) if not isinstance(row[3], str)]
+        ids, schema_ids, labels, scores = zip(*kept) if kept else ((),) * 4
+    return ScoringResult(ScoredColumns(ids, schema_ids, (method,) * len(ids), scores, labels),
                          skipped)
 
 
@@ -202,8 +204,8 @@ def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
     Both the scored records and the skips keep dataset order.
     """
     _check_methods((method,))
-    return _result(method, [(r.id, r.schema_id, r.label, *_scores(*_values(r), (method,)))
-                            for r in dataset.records])
+    return _result(method, *zip(*[(r.id, r.schema_id, r.label, *_scores(*_values(r), (method,)))
+                                  for r in dataset.records]))
 
 
 def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringResult]:
@@ -212,14 +214,13 @@ def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringRes
     rules and reduced at once to its id, schema id, label and scores."""
     _check_methods(methods)
 
-    def parse(obj: Any) -> tuple[str, str, int, tuple[float | str, ...]]:
+    def parse(obj: Any) -> tuple:
         rid, schema_id, label, *values = _checked(obj)
-        return rid, schema_id, label, tuple(_scores(*values, methods))
+        return rid, schema_id, label, *_scores(*values, methods)
 
-    rows = _read_records(Path(path), parse)
-    return {method: _result(method, [(rid, schema_id, label, scores[i])
-                                     for rid, schema_id, label, scores in rows])
-            for i, method in enumerate(methods)}
+    ids, schema_ids, labels, *scores = zip(*_read_records(Path(path), parse))
+    return {method: _result(method, ids, schema_ids, labels, column)
+            for method, column in zip(methods, scores)}
 
 
 def write_scored(scored: ScoredColumns, path: str | Path) -> None:

@@ -6,7 +6,10 @@ one split at a time with its own scalar Newton loop, `np.unique`-based
 pool-adjacent-violators pass and per-metric reductions, which the batched
 evaluator must reproduce bit for bit. It takes from `protocol` only the
 fold assignment, the column and method helpers and the aggregation over
-folds, which run once per scope and not per split.
+folds, which run once per scope and not per split. The record rules at
+the end are the checked-line pass as it stood before its inline type
+tests; they take from `records` only the error class and the id, label and
+number helpers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from sqlcalib.protocol import (
     _columns,
     _single_method,
 )
+from sqlcalib.records import RecordError, _ident, _is_real, _label, _require
 
 
 def _tie_groups(sorted_values) -> list[tuple[int, int]]:
@@ -452,3 +457,111 @@ def reference_schema_level(scored, cfg) -> SchemaLevelReport:
     micro = reference_summarize(*(np.concatenate(column) for column in zip(*pooled)), cfg)
     return SchemaLevelReport(method=method, config=cfg, schemas=tuple(rows), micro=micro,
                              skipped=tuple(skipped))
+
+
+# --- the record rules before `_fields` tested JSON types inline ---
+#
+# `_floats`, `_fields`, `_check_values` and `_checked` as they stood when every
+# field went through its rule helper; the live `_checked` must give the same
+# values, or raise the same exception with the same text, on every decoded
+# line. The id, label and number helpers they call are the live ones.
+
+
+def _floats(rid: str, field_name: str, values: Sequence[Any]) -> tuple[float, ...]:
+    """JSON numbers as floats, by `_is_real`: not a bool and not a string."""
+    types = set(map(type, values))
+    if types == {float}:
+        return tuple(values)
+    if all(map(_is_real, types)):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise RecordError(rid, field_name, "must be a number")
+
+
+def _fields(obj: Any) -> tuple:
+    """The type rules and the label rule of a prediction line. Returns its
+    id, schema id and label, then the scored fields as plain values, each
+    None when absent: token_probs and self_check_bool as tuples of floats,
+    verbalized_prob as a float, alternatives as a tuple of (score,
+    equivalent) pairs. Their values are left to `_check_values`."""
+    rid = _require(obj, "schema_id", "label")
+    if not isinstance(obj.get("question", ""), (str, type(None))):
+        raise RecordError(rid, "question", "must be a string")
+
+    token_probs = None
+    if obj.get("token_probs") is not None:
+        raw = obj["token_probs"]
+        if not isinstance(raw, list):
+            raise RecordError(rid, "token_probs", "must be a list of numbers")
+        token_probs = _floats(rid, "token_probs", raw)
+
+    self_check = None
+    if obj.get("self_check_bool") is not None:
+        raw = obj["self_check_bool"]
+        if not isinstance(raw, dict) or "p_true" not in raw or "p_false" not in raw:
+            raise RecordError(rid, "self_check_bool", "must be an object with p_true and p_false")
+        self_check = _floats(rid, "self_check_bool", (raw["p_true"], raw["p_false"]))
+
+    alternatives = None
+    if obj.get("alternatives") is not None:
+        raw = obj["alternatives"]
+        if not isinstance(raw, list):
+            raise RecordError(rid, "alternatives", "must be a list of {score, equivalent}")
+        alts = []
+        for entry in raw:
+            if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
+                raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
+            (score,) = _floats(rid, "alternatives", (entry["score"],))
+            if not isinstance(entry["equivalent"], bool):
+                raise RecordError(rid, "alternatives", "equivalent must be true or false")
+            alts.append((score, entry["equivalent"]))
+        alternatives = tuple(alts)
+
+    verbalized = obj.get("verbalized_prob")
+    if verbalized is not None:
+        (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
+    schema_id = _ident(rid, "schema_id", obj["schema_id"])
+    label = _label(rid, obj["label"])
+    return rid, schema_id, label, token_probs, self_check, verbalized, alternatives
+
+
+def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
+                  self_check: Sequence[float] | None = None, verbalized: float | None = None,
+                  alternatives: Iterable[tuple[float, bool]] | None = None) -> None:
+    """The value rules of a record, on the plain values of `_fields`: the
+    ranges of every number, a nonempty token list and a positive self-check
+    sum."""
+    if token_probs is not None:
+        if len(token_probs) == 0:
+            raise RecordError(rid, "token_probs", "must be nonempty when present")
+        for p in token_probs:
+            if not (0.0 < p <= 1.0):
+                raise RecordError(
+                    rid, "token_probs", f"every probability must lie in (0, 1], got {p!r}"
+                )
+    if self_check is not None:
+        p_true, p_false = self_check
+        # abs() < inf, not math.isfinite, which overflows on an int past the float range
+        if not (abs(p_true) < math.inf and abs(p_false) < math.inf):
+            raise RecordError(rid, "self_check_bool", "probabilities must be finite")
+        if p_true < 0 or p_false < 0:
+            raise RecordError(rid, "self_check_bool", "probabilities must be nonnegative")
+        if p_true + p_false <= 0:
+            raise RecordError(rid, "self_check_bool",
+                              "degenerate self-check: p_true + p_false must be positive")
+    for score, _ in alternatives or ():
+        if not (0.0 <= score <= 1.0):
+            problem = "outside [0, 1]" if abs(score) < math.inf else "is not finite"
+            raise RecordError(rid, "alternatives", f"score {score!r} {problem}")
+    if verbalized is not None and not (0.0 <= verbalized <= 1.0):
+        raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
+
+
+def _checked(obj: Any) -> tuple:
+    """The plain values of `_fields`, checked by `_check_values` too."""
+    fields = _fields(obj)
+    _check_values(fields[0], *fields[3:])
+    return fields
+

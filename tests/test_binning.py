@@ -4,13 +4,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_monotone_partition
-from sqlcalib.binning import monotonic_bins, uniform_bins
+from sqlcalib.binning import Bin, BinPartition, monotonic_bins, uniform_bins
+from sqlcalib.protocol import _mean_std
 
 samples = st.lists(
     st.tuples(st.floats(min_value=0, max_value=1), st.integers(min_value=0, max_value=1)),
     min_size=1,
     max_size=12,
 )
+
+
+def test_sums_add_left_to_right_on_every_python():
+    # ten terms of 0.1 add to 1 - 2**-53 in order; Python 3.12's compensated sum() gives 1.0
+    bins = tuple(Bin(lo=0.0, hi=0.1, count=1, mean_conf=0.0, accuracy=1.0) for _ in range(10))
+    assert BinPartition(mode="uniform", bins=bins).objective() == 0.9999999999999999
+    assert _mean_std([0.1] * 10)[0] == 0.9999999999999999 / 10
 
 
 class TestUniform:

@@ -554,6 +554,19 @@ class TestGoldSharing:
             label_record(gold.sql, pred, ex, gold=gold)
         assert len(tables) == 3 + 1  # every prediction's table, and gold's once
 
+    def test_gold_cells_are_checked_once_for_every_pair_sharing_it(self, db, monkeypatch):
+        ex = SQLiteExecutor(db)
+        gold = Gold("SELECT name, age FROM singer", ex)
+        checked = []
+        raw_kinds = execmatch._raw_kinds
+        monkeypatch.setattr(execmatch, "_raw_kinds",
+                            lambda result: checked.append(result) or raw_kinds(result))
+        labels = [label_record(gold.sql, pred, ex, gold=gold)
+                  for pred in ("SELECT age, name FROM singer", "SELECT name, age + 1 FROM singer",
+                               "SELECT name, age * 1.0 FROM singer ORDER BY age")]
+        assert labels == [1, 0, 1]
+        assert [result is gold.raw for result in checked] == [True, False, False, False]
+
     def test_failing_gold_fails_every_pair_sharing_it(self, db):
         ex = SQLiteExecutor(db)
         gold = Gold("SELECT bogus FROM singer", ex)

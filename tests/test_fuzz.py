@@ -11,14 +11,21 @@ The same lines as a prediction file also check that `validate`, `score` and
 `evaluate`, which read in one pass without building records, apply exactly
 the rules of `load_dataset`, and that `validate` counts and `score` scores as
 the loaded records give.
+
+On the same values decoded as single lines, and on named boundary lines,
+`records._checked` must keep the rules of `oracles._checked`, the
+checked-line pass as it stood before its inline type tests.
 """
 
 import json
 import sqlite3
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from sqlcalib import records
 from sqlcalib.cli import main
 from sqlcalib.records import load_dataset
 from sqlcalib.scoring import SCORE_METHODS, score_dataset, write_scored
@@ -144,3 +151,66 @@ def test_score_and_evaluate_keep_the_rules_and_scores_of_the_records(tmp_path, c
             continue
         write_scored(scored, expected)
         assert score[0] == 0 and out.read_bytes() == expected.read_bytes()
+
+
+def checked_or_error(check, obj):
+    """The values `check` gives for a decoded line, each sequence as a list
+    and each alternative as a tuple, or the class and text of its error."""
+    try:
+        values = check(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr([[tuple(v) if isinstance(v, (list, tuple)) else v for v in value]
+                 if isinstance(value, (list, tuple)) else value for value in values])
+
+
+@given(line=(mutated | json_values).map(json.dumps))
+@settings(max_examples=300, deadline=None)
+def test_checked_keeps_the_reference_rules(line):
+    obj = json.loads(line)
+    assert checked_or_error(records._checked, obj) == checked_or_error(oracles._checked, obj)
+
+
+BASE = '"id": "a", "schema_id": "s", "label": 1'
+
+
+@pytest.mark.parametrize("line", [
+    f'{{{BASE}, "token_probs": [1, 0.5]}}',
+    '{"id": 7, "schema_id": 3, "label": 0}',
+    '{"id": 1.5, "schema_id": 2.5, "label": 0}',
+    '{"id": "a", "schema_id": "s", "label": true}',
+    '{"id": "a", "schema_id": "s", "label": 1.0}',
+    *(f'{{{BASE}, {field}}}' for field in (
+        f'"token_probs": [0.5, 1{"0" * 400}]',
+        f'"self_check_bool": {{"p_true": 1{"0" * 400}, "p_false": 0.5}}',
+        f'"self_check_bool": {{"p_true": 0.5, "p_false": 1{"0" * 400}}}',
+        f'"verbalized_prob": 1{"0" * 400}',
+        f'"alternatives": [{{"score": 1{"0" * 400}, "equivalent": false}}]',
+        '"token_probs": [0.5, NaN]', '"token_probs": [Infinity]', '"token_probs": [-Infinity]',
+        '"self_check_bool": {"p_true": NaN, "p_false": 0.5}',
+        '"self_check_bool": {"p_true": Infinity, "p_false": 0.5}',
+        '"verbalized_prob": NaN', '"verbalized_prob": Infinity',
+        '"alternatives": [{"score": NaN, "equivalent": false}]',
+        '"alternatives": [{"score": -Infinity, "equivalent": true}]',
+        '"alternatives": [{"score": 0.5, "equivalent": 1}]',
+        '"alternatives": [0.5]', '"alternatives": [{"score": 0.5, "equivalent": true}, "x"]',
+    )),
+    f'{{"id": "a", "schema_id": "s", "label": 1{"0" * 400}}}',
+    '{"id": "a", "schema_id": ["s"], "label": 1, "token_probs": [0.5, 1.5]}',
+    f'{{{BASE}, "question": "q", "token_probs": [0.5, 1.0], "verbalized_prob": 0, '
+    '"self_check_bool": {"p_true": 0.6, "p_false": 1}, '
+    '"alternatives": [{"score": 0.25, "equivalent": true}, {"score": 1, "equivalent": false}]}',
+], ids=["int-token", "int-ids", "float-ids", "label-true", "label-float", "big-token",
+        "big-p-true", "big-p-false", "big-verbalized", "big-alternative", "nan-token",
+        "inf-token", "minus-inf-token", "nan-self-check", "inf-self-check", "nan-verbalized",
+        "inf-verbalized", "nan-alternative", "minus-inf-alternative", "int-equivalent",
+        "number-alternative", "string-alternative", "big-label", "type-before-value", "all-fields"])
+def test_checked_keeps_the_reference_rules_on_boundary_lines(line):
+    obj = json.loads(line)
+    assert checked_or_error(records._checked, obj) == checked_or_error(oracles._checked, obj)
+
+
+def test_a_type_rule_comes_before_every_value_rule():
+    obj = json.loads('{"id": "a", "schema_id": ["s"], "label": 1, "token_probs": [0.5, 1.5]}')
+    assert checked_or_error(records._checked, obj) == (
+        records.RecordError, "record 'a': field 'schema_id': must be a string or a number")

@@ -259,6 +259,26 @@ def test_record_takes_numbers_not_bools(fields, name):
     assert str(err.value) == f"record 'a': field {name!r}: must be a number"
 
 
+@pytest.mark.parametrize("fields, line", [
+    ({"question": 5}, {"question": 5}),
+    ({"alternatives": (Alternative(0.5, 1),)},
+     {"alternatives": [{"score": 0.5, "equivalent": 1}]}),
+    ({"alternatives": (Alternative(0.5, np.True_),)},
+     {"alternatives": [{"score": 0.5, "equivalent": 1}]}),
+], ids=["int-question", "int-equivalent", "numpy-equivalent"])
+def test_record_holds_only_what_load_reads_back(tmp_path, fields, line):
+    # such a record would be written as `line`, which load_dataset rejects with
+    # the same text, or not be written at all (numpy.True_ is not JSON)
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [_line(id="a", **line)])
+    with pytest.raises(RecordError) as loaded:
+        load_dataset(path)
+    with pytest.raises(RecordError) as built:
+        PredictionRecord(id="a", schema_id="s", label=1, **fields)
+    assert str(loaded.value) == f"{path}:1: {built.value}"
+    assert built.value.field_name == next(iter(line))
+
+
 def test_record_takes_numpy_numbers():
     record = PredictionRecord(id="a", schema_id="s", label=1,
                               token_probs=(np.float64(0.5), np.float32(0.25), 1),

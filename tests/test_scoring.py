@@ -183,7 +183,9 @@ class TestVariantAlt:
     (lambda: score_self_check_probs(1.3), "verbalized_prob", "must lie in [0, 1], got 1.3"),
     (lambda: score_variant_alt(0.5, [Alternative(math.nan, False)]), "alternatives",
      "score nan is not finite"),
-], ids=["empty", "zero", "negative", "degenerate", "verbalized", "alternative"])
+    (lambda: score_variant_alt(0.5, [Alternative(0.2, 1)]), "alternatives",
+     "equivalent must be true or false"),
+], ids=["empty", "zero", "negative", "degenerate", "verbalized", "alternative", "equivalent"])
 def test_scalar_scorers_raise_the_record_rules(tmp_path, score, field, message):
     with pytest.raises(RecordError) as err:
         score()
@@ -298,6 +300,21 @@ class TestScoreDataset:
         monkeypatch.setattr(scoring, "_check_objects", None)  # no check past `_checked`
         assert scoring.score_file(path, SCORE_METHODS) == expected
         assert len(calls) == 1
+
+    def test_score_file_builds_the_shared_columns_once(self, tmp_path):
+        import sqlcalib.scoring as scoring
+
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps({"id": rid, "schema_id": "s", "label": 1,
+                                            "token_probs": [0.5, 0.9], **extra}) + "\n"
+                                for rid, extra in (("a", {}), ("b", {"verbalized_prob": 0.3}))))
+        results = scoring.score_file(path, ("prod", "geo", "self_check_probs"))
+        prod, geo = results["prod"].scored, results["geo"].scored
+        assert (prod.ids, prod.schema_ids, prod.labels) == (("a", "b"), ("s", "s"), (1, 1))
+        assert prod.ids is geo.ids and prod.schema_ids is geo.schema_ids
+        assert prod.labels is geo.labels
+        assert results["self_check_probs"].scored.ids == ("b",)
+        assert results["self_check_probs"].skipped == (("a", "missing verbalized_prob"),)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
