@@ -177,16 +177,6 @@ def _columns(scored: ScoredColumns,
             np.array(scored.labels, dtype=int)[order])
 
 
-def _single_method(scored: ScoredColumns) -> str:
-    """The one scoring method of a nonempty evaluation input."""
-    methods = set(scored.methods)
-    if not methods:
-        raise ValueError("no scored records to evaluate")
-    if len(methods) > 1:
-        raise ValueError(f"mixed scoring methods in one evaluation: {sorted(methods)}")
-    return methods.pop()
-
-
 def _by_id(scored: ScoredColumns) -> list[int]:
     """The row indices ordered by id; equal ids keep their order."""
     return sorted(range(len(scored)), key=scored.ids.__getitem__)
@@ -239,7 +229,8 @@ def cross_validate(scored: ScoredColumns, cfg: ProtocolConfig) -> EvaluationRepo
     deviation across folds. Under monotonic binning, a fold whose test split
     is smaller than `min_bin_count` fails the run before the first fit.
     """
-    method = _single_method(scored)
+    if not len(scored):
+        raise ValueError("no scored records to evaluate")
     order = np.array(_by_id(scored))
     raw, labels = _columns(scored, order)
     schema_to_fold = _assign_folds(Counter(scored.schema_ids), cfg.k, cfg.seed)
@@ -279,7 +270,7 @@ def cross_validate(scored: ScoredColumns, cfg: ProtocolConfig) -> EvaluationRepo
     mean, std = _aggregate(folds)
     prf_mean, prf_std = _aggregate_prf(folds)
     return EvaluationReport(
-        method=method,
+        method=scored.method,
         config=cfg,
         folds=tuple(folds),
         mean=mean,
@@ -297,7 +288,8 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
     schemas whose evaluation split is smaller than `min_bin_count`, are
     skipped with a reason. The micro row pools every held-out record across
     schemas."""
-    method = _single_method(scored)
+    if not len(scored):
+        raise ValueError("no scored records to evaluate")
     # by schema, then by id: each schema's records are one run of rows
     order = _by_id(scored)
     order.sort(key=scored.schema_ids.__getitem__)
@@ -340,7 +332,7 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
     )
     micro = _summarize(*pooled, bounds_of([len(pooled[0])]), cfg)[0]
     return SchemaLevelReport(
-        method=method, config=cfg, schemas=rows, micro=micro, skipped=tuple(skipped)
+        method=scored.method, config=cfg, schemas=rows, micro=micro, skipped=tuple(skipped)
     )
 
 

@@ -20,10 +20,11 @@ serializer, but are otherwise ignored.
 A line is checked in two steps, both run by `_checked`: `_fields` applies
 the type and label rules and returns plain values, `_check_values` the value
 rules. `_fields` passes each field of its plain JSON type inline and calls
-its rule helper only to convert another type or raise. `PredictionRecord`
-and the scalar scorers of `scoring` check values given in code by
-`_check_objects`, the number and equivalent rules and then `_check_values`,
-so every error text comes from one place.
+its rule helper only to convert another type or raise. A `PredictionRecord`
+is checked by `_checked` too, as the line it would write. The scalar scorers
+of `scoring` check their arguments by `_check_objects`, the number and
+equivalent rules and then `_check_values`, so every error text comes from
+one place.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class RecordError(ValueError):
@@ -54,10 +55,9 @@ class DatasetError(ValueError):
     """A file-level problem: malformed line, duplicate id, empty dataset."""
 
 
-@dataclass(frozen=True)
-class Alternative:
-    """A candidate variant SQL: its raw score and whether it is semantically
-    equivalent to the prediction."""
+class Alternative(NamedTuple):
+    """A candidate variant SQL as a (score, equivalent) pair: its raw score
+    and whether it is semantically equivalent to the prediction."""
 
     score: float
     equivalent: bool
@@ -66,7 +66,9 @@ class Alternative:
 @dataclass(frozen=True)
 class PredictionRecord:
     """One generated SQL with its probabilities, optional self-check outputs,
-    optional alternatives, and 0/1 correctness label."""
+    optional alternatives, and 0/1 correctness label. Its `id` and `schema_id`
+    are strings: a number becomes one only when it is read from JSON. It is
+    checked as the line it would write and holds the checked values."""
 
     id: str
     schema_id: str
@@ -79,9 +81,20 @@ class PredictionRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _label(self.id, self.label)
-        _question(self.id, self.question)
-        _check_objects(self.id, *_values(self))
+        for rid, name in ((None, "id"), (self.id, "schema_id")):
+            if not isinstance(getattr(self, name), str):
+                _ident(rid, name, getattr(self, name))  # load's text for what is not a number
+                raise RecordError(rid, name, "must be a string")
+        for name in sorted(self.extra.keys() & _KNOWN_FIELDS):  # it would overwrite the field
+            raise RecordError(self.id, name, "is a record field, not an extra one")
+        *_, token_probs, self_check, verbalized, alternatives = _checked(_record_to_obj(self))
+        if token_probs is not None:
+            object.__setattr__(self, "token_probs", tuple(token_probs))
+        if self_check is not None:
+            object.__setattr__(self, "self_check_bool", tuple(self_check))
+        object.__setattr__(self, "verbalized_prob", verbalized)
+        if alternatives is not None:
+            object.__setattr__(self, "alternatives", tuple(map(Alternative._make, alternatives)))
 
 
 @dataclass(frozen=True)
@@ -100,19 +113,6 @@ _KNOWN_FIELDS = (
     "verbalized_prob",
     "alternatives",
 )
-
-
-def make_dataset(records: Iterable[PredictionRecord], source_name: str) -> Dataset:
-    """Assemble a Dataset, enforcing nonemptiness and id uniqueness."""
-    recs = tuple(records)
-    if not recs:
-        raise DatasetError(f"empty dataset: {source_name}")
-    seen: set[str] = set()
-    for r in recs:
-        if r.id in seen:
-            raise DatasetError(f"duplicate record id {r.id!r} in {source_name}")
-        seen.add(r.id)
-    return Dataset(records=recs)
 
 
 def _is_real(kind: type) -> bool:
@@ -161,11 +161,6 @@ def _require(obj: Any, *fields: str) -> str:
     return rid
 
 
-def _question(rid: str, value: Any) -> None:
-    if not isinstance(value, (str, type(None))):
-        raise RecordError(rid, "question", "must be a string")
-
-
 def _equivalent(rid: str | None, value: Any) -> bool:
     if not isinstance(value, bool):
         raise RecordError(rid, "alternatives", "equivalent must be true or false")
@@ -187,8 +182,8 @@ def _fields(obj: Any) -> tuple:
     (score, equivalent) pairs. Their values are left to `_check_values`."""
     plain = type(obj) is dict and type(obj.get("id")) is str and "schema_id" in obj and "label" in obj
     rid = obj["id"] if plain else _require(obj, "schema_id", "label")
-    if type(obj.get("question", "")) is not str:
-        _question(rid, obj["question"])
+    if not isinstance(obj.get("question"), (str, type(None))):
+        raise RecordError(rid, "question", "must be a string")
 
     token_probs = obj.get("token_probs")
     if token_probs is not None:
@@ -259,28 +254,22 @@ def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
         raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
 
 
-def _check_objects(rid: str | None, token_probs: Sequence[Any] | None = None,
+def _check_objects(token_probs: Sequence[Any] | None = None,
                    self_check: Sequence[Any] | None = None, verbalized: Any = None,
                    alternatives: Sequence[tuple[Any, bool]] | None = None) -> None:
-    """`_check_values` for values given in code, not decoded JSON: first the
-    type of each number passes `_is_real`, and each equivalent is a bool."""
+    """`_check_values` for the arguments of the scalar scorers, with no record
+    id: first the type of each number passes `_is_real`, and each equivalent
+    is a bool. Numbers are checked as given, with no conversion, so an int
+    past the float range is compared exactly."""
     scores = None if alternatives is None else [score for score, _ in alternatives]
     for name, values in (("token_probs", token_probs), ("self_check_bool", self_check),
                          ("alternatives", scores),
                          ("verbalized_prob", None if verbalized is None else (verbalized,))):
         if values is not None and not all(map(_is_real, set(map(type, values)))):
-            raise RecordError(rid, name, "must be a number")
+            raise RecordError(None, name, "must be a number")
     for _, equivalent in alternatives or ():
-        _equivalent(rid, equivalent)
-    _check_values(rid, token_probs, self_check, verbalized, alternatives)
-
-
-def _values(record: PredictionRecord) -> tuple:
-    """The scored fields of a record as the plain values of `_fields`."""
-    alternatives = record.alternatives
-    if alternatives is not None:
-        alternatives = tuple((alt.score, alt.equivalent) for alt in alternatives)
-    return record.token_probs, record.self_check_bool, record.verbalized_prob, alternatives
+        _equivalent(None, equivalent)
+    _check_values(None, token_probs, self_check, verbalized, alternatives)
 
 
 def _checked(obj: Any) -> tuple:
@@ -291,18 +280,9 @@ def _checked(obj: Any) -> tuple:
 
 
 def _record_from_obj(obj: Any) -> PredictionRecord:
-    rid, schema_id, label, token_probs, self_check, verbalized, alternatives = _fields(obj)
-    return PredictionRecord(
-        id=rid,
-        schema_id=schema_id,
-        label=label,
-        question=obj.get("question"),
-        token_probs=None if token_probs is None else tuple(token_probs),
-        self_check_bool=None if self_check is None else tuple(self_check),
-        verbalized_prob=verbalized,
-        alternatives=None if alternatives is None else tuple(Alternative(*a) for a in alternatives),
-        extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS},
-    )
+    rid, schema_id, label, *values = _fields(obj)
+    return PredictionRecord(rid, schema_id, label, obj.get("question"), *values,
+                            extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS})
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -372,18 +352,16 @@ def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
     obj: dict[str, Any] = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
     if r.question is not None:
         obj["question"] = r.question
-    # numbers as Python floats, as `load` reads them; a record built in code
-    # may hold numpy numbers, which json cannot write
     if r.token_probs is not None:
-        obj["token_probs"] = list(map(float, r.token_probs))
+        obj["token_probs"] = list(r.token_probs)
     if r.self_check_bool is not None:
         p_true, p_false = r.self_check_bool
-        obj["self_check_bool"] = {"p_true": float(p_true), "p_false": float(p_false)}
+        obj["self_check_bool"] = {"p_true": p_true, "p_false": p_false}
     if r.verbalized_prob is not None:
-        obj["verbalized_prob"] = float(r.verbalized_prob)
+        obj["verbalized_prob"] = r.verbalized_prob
     if r.alternatives is not None:
-        obj["alternatives"] = [{"score": float(a.score), "equivalent": a.equivalent}
-                               for a in r.alternatives]
+        obj["alternatives"] = [{"score": score, "equivalent": equivalent}
+                               for score, equivalent in r.alternatives]
     for k in sorted(r.extra):
         obj[k] = r.extra[k]
     return obj

@@ -5,22 +5,22 @@ Four pooling rules reduce per-token probabilities to one sequence score
 the variant rule scores a prediction relative to its best inequivalent
 alternative.
 
-Scored records have one form, `ScoredColumns`: one tuple per field (id,
-schema id, method, raw score, label), with no object per record. The
-scorer, the reader and the writer of scored files, the evaluators and the
-CLI all work on those columns.
+Scored records have one form, `ScoredColumns`: their scoring method and one
+tuple per field (id, schema id, raw score, label), with no object per
+record. The scorer, the reader and the writer of scored files, the
+evaluators and the CLI all work on those columns.
 
 `score_file` scores a prediction file in one pass that keeps no record or
 token list past its line; `score_dataset` scores records already loaded.
 Both take their scores from `_scores`, on a record's plain field values;
-the scalar scorers check theirs as a record built in code, `_check_objects`.
+the scalar scorers check their arguments by the record rules, `_check_objects`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -38,7 +38,6 @@ from .records import (
     _label,
     _read_records,
     _require,
-    _values,
 )
 
 POOLING_METHODS = ("prod", "geo", "min", "avg")
@@ -47,17 +46,19 @@ SCORE_METHODS = POOLING_METHODS + ("self_check_bool", "self_check_probs", "varia
 
 @dataclass(frozen=True)
 class ScoredColumns:
-    """Scored records as five columns of equal length, one tuple per field.
-    A column given as another iterable is stored as a tuple."""
+    """Scored records of one method as four columns of equal length, one
+    tuple per field. A column given as another iterable is stored as a tuple."""
 
     ids: tuple[str, ...]
     schema_ids: tuple[str, ...]
-    methods: tuple[str, ...]
+    method: str
     raw_scores: tuple[float, ...]
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        columns = [(f.name, tuple(getattr(self, f.name))) for f in fields(self)]
+        _check_methods((self.method,))
+        columns = [(name, tuple(getattr(self, name)))
+                   for name in ("ids", "schema_ids", "raw_scores", "labels")]
         if len({len(column) for _, column in columns}) > 1:
             raise ValueError(f"columns of unequal length: {[len(c) for _, c in columns]}")
         for name, column in columns:
@@ -131,37 +132,37 @@ def pool_prod(token_probs: Sequence[float]) -> float:
     The exponentiated result may underflow to 0.0 for very long sequences;
     downstream calibrators accept that.
     """
-    _check_objects(None, token_probs)
+    _check_objects(token_probs)
     return _scores(token_probs, None, None, None, ("prod",))[0]
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
-    _check_objects(None, token_probs)
+    _check_objects(token_probs)
     return _scores(token_probs, None, None, None, ("geo",))[0]
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
-    _check_objects(None, token_probs)
+    _check_objects(token_probs)
     return _scores(token_probs, None, None, None, ("min",))[0]
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
-    _check_objects(None, token_probs)
+    _check_objects(token_probs)
     return _scores(token_probs, None, None, None, ("avg",))[0]
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
     """Normalized probability of the "correct" option token."""
-    _check_objects(None, self_check=(p_true, p_false))
+    _check_objects(self_check=(p_true, p_false))
     return _self_check_ratio(p_true, p_false)
 
 
 def score_self_check_probs(verbalized_prob: float) -> float:
     """The model's stated probability, passed through unchanged."""
-    _check_objects(None, verbalized=verbalized_prob)
+    _check_objects(verbalized=verbalized_prob)
     return float(verbalized_prob)
 
 
@@ -175,9 +176,8 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
         raise ValueError(f"predicted score {r_pred!r} is not a number")
     if not (0.0 <= r_pred <= 1.0):
         raise ValueError(f"predicted score {r_pred!r} outside [0, 1]")
-    pairs = [(alt.score, alt.equivalent) for alt in alternatives]
-    _check_objects(None, alternatives=pairs)
-    return _variant_alt(r_pred, pairs)
+    _check_objects(alternatives=alternatives)
+    return _variant_alt(r_pred, alternatives)
 
 
 def _check_methods(methods: Sequence[str]) -> None:
@@ -194,8 +194,7 @@ def _result(method: str, ids: Sequence[str] = (), schema_ids: Sequence[str] = ()
     if skipped:
         kept = [row for row in zip(ids, schema_ids, labels, scores) if not isinstance(row[3], str)]
         ids, schema_ids, labels, scores = zip(*kept) if kept else ((),) * 4
-    return ScoringResult(ScoredColumns(ids, schema_ids, (method,) * len(ids), scores, labels),
-                         skipped)
+    return ScoringResult(ScoredColumns(ids, schema_ids, method, scores, labels), skipped)
 
 
 def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
@@ -204,8 +203,10 @@ def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
     Both the scored records and the skips keep dataset order.
     """
     _check_methods((method,))
-    return _result(method, *zip(*[(r.id, r.schema_id, r.label, *_scores(*_values(r), (method,)))
-                                  for r in dataset.records]))
+    return _result(method, *zip(*[
+        (r.id, r.schema_id, r.label, *_scores(r.token_probs, r.self_check_bool,
+                                              r.verbalized_prob, r.alternatives, (method,)))
+        for r in dataset.records]))
 
 
 def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringResult]:
@@ -227,12 +228,13 @@ def write_scored(scored: ScoredColumns, path: str | Path) -> None:
     """One JSON object per record, with the keys id, schema_id, method,
     raw_score and label: the bytes `json.dumps` writes for that dict."""
     line = '{"id": %s, "schema_id": %s, "method": %s, "raw_score": %s, "label": %d}\n'
+    method = encode_basestring_ascii(scored.method)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(
             line % (encode_basestring_ascii(rid), encode_basestring_ascii(schema_id),
-                    encode_basestring_ascii(method), repr(float(raw)), label)
-            for rid, schema_id, method, raw, label in zip(
-                scored.ids, scored.schema_ids, scored.methods, scored.raw_scores, scored.labels)
+                    method, repr(float(raw)), label)
+            for rid, schema_id, raw, label in zip(
+                scored.ids, scored.schema_ids, scored.raw_scores, scored.labels)
         )
 
 
@@ -252,8 +254,7 @@ def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
     `load_dataset`: errors name the file line, record and field; ids are
     unique, and every record carries the same method."""
-    scored = ScoredColumns(*zip(*_read_records(Path(path), _scored_from_obj)))
-    methods = sorted(set(scored.methods))
-    if len(methods) > 1:
-        raise DatasetError(f"{path}: mixed scoring methods in one file: {methods}")
-    return scored
+    ids, schema_ids, methods, raw_scores, labels = zip(*_read_records(Path(path), _scored_from_obj))
+    if len(set(methods)) > 1:
+        raise DatasetError(f"{path}: mixed scoring methods in one file: {sorted(set(methods))}")
+    return ScoredColumns(ids, schema_ids, methods[0], raw_scores, labels)

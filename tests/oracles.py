@@ -5,8 +5,8 @@ The per-split evaluation reference at the end fits, applies and summarizes
 one split at a time with its own scalar Newton loop, `np.unique`-based
 pool-adjacent-violators pass and per-metric reductions, which the batched
 evaluator must reproduce bit for bit. It takes from `protocol` only the
-fold assignment, the column and method helpers and the aggregation over
-folds, which run once per scope and not per split. The record rules at
+fold assignment, the column helper and the aggregation over folds, which
+run once per scope and not per split. The record rules at
 the end are the checked-line pass as it stood before its inline type
 tests; they take from `records` only the error class and the id, label and
 number helpers.
@@ -32,7 +32,6 @@ from sqlcalib.protocol import (
     _aggregate_prf,
     _assign_folds,
     _columns,
-    _single_method,
 )
 from sqlcalib.records import RecordError, _ident, _is_real, _label, _require
 
@@ -395,7 +394,6 @@ def _single_class(labels) -> bool:
 
 def reference_cross_validate(scored, cfg) -> EvaluationReport:
     """`protocol.cross_validate`, one fold at a time."""
-    method = _single_method(scored)
     order = sorted(range(len(scored)), key=lambda i: scored.ids[i])
     raw, labels = _columns(scored, order)
     schema_ids = [scored.schema_ids[i] for i in order]
@@ -420,13 +418,12 @@ def reference_cross_validate(scored, cfg) -> EvaluationReport:
                                  metrics=report, degenerate_tune=degenerate))
     mean, std = _aggregate(folds)
     prf_mean, prf_std = _aggregate_prf(folds)
-    return EvaluationReport(method=method, config=cfg, folds=tuple(folds), mean=mean, std=std,
-                            prf_mean=prf_mean, prf_std=prf_std, notes=tuple(notes))
+    return EvaluationReport(method=scored.method, config=cfg, folds=tuple(folds), mean=mean,
+                            std=std, prf_mean=prf_mean, prf_std=prf_std, notes=tuple(notes))
 
 
 def reference_schema_level(scored, cfg) -> SchemaLevelReport:
     """`protocol.schema_level_evaluate`, one schema at a time."""
-    method = _single_method(scored)
     order = sorted(sorted(range(len(scored)), key=lambda i: scored.ids[i]),
                    key=lambda i: scored.schema_ids[i])
     raw, labels = _columns(scored, order)
@@ -455,7 +452,7 @@ def reference_schema_level(scored, cfg) -> SchemaLevelReport:
         raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
                          f"first {schema_id}: {reason}")
     micro = reference_summarize(*(np.concatenate(column) for column in zip(*pooled)), cfg)
-    return SchemaLevelReport(method=method, config=cfg, schemas=tuple(rows), micro=micro,
+    return SchemaLevelReport(method=scored.method, config=cfg, schemas=tuple(rows), micro=micro,
                              skipped=tuple(skipped))
 
 

@@ -261,9 +261,11 @@ def test_10_end_to_end_separable_and_independent():
     i = 0
     for s in range(6):
         for label in (0, 1) * 5:
-            scored.append((f"r{i:03d}", f"s{s}", "prod", float(label), label))
+            scored.append((f"r{i:03d}", f"s{s}", float(label), label))
             i += 1
-    separable = cross_validate(ScoredColumns(*zip(*scored)), ProtocolConfig(seed=10))
+    ids, schema_ids, raw_scores, labels = zip(*scored)
+    separable = cross_validate(ScoredColumns(ids, schema_ids, "prod", raw_scores, labels),
+                               ProtocolConfig(seed=10))
     assert separable.mean["auc"] == 1.0
     assert separable.mean["bs_i"] <= 0.01
 

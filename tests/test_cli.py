@@ -20,7 +20,7 @@ import sqlcalib
 from sqlcalib import protocol, records
 from sqlcalib.cli import build_parser, main
 from sqlcalib.execmatch import _OUTCOMES, SQLiteExecutor, label_record
-from sqlcalib.records import PredictionRecord, load_dataset, make_dataset, write_dataset
+from sqlcalib.records import Dataset, PredictionRecord, load_dataset, write_dataset
 from sqlcalib.scoring import SCORE_METHODS, score_dataset, score_file
 
 
@@ -83,7 +83,7 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "1"
 
     def test_every_exported_name_resolves_to_its_submodule_object(self):
-        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 56
+        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 55
         for name in sqlcalib.__all__:
             value = getattr(sqlcalib, name)
             module = sys.modules[value.__module__]
@@ -123,13 +123,13 @@ class TestSimulateValidate:
             PredictionRecord(id=f"r{i}", schema_id=f"s{i % 3}", label=label)
             for i, label in enumerate([1, 0, 1, 0])
         ]
-        write_dataset(make_dataset(records, "t"), tmp_path / "data.jsonl")
+        write_dataset(Dataset(records=tuple(records)), tmp_path / "data.jsonl")
         assert self.validate(tmp_path / "data.jsonl", capsys) == [
             "records: 4", "schemas: 3", "pct_correct: 50.0"]
 
     def test_validate_all_correct(self, tmp_path, capsys):
         records = [PredictionRecord(id=f"r{i}", schema_id="s", label=1) for i in range(7)]
-        write_dataset(make_dataset(records, "t"), tmp_path / "data.jsonl")
+        write_dataset(Dataset(records=tuple(records)), tmp_path / "data.jsonl")
         assert self.validate(tmp_path / "data.jsonl", capsys)[2] == "pct_correct: 100.0"
 
     def test_validate_matches_file_line_count(self, tmp_path, capsys):
@@ -458,7 +458,7 @@ class TestEvaluate:
         evaluated = []
 
         def cross_validate(scored, cfg):
-            evaluated.append(scored.methods[0])
+            evaluated.append(scored.method)
             return protocol.cross_validate(scored, cfg)
 
         monkeypatch.setattr(cli, "cross_validate", cross_validate, raising=False)

@@ -16,7 +16,7 @@ from sqlcalib.protocol import (
     generate_synthetic,
     schema_level_evaluate,
 )
-from sqlcalib.records import PredictionRecord, make_dataset
+from sqlcalib.records import Dataset, PredictionRecord
 from sqlcalib.scoring import ScoredColumns, pool_prod, score_dataset
 
 
@@ -27,7 +27,7 @@ def _dataset(n_schemas, per_schema=10):
         for j in range(per_schema):
             records.append(PredictionRecord(id=f"r{i:04d}", schema_id=f"schema{s:02d}", label=j % 2))
             i += 1
-    return make_dataset(records, "fixture")
+    return Dataset(records=tuple(records))
 
 
 def _folds(dataset, k, seed):
@@ -35,14 +35,17 @@ def _folds(dataset, k, seed):
 
 
 def _columns_of(rows):
-    """Rows of (id, schema_id, method, raw_score, label) as `ScoredColumns`."""
-    return ScoredColumns(*zip(*rows))
+    """Rows of (id, schema_id, method, raw_score, label), all of one method,
+    as `ScoredColumns`."""
+    ids, schema_ids, methods, raw_scores, labels = zip(*rows)
+    return ScoredColumns(ids, schema_ids, methods[0], raw_scores, labels)
 
 
 def _permuted(columns, order):
     """The rows of `columns` taken in `order`."""
-    return ScoredColumns(*([column[i] for i in order] for column in (
-        columns.ids, columns.schema_ids, columns.methods, columns.raw_scores, columns.labels)))
+    ids, schema_ids, raw_scores, labels = ([column[i] for i in order] for column in (
+        columns.ids, columns.schema_ids, columns.raw_scores, columns.labels))
+    return ScoredColumns(ids, schema_ids, columns.method, raw_scores, labels)
 
 
 def _rows(n_schemas=6, per_schema=12, seed=0):
@@ -103,7 +106,7 @@ class TestFolds:
             for _ in range(100 if s < 2 else 5):
                 records.append(PredictionRecord(id=f"r{i}", schema_id=f"s{s}", label=0))
                 i += 1
-        folds = _folds(make_dataset(records, "t"), 2, seed=0)
+        folds = _folds(Dataset(records=tuple(records)), 2, seed=0)
         heavy_folds = {folds["s0"], folds["s1"]}
         assert heavy_folds == {0, 1}
 
@@ -176,12 +179,13 @@ class TestCrossValidate:
         # one undefined fold makes the mean AUC undefined too
         assert math.isnan(report.mean["auc"])
 
-    def test_mixed_methods_rejected(self):
-        scored = _rows()
-        bad = scored[0]
-        mixed = scored + [("zz", bad[1], "geo", 0.5, 1)]
-        with pytest.raises(ValueError, match="mixed scoring methods"):
-            cross_validate(_columns_of(mixed), ProtocolConfig(seed=0))
+    def test_unknown_method_rejected(self):
+        # scored columns carry one method, checked when they are built
+        ids, schema_ids, _, raw_scores, labels = zip(*_rows())
+        with pytest.raises(ValueError, match="^unknown scoring method 'median'$"):
+            ScoredColumns(ids, schema_ids, "median", raw_scores, labels)
+        with pytest.raises(ValueError, match=r"^unknown scoring method \['prod', 'geo'\]$"):
+            ScoredColumns(ids[:2], schema_ids[:2], ["prod", "geo"], raw_scores[:2], labels[:2])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -437,7 +441,7 @@ class TestColumnarInput:
                                                 token_probs=(p, float(rng.uniform(0.5, 1.0)))))
         records[28:30] = [replace(records[28], token_probs=(0.05,), label=1),
                           replace(records[29], token_probs=(0.95,), label=0)]
-        return score_dataset(make_dataset(records, "columns"), "prod").scored
+        return score_dataset(Dataset(records=tuple(records)), "prod").scored
 
     @pytest.mark.parametrize("cfg", [
         ProtocolConfig(seed=4, k=3),

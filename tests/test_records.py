@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sqlcalib.records import (
     Alternative,
@@ -302,6 +304,88 @@ def test_numpy_numbers_are_written_as_floats(tmp_path):
     }
     assert '"token_probs": [0.5, 1.0, 0.25]' in out.read_text()
     assert load_dataset(out).records == (record,)
+
+
+@pytest.mark.parametrize("fields, line", [
+    ({"schema_id": ["s"]}, {"schema_id": ["s"]}),
+    ({"self_check_bool": (10**400, 1)}, {"self_check_bool": {"p_true": 10**400, "p_false": 1}}),
+], ids=["list-schema-id", "huge-int-self-check"])
+def test_record_built_in_code_is_checked_as_the_line_it_writes(tmp_path, fields, line):
+    # such a record would be written as `line`, which load_dataset rejects, or
+    # not be written at all (a float cannot hold 10**400)
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [json.dumps({"id": "a", "schema_id": "s", "label": 0, **line})])
+    with pytest.raises(RecordError) as loaded:
+        load_dataset(path)
+    with pytest.raises(RecordError) as built:
+        PredictionRecord(**{"id": "a", "schema_id": "s", "label": 0, **fields})
+    assert str(loaded.value) == f"{path}:1: {built.value}"
+
+
+def test_record_ids_given_in_code_are_strings(tmp_path):
+    # a JSON number is read as its string, so a numeric id would not come back as given
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [json.dumps({"id": 5, "schema_id": 6, "label": 0})])
+    (loaded,) = load_dataset(path).records
+    assert (loaded.id, loaded.schema_id) == ("5", "6")
+    with pytest.raises(RecordError, match="^field 'id': must be a string$"):
+        PredictionRecord(id=5, schema_id="s", label=0)
+    with pytest.raises(RecordError, match="^record 'a': field 'schema_id': must be a string$"):
+        PredictionRecord(id="a", schema_id=6.0, label=0)
+
+
+def test_record_extra_cannot_hold_a_record_field():
+    # it would overwrite that field in the written line: here, the label
+    with pytest.raises(RecordError, match="^record 'a': field 'label': is a record field, "
+                                          "not an extra one$"):
+        PredictionRecord(id="a", schema_id="s", label=0, extra={"tag": "x", "label": 1})
+
+
+# Field values given in code: Python, numpy, bool, string, huge-int and NaN
+# ones, as scalars or inside the sequences of the sequence fields. Each value
+# is one the record rules accept 7 times in 8.
+any_values = st.one_of(
+    st.floats(), st.integers(-2, 2), st.sampled_from([1, -1]).map(lambda sign: sign * 10**400),
+    st.booleans(),
+    st.just(np.True_), st.floats(0, 1).map(np.float64), st.text(max_size=3), st.none(),
+)
+numbers = st.one_of(st.floats(0.01, 1), st.just(1), st.floats(0.01, 1).map(np.float64),
+                    st.floats(0.25, 1, width=32).map(np.float32), st.just(np.int64(1)))
+
+
+def mostly(valid):
+    return st.integers(0, 7).flatmap(lambda i: valid if i else any_values)
+
+
+code_records = st.fixed_dictionaries({
+    "id": mostly(st.text(max_size=3)),
+    "schema_id": mostly(st.text(max_size=3)),
+    "label": mostly(st.sampled_from([0, 1])),
+    "question": mostly(st.none() | st.text(max_size=3)),
+    "token_probs": st.none() | st.lists(mostly(numbers), max_size=3),
+    "self_check_bool": st.none() | st.tuples(mostly(numbers), mostly(numbers)),
+    "verbalized_prob": mostly(st.none() | numbers),
+    "alternatives": st.none() | st.lists(
+        st.builds(Alternative, mostly(numbers), mostly(st.booleans())), max_size=3).map(tuple),
+    "extra": st.dictionaries(st.sampled_from(["tag", "note", "note", "note", "label"]),
+                             st.integers(0, 1) | st.text(max_size=3), max_size=2),
+})
+
+
+@given(fields=code_records)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_record_built_in_code_is_rejected_or_round_trips(tmp_path, fields):
+    try:
+        record = PredictionRecord(**fields)
+    except RecordError:
+        return
+    path = tmp_path / "data.jsonl"
+    write_dataset(Dataset(records=(record,)), path)
+    written = path.read_bytes()
+    loaded = load_dataset(path)
+    assert loaded.records == (record,)
+    write_dataset(loaded, path)
+    assert path.read_bytes() == written
 
 
 def test_record_that_cannot_be_written_leaves_the_file_as_it_was(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlcalib.records import Alternative, PredictionRecord, RecordError, make_dataset
+from sqlcalib.records import Alternative, Dataset, PredictionRecord, RecordError
 from sqlcalib.scoring import (
     SCORE_METHODS,
     pool_avg,
@@ -220,14 +220,11 @@ def test_scalar_scorers_take_numpy_numbers():
 
 class TestScoreDataset:
     def _dataset(self):
-        return make_dataset(
-            [
-                PredictionRecord(id="a", schema_id="s1", label=1, token_probs=(0.9, 0.5)),
-                PredictionRecord(id="b", schema_id="s1", label=0),
-                PredictionRecord(id="c", schema_id="s2", label=1, token_probs=(0.7,)),
-            ],
-            "t",
-        )
+        return Dataset(records=(
+            PredictionRecord(id="a", schema_id="s1", label=1, token_probs=(0.9, 0.5)),
+            PredictionRecord(id="b", schema_id="s1", label=0),
+            PredictionRecord(id="c", schema_id="s2", label=1, token_probs=(0.7,)),
+        ))
 
     def test_skips_records_missing_fields(self):
         result = score_dataset(self._dataset(), "prod")
@@ -239,16 +236,16 @@ class TestScoreDataset:
             PredictionRecord(id=f"r{i}", schema_id="s", label=1, self_check_bool=(0.7, 0.1))
             for i in range(4)
         ]
-        result = score_dataset(make_dataset(records, "t"), "self_check_bool")
+        result = score_dataset(Dataset(records=tuple(records)), "self_check_bool")
         assert len(result.scored) == 4
         assert all(raw == pytest.approx(0.875) for raw in result.scored.raw_scores)
 
     def test_self_check_methods_score_and_skip_through_score_dataset(self):
-        dataset = make_dataset([
+        dataset = Dataset(records=(
             PredictionRecord(id="p", schema_id="s", label=1, verbalized_prob=0.25),
             PredictionRecord(id="q", schema_id="s", label=0, self_check_bool=(0.7, 0.1)),
             PredictionRecord(id="r", schema_id="s", label=0, verbalized_prob=1.0),
-        ], "t")
+        ))
         result = score_dataset(dataset, "self_check_probs")
         assert (result.scored.ids, result.scored.raw_scores) == (("p", "r"), (0.25, 1.0))
         assert result.skipped == (("q", "missing verbalized_prob"),)
@@ -263,7 +260,7 @@ class TestScoreDataset:
             alternatives=(Alternative(0.3, False),),
         )
         bare = PredictionRecord(id="w", schema_id="s", label=1)
-        result = score_dataset(make_dataset([record, bare], "t"), "variant_alt")
+        result = score_dataset(Dataset(records=(record, bare)), "variant_alt")
         assert result.scored.ids == ("v",)
         assert result.scored.raw_scores == (pytest.approx(0.5),)
         assert result.skipped == (("w", "missing alternatives"),)
@@ -276,7 +273,7 @@ class TestScoreDataset:
         record = PredictionRecord(id="a", schema_id="s", label=1, token_probs=tuple(probs))
         expected = {m: pooler(probs) for m, pooler in (
             ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
-        dataset = make_dataset([record], "t")
+        dataset = Dataset(records=(record,))
         check = scoring._check_objects
         scoring._check_objects = None  # the record checked its token list when it was built
         try:
@@ -318,7 +315,7 @@ class TestScoreDataset:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
-            score_dataset(make_dataset([PredictionRecord(id="a", schema_id="s", label=0)], "t"),
+            score_dataset(Dataset(records=(PredictionRecord(id="a", schema_id="s", label=0),)),
                           "median")
 
     def test_scored_file_round_trip(self, tmp_path):
@@ -343,14 +340,14 @@ class TestScoredColumns:
     def test_immutable_columns_of_equal_length(self):
         from sqlcalib.scoring import ScoredColumns
 
-        columns = ScoredColumns(["a", "b"], ["s", "t"], ["prod", "prod"], [0.25, 0.5], [1, 0])
+        columns = ScoredColumns(["a", "b"], ["s", "t"], "prod", [0.25, 0.5], [1, 0])
         assert columns.raw_scores == (0.25, 0.5) and columns.labels == (1, 0)
-        assert len(columns) == 2 and not ScoredColumns((), (), (), (), ())
-        assert columns != ScoredColumns(["a"], ["s"], ["prod"], [0.25], [1])
+        assert len(columns) == 2 and not ScoredColumns((), (), "prod", (), ())
+        assert columns != ScoredColumns(["a"], ["s"], "prod", [0.25], [1])
         with pytest.raises(AttributeError, match="cannot .* 'labels'"):
             columns.labels = (0, 0)
         with pytest.raises(ValueError, match="unequal length"):
-            ScoredColumns(["a"], ["s"], ["prod"], [0.5], [])
+            ScoredColumns(["a"], ["s"], "prod", [0.5], [])
 
     @pytest.mark.parametrize("method", SCORE_METHODS)
     def test_writer_bytes_are_json_dumps_of_each_record(self, tmp_path, method):
@@ -362,7 +359,7 @@ class TestScoredColumns:
         assert raws[0] == 0.0  # a long product underflows
         labels = [0, 1, 1, 0, 1]
         schema_ids = [f"schéma {i}" for i in range(5)]
-        columns = ScoredColumns(ids, schema_ids, [method] * 5, raws, labels)
+        columns = ScoredColumns(ids, schema_ids, method, raws, labels)
         expected = "".join(
             json.dumps({"id": i, "schema_id": s, "method": method, "raw_score": r, "label": y}) + "\n"
             for i, s, r, y in zip(ids, schema_ids, raws, labels))
