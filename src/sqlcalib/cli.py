@@ -171,8 +171,9 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     rpt.write_report_csv(report, out_dir / "report.csv", dataset_name=source_name)
     rpt.write_report_json(report, out_dir / "report.json", dataset_name=source_name)
     rpt.write_thresholds_csv([("schema_disjoint", report.prf_mean)], out_dir / "thresholds.csv")
-    if args.compare:
-        rpt.write_compare_csv({m: reports[m] for m in POOLING_METHODS}, out_dir / "compare.csv")
+    if args.compare:  # the pooling methods, then --method when it is not one of them
+        rpt.write_compare_csv({m: reports[m] for m in (*POOLING_METHODS, args.method)},
+                              out_dir / "compare.csv")
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-schema-records", type=int, default=10)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--compare", action="store_true",
-                   help="evaluate every pooling method and write compare.csv")
+                   help="evaluate every pooling method too and write compare.csv")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="reliability-plot data and SVG")

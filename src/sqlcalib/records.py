@@ -20,11 +20,11 @@ serializer, but are otherwise ignored.
 A line is checked in two steps, both run by `_checked`: `_fields` applies
 the type and label rules and returns plain values, `_check_values` the value
 rules. `_fields` passes each field of its plain JSON type inline and calls
-its rule helper only to convert another type or raise. A `PredictionRecord`
-is checked by `_checked` too, as the line it would write. The scalar scorers
-of `scoring` check their arguments by `_check_objects`, the number and
-equivalent rules and then `_check_values`, so every error text comes from
-one place.
+its rule helper only to convert another type or raise. A value given in
+code is checked by `_checked` too, on the line `_line_value` shapes for it:
+a `PredictionRecord` as the line it would write, and each argument of the
+scalar scorers of `scoring` as a line holding that one field. So every rule
+and error text comes from one place.
 """
 
 from __future__ import annotations
@@ -32,21 +32,23 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 class RecordError(ValueError):
     """A single record violates the data model.
 
-    Carries the offending record id (None for a bad id or a scalar) and
-    field name so callers can report precisely which input is bad.
+    Carries the offending record id (None for a bad id or a scalar), field
+    name and message, so callers can report precisely which input is bad.
     """
 
     def __init__(self, record_id: str | None, field_name: str, message: str):
         self.record_id = record_id
         self.field_name = field_name
+        self.message = message
         where = f"field {field_name!r}: {message}"
         super().__init__(where if record_id is None else f"record {record_id!r}: {where}")
 
@@ -81,10 +83,7 @@ class PredictionRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for rid, name in ((None, "id"), (self.id, "schema_id")):
-            if not isinstance(getattr(self, name), str):
-                _ident(rid, name, getattr(self, name))  # load's text for what is not a number
-                raise RecordError(rid, name, "must be a string")
+        _string_ids(self.id, self.schema_id)
         for name in sorted(self.extra.keys() & _KNOWN_FIELDS):  # it would overwrite the field
             raise RecordError(self.id, name, "is a record field, not an extra one")
         *_, token_probs, self_check, verbalized, alternatives = _checked(_record_to_obj(self))
@@ -148,6 +147,13 @@ def _ident(rid: str | None, field_name: str, value: Any) -> str:
     raise RecordError(rid, field_name, "must be a string or a number")
 
 
+def _string_ids(rid: Any, schema_id: Any) -> None:
+    for where, name, value in ((None, "id", rid), (rid, "schema_id", schema_id)):
+        if not isinstance(value, str):  # a number becomes a string only when read from JSON
+            _ident(where, name, value)  # load's text for what is not a number
+            raise RecordError(where, name, "must be a string")
+
+
 def _require(obj: Any, *fields: str) -> str:
     """The id of a decoded line that is an object holding `id` and `fields`."""
     if not isinstance(obj, dict):
@@ -161,17 +167,13 @@ def _require(obj: Any, *fields: str) -> str:
     return rid
 
 
-def _equivalent(rid: str | None, value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise RecordError(rid, "alternatives", "equivalent must be true or false")
-    return value
-
-
 def _alternative(rid: str, entry: Any) -> tuple[float, bool]:
     if not isinstance(entry, dict) or "score" not in entry or "equivalent" not in entry:
         raise RecordError(rid, "alternatives", "each entry needs score and equivalent")
     (score,) = _floats(rid, "alternatives", (entry["score"],))
-    return score, _equivalent(rid, entry["equivalent"])
+    if not isinstance(entry["equivalent"], bool):
+        raise RecordError(rid, "alternatives", "equivalent must be true or false")
+    return score, entry["equivalent"]
 
 
 def _fields(obj: Any) -> tuple:
@@ -222,9 +224,8 @@ def _fields(obj: Any) -> tuple:
     return rid, schema_id, label, token_probs, self_check, verbalized, alternatives
 
 
-def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
-                  self_check: Sequence[float] | None = None, verbalized: float | None = None,
-                  alternatives: Iterable[tuple[float, bool]] | None = None) -> None:
+def _check_values(rid: str, token_probs: Sequence[float] | None, self_check: Sequence[float] | None,
+                  verbalized: float | None, alternatives: Iterable[tuple[float, bool]] | None) -> None:
     """The value rules of a record, on the plain values of `_fields`: the
     ranges of every number, a nonempty token list and a positive self-check
     sum."""
@@ -238,8 +239,7 @@ def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
                 )
     if self_check is not None:
         p_true, p_false = self_check
-        # abs() < inf, not math.isfinite, which overflows on an int past the float range
-        if not (abs(p_true) < math.inf and abs(p_false) < math.inf):
+        if not (math.isfinite(p_true) and math.isfinite(p_false)):
             raise RecordError(rid, "self_check_bool", "probabilities must be finite")
         if p_true < 0 or p_false < 0:
             raise RecordError(rid, "self_check_bool", "probabilities must be nonnegative")
@@ -248,28 +248,10 @@ def _check_values(rid: str | None, token_probs: Sequence[float] | None = None,
                               "degenerate self-check: p_true + p_false must be positive")
     for score, _ in alternatives or ():
         if not (0.0 <= score <= 1.0):
-            problem = "outside [0, 1]" if abs(score) < math.inf else "is not finite"
+            problem = "outside [0, 1]" if math.isfinite(score) else "is not finite"
             raise RecordError(rid, "alternatives", f"score {score!r} {problem}")
     if verbalized is not None and not (0.0 <= verbalized <= 1.0):
         raise RecordError(rid, "verbalized_prob", f"must lie in [0, 1], got {verbalized!r}")
-
-
-def _check_objects(token_probs: Sequence[Any] | None = None,
-                   self_check: Sequence[Any] | None = None, verbalized: Any = None,
-                   alternatives: Sequence[tuple[Any, bool]] | None = None) -> None:
-    """`_check_values` for the arguments of the scalar scorers, with no record
-    id: first the type of each number passes `_is_real`, and each equivalent
-    is a bool. Numbers are checked as given, with no conversion, so an int
-    past the float range is compared exactly."""
-    scores = None if alternatives is None else [score for score, _ in alternatives]
-    for name, values in (("token_probs", token_probs), ("self_check_bool", self_check),
-                         ("alternatives", scores),
-                         ("verbalized_prob", None if verbalized is None else (verbalized,))):
-        if values is not None and not all(map(_is_real, set(map(type, values)))):
-            raise RecordError(None, name, "must be a number")
-    for _, equivalent in alternatives or ():
-        _equivalent(None, equivalent)
-    _check_values(None, token_probs, self_check, verbalized, alternatives)
 
 
 def _checked(obj: Any) -> tuple:
@@ -348,20 +330,31 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(records=_read_records(Path(path), _record_from_obj))
 
 
+_PAIR_KEYS = {"self_check_bool": ("p_true", "p_false"), "alternative": ("score", "equivalent")}
+
+
+def _line_value(name: str, value: Any) -> Any:
+    """A value given in code for the field `name` in the shape a line holds
+    it: a sequence of token probabilities or of alternatives as a list, a
+    self-check pair or an alternative pair (`name` "alternative") as its
+    object. Any other value is left for `_fields` to name with its own text."""
+    if not isinstance(value, (list, tuple)) and (
+            isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)):
+        return value
+    if name in _PAIR_KEYS:
+        pair = tuple(value)
+        return dict(zip(_PAIR_KEYS[name], pair)) if len(pair) == 2 else value
+    if name == "alternatives":
+        return [_line_value("alternative", entry) for entry in value]
+    return list(value) if name == "token_probs" else value
+
+
 def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
     obj: dict[str, Any] = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
-    if r.question is not None:
-        obj["question"] = r.question
-    if r.token_probs is not None:
-        obj["token_probs"] = list(r.token_probs)
-    if r.self_check_bool is not None:
-        p_true, p_false = r.self_check_bool
-        obj["self_check_bool"] = {"p_true": p_true, "p_false": p_false}
-    if r.verbalized_prob is not None:
-        obj["verbalized_prob"] = r.verbalized_prob
-    if r.alternatives is not None:
-        obj["alternatives"] = [{"score": score, "equivalent": equivalent}
-                               for score, equivalent in r.alternatives]
+    for name in ("question", "token_probs", "self_check_bool", "verbalized_prob", "alternatives"):
+        value = getattr(r, name)
+        if value is not None:
+            obj[name] = _line_value(name, value)
     for k in sorted(r.extra):
         obj[k] = r.extra[k]
     return obj

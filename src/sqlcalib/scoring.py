@@ -7,13 +7,14 @@ alternative.
 
 Scored records have one form, `ScoredColumns`: their scoring method and one
 tuple per field (id, schema id, raw score, label), with no object per
-record. The scorer, the reader and the writer of scored files, the
-evaluators and the CLI all work on those columns.
+record, each row under a scored file's rules. The scorer, the reader and
+the writer of scored files, the evaluators and the CLI use those columns.
 
 `score_file` scores a prediction file in one pass that keeps no record or
 token list past its line; `score_dataset` scores records already loaded.
-Both take their scores from `_scores`, on a record's plain field values;
-the scalar scorers check their arguments by the record rules, `_check_objects`.
+Both take their scores from `_scores`, on a record's plain field values, and
+so do the scalar scorers, on the values `records._checked` gives a line
+holding their argument as its one field: that line's rules and error texts.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ from .records import (
     Dataset,
     DatasetError,
     RecordError,
-    _check_objects,
     _checked,
     _floats,
     _ident,
     _is_real,
     _label,
+    _line_value,
     _read_records,
     _require,
+    _string_ids,
 )
 
 POOLING_METHODS = ("prod", "geo", "min", "avg")
@@ -46,8 +48,8 @@ SCORE_METHODS = POOLING_METHODS + ("self_check_bool", "self_check_probs", "varia
 
 @dataclass(frozen=True)
 class ScoredColumns:
-    """Scored records of one method as four columns of equal length, one
-    tuple per field. A column given as another iterable is stored as a tuple."""
+    """Scored records of one method as four columns of equal length, stored as
+    tuples; each row follows the rules of `load_scored`, its ids as strings."""
 
     ids: tuple[str, ...]
     schema_ids: tuple[str, ...]
@@ -57,12 +59,19 @@ class ScoredColumns:
 
     def __post_init__(self) -> None:
         _check_methods((self.method,))
-        columns = [(name, tuple(getattr(self, name)))
-                   for name in ("ids", "schema_ids", "raw_scores", "labels")]
-        if len({len(column) for _, column in columns}) > 1:
-            raise ValueError(f"columns of unequal length: {[len(c) for _, c in columns]}")
-        for name, column in columns:
-            object.__setattr__(self, name, column)
+        for name in ("ids", "schema_ids", "raw_scores", "labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        columns = ids, sids, raw, labels = self.ids, self.schema_ids, self.raw_scores, self.labels
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns of unequal length: {list(map(len, columns))}")
+        low = -1.0 if self.method == "variant_alt" else 0.0  # a NaN can pass min and max, not sum
+        if not ({*map(type, ids), *map(type, sids)} <= {str} and set(labels) <= {0, 1}
+                and set(map(type, labels)) <= {int} and set(map(type, raw)) <= {float}
+                and low <= min(raw or [0]) and max(raw or [0]) <= 1 and not math.isnan(sum(raw))):
+            keys = "id", "schema_id", "raw_score", "label"
+            for row in zip(*columns):  # the first bad row raises
+                _string_ids(*row[:2])
+                _scored_from_obj(dict(zip(keys, row), method=self.method))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -126,44 +135,49 @@ def _scores(token_probs: Sequence[float] | None, self_check: Sequence[float] | N
     return scores
 
 
+def _field(name: str, value: Any) -> tuple:
+    """The plain values `_checked` gives `_scores` for a line holding `value`
+    as its one field `name`, or its error without the record; None is missing."""
+    if value is None:
+        raise RecordError(None, name, "missing required field")
+    try:
+        return _checked({"id": "", "schema_id": "", "label": 0, name: _line_value(name, value)})[3:]
+    except RecordError as exc:
+        raise RecordError(None, exc.field_name, exc.message) from None
+
+
 def pool_prod(token_probs: Sequence[float]) -> float:
     """Product of token probabilities, computed in log space.
 
     The exponentiated result may underflow to 0.0 for very long sequences;
     downstream calibrators accept that.
     """
-    _check_objects(token_probs)
-    return _scores(token_probs, None, None, None, ("prod",))[0]
+    return _scores(*_field("token_probs", token_probs), ("prod",))[0]
 
 
 def pool_geo(token_probs: Sequence[float]) -> float:
     """Geometric mean of token probabilities via the mean of logs."""
-    _check_objects(token_probs)
-    return _scores(token_probs, None, None, None, ("geo",))[0]
+    return _scores(*_field("token_probs", token_probs), ("geo",))[0]
 
 
 def pool_min(token_probs: Sequence[float]) -> float:
     """Minimum token probability."""
-    _check_objects(token_probs)
-    return _scores(token_probs, None, None, None, ("min",))[0]
+    return _scores(*_field("token_probs", token_probs), ("min",))[0]
 
 
 def pool_avg(token_probs: Sequence[float]) -> float:
     """Arithmetic mean of token probabilities."""
-    _check_objects(token_probs)
-    return _scores(token_probs, None, None, None, ("avg",))[0]
+    return _scores(*_field("token_probs", token_probs), ("avg",))[0]
 
 
 def score_self_check_bool(p_true: float, p_false: float) -> float:
     """Normalized probability of the "correct" option token."""
-    _check_objects(self_check=(p_true, p_false))
-    return _self_check_ratio(p_true, p_false)
+    return _scores(*_field("self_check_bool", (p_true, p_false)), ("self_check_bool",))[0]
 
 
 def score_self_check_probs(verbalized_prob: float) -> float:
     """The model's stated probability, passed through unchanged."""
-    _check_objects(verbalized=verbalized_prob)
-    return float(verbalized_prob)
+    return _scores(*_field("verbalized_prob", verbalized_prob), ("self_check_probs",))[0]
 
 
 def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> float:
@@ -176,8 +190,7 @@ def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> flo
         raise ValueError(f"predicted score {r_pred!r} is not a number")
     if not (0.0 <= r_pred <= 1.0):
         raise ValueError(f"predicted score {r_pred!r} outside [0, 1]")
-    _check_objects(alternatives=alternatives)
-    return _variant_alt(r_pred, alternatives)
+    return _variant_alt(float(r_pred), _field("alternatives", alternatives)[-1])
 
 
 def _check_methods(methods: Sequence[str]) -> None:

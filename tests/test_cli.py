@@ -471,6 +471,25 @@ class TestEvaluate:
         assert ((tmp_path / "geo" / "compare.csv").read_bytes()
                 == (tmp_path / "prod" / "compare.csv").read_bytes())
 
+    def test_compare_lists_a_method_that_is_not_pooling_after_the_pooling_methods(
+            self, synthetic, tmp_path):
+        rng = random.Random(4)
+        data = tmp_path / "self_check.jsonl"
+        data.write_text("".join(
+            json.dumps({**obj, "self_check_bool": {"p_true": rng.random(), "p_false": 0.5}}) + "\n"
+            for obj in map(json.loads, synthetic.read_text().splitlines())))
+        out = tmp_path / "out"
+        assert run("evaluate", "--input", data, "--method", "self_check_bool", "--seed", 5,
+                   "--out-dir", out, "--compare") == 0
+        with (out / "compare.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["prod", "geo", "min", "avg", "self_check_bool"]
+        with (out / "report.csv").open() as fh:
+            mean = {r["calibrator"]: r for r in csv.DictReader(fh) if r["fold"] == "mean"}
+        assert rows[-1] == {"method": "self_check_bool", "bs_i": mean["isotonic"]["bs"],
+                            "auc": mean["isotonic"]["auc"], "ece_p": mean["platt"]["ece_cal"],
+                            "ece_i": mean["isotonic"]["ece_cal"]}
+
     @pytest.mark.parametrize("minimum", [1, 0])
     def test_schema_level_needs_two_records_per_schema(self, tmp_path, capsys, minimum):
         data = tmp_path / "small.jsonl"

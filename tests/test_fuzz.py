@@ -15,6 +15,9 @@ the loaded records give.
 On the same values decoded as single lines, and on named boundary lines,
 `records._checked` must keep the rules of `oracles._checked`, the
 checked-line pass as it stood before its inline type tests.
+
+The same numbers and values given to the scalar scorers must score as
+`score_file` scores a line holding them, or fail with that line's error.
 """
 
 import json
@@ -27,8 +30,20 @@ from hypothesis import strategies as st
 import oracles
 from sqlcalib import records
 from sqlcalib.cli import main
-from sqlcalib.records import load_dataset
-from sqlcalib.scoring import SCORE_METHODS, score_dataset, write_scored
+from sqlcalib.records import Alternative, RecordError, load_dataset
+from sqlcalib.scoring import (
+    SCORE_METHODS,
+    pool_avg,
+    pool_geo,
+    pool_min,
+    pool_prod,
+    score_dataset,
+    score_file,
+    score_self_check_bool,
+    score_self_check_probs,
+    score_variant_alt,
+    write_scored,
+)
 
 FIELDS = ("id", "schema_id", "label", "question", "token_probs", "self_check_bool",
           "verbalized_prob", "alternatives", "method", "raw_score", "gold_sql",
@@ -214,3 +229,61 @@ def test_a_type_rule_comes_before_every_value_rule():
     obj = json.loads('{"id": "a", "schema_id": ["s"], "label": 1, "token_probs": [0.5, 1.5]}')
     assert checked_or_error(records._checked, obj) == (
         records.RecordError, "record 'a': field 'schema_id': must be a string or a number")
+
+
+def _alternatives_line(value):
+    """Alternatives given in code as a line holds them: each pair, such as an
+    `Alternative`, as its object."""
+    if not isinstance(value, list):
+        return value
+    return [{"score": e[0], "equivalent": e[1]} if isinstance(e, (list, tuple)) and len(e) == 2
+            else e for e in value]
+
+
+probs = st.floats(min_value=0, max_value=1)
+token_values = st.lists(probs, min_size=1, max_size=3) | SHAPED["token_probs"] | json_values
+# each scalar scorer by its method: the argument it draws (one of the right
+# shape with valid numbers, with boundary numbers, or anything), the scorer
+# on that argument and the fields of a line holding it, the argument's field last
+SCALAR_SCORERS = {
+    **{method: (token_values, pool, lambda v: {"token_probs": v})
+       for method, pool in (("prod", pool_prod), ("geo", pool_geo), ("min", pool_min),
+                            ("avg", pool_avg))},
+    "self_check_bool": (st.tuples(probs | numbers, probs | numbers),
+                        lambda v: score_self_check_bool(*v),
+                        lambda v: {"self_check_bool": {"p_true": v[0], "p_false": v[1]}}),
+    "self_check_probs": (probs | numbers | json_values, score_self_check_probs,
+                         lambda v: {"verbalized_prob": v}),
+    "variant_alt": (
+        st.lists(st.builds(Alternative, probs, st.booleans()), max_size=3)
+        | st.lists(st.builds(Alternative, numbers, json_values) | json_values, max_size=3)
+        | json_values,
+        lambda v: score_variant_alt(0.5, v),
+        lambda v: {"token_probs": [0.5], "alternatives": _alternatives_line(v)}),
+}
+
+
+@given(method=st.sampled_from(sorted(SCALAR_SCORERS)), data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scalar_scorers_score_or_fail_as_the_line_of_their_argument(tmp_path, method, data):
+    values, score, fields = SCALAR_SCORERS[method]
+    value = data.draw(st.none() | values if method != "self_check_bool" else values)
+    if value is None:  # a missing argument
+        with pytest.raises(RecordError) as err:
+            score(value)
+        assert str(err.value) == f"field {[*fields(0)][-1]!r}: missing required field"
+        return
+    obj = {"id": "a", "schema_id": "s", "label": 0, **fields(value)}
+    try:
+        records._checked(obj)
+    except RecordError as exc:
+        with pytest.raises(RecordError) as err:
+            score(value)
+        assert f"record 'a': {err.value}" == str(exc)
+        return
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    result = score(value)
+    assert type(result) is float
+    assert (result,) == score_file(path, (method,))[method].scored.raw_scores

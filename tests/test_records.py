@@ -322,6 +322,32 @@ def test_record_built_in_code_is_checked_as_the_line_it_writes(tmp_path, fields,
     assert str(loaded.value) == f"{path}:1: {built.value}"
 
 
+@pytest.mark.parametrize("fields, line", [
+    ({"token_probs": 0.5}, {"token_probs": 0.5}),
+    ({"token_probs": "ab"}, {"token_probs": "ab"}),
+    ({"alternatives": 0.5}, {"alternatives": 0.5}),
+    ({"self_check_bool": (0.1, 0.2, 0.3)}, {"self_check_bool": [0.1, 0.2, 0.3]}),
+    ({"alternatives": [(0.5,)]}, {"alternatives": [[0.5]]}),
+    ({"alternatives": [Alternative(0.5, False), "x"]},
+     {"alternatives": [{"score": 0.5, "equivalent": False}, "x"]}),
+], ids=["number-token-probs", "string-token-probs", "number-alternatives", "triple-self-check",
+        "single-alternative", "string-alternative"])
+def test_record_field_of_the_wrong_shape_raises_the_loaders_text(tmp_path, fields, line):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [json.dumps({"id": "a", "schema_id": "s", "label": 0, **line})])
+    with pytest.raises(RecordError) as loaded:
+        load_dataset(path)
+    with pytest.raises(RecordError) as built:
+        PredictionRecord(**{"id": "a", "schema_id": "s", "label": 0, **fields})
+    assert str(loaded.value) == f"{path}:1: {built.value}"
+
+
+def test_record_takes_a_self_check_object_as_a_line_holds_it():
+    record = PredictionRecord(id="a", schema_id="s", label=0,
+                              self_check_bool={"p_true": 0.75, "p_false": 1})
+    assert record.self_check_bool == (0.75, 1.0)
+
+
 def test_record_ids_given_in_code_are_strings(tmp_path):
     # a JSON number is read as its string, so a numeric id would not come back as given
     path = tmp_path / "data.jsonl"
@@ -342,8 +368,8 @@ def test_record_extra_cannot_hold_a_record_field():
 
 
 # Field values given in code: Python, numpy, bool, string, huge-int and NaN
-# ones, as scalars or inside the sequences of the sequence fields. Each value
-# is one the record rules accept 7 times in 8.
+# ones, as scalars, inside the sequences of the sequence fields or in place of
+# those sequences. Each value is one the record rules accept 7 times in 8.
 any_values = st.one_of(
     st.floats(), st.integers(-2, 2), st.sampled_from([1, -1]).map(lambda sign: sign * 10**400),
     st.booleans(),
@@ -362,11 +388,11 @@ code_records = st.fixed_dictionaries({
     "schema_id": mostly(st.text(max_size=3)),
     "label": mostly(st.sampled_from([0, 1])),
     "question": mostly(st.none() | st.text(max_size=3)),
-    "token_probs": st.none() | st.lists(mostly(numbers), max_size=3),
-    "self_check_bool": st.none() | st.tuples(mostly(numbers), mostly(numbers)),
+    "token_probs": mostly(st.none() | st.lists(mostly(numbers), max_size=3)),
+    "self_check_bool": mostly(st.none() | st.tuples(mostly(numbers), mostly(numbers))),
     "verbalized_prob": mostly(st.none() | numbers),
-    "alternatives": st.none() | st.lists(
-        st.builds(Alternative, mostly(numbers), mostly(st.booleans())), max_size=3).map(tuple),
+    "alternatives": mostly(st.none() | st.lists(
+        st.builds(Alternative, mostly(numbers), mostly(st.booleans())), max_size=3).map(tuple)),
     "extra": st.dictionaries(st.sampled_from(["tag", "note", "note", "note", "label"]),
                              st.integers(0, 1) | st.text(max_size=3), max_size=2),
 })

@@ -100,10 +100,22 @@ class TestSelfCheck:
         with pytest.raises(ValueError, match="probabilities must be finite"):
             score_self_check_bool(p_true, p_false)
 
-    def test_ints_past_the_float_range_are_compared_exactly(self):
-        assert score_self_check_bool(10**400, 1) == 1.0
-        with pytest.raises(RecordError, match=r"score 1\d+ outside \[0, 1\]$"):
-            score_variant_alt(0.5, [Alternative(10**400, False)])
+    def test_ints_past_the_float_range_fail_as_in_a_line(self):
+        # a float cannot hold 10**400, so a line holding it is rejected, not compared
+        from sqlcalib.records import _checked
+
+        for score, field, value in (
+            (lambda: score_self_check_bool(10**400, 1), "self_check_bool",
+             {"p_true": 10**400, "p_false": 1}),
+            (lambda: score_variant_alt(0.5, [Alternative(10**400, False)]), "alternatives",
+             [{"score": 10**400, "equivalent": False}]),
+        ):
+            with pytest.raises(RecordError) as line:
+                _checked({"id": "a", "schema_id": "s", "label": 0, field: value})
+            with pytest.raises(RecordError) as scored:
+                score()
+            assert str(scored.value) == f"field {field!r}: must be a number"
+            assert str(line.value) == f"record 'a': {scored.value}"
 
     @given(
         st.floats(min_value=0, max_value=1e6),
@@ -274,12 +286,12 @@ class TestScoreDataset:
         expected = {m: pooler(probs) for m, pooler in (
             ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
         dataset = Dataset(records=(record,))
-        check = scoring._check_objects
-        scoring._check_objects = None  # the record checked its token list when it was built
+        check = scoring._line_value
+        scoring._line_value = None  # the record checked its token list when it was built
         try:
             assert {m: score_dataset(dataset, m).scored.raw_scores[0] for m in expected} == expected
         finally:
-            scoring._check_objects = check
+            scoring._line_value = check
 
     def test_score_file_checks_each_line_once(self, tmp_path, monkeypatch):
         import sqlcalib.records as records
@@ -294,7 +306,7 @@ class TestScoreDataset:
         calls = []
         check = records._check_values
         monkeypatch.setattr(records, "_check_values", lambda *a: calls.append(a) or check(*a))
-        monkeypatch.setattr(scoring, "_check_objects", None)  # no check past `_checked`
+        monkeypatch.setattr(scoring, "_line_value", None)  # no check past `_checked`
         assert scoring.score_file(path, SCORE_METHODS) == expected
         assert len(calls) == 1
 
@@ -348,6 +360,39 @@ class TestScoredColumns:
             columns.labels = (0, 0)
         with pytest.raises(ValueError, match="unequal length"):
             ScoredColumns(["a"], ["s"], "prod", [0.5], [])
+
+    @pytest.mark.parametrize("row", [
+        {"label": 1.5}, {"label": True}, {"label": "1"}, {"label": 2}, {"raw_score": math.nan},
+        {"raw_score": -0.25}, {"raw_score": True}, {"raw_score": 10**400}, {"raw_score": "0.5"},
+        {"schema_id": ["s"]}, {"id": None},
+    ], ids=["label-float", "label-true", "label-string", "label-2", "nan", "negative", "raw-true",
+            "huge-int", "raw-string", "list-schema-id", "null-id"])
+    def test_rows_given_in_code_raise_the_text_load_scored_gives(self, tmp_path, row):
+        from sqlcalib.scoring import ScoredColumns, load_scored
+
+        good = {"id": "a", "schema_id": "s", "method": "prod", "raw_score": 0.5, "label": 1}
+        bad = {**good, "id": "b", **row}
+        path = tmp_path / "scored.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(RecordError) as loaded:
+            load_scored(path)
+        rows = [good, bad, {**good, "id": "c", "label": 5}]  # only the first bad row is named
+        with pytest.raises(RecordError) as built:
+            ScoredColumns(*(tuple(r[k] for r in rows) for k in ("id", "schema_id")), "prod",
+                          *(tuple(r[k] for r in rows) for k in ("raw_score", "label")))
+        assert str(loaded.value) == f"{path}:2: {built.value}"
+
+    def test_ids_given_in_code_are_strings_and_scores_numbers(self):
+        from sqlcalib.scoring import ScoredColumns
+
+        with pytest.raises(RecordError, match="^field 'id': must be a string$"):
+            ScoredColumns(["a", 5], ["s", "s"], "prod", [0.5, 0.5], [1, 0])
+        with pytest.raises(RecordError, match="^record 'b': field 'schema_id': must be a string$"):
+            ScoredColumns(["a", "b"], ["s", 6.0], "prod", [0.5, 0.5], [1, 0])
+        columns = ScoredColumns(["a", "b"], ["s", "s"], "variant_alt", [-1, np.float64(0.5)], [1, 0])
+        assert columns.raw_scores == (-1, 0.5)
+        with pytest.raises(RecordError, match=r"^record 'a': field 'raw_score': -1\.0 outside"):
+            ScoredColumns(["a"], ["s"], "prod", [-1], [1])
 
     @pytest.mark.parametrize("method", SCORE_METHODS)
     def test_writer_bytes_are_json_dumps_of_each_record(self, tmp_path, method):
