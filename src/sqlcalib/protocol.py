@@ -6,9 +6,10 @@ or `load_scored`. They order the rows with Python's `sorted` over row indices
 (by id, or by schema and id) and gather the score and label arrays once in
 that order.
 
-All randomness flows through numpy's PCG64 generator seeded from the config,
-so fold assignments, splits, and synthetic datasets reproduce across runs
-and platforms.
+All randomness is numpy's `Generator(PCG64(seed))` stream, computed in
+Python by `_pcg64` (a test pins it to numpy), seeded from the config: fold
+assignments, splits and synthetic datasets reproduce across runs, platforms
+and numpy releases, and nothing here loads numpy's random module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from ._segments import bounds_of, ordered_sum, segment_ids
 
 # The evaluator runs every split through the segment forms of the fitters,
@@ -119,16 +121,16 @@ class SchemaLevelReport:
 
 
 def _assign_folds(counts: Mapping[str, int], k: int, seed: int) -> dict[str, int]:
-    """Shuffle schemas with a seeded PCG64 stream, then deal them round-robin
-    in descending record-count order (the stable sort keeps the shuffled
-    order among equal counts, balancing fold sizes)."""
+    """Shuffle schemas with numpy's `Generator(PCG64(seed)).permutation`,
+    computed in Python, then deal them round-robin in descending
+    record-count order (the stable sort keeps the shuffled order among equal
+    counts, balancing fold sizes)."""
     schemas = sorted(counts)
     if len(schemas) < k:
         raise ValueError(
             f"need ≥ k schemas for schema-disjoint folds: k={k}, dataset has {len(schemas)}"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    shuffled = [schemas[i] for i in rng.permutation(len(schemas))]
+    shuffled = [schemas[i] for i in PCG64(seed).permutation(len(schemas))]
     ordered = sorted(shuffled, key=lambda s: -counts[s])
     return {s: i % k for i, s in enumerate(ordered)}
 
@@ -298,11 +300,11 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
     schemas = sorted(counts)
     sizes = [counts[schema_id] for schema_id in schemas]
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = PCG64(cfg.seed)
     kept: list[tuple[str, int, int]] = []  # (schema_id, n_tune, n_eval)
     skipped: list[tuple[str, str]] = []
-    tune: list[np.ndarray] = []
-    evaluation: list[np.ndarray] = []
+    tune: list[int] = []  # row indices, split by split
+    evaluation: list[int] = []
 
     for schema_id, start, n in zip(schemas, accumulate(sizes, initial=0), sizes):
         if n < cfg.min_schema_records:
@@ -316,16 +318,16 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
                                        f"need min_bin_count {cfg.min_bin_count}"))
             continue
         kept.append((schema_id, n_tune, n - n_tune))
-        tune.append(start + perm[:n_tune])
-        evaluation.append(start + np.sort(perm[n_tune:]))
+        tune.extend(start + i for i in perm[:n_tune])
+        evaluation.extend(start + i for i in sorted(perm[n_tune:]))
 
     if not kept:
         schema_id, reason = skipped[0]
         raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
                          f"first {schema_id}: {reason}")
     _, n_tunes, n_evals = zip(*kept)
-    reports, pooled = _evaluate_splits(raw, labels, np.concatenate(tune), bounds_of(n_tunes),
-                                       np.concatenate(evaluation), bounds_of(n_evals), cfg)
+    reports, pooled = _evaluate_splits(raw, labels, np.array(tune), bounds_of(n_tunes),
+                                       np.array(evaluation), bounds_of(n_evals), cfg)
     rows = tuple(
         SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=n_eval, metrics=report)
         for (schema_id, n_tune, n_eval), report in zip(kept, reports)
@@ -362,10 +364,10 @@ def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) ->
         raise ValueError(f"need n_schemas >= 1, got {n_schemas}")
     if true_map not in TRUE_MAPS:
         raise ValueError(f"unknown true map {true_map!r}: expected one of {sorted(TRUE_MAPS)}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
     r = np.maximum(rng.random(n), 1e-12)
     p = np.clip(TRUE_MAPS[true_map](r), 0.0, 1.0)
-    labels = (rng.random(n) < p).astype(int)
+    labels = (np.array(rng.random(n)) < p).astype(int)
     return Dataset(records=tuple(
         PredictionRecord(
             id=f"syn-{i:06d}",

@@ -84,6 +84,9 @@ class PredictionRecord:
 
     def __post_init__(self) -> None:
         _string_ids(self.id, self.schema_id)
+        # a line's keys are strings: {1: "x"} would be read back as {"1": "x"}
+        if not isinstance(self.extra, Mapping) or not all(isinstance(k, str) for k in self.extra):
+            raise RecordError(self.id, "extra", "must be a mapping with string keys")
         for name in sorted(self.extra.keys() & _KNOWN_FIELDS):  # it would overwrite the field
             raise RecordError(self.id, name, "is a record field, not an extra one")
         *_, token_probs, self_check, verbalized, alternatives = _checked(_record_to_obj(self))
@@ -337,8 +340,9 @@ def _line_value(name: str, value: Any) -> Any:
     """A value given in code for the field `name` in the shape a line holds
     it: a sequence of token probabilities or of alternatives as a list, a
     self-check pair or an alternative pair (`name` "alternative") as its
-    object. Any other value is left for `_fields` to name with its own text."""
-    if not isinstance(value, (list, tuple)) and (
+    object. Any other value, a 0-d array among them, is left for `_fields`
+    to name with its own text."""
+    if getattr(value, "ndim", None) == 0 or not isinstance(value, (list, tuple)) and (
             isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)):
         return value
     if name in _PAIR_KEYS:

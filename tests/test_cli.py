@@ -66,6 +66,25 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert json.loads((tmp_path / "labeled.jsonl").read_text())["label"] == 1
 
+    def test_evaluate_and_simulate_never_import_numpy_random(self, synthetic, tmp_path):
+        out = str(tmp_path / "out")
+        script = (
+            "import sys\n"
+            "from sqlcalib.cli import main\n"
+            f"assert main(['evaluate', '--input', {str(synthetic)!r}, '--binning', 'uniform',"
+            f" '--k', '5', '--seed', '1', '--out-dir', {out!r}]) == 0\n"
+            f"assert main(['evaluate', '--input', {str(synthetic)!r}, '--scope', 'schema_level',"
+            f" '--binning', 'monotonic', '--seed', '1', '--out-dir', {out!r}]) == 0\n"
+            f"assert main(['simulate', '--n', '50', '--seed', '2',"
+            f" '--out', {str(tmp_path / 'sim.jsonl')!r}]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(sqlcalib.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True False"
+
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
     def test_evaluate_runs_on_one_thread(self, synthetic, tmp_path):
         script = (
@@ -422,6 +441,14 @@ class TestEvaluate:
         data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         assert run("evaluate", "--input", data, "--seed", 1, "--out-dir", tmp_path / "o") == 1
         assert "need ≥ k schemas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scope", ["schema_disjoint", "schema_level"])
+    def test_negative_seed_exits_1(self, synthetic, tmp_path, capsys, scope):
+        out_dir = tmp_path / "never"
+        assert run("evaluate", "--input", synthetic, "--scope", scope, "--seed", -1,
+                   "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert not out_dir.exists()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         data = tmp_path / "one.jsonl"

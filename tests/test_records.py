@@ -367,6 +367,27 @@ def test_record_extra_cannot_hold_a_record_field():
         PredictionRecord(id="a", schema_id="s", label=0, extra={"tag": "x", "label": 1})
 
 
+@pytest.mark.parametrize("extra", [{1: "x"}, {1: "x", "a": 2}, 5, "ab", [("a", 1)]],
+                         ids=["int-key", "mixed-keys", "int", "string", "pairs"])
+def test_record_extra_is_a_mapping_with_string_keys(extra):
+    # {1: "x"} would be written as "1" and read back as another record
+    with pytest.raises(RecordError, match="^record 'a': field 'extra': must be a mapping with "
+                                          "string keys$"):
+        PredictionRecord(id="a", schema_id="s", label=0, extra=extra)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("token_probs", "must be a list of numbers"),
+    ("self_check_bool", "must be an object with p_true and p_false"),
+    ("verbalized_prob", "must be a number"),
+    ("alternatives", "must be a list of {score, equivalent}"),
+])
+def test_record_takes_a_0d_array_as_a_scalar(name, message):
+    with pytest.raises(RecordError) as err:
+        PredictionRecord(id="a", schema_id="s", label=0, **{name: np.array(0.5)})
+    assert str(err.value) == f"record 'a': field {name!r}: {message}"
+
+
 # Field values given in code: Python, numpy, bool, string, huge-int and NaN
 # ones, as scalars, inside the sequences of the sequence fields or in place of
 # those sequences. Each value is one the record rules accept 7 times in 8.
@@ -393,7 +414,7 @@ code_records = st.fixed_dictionaries({
     "verbalized_prob": mostly(st.none() | numbers),
     "alternatives": mostly(st.none() | st.lists(
         st.builds(Alternative, mostly(numbers), mostly(st.booleans())), max_size=3).map(tuple)),
-    "extra": st.dictionaries(st.sampled_from(["tag", "note", "note", "note", "label"]),
+    "extra": st.dictionaries(st.sampled_from(["tag", "note", "note", "note", "label", 1]),
                              st.integers(0, 1) | st.text(max_size=3), max_size=2),
 })
 

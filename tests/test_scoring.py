@@ -220,6 +220,17 @@ def test_scalar_scorers_take_numbers_not_bools(score, field):
     assert str(err.value) == f"field {field!r}: must be a number"
 
 
+@pytest.mark.parametrize("score, field, message", [
+    (lambda: pool_prod(np.array(0.5)), "token_probs", "must be a list of numbers"),
+    (lambda: score_self_check_bool(np.array(3.0), 1), "self_check_bool", "must be a number"),
+    (lambda: score_self_check_probs(np.array(0.5)), "verbalized_prob", "must be a number"),
+], ids=["prod", "self-check-bool", "verbalized"])
+def test_scalar_scorers_take_a_0d_array_as_a_scalar(score, field, message):
+    with pytest.raises(RecordError) as err:
+        score()
+    assert str(err.value) == f"field {field!r}: {message}"
+
+
 def test_scalar_scorers_take_numpy_numbers():
     assert pool_prod(np.array([0.5, 0.5])) == 0.25
     assert pool_min([np.float32(0.5), 1]) == 0.5
