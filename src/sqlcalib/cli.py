@@ -6,8 +6,9 @@ deterministic for identical flags and inputs; no file is written until the
 inputs have validated fully.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
-with them numpy), inside the command. validate, score and evaluate read
-their input in one pass through `records._checked` that keeps no record.
+with them numpy), inside the command. No command builds a record: validate,
+score, evaluate and label check each input line once by `records._checked`,
+and label and simulate write their lines by `records._write_lines`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 from typing import Any
@@ -32,20 +32,19 @@ from .execmatch import (
     label_record,
 )
 from .records import (
-    Dataset,
+    _KNOWN_FIELDS,
     DatasetError,
-    PredictionRecord,
     RecordError,
     _checked,
     _read_records,
-    _record_from_obj,
     _require,
-    write_dataset,
+    _values_to_obj,
+    _write_lines,
 )
 from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_file, write_scored
 
 # Not called here; the per-layer tracer of perfbench/ still wraps them at these names.
-from .records import load_dataset  # noqa: F401
+from .records import load_dataset, write_dataset  # noqa: F401
 from .scoring import score_dataset  # noqa: F401
 
 # sorted(protocol.TRUE_MAPS), spelled out so that building the parser loads no numpy
@@ -204,37 +203,40 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-# Pair-file fields that drive labeling and are not carried over to the record.
+# Pair-file fields that drive labeling and are not carried over to the line.
 _PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
 
 
-def _pair_from_obj(obj: Any) -> PredictionRecord:
-    """A pair as a record validated by the same rules as `load_dataset`. The
-    label is a placeholder until the SQL has run; the pair-only fields ride in
-    `extra` until then."""
+def _pair_from_obj(obj: Any) -> tuple[dict[str, Any], str, str, str | None]:
+    """A pair as the line `label` writes, checked once by the rules of
+    `load_dataset` with a placeholder label until the SQL has run, and its
+    pair-only fields: gold SQL, predicted SQL and db_path (None when absent)."""
     rid = _require(obj, "schema_id", "gold_sql", "pred_sql")
     for key in _PAIR_ONLY_FIELDS:
         if key in obj and not isinstance(obj[key], str):
             raise RecordError(rid, key, "must be a string")
-    return _record_from_obj({**obj, "label": 0})
+    rid, schema_id, label, *values = _checked({**obj, "label": 0})
+    extra = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS and k not in _PAIR_ONLY_FIELDS}
+    line = _values_to_obj(rid, schema_id, label, obj.get("question"), *values, extra)
+    return line, obj["gold_sql"], obj["pred_sql"], obj.get("db_path")
 
 
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     db_root = Path(args.db_root)
     pairs = _read_records(Path(args.pairs), _pair_from_obj)
+    lines = [line for line, *_ in pairs]
     db_paths = [
-        db_root / pair.extra["db_path"]  # an absolute db_path replaces db_root
-        if "db_path" in pair.extra
-        else db_root / pair.schema_id / f"{pair.schema_id}.sqlite"
-        for pair in pairs
+        db_root / db_path  # an absolute db_path replaces db_root
+        if db_path is not None
+        else db_root / line["schema_id"] / f"{line['schema_id']}.sqlite"
+        for line, _, _, db_path in pairs
     ]
-    missing = [f"{pair.id!r}: {path}" for pair, path in zip(pairs, db_paths) if not path.is_file()]
+    missing = [f"{line['id']!r}: {path}" for line, path in zip(lines, db_paths) if not path.is_file()]
     if missing:
         raise DatasetError(f"{args.pairs}: database file not found: " + "; ".join(missing))
     # Pairs grouped by database, then by gold query, each group in file order:
     # one connection is open at a time, and gold runs once per group.
-    order = sorted(range(len(pairs)), key=lambda i: (str(db_paths[i]), pairs[i].extra["gold_sql"]))
-    labels = [0] * len(pairs)
+    order = sorted(range(len(pairs)), key=lambda i: (str(db_paths[i]), pairs[i][1]))
     gold_failures = []
     outcomes: Counter = Counter()
     gold_runs = 0
@@ -243,32 +245,26 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         try:
             gold = None
             for i in group:
-                pair = pairs[i]
-                gold_sql = pair.extra["gold_sql"]
+                line, gold_sql, pred_sql, _ = pairs[i]
                 if gold is None or gold.sql != gold_sql or not gold.shared:
                     gold = None  # the last result is freed before gold runs again
                     gold = Gold(gold_sql, executor)
                     gold_runs += 1
                 try:
-                    labels[i] = label_record(
-                        gold_sql, pair.extra["pred_sql"], executor,
+                    line["label"] = label_record(
+                        gold_sql, pred_sql, executor,
                         strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
                     )
                 except GoldExecutionError as exc:
-                    gold_failures.append((i, f"{pair.id!r}: {exc.__cause__}"))
+                    gold_failures.append((i, f"{line['id']!r}: {exc.__cause__}"))
         finally:
             executor.close()  # after its database's last pair
     if gold_failures:
         raise DatasetError(f"{args.pairs}: gold query failed: "
                            + "; ".join(message for _, message in sorted(gold_failures)))
-    records = [
-        replace(pair, label=label,
-                extra={k: v for k, v in pair.extra.items() if k not in _PAIR_ONLY_FIELDS})
-        for pair, label in zip(pairs, labels)
-    ]
-    write_dataset(Dataset(records=tuple(records)), args.out)
-    n_correct = sum(labels)
-    print(f"labeled {len(records)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
+    _write_lines(lines, args.out)
+    n_correct = sum(line["label"] for line in lines)
+    print(f"labeled {len(lines)} records ({n_correct} correct) -> {args.out}", file=sys.stderr)
     print(f"gold executions: {gold_runs} for {len(pairs)} pairs; "
           f"{outcomes[_IDENTICAL]} predictions identical to gold not run", file=sys.stderr)
     print("outcomes: " + ", ".join(f"{name} {outcomes[name]}" for name in _OUTCOMES), file=sys.stderr)
@@ -276,10 +272,9 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .protocol import generate_synthetic
+    from .protocol import _synthetic_lines
 
-    dataset = generate_synthetic(args.n, args.map, args.seed, n_schemas=args.schemas)
-    write_dataset(dataset, args.out)
+    _write_lines(_synthetic_lines(args.n, args.map, args.seed, args.schemas), args.out)
     print(f"wrote {args.n} synthetic records -> {args.out}", file=sys.stderr)
     return 0
 

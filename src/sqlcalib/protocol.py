@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .metrics import (  # noqa: F401
     _summarize_segments,
     summarize,
 )
-from .records import Dataset, PredictionRecord
+from .records import Dataset, _record_from_obj
 from .scoring import ScoredColumns
 
 
@@ -350,14 +350,8 @@ TRUE_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) -> Dataset:
-    """Synthetic dataset for oracle tests.
-
-    Raw scores are uniform on (0, 1), dealt round-robin over synthetic
-    schema ids; labels are Bernoulli draws at TRUE_MAPS[true_map](score); each record
-    carries a single token probability equal to its score, so prod pooling
-    reproduces the score exactly.
-    """
+def _synthetic_lines(n: int, true_map: str, seed: int, n_schemas: int) -> Iterator[dict]:
+    """The lines of `generate_synthetic`, one at a time."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n_schemas < 1:
@@ -368,12 +362,17 @@ def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) ->
     r = np.maximum(rng.random(n), 1e-12)
     p = np.clip(TRUE_MAPS[true_map](r), 0.0, 1.0)
     labels = (np.array(rng.random(n)) < p).astype(int)
-    return Dataset(records=tuple(
-        PredictionRecord(
-            id=f"syn-{i:06d}",
-            schema_id=f"schema-{i % n_schemas:02d}",
-            label=int(labels[i]),
-            token_probs=(float(r[i]),),
-        )
-        for i in range(n)
-    ))
+    for i, (score, label) in enumerate(zip(r.tolist(), labels.tolist())):
+        yield {"id": f"syn-{i:06d}", "schema_id": f"schema-{i % n_schemas:02d}", "label": label,
+               "token_probs": [score]}
+
+
+def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) -> Dataset:
+    """Synthetic dataset for oracle tests.
+
+    Raw scores are uniform on (0, 1), dealt round-robin over synthetic
+    schema ids; labels are Bernoulli draws at TRUE_MAPS[true_map](score); each record
+    carries a single token probability equal to its score, so prod pooling
+    reproduces the score exactly.
+    """
+    return Dataset(tuple(map(_record_from_obj, _synthetic_lines(n, true_map, seed, n_schemas))))

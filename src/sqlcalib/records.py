@@ -104,13 +104,14 @@ class Dataset:
     records: tuple[PredictionRecord, ...]
 
 
-# Fields the parser understands; everything else lands in `extra`.
+# Fields the parser understands, in the order of the record and of its line;
+# everything else lands in `extra`.
 _KNOWN_FIELDS = (
     "id",
     "schema_id",
+    "label",
     "question",
     "token_probs",
-    "label",
     "self_check_bool",
     "verbalized_prob",
     "alternatives",
@@ -353,23 +354,34 @@ def _line_value(name: str, value: Any) -> Any:
     return list(value) if name == "token_probs" else value
 
 
-def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
-    obj: dict[str, Any] = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
-    for name in ("question", "token_probs", "self_check_bool", "verbalized_prob", "alternatives"):
-        value = getattr(r, name)
+def _values_to_obj(rid: str, schema_id: str, label: int, question: str | None, token_probs: Any,
+                   self_check: Any, verbalized: Any, alternatives: Any,
+                   extra: Mapping[str, Any]) -> dict[str, Any]:
+    """The line of a record's values: the fields in their order, each absent
+    one left out and each present one in the shape `_line_value` gives, then
+    `extra` by key."""
+    obj: dict[str, Any] = {"id": rid, "schema_id": schema_id, "label": label}
+    values = question, token_probs, self_check, verbalized, alternatives
+    for name, value in zip(_KNOWN_FIELDS[3:], values):
         if value is not None:
             obj[name] = _line_value(name, value)
-    for k in sorted(r.extra):
-        obj[k] = r.extra[k]
+    for k in sorted(extra):
+        obj[k] = extra[k]
     return obj
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a Dataset back to the line-delimited format.
+def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
+    return _values_to_obj(*(getattr(r, name) for name in _KNOWN_FIELDS), r.extra)
 
-    load_dataset(write_dataset(d)) reproduces semantically identical records.
-    Every line is serialized before the file is opened, so a record that
-    cannot be written leaves an existing file as it was.
-    """
-    text = "".join([json.dumps(_record_to_obj(r)) + "\n" for r in dataset.records])
-    Path(path).write_text(text, encoding="utf-8")
+
+def _write_lines(objs: Iterable[Any], path: str | Path) -> None:
+    """Write line objects to a line-delimited file. Every line is serialized
+    before the file is opened, so a line that cannot be written leaves an
+    existing file as it was."""
+    Path(path).write_text("".join([json.dumps(obj) + "\n" for obj in objs]), encoding="utf-8")
+
+
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Serialize a Dataset back to the line-delimited format, by `_write_lines`.
+    load_dataset(write_dataset(d)) reproduces semantically identical records."""
+    _write_lines(map(_record_to_obj, dataset.records), path)

@@ -9,7 +9,9 @@ fold assignment, the column helper and the aggregation over folds, which
 run once per scope and not per split. The record rules at
 the end are the checked-line pass as it stood before its inline type
 tests; they take from `records` only the error class and the id, label and
-number helpers.
+number helpers. The labeled line after them is `label`'s record round trip
+as it stood before `label` wrote lines from checked values, with that
+day's serializer; it takes the record and its reader from `records`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -33,7 +36,14 @@ from sqlcalib.protocol import (
     _assign_folds,
     _columns,
 )
-from sqlcalib.records import RecordError, _ident, _is_real, _label, _require
+from sqlcalib.records import (
+    RecordError,
+    _ident,
+    _is_real,
+    _label,
+    _record_from_obj,
+    _require,
+)
 
 
 def _tie_groups(sorted_values) -> list[tuple[int, int]]:
@@ -562,3 +572,37 @@ def _checked(obj: Any) -> tuple:
     _check_values(fields[0], *fields[3:])
     return fields
 
+
+# ---------------------------------------------------------------------------
+# The line `label` writes for a pair
+#
+# The pair read as a record with a placeholder label, relabeled by
+# `dataclasses.replace` without the pair-only fields, and serialized as
+# `records._record_to_obj` serialized a record before it wrote lines from
+# values: `label`'s path while it built a record per pair. Its line for a
+# valid pair line must be the one `label` writes now.
+
+PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
+
+
+def _record_line(r) -> dict:
+    obj = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
+    shapes = {
+        "question": lambda q: q,
+        "token_probs": list,
+        "self_check_bool": lambda pair: {"p_true": pair[0], "p_false": pair[1]},
+        "verbalized_prob": lambda v: v,
+        "alternatives": lambda alts: [{"score": a.score, "equivalent": a.equivalent} for a in alts],
+    }
+    for name, shape in shapes.items():
+        if getattr(r, name) is not None:
+            obj[name] = shape(getattr(r, name))
+    for k in sorted(r.extra):
+        obj[k] = r.extra[k]
+    return obj
+
+
+def reference_labeled_line(obj: dict, label: int) -> dict:
+    record = _record_from_obj({**obj, "label": 0})
+    extra = {k: v for k, v in record.extra.items() if k not in PAIR_ONLY_FIELDS}
+    return _record_line(replace(record, label=label, extra=extra))

@@ -126,6 +126,18 @@ class TestSimulateValidate:
         ds = load_dataset(synthetic)
         assert len(ds.records) == 400
 
+    @pytest.mark.parametrize("schemas", [1, 7, 120])
+    @pytest.mark.parametrize("true_map", sorted(protocol.TRUE_MAPS))
+    def test_simulate_writes_the_library_dataset(self, tmp_path, true_map, schemas):
+        for seed, n in [(0, 3000), (123456789, 257)]:
+            out, written = tmp_path / f"simulated{seed}.jsonl", tmp_path / f"written{seed}.jsonl"
+            assert run("simulate", "--n", n, "--map", true_map, "--seed", seed,
+                       "--schemas", schemas, "--out", out) == 0
+            dataset = protocol.generate_synthetic(n, true_map, seed, n_schemas=schemas)
+            assert load_dataset(out).records == dataset.records
+            write_dataset(dataset, written)
+            assert written.read_bytes() == out.read_bytes()
+
     def test_validate_prints_summary(self, synthetic, capsys):
         assert run("validate", "--input", synthetic) == 0
         out = capsys.readouterr().out
@@ -735,21 +747,38 @@ def full_records(path, n, n_tokens=None, seed=0):
 class TestScoreFromTheLine:
     def test_score_and_evaluate_build_no_record(self, tmp_path, monkeypatch):
         data = full_records(tmp_path / "data.jsonl", 300)
+        # label's pairs: the first 40 records with every field, half of them matching
+        db_root = tmp_path / "dbs"
+        (db_root / "s").mkdir(parents=True)
+        conn = sqlite3.connect(db_root / "s" / "s.sqlite")
+        conn.executescript("CREATE TABLE t (v INTEGER); INSERT INTO t VALUES (1), (2);")
+        conn.commit()
+        conn.close()
+        pairs = tmp_path / "pairs.jsonl"
+        with pairs.open("w", encoding="utf-8") as fh:
+            for i, line in enumerate(data.read_text(encoding="utf-8").splitlines()[:40]):
+                fh.write(json.dumps({**json.loads(line), "schema_id": "s",
+                                     "gold_sql": "SELECT v FROM t",
+                                     "pred_sql": f"SELECT v FROM t WHERE v > {i % 2}"}) + "\n")
         runs = {
-            "prod": ["score", "--method", "prod", "--out", "{out}/scored.jsonl"],
-            "variant_alt": ["score", "--method", "variant_alt", "--out", "{out}/scored.jsonl"],
-            "compare": ["evaluate", "--method", "self_check_bool", "--compare", "--seed", 1,
-                        "--out-dir", "{out}"],
-            "schema_level": ["evaluate", "--scope", "schema_level", "--binning", "monotonic",
-                             "--seed", 1, "--out-dir", "{out}"],
+            "prod": ["score", "--input", data, "--method", "prod", "--out", "{out}/scored.jsonl"],
+            "variant_alt": ["score", "--input", data, "--method", "variant_alt",
+                            "--out", "{out}/scored.jsonl"],
+            "compare": ["evaluate", "--input", data, "--method", "self_check_bool", "--compare",
+                        "--seed", 1, "--out-dir", "{out}"],
+            "schema_level": ["evaluate", "--input", data, "--scope", "schema_level",
+                             "--binning", "monotonic", "--seed", 1, "--out-dir", "{out}"],
+            "label": ["label", "--pairs", pairs, "--db-root", db_root,
+                      "--out", "{out}/labeled.jsonl"],
+            "simulate": ["simulate", "--n", 500, "--map", "logistic", "--seed", 7,
+                         "--schemas", 7, "--out", "{out}/data.jsonl"],
         }
 
         def outputs(tag):
             for name, argv in runs.items():
                 out = tmp_path / tag / name
                 out.mkdir(parents=True)
-                assert run(argv[0], "--input", data,
-                           *(str(a).format(out=out) for a in argv[1:])) == 0
+                assert run(*(str(a).format(out=out) for a in argv)) == 0
             return {str(f.relative_to(tmp_path / tag)): f.read_bytes()
                     for f in sorted((tmp_path / tag).rglob("*")) if f.is_file()}
 
@@ -763,7 +792,9 @@ class TestScoreFromTheLine:
             load_dataset(data)
         assert outputs("patched") == plain
         assert run("validate", "--input", data) == 0
-        assert len(plain) == 2 + 4 + 2
+        assert len(plain) == 2 + 4 + 2 + 1 + 1
+        labeled = [json.loads(line) for line in plain["label/labeled.jsonl"].splitlines()]
+        assert [line["label"] for line in labeled] == [1, 0] * 20
 
     @pytest.mark.parametrize("methods", [("prod",), SCORE_METHODS])
     def test_one_pass_scores_every_method_as_score_dataset(self, tmp_path, methods):

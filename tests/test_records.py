@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from sqlcalib import records
 from sqlcalib.records import (
     Alternative,
     Dataset,
@@ -462,7 +464,71 @@ def _pair_ids(path):
     from sqlcalib.cli import _pair_from_obj
     from sqlcalib.records import _read_records
 
-    return [pair.id for pair in _read_records(path, _pair_from_obj)]
+    return [line["id"] for line, *_ in _read_records(path, _pair_from_obj)]
+
+
+# Reading a pair checks its line once and gives the line `label` wrote when it
+# relabeled a record built from the pair (`oracles.reference_labeled_line`).
+ids = st.text(max_size=3) | st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)
+probability = st.floats(0.001, 1) | st.just(1)
+unit = st.floats(0, 1) | st.sampled_from([0, 1])
+other_keys = st.text(max_size=4).filter(
+    lambda k: k not in (*oracles.PAIR_ONLY_FIELDS, *records._KNOWN_FIELDS))
+other_values = st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.lists(
+    st.integers(), max_size=2)
+pair_fields = st.fixed_dictionaries(
+    {"id": ids, "schema_id": ids, "gold_sql": st.just("SELECT 1"), "pred_sql": st.text(max_size=8)},
+    optional={
+        "label": st.sampled_from([0, 1, "yes", None]),
+        "db_path": st.text(max_size=4),
+        "question": st.none() | st.text(max_size=4),
+        "token_probs": st.lists(probability, min_size=1, max_size=4),
+        "self_check_bool": st.fixed_dictionaries(
+            {"p_true": unit, "p_false": st.floats(0.01, 1) | st.just(1)},
+            optional={"note": other_values}),
+        "verbalized_prob": unit,
+        "alternatives": st.lists(st.fixed_dictionaries(
+            {"score": unit, "equivalent": st.booleans()}, optional={"sql": other_values}),
+            max_size=3),
+    },
+)
+pair_lines = st.builds(
+    lambda fields, others: [*fields.items(), *others.items()],
+    pair_fields, st.dictionaries(other_keys, other_values, max_size=3),
+).flatmap(st.permutations).map(lambda items: json.dumps(dict(items)))
+
+
+@given(line=pair_lines, label=st.sampled_from([0, 1]))
+@settings(max_examples=300)
+def test_pair_line_is_the_line_of_the_relabeled_record(line, label):
+    from sqlcalib.cli import _pair_from_obj
+
+    obj = json.loads(line)
+    labeled, gold_sql, pred_sql, db_path = _pair_from_obj(obj)
+    labeled["label"] = label
+    reference = oracles.reference_labeled_line(obj, label)
+    assert json.dumps(labeled) == json.dumps(reference)
+    assert (gold_sql, pred_sql, db_path) == (obj["gold_sql"], obj["pred_sql"], obj.get("db_path"))
+
+
+def test_reading_a_pair_checks_its_line_once(tmp_path, monkeypatch):
+    from sqlcalib.cli import _pair_from_obj
+    from sqlcalib.records import _read_records
+
+    calls = []
+    fields = records._fields
+    monkeypatch.setattr(records, "_fields", lambda obj: calls.append(obj["id"]) or fields(obj))
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps({
+        "id": 7, "schema_id": "s", "gold_sql": "SELECT 1", "pred_sql": "SELECT 1", "question": None,
+        "token_probs": [1, 0.5], "self_check_bool": {"p_true": 1, "p_false": 0.5, "note": "é"},
+        "verbalized_prob": 0, "alternatives": [{"score": 1, "equivalent": True, "sql": "x"}],
+        "zeta": 1, "alpha": "ü",
+    }) + "\n", encoding="utf-8")
+    ((line, *_),) = _read_records(path, _pair_from_obj)
+    assert calls == [7]
+    assert list(line) == ["id", "schema_id", "label", "token_probs", "self_check_bool",
+                          "verbalized_prob", "alternatives", "alpha", "zeta"]
 
 
 def _scored_ids(path):
