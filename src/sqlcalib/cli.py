@@ -6,14 +6,16 @@ deterministic for identical flags and inputs; no file is written until the
 inputs have validated fully.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
-with them numpy), inside the command. No command builds a record: validate,
-score, evaluate and label check each input line once by `records._checked`,
-and label and simulate write their lines by `records._write_lines`.
+with them numpy), and only label imports `execmatch` (and with it sqlite3),
+inside the command. No command builds a record: validate, score, evaluate
+and label check each input line once by `records._checked`, and label and
+simulate write their lines by `records._write_lines`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections import Counter
@@ -21,16 +23,6 @@ from itertools import groupby
 from pathlib import Path
 from typing import Any
 
-from .execmatch import (
-    _IDENTICAL,
-    _OUTCOMES,
-    _check_timeout,
-    ExecutionError,
-    Gold,
-    GoldExecutionError,
-    SQLiteExecutor,
-    label_record,
-)
 from .records import (
     _KNOWN_FIELDS,
     DatasetError,
@@ -51,14 +43,19 @@ from .scoring import score_dataset  # noqa: F401
 _SIMULATE_MAPS = ("half", "identity", "logistic", "one")
 
 
-def __getattr__(name: str) -> Any:
-    """`cross_validate` and `schema_level_evaluate`, imported from `protocol`
-    on first access. `cmd_evaluate` looks them up on this module, so a caller
-    that replaced them here (a tracer, say) has its replacement run."""
-    if name in ("cross_validate", "schema_level_evaluate"):
-        from . import protocol
+# name -> the module `__getattr__` imports it from
+_LAZY = {"cross_validate": "protocol", "schema_level_evaluate": "protocol",
+         "SQLiteExecutor": "execmatch", "label_record": "execmatch"}
 
-        return getattr(protocol, name)
+
+def __getattr__(name: str) -> Any:
+    """The evaluators and `label`'s executor and labeler, imported from their
+    module (`_LAZY`) on first access, so that importing this module loads
+    neither `protocol` (numpy) nor `execmatch` (sqlite3). `cmd_evaluate` and
+    `cmd_label` look them up on this module, so a caller that replaced them
+    here (a tracer or a test, say) has its replacement run."""
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -74,6 +71,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _timeout(text: str) -> float:
     """A positive finite number of seconds, by `execmatch`'s rule."""
+    from .execmatch import _check_timeout
+
     try:
         return _check_timeout(float(text))
     except ValueError:
@@ -222,6 +221,9 @@ def _pair_from_obj(obj: Any) -> tuple[dict[str, Any], str, str, str | None]:
 
 
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .execmatch import _IDENTICAL, _OUTCOMES, ExecutionError, Gold, GoldExecutionError
+
+    cli = sys.modules[__name__]  # see __getattr__
     db_root = Path(args.db_root)
     pairs = _read_records(Path(args.pairs), _pair_from_obj)
     lines = [line for line, *_ in pairs]
@@ -240,25 +242,29 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     gold_failures = []
     outcomes: Counter = Counter()
     gold_runs = 0
-    for db_path, group in groupby(order, key=db_paths.__getitem__):
-        executor = SQLiteExecutor(db_path, timeout_s=args.timeout)
-        try:
-            gold = None
-            for i in group:
-                line, gold_sql, pred_sql, _ = pairs[i]
-                if gold is None or gold.sql != gold_sql or not gold.shared:
-                    gold = None  # the last result is freed before gold runs again
-                    gold = Gold(gold_sql, executor)
-                    gold_runs += 1
-                try:
-                    line["label"] = label_record(
-                        gold_sql, pred_sql, executor,
-                        strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
-                    )
-                except GoldExecutionError as exc:
-                    gold_failures.append((i, f"{line['id']!r}: {exc.__cause__}"))
-        finally:
-            executor.close()  # after its database's last pair
+    try:  # main does not import execmatch, and so cannot catch its errors
+        for db_path, group in groupby(order, key=db_paths.__getitem__):
+            executor = cli.SQLiteExecutor(db_path, timeout_s=args.timeout)
+            try:
+                gold = None
+                for i in group:
+                    line, gold_sql, pred_sql, _ = pairs[i]
+                    if gold is None or gold.sql != gold_sql or not gold.shared:
+                        gold = None  # the last result is freed before gold runs again
+                        gold = Gold(gold_sql, executor)
+                        gold_runs += 1
+                    try:
+                        line["label"] = cli.label_record(
+                            gold_sql, pred_sql, executor,
+                            strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
+                        )
+                    except GoldExecutionError as exc:
+                        gold_failures.append((i, f"{line['id']!r}: {exc.__cause__}"))
+            finally:
+                executor.close()  # after its database's last pair
+    except ExecutionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if gold_failures:
         raise DatasetError(f"{args.pairs}: gold query failed: "
                            + "; ".join(message for _, message in sorted(gold_failures)))
@@ -363,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ExecutionError, ValueError, OSError) as exc:  # every data error is a ValueError
+    except (ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

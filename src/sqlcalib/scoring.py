@@ -227,10 +227,11 @@ def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringRes
     pass that builds no record: each line is checked by `load_dataset`'s
     rules and reduced at once to its id, schema id, label and scores."""
     _check_methods(methods)
+    schemas: dict[str, str] = {}  # one str per schema id, shared by its rows
 
     def parse(obj: Any) -> tuple:
         rid, schema_id, label, *values = _checked(obj)
-        return rid, schema_id, label, *_scores(*values, methods)
+        return rid, schemas.setdefault(schema_id, schema_id), label, *_scores(*values, methods)
 
     ids, schema_ids, labels, *scores = zip(*_read_records(Path(path), parse))
     return {method: _result(method, ids, schema_ids, labels, column)
@@ -267,7 +268,13 @@ def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
     `load_dataset`: errors name the file line, record and field; ids are
     unique, and every record carries the same method."""
-    ids, schema_ids, methods, raw_scores, labels = zip(*_read_records(Path(path), _scored_from_obj))
+    schemas: dict[str, str] = {}  # one str per schema id, shared by its rows
+
+    def parse(obj: Any) -> tuple[str, str, str, float, int]:
+        rid, schema_id, *rest = _scored_from_obj(obj)
+        return rid, schemas.setdefault(schema_id, schema_id), *rest
+
+    ids, schema_ids, methods, raw_scores, labels = zip(*_read_records(Path(path), parse))
     if len(set(methods)) > 1:
         raise DatasetError(f"{path}: mixed scoring methods in one file: {sorted(set(methods))}")
     return ScoredColumns(ids, schema_ids, methods[0], raw_scores, labels)

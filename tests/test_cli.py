@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import sqlcalib
 from sqlcalib import protocol, records
 from sqlcalib.cli import build_parser, main
-from sqlcalib.execmatch import _OUTCOMES, SQLiteExecutor, label_record
+from sqlcalib.execmatch import _OUTCOMES, ExecutionError, SQLiteExecutor, label_record
 from sqlcalib.records import Dataset, PredictionRecord, load_dataset, write_dataset
 from sqlcalib.scoring import SCORE_METHODS, score_dataset, score_file
 
@@ -51,11 +51,15 @@ class TestStartup:
         script = (
             "import sys\n"
             "from sqlcalib.cli import main\n"
+            "sqlite = lambda: [m in sys.modules for m in ('sqlite3', 'sqlcalib.execmatch')]\n"
+            "assert sqlite() == [False, False]\n"
             f"assert main(['validate', '--input', {str(data)!r}]) == 0\n"
             f"assert main(['score', '--input', {str(data)!r}, '--method', 'prod',"
             f" '--out', {str(tmp_path / 'scored.jsonl')!r}]) == 0\n"
+            "assert sqlite() == [False, False], 'validate or score loaded sqlite3'\n"
             f"assert main(['label', '--pairs', {str(pairs)!r}, '--db-root', {str(tmp_path / 'dbs')!r},"
             f" '--out', {str(tmp_path / 'labeled.jsonl')!r}]) == 0\n"
+            "assert sqlite() == [True, True]\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         src = str(Path(sqlcalib.__file__).resolve().parents[1])
@@ -77,13 +81,14 @@ class TestStartup:
             f" '--binning', 'monotonic', '--seed', '1', '--out-dir', {out!r}]) == 0\n"
             f"assert main(['simulate', '--n', '50', '--seed', '2',"
             f" '--out', {str(tmp_path / 'sim.jsonl')!r}]) == 0\n"
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules,"
+            " 'sqlite3' in sys.modules, 'sqlcalib.execmatch' in sys.modules)\n"
         )
         src = str(Path(sqlcalib.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "True False"
+        assert proc.stdout.splitlines()[-1] == "True False False False"
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
     def test_evaluate_runs_on_one_thread(self, synthetic, tmp_path):
@@ -1027,6 +1032,21 @@ class TestLabelCommand:
         assert run("label", "--pairs", pairs, "--db-root", db_root,
                    "--out", tmp_path / "x.jsonl") == 0
         assert built == ["concerts", "empty"]
+
+    def test_execution_error_exits_1_with_its_text(self, db_root, tmp_path, capsys, monkeypatch):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "q1", "schema_id": "concerts",
+                                     "gold_sql": "SELECT 1", "pred_sql": "SELECT 1"}) + "\n")
+        from sqlcalib import cli
+
+        def refuse(database, **kwargs):
+            raise ExecutionError("cannot open x")
+
+        monkeypatch.setattr(cli, "SQLiteExecutor", refuse)
+        out = tmp_path / "x.jsonl"
+        assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: cannot open x"]
+        assert not out.exists()
 
     def test_match_search_past_the_timeout_labels_0(self, tmp_path, capsys):
         # 7 free bits plus their parity, and the same bits with the negated parity:

@@ -336,6 +336,31 @@ class TestScoreDataset:
         assert results["self_check_probs"].scored.ids == ("b",)
         assert results["self_check_probs"].skipped == (("a", "missing verbalized_prob"),)
 
+    def test_rows_of_one_schema_share_one_schema_id_string(self, tmp_path):
+        from sqlcalib.records import load_dataset
+        from sqlcalib.scoring import ScoredColumns, load_scored, score_file
+
+        schemas = ["concert_singer", 1017, "concert_singer", 2.5, 1017, "pets_1", "1017", 2.5]
+        path, scored_path = tmp_path / "data.jsonl", tmp_path / "scored.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"q{i}", "schema_id": schema, "label": i % 2,
+                        "token_probs": [0.5, 0.9], **({"verbalized_prob": 0.3} if i % 3 else {})})
+            + "\n" for i, schema in enumerate(schemas)))
+        methods = ("prod", "min", "self_check_probs")
+        dataset = load_dataset(path)
+        for method, result in score_file(path, methods).items():
+            assert result == score_dataset(dataset, method)
+            sids = result.scored.schema_ids
+            assert len({id(s) for s in sids}) == len(set(sids)) == 4
+
+        scored_path.write_text("".join(
+            json.dumps({"id": f"q{i}", "schema_id": schema, "method": "avg", "raw_score": 0.5,
+                        "label": 1}) + "\n" for i, schema in enumerate(schemas)))
+        scored = load_scored(scored_path)
+        assert scored == ScoredColumns(tuple(f"q{i}" for i in range(8)), tuple(map(str, schemas)),
+                                       "avg", (0.5,) * 8, (1,) * 8)
+        assert len({id(s) for s in scored.schema_ids}) == len(set(scored.schema_ids)) == 4
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
             score_dataset(Dataset(records=(PredictionRecord(id="a", schema_id="s", label=0),)),
