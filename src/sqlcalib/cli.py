@@ -15,7 +15,6 @@ simulate write their lines by `records._write_lines`.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from collections import Counter
@@ -43,19 +42,17 @@ from .scoring import score_dataset  # noqa: F401
 _SIMULATE_MAPS = ("half", "identity", "logistic", "one")
 
 
-# name -> the module `__getattr__` imports it from
-_LAZY = {"cross_validate": "protocol", "schema_level_evaluate": "protocol",
-         "SQLiteExecutor": "execmatch", "label_record": "execmatch"}
+_LAZY = ("cross_validate", "schema_level_evaluate", "SQLiteExecutor", "label_record")
 
 
 def __getattr__(name: str) -> Any:
-    """The evaluators and `label`'s executor and labeler, imported from their
-    module (`_LAZY`) on first access, so that importing this module loads
-    neither `protocol` (numpy) nor `execmatch` (sqlite3). `cmd_evaluate` and
-    `cmd_label` look them up on this module, so a caller that replaced them
-    here (a tracer or a test, say) has its replacement run."""
+    """The evaluators and `label`'s executor and labeler (`_LAZY`), taken from
+    the package, which imports their module on first access: importing this
+    module loads neither `protocol` (numpy) nor `execmatch` (sqlite3).
+    `cmd_evaluate` and `cmd_label` look them up on this module, so a caller
+    that replaced them here (a tracer or a test, say) has its replacement run."""
     if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -221,7 +218,16 @@ def _pair_from_obj(obj: Any) -> tuple[dict[str, Any], str, str, str | None]:
 
 
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .execmatch import _IDENTICAL, _OUTCOMES, ExecutionError, Gold, GoldExecutionError
+    from .execmatch import ExecutionError
+
+    try:  # main does not import execmatch, and so cannot catch its errors
+        return _label(args)
+    except ExecutionError as exc:
+        raise DatasetError(str(exc)) from exc
+
+
+def _label(args: argparse.Namespace) -> int:
+    from .execmatch import _IDENTICAL, _OUTCOMES, Gold, GoldExecutionError
 
     cli = sys.modules[__name__]  # see __getattr__
     db_root = Path(args.db_root)
@@ -242,29 +248,25 @@ def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     gold_failures = []
     outcomes: Counter = Counter()
     gold_runs = 0
-    try:  # main does not import execmatch, and so cannot catch its errors
-        for db_path, group in groupby(order, key=db_paths.__getitem__):
-            executor = cli.SQLiteExecutor(db_path, timeout_s=args.timeout)
-            try:
-                gold = None
-                for i in group:
-                    line, gold_sql, pred_sql, _ = pairs[i]
-                    if gold is None or gold.sql != gold_sql or not gold.shared:
-                        gold = None  # the last result is freed before gold runs again
-                        gold = Gold(gold_sql, executor)
-                        gold_runs += 1
-                    try:
-                        line["label"] = cli.label_record(
-                            gold_sql, pred_sql, executor,
-                            strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
-                        )
-                    except GoldExecutionError as exc:
-                        gold_failures.append((i, f"{line['id']!r}: {exc.__cause__}"))
-            finally:
-                executor.close()  # after its database's last pair
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for db_path, group in groupby(order, key=db_paths.__getitem__):
+        executor = cli.SQLiteExecutor(db_path, timeout_s=args.timeout)
+        try:
+            gold = None
+            for i in group:
+                line, gold_sql, pred_sql, _ = pairs[i]
+                if gold is None or gold.sql != gold_sql or not gold.shared:
+                    gold = None  # the last result is freed before gold runs again
+                    gold = Gold(gold_sql, executor)
+                    gold_runs += 1
+                try:
+                    line["label"] = cli.label_record(
+                        gold_sql, pred_sql, executor,
+                        strict_columns=args.strict_columns, outcomes=outcomes, gold=gold,
+                    )
+                except GoldExecutionError as exc:
+                    gold_failures.append((i, f"{line['id']!r}: {exc.__cause__}"))
+        finally:
+            executor.close()  # after its database's last pair
     if gold_failures:
         raise DatasetError(f"{args.pairs}: gold query failed: "
                            + "; ".join(message for _, message in sorted(gold_failures)))

@@ -268,13 +268,7 @@ def load_scored(path: str | Path) -> ScoredColumns:
     """Read a file written by `write_scored`, under the same rules as
     `load_dataset`: errors name the file line, record and field; ids are
     unique, and every record carries the same method."""
-    schemas: dict[str, str] = {}  # one str per schema id, shared by its rows
-
-    def parse(obj: Any) -> tuple[str, str, str, float, int]:
-        rid, schema_id, *rest = _scored_from_obj(obj)
-        return rid, schemas.setdefault(schema_id, schema_id), *rest
-
-    ids, schema_ids, methods, raw_scores, labels = zip(*_read_records(Path(path), parse))
+    ids, schema_ids, methods, raw_scores, labels = zip(*_read_records(Path(path), _scored_from_obj))
     if len(set(methods)) > 1:
         raise DatasetError(f"{path}: mixed scoring methods in one file: {sorted(set(methods))}")
     return ScoredColumns(ids, schema_ids, methods[0], raw_scores, labels)
