@@ -6,8 +6,9 @@ left to right (ties in confidence never split across bins), optionally
 merging undersized bins into whichever neighbor costs least. That pooling
 pass, `_pav_segments`, is also the pool-adjacent-violators fit behind
 `calibrate.fit_isotonic`. Both modes bin every split of a batch at once
-(`_uniform_segments`, `_monotonic_segments`, chosen by `_partitions`); the
-public functions are the one-split case.
+into bin columns (`_bin_columns`: counts and sums per bin, no object per
+bin), which the evaluator's ECE reads directly; `_partitions` builds the
+`Bin`s of the public functions, the one-split case, from the same columns.
 """
 
 from __future__ import annotations
@@ -54,35 +55,7 @@ def _mean_conf(conf_sum: float, count: int, lo: float, hi: float) -> float:
 def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> BinPartition:
     """Equal-width bins on [0, 1]; a confidence of exactly 1.0 lands in the
     last bin. Empty bins carry count 0 (they get zero ECE weight)."""
-    return _uniform_segments(*one_split(confs, labels, "confidences"), n_bins)[0]
-
-
-def _uniform_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
-                      n_bins: int) -> list[BinPartition]:
-    """`uniform_bins` of every segment of the columns. A bin sums its
-    confidences and labels in element order, as `np.sum` of its slice."""
-    if n_bins < 1:
-        raise ValueError(f"need at least 1 bin, got {n_bins}")
-    if not np.all((c >= 0.0) & (c <= 1.0)):
-        raise ValueError("confidences must lie in [0, 1] for uniform binning")
-
-    # (segment, bin) ids; a stable sort keeps each bin's elements in order
-    gid = segment_ids(bounds) * n_bins + np.minimum((c * n_bins).astype(int), n_bins - 1)
-    counts = np.bincount(gid, minlength=(len(bounds) - 1) * n_bins)
-    order = stable_argsort(gid, len(counts))
-    group_bounds = bounds_of(counts)
-    conf_sums = segment_sums(c[order], group_bounds).tolist()
-    label_sums = segment_sums(a[order], group_bounds).tolist()
-    edges = [(j / n_bins, (j + 1) / n_bins) for j in range(n_bins)]
-    bins = [
-        Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(conf_sum, k, lo, hi),
-            accuracy=label_sum / k)
-        if k else Bin(lo=lo, hi=hi, count=0, mean_conf=(lo + hi) / 2, accuracy=0.0)
-        for (lo, hi), k, conf_sum, label_sum
-        in zip(itertools.cycle(edges), counts.tolist(), conf_sums, label_sums)
-    ]
-    return [BinPartition(mode="uniform", bins=tuple(bins[i:i + n_bins]))
-            for i in range(0, len(bins), n_bins)]
+    return _partitions(*one_split(confs, labels, "confidences"), "uniform", n_bins, 1)[0]
 
 
 def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
@@ -153,35 +126,62 @@ def monotonic_bins(
     neighbor that least increases the weighted |accuracy - mean confidence|
     objective.
     """
-    return _monotonic_segments(*one_split(confs, labels, "confidences"), min_bin_count)[0]
+    return _partitions(*one_split(confs, labels, "confidences"), "monotonic", 1,
+                       min_bin_count)[0]
 
 
-def _monotonic_segments(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
-                        min_bin_count: int) -> list[BinPartition]:
-    """`monotonic_bins` of every segment of the columns."""
+def _bin_columns(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
+                 min_bin_count: int) -> tuple[np.ndarray, ...]:
+    """The bins of every segment of the columns in the binning mode `mode`,
+    "uniform" (n_bins bins) or "monotonic" (min_bin_count), as columns: each
+    bin's count, label sum, confidence sum, lo and hi, segment by segment, and
+    the offsets of each segment's bins among them. A uniform bin sums its
+    confidences in element order, as `np.sum` of its slice; 0/1 labels sum
+    exactly in any order."""
+    if mode == "uniform":
+        if n_bins < 1:
+            raise ValueError(f"need at least 1 bin, got {n_bins}")
+        if not np.all((c >= 0.0) & (c <= 1.0)):
+            raise ValueError("confidences must lie in [0, 1] for uniform binning")
+        # (segment, bin) ids; a stable sort keeps each bin's elements in order
+        m = len(bounds) - 1
+        gid = segment_ids(bounds) * n_bins + np.minimum((c * n_bins).astype(int), n_bins - 1)
+        counts = np.bincount(gid, minlength=m * n_bins)
+        conf_sums = segment_sums(c[stable_argsort(gid, len(counts))], bounds_of(counts))
+        edges = np.arange(n_bins + 1) / n_bins
+        return (counts, np.bincount(gid, weights=a, minlength=len(counts)), conf_sums,
+                np.tile(edges[:-1], m), np.tile(edges[1:], m), bounds_of(np.full(m, n_bins)))
+    if mode != "monotonic":
+        raise ValueError(f"unknown binning mode {mode!r}")
     if min_bin_count < 1:
         raise ValueError(f"min_bin_count must be >= 1, got {min_bin_count}")
     lengths = np.diff(bounds)
     if np.any(lengths < min_bin_count):
         n = int(lengths[np.argmax(lengths < min_bin_count)])
         raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
-    return [BinPartition(mode="monotonic", bins=_merged_bins(groups, n, min_bin_count))
-            for groups, n in zip(_pav_segments(c, a, bounds), lengths.tolist())]
+    merged = [_merged_bins(groups, n, min_bin_count)
+              for groups, n in zip(_pav_segments(c, a, bounds), lengths.tolist())]
+    return (*(np.fromiter(itertools.chain.from_iterable(g[i] for g in merged), dtype=dtype)
+              for i, dtype in enumerate((int, float, float, float, float))),
+            bounds_of([len(g[0]) for g in merged]))
 
 
 def _partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
                 min_bin_count: int) -> list[BinPartition]:
-    """The partition of every segment of the columns in the binning mode
-    `mode`: "uniform" (n_bins bins) or "monotonic" (min_bin_count)."""
-    if mode == "uniform":
-        return _uniform_segments(c, a, bounds, n_bins)
-    if mode == "monotonic":
-        return _monotonic_segments(c, a, bounds, min_bin_count)
-    raise ValueError(f"unknown binning mode {mode!r}")
+    """The `BinPartition` of every segment, built from its `_bin_columns`."""
+    *columns, bin_bounds = _bin_columns(c, a, bounds, mode, n_bins, min_bin_count)
+    bins = [
+        Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(conf_sum, k, lo, hi),
+            accuracy=label_sum / k)
+        if k else Bin(lo=lo, hi=hi, count=0, mean_conf=(lo + hi) / 2, accuracy=0.0)
+        for k, label_sum, conf_sum, lo, hi in zip(*(column.tolist() for column in columns))
+    ]
+    return [BinPartition(mode=mode, bins=tuple(bins[i:j]))
+            for i, j in itertools.pairwise(bin_bounds.tolist())]
 
 
-def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[Bin, ...]:
-    """The bins of n samples' PAV groups once every group below
+def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[list, ...]:
+    """The group columns of n samples' PAV groups once every group below
     min_bin_count is merged into its cheaper neighbor."""
 
     def total_objective(groups: tuple[list, ...]) -> float:
@@ -202,8 +202,4 @@ def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[
             merged = _pooled(groups, i)
             candidates.append((total_objective(merged), 1, merged))
         groups = min(candidates)[2]
-
-    return tuple(
-        Bin(lo=lo, hi=hi, count=k, mean_conf=_mean_conf(c, k, lo, hi), accuracy=y / k)
-        for k, y, c, lo, hi in zip(*groups)
-    )
+    return groups

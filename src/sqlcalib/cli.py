@@ -15,6 +15,7 @@ simulate write their lines by `records._write_lines`.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -377,7 +378,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # The run's files are closed; what is left dies with the process. Frozen,
+    # it is skipped by the collections at interpreter shutdown, which would
+    # otherwise traverse every object the run and numpy left behind.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

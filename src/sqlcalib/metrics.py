@@ -2,7 +2,10 @@
 
 `_summarize_segments` computes the metric bundle of every split of a batch
 at once, bit for bit as `summarize` of each split; the public functions are
-the one-split case of its parts.
+the one-split case of its parts. Its ECEs come from the bin columns of
+`binning._bin_columns`; the public `ece` takes a caller's `BinPartition`,
+re-checks it against the data and returns its `objective()`, the same
+number.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ import numpy as np
 
 from ._segments import (
     bounds_of,
+    length_groups,
     one_split,
     segment_ids,
     segment_means,
-    segment_searchsorted,
     sorted_ties,
 )
-from .binning import BinPartition, _partitions
+from .binning import BinPartition, _bin_columns
 
 # Nothing here calls the one-split binning functions; the per-layer tracer of
 # perfbench/ wraps them at these names.
@@ -74,23 +77,19 @@ def _briers(c: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return segment_means((a - c) ** 2, bounds)
 
 
-def _check_partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
-                      partitions: Sequence[BinPartition]) -> None:
-    """Re-bin every segment's samples into its partition and require the
-    per-bin counts, mean confidences and accuracies to match it. Each bin
-    sums its samples in element order."""
-    seg = segment_ids(bounds)
-    n_bins = np.array([len(p.bins) for p in partitions])
-    bin_bounds = bounds_of(n_bins)
-    bins = [b for p in partitions for b in p.bins]
-    if partitions and partitions[0].mode == "uniform":
+def _check_partition(c: np.ndarray, a: np.ndarray, partition: BinPartition) -> None:
+    """Re-bin the samples into the partition and require its per-bin counts,
+    mean confidences and accuracies to match them. Each bin sums its samples
+    in element order."""
+    bins = partition.bins
+    if partition.mode == "uniform":
         outside = ~(c >= 0.0)  # uniform bins start at 0; NaN compares false
         with np.errstate(invalid="ignore"):  # NaN casts to an arbitrary index, rejected below
-            idx = bin_bounds[seg] + np.minimum((c * n_bins[seg]).astype(int), n_bins[seg] - 1)
+            idx = np.minimum((c * len(bins)).astype(int), len(bins) - 1)
     else:
-        idx = segment_searchsorted(np.array([b.lo for b in bins]), bin_bounds, c, seg) - 1
-        # a sample below its first bin has idx outside its segment's bins
-        outside = (idx < bin_bounds[seg]) | ~(c <= np.array([b.hi for b in bins])[idx])
+        idx = np.searchsorted(np.array([b.lo for b in bins]), c, side="right") - 1
+        # a sample below the first bin has idx -1
+        outside = (idx < 0) | ~(c <= np.array([b.hi for b in bins])[idx])
     if outside.any():
         bad = float(c[outside.argmax()])
         raise ValueError(f"inconsistent partition: confidence {bad!r} falls outside every bin")
@@ -103,12 +102,11 @@ def _check_partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray,
                            - np.array([b.accuracy for b in bins])) > 1e-9
     wrong = (counts != expected) | ((expected > 0) & (conf_off | label_off))
     if wrong.any():
-        i = int(wrong.argmax())
-        j = i - int(bin_bounds[np.searchsorted(bin_bounds, i, side="right") - 1])
-        if counts[i] != expected[i]:
-            raise ValueError(f"inconsistent partition: bin {j} holds {expected[i]} samples, "
-                             f"data places {counts[i]}")
-        part = "mean confidence" if conf_off[i] else "accuracy"
+        j = int(wrong.argmax())
+        if counts[j] != expected[j]:
+            raise ValueError(f"inconsistent partition: bin {j} holds {expected[j]} samples, "
+                             f"data places {counts[j]}")
+        part = "mean confidence" if conf_off[j] else "accuracy"
         raise ValueError(f"inconsistent partition: bin {j} {part} disagrees")
 
 
@@ -118,19 +116,33 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     The partition must have been built from the same confidences and labels;
     inconsistency is detected by re-binning the samples.
     """
-    c, a, bounds = _nonempty_split(confs, labels)
+    c, a, _ = _nonempty_split(confs, labels)
     if partition.n != c.size:
         raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {c.size}")
-    _check_partitions(c, a, bounds, [partition])
+    _check_partition(c, a, partition)
     return partition.objective()
 
 
 def _eces(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
           min_bin_count: int) -> list[float]:
-    """The ECE of every segment under its own partition of the given mode."""
-    partitions = _partitions(c, a, bounds, mode, n_bins, min_bin_count)
-    _check_partitions(c, a, bounds, partitions)
-    return [p.objective() for p in partitions]
+    """The ECE of every segment under its own partition of the given mode,
+    read from its bin columns with no `Bin` built: each bin's count/n ·
+    |accuracy − mean confidence|, the mean clamped to [lo, hi] as in
+    `Bin.mean_conf`, an empty bin's 0.0, summed left to right from 0 (a
+    row-wise `np.cumsum`). That is `BinPartition.objective` of the segment's
+    partition bit for bit, and a test pins the two together. The columns are
+    built here from these samples, so unlike `ece` nothing re-checks them."""
+    counts, label_sums, conf_sums, lo, hi, bin_bounds = _bin_columns(c, a, bounds, mode, n_bins,
+                                                                     min_bin_count)
+    n = np.repeat(np.diff(bounds), np.diff(bin_bounds))
+    with np.errstate(invalid="ignore", divide="ignore"):  # empty bins are zeroed below
+        terms = counts / n * np.abs(label_sums / counts
+                                    - np.minimum(np.maximum(conf_sums / counts, lo), hi))
+    terms[counts == 0] = 0.0
+    out = np.zeros(len(bounds) - 1)
+    for rows, index in length_groups(bin_bounds):
+        out[rows] = np.cumsum(terms[index], axis=1)[:, -1]
+    return out.tolist()
 
 
 def _single_class(labels: Sequence[int]) -> bool:

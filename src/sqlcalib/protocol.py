@@ -296,6 +296,7 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
     order = _by_id(scored)
     order.sort(key=scored.schema_ids.__getitem__)
     raw, labels = _columns(scored, np.array(order))
+    del order
     counts = Counter(scored.schema_ids)
     schemas = sorted(counts)
     sizes = [counts[schema_id] for schema_id in schemas]
@@ -326,8 +327,10 @@ def schema_level_evaluate(scored: ScoredColumns, cfg: ProtocolConfig) -> SchemaL
         raise ValueError(f"no schema can be evaluated: all {len(skipped)} skipped, "
                          f"first {schema_id}: {reason}")
     _, n_tunes, n_evals = zip(*kept)
-    reports, pooled = _evaluate_splits(raw, labels, np.array(tune), bounds_of(n_tunes),
-                                       np.array(evaluation), bounds_of(n_evals), cfg)
+    tune_rows, eval_rows = np.array(tune), np.array(evaluation)
+    del tune, evaluation
+    reports, pooled = _evaluate_splits(raw, labels, tune_rows, bounds_of(n_tunes), eval_rows,
+                                       bounds_of(n_evals), cfg)
     rows = tuple(
         SchemaMetrics(schema_id=schema_id, n_tune=n_tune, n_eval=n_eval, metrics=report)
         for (schema_id, n_tune, n_eval), report in zip(kept, reports)

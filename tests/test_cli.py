@@ -1,4 +1,5 @@
 import csv
+import gc
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqlcalib
-from sqlcalib import protocol, records
+from sqlcalib import cli, protocol, records
 from sqlcalib.cli import build_parser, main
 from sqlcalib.execmatch import _OUTCOMES, ExecutionError, SQLiteExecutor, label_record
 from sqlcalib.records import Dataset, PredictionRecord, load_dataset, write_dataset
@@ -124,6 +125,50 @@ class TestStartup:
         simulate = build_parser()._subparsers._group_actions[0].choices["simulate"]
         choices = next(a.choices for a in simulate._actions if a.dest == "map")
         assert list(choices) == sorted(protocol.TRUE_MAPS)
+
+
+class TestEntry:
+    """`entry` is the installed script's `main`: it exits with main's status
+    after freezing the heap, so that the collections at interpreter shutdown
+    skip what the run left behind."""
+
+    @pytest.mark.parametrize("name, status", [("data.jsonl", 0), ("missing.jsonl", 1)])
+    def test_exits_with_main_status_and_a_frozen_heap(self, synthetic, monkeypatch, capsys,
+                                                      name, status):
+        monkeypatch.setattr(sys, "argv", ["sqlcalib", "validate", "--input",
+                                          str(synthetic.parent / name)])
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.entry()
+            assert exited.value.code == status
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        out, err = capsys.readouterr()
+        assert ("records: 400" in out) if status == 0 else err.startswith("error: ")
+
+    @pytest.mark.parametrize("scope_args", [["--compare"], ["--scope", "schema_level"]],
+                             ids=["schema_disjoint", "schema_level"])
+    def test_module_run_writes_what_an_in_process_main_writes(self, synthetic, tmp_path,
+                                                             monkeypatch, capsys, scope_args):
+        argv = ["evaluate", "--input", str(synthetic), *scope_args, "--seed", "2",
+                "--out-dir", "out"]
+        for run_dir in ("module", "main"):
+            (tmp_path / run_dir).mkdir()
+        src = str(Path(sqlcalib.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "sqlcalib.cli", *argv], cwd=tmp_path / "module",
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        monkeypatch.chdir(tmp_path / "main")
+        capsys.readouterr()
+        status = main(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, *capsys.readouterr())
+        assert status == 0 and "wrote" in proc.stderr
+        written = sorted(os.listdir(tmp_path / "main" / "out"))
+        assert sorted(os.listdir(tmp_path / "module" / "out")) == written
+        for name in written:
+            assert ((tmp_path / "module" / "out" / name).read_bytes()
+                    == (tmp_path / "main" / "out" / name).read_bytes()), name
 
 
 class TestSimulateValidate:

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import auc_pair_counting
-from sqlcalib.binning import monotonic_bins, uniform_bins
+from oracles import _ece, auc_pair_counting
+from sqlcalib._segments import bounds_of
+from sqlcalib.binning import _partitions, monotonic_bins, uniform_bins
 from sqlcalib.calibrate import PlattCalibrator, apply_platt
 from sqlcalib.metrics import (
     SingleClassError,
+    _eces,
     auc,
     brier,
     ece,
     prf_at_threshold,
     summarize,
 )
+from sqlcalib.protocol import ProtocolConfig
 
 
 class TestBrier:
@@ -98,6 +101,29 @@ class TestEce:
         confs2, labels2 = confs[::-1], labels[::-1]
         b = ece(confs2, labels2, uniform_bins(confs2, labels2, 5))
         assert a == pytest.approx(b)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_column_eces_are_the_partition_objectives_bit_for_bit(self, data):
+        mode = data.draw(st.sampled_from(["uniform", "monotonic"]))
+        n_bins = data.draw(st.integers(1, 12))
+        min_bin_count = data.draw(st.integers(1, 4)) if mode == "monotonic" else 1
+        grid = data.draw(st.integers(1, 12))  # n_bins == grid puts values on bin edges
+        value = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, grid).map(lambda j: j / grid),
+                          st.floats(0.0, 1.0))
+        confs, labels, lengths = [], [], data.draw(
+            st.lists(st.integers(min_bin_count, 25), min_size=1, max_size=6))
+        for n in lengths:  # single rows, all-equal splits and mixed ones
+            split = ([data.draw(value)] * n if data.draw(st.booleans())
+                     else data.draw(st.lists(value, min_size=n, max_size=n)))
+            confs += split
+            labels += data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        c, a, bounds = np.array(confs), np.array(labels, dtype=float), bounds_of(lengths)
+        got = _eces(c, a, bounds, mode, n_bins, min_bin_count)
+        parts = _partitions(c, a, bounds, mode, n_bins, min_bin_count)
+        assert got == [p.objective() for p in parts]
+        cfg = ProtocolConfig(binning=mode, n_bins=n_bins, min_bin_count=min_bin_count)
+        assert got == [_ece(c[i:j], a[i:j], cfg) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 class TestAuc:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import reference_cross_validate, reference_schema_level
 
+from sqlcalib import binning as binning_module
 from sqlcalib.metrics import auc
 from sqlcalib.protocol import (
     ProtocolConfig,
@@ -419,6 +420,25 @@ class TestSegmentedEvaluator:
     def test_cross_validate_matches_per_fold_reference(self, scored, cfg):
         assert (_outcome(cross_validate, scored, cfg)
                 == _outcome(reference_cross_validate, scored, cfg))
+
+
+class TestNoBinObjects:
+    """The evaluator reads each ECE from bin columns: with `Bin` and
+    `BinPartition` made to raise, both scopes give the same reports."""
+
+    @pytest.mark.parametrize("binning", ["uniform", "monotonic"])
+    def test_reports_unchanged_without_bin_objects(self, binning, monkeypatch):
+        scored = _scored(n_schemas=10, per_schema=15, seed=3)
+        cfg = ProtocolConfig(k=5, binning=binning, min_bin_count=2)
+        evaluators = (cross_validate, schema_level_evaluate)
+        expected = [repr(evaluate(scored, cfg)) for evaluate in evaluators]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evaluator built a bin object")
+
+        monkeypatch.setattr(binning_module, "Bin", refuse)
+        monkeypatch.setattr(binning_module, "BinPartition", refuse)
+        assert [repr(evaluate(scored, cfg)) for evaluate in evaluators] == expected
 
 
 class TestColumnarInput:
