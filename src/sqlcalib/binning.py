@@ -3,12 +3,13 @@
 Uniform mode uses equal-width bins on [0, 1]. Monotonic mode sorts samples
 by confidence and pools adjacent bins until observed accuracies increase
 left to right (ties in confidence never split across bins), optionally
-merging undersized bins into whichever neighbor costs least. That pooling
-pass, `_pav_segments`, is also the pool-adjacent-violators fit behind
-`calibrate.fit_isotonic`. Both modes bin every split of a batch at once
-into bin columns (`_bin_columns`: counts and sums per bin, no object per
-bin), which the evaluator's ECE reads directly; `_partitions` builds the
-`Bin`s of the public functions, the one-split case, from the same columns.
+merging undersized bins into whichever neighbor costs least. One pass,
+`_pav_segments`, pools and merges every split, and its group columns are
+also the pool-adjacent-violators fit behind `calibrate.fit_isotonic`. Both
+modes bin every split of a batch at once into bin columns (`_bin_columns`:
+counts and sums per bin, no object per bin), which the evaluator's ECE
+reads directly; `_partitions` builds the `Bin`s of the public functions,
+the one-split case, from the same columns.
 """
 
 from __future__ import annotations
@@ -58,47 +59,36 @@ def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> 
     return _partitions(*one_split(confs, labels, "confidences"), "uniform", n_bins, 1)[0]
 
 
-def _pooled(groups: tuple[list, ...], j: int) -> tuple[list, ...]:
-    """The group columns with groups j and j + 1 pooled into one."""
-    ns, ys, cs, los, his = groups
-    return (
-        ns[:j] + [ns[j] + ns[j + 1]] + ns[j + 2 :],
-        ys[:j] + [ys[j] + ys[j + 1]] + ys[j + 2 :],
-        cs[:j] + [cs[j] + cs[j + 1]] + cs[j + 2 :],
-        los[:j] + [los[j]] + los[j + 2 :],
-        his[:j] + [his[j + 1]] + his[j + 2 :],
-    )
-
-
-def _pav_segments(values: np.ndarray, labels: np.ndarray,
-                  bounds: np.ndarray) -> list[tuple[list, ...]]:
+def _pav_segments(values: np.ndarray, labels: np.ndarray, bounds: np.ndarray,
+                  min_count: int = 1) -> tuple[np.ndarray, ...]:
     """Pool adjacent violators over the labels of each segment's ascending
     distinct values, in one pass over all of them that starts a new stack at
-    each segment.
+    each segment; every segment must be nonempty.
 
     Starts from one group per distinct value (ties stay together) and pools
     a group into its left neighbor whenever the left accuracy is >= the
     right one, so accuracies strictly increase left to right: group by
     group, the least-squares non-decreasing fit of the labels against the
-    values. Returns each segment's group columns (count, label sum, value
-    sum, lo, hi); a pooled group keeps its left part's lo and its right
-    part's hi.
+    values. As a segment's stack closes, `_merged` merges its groups below
+    min_count. Returns the groups as `_bin_columns` returns bins: each
+    group's count, label sum, value sum, lo and hi, segment by segment, and
+    the offsets of each segment's groups among them; a pooled group keeps
+    its left part's lo and its right part's hi.
     """
     order, first = sorted_ties(values, bounds)
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(order)))
+    group = np.cumsum(first) - 1  # the group of each sorted element
     # 0/1 labels: their sums are exact in any order
-    label_sums = np.bincount(np.cumsum(first) - 1, weights=labels[order])
-    group_seg = segment_ids(bounds)[order][starts]
-    opens = np.ones(len(starts), dtype=bool)
-    opens[1:] = group_seg[1:] != group_seg[:-1]
-    opened = np.where(opens, group_seg, -1)  # the segment a group opens, else -1
+    label_sums = np.bincount(group, weights=labels[order])
+    closing = np.zeros(len(starts), dtype=np.int64)  # n at the last group of a segment of n
+    closing[group[bounds[1:] - 1]] = np.diff(bounds)
 
-    out = [([], [], [], [], []) for _ in range(len(bounds) - 1)]
-    for value, count, label_sum, seg in zip(values[order][starts].tolist(), counts.tolist(),
-                                            label_sums.tolist(), opened.tolist()):
-        if seg >= 0:
-            ns, ys, cs, los, his = out[seg]
+    out = ([], [], [], [], [])
+    tops = [0]
+    groups = ns, ys, cs, los, his = [], [], [], [], []
+    for value, count, label_sum, n in zip(values[order][starts].tolist(), counts.tolist(),
+                                          label_sums.tolist(), closing.tolist()):
         cur_n, cur_y, cur_c, cur_lo = count, label_sum, value * count, value
         # cross-product compare is exact: label sums and counts are integers
         while ns and ys[-1] * cur_n >= cur_y * ns[-1]:
@@ -112,7 +102,33 @@ def _pav_segments(values: np.ndarray, labels: np.ndarray,
         cs.append(cur_c)
         los.append(cur_lo)
         his.append(value)
-    return out
+        if n:
+            for column, merged in zip(out, _merged(groups, n, min_count)):
+                column.extend(merged)
+            tops.append(len(out[0]))
+            groups = ns, ys, cs, los, his = [], [], [], [], []
+    return (*map(np.array, out), np.array(tops))
+
+
+def _merged(groups: tuple[list, ...], n: int, min_count: int) -> tuple[list, ...]:
+    """The group columns of a segment of n samples once each group below
+    min_count is merged into the neighbor that raises the ECE least (the
+    left one on a tie)."""
+
+    def pooled(j: int) -> tuple[list, ...]:
+        ns, ys, cs, los, his = groups
+        pool = (ns[j] + ns[j + 1], ys[j] + ys[j + 1], cs[j] + cs[j + 1], los[j], his[j + 1])
+        return tuple(column[:j] + [p] + column[j + 2:] for column, p in zip(groups, pool))
+
+    def objective(groups: tuple[list, ...]) -> float:
+        return ordered_sum(k / n * abs(y / k - _mean_conf(c, k, lo, hi))
+                           for k, y, c, lo, hi in zip(*groups))
+
+    while len(groups[0]) > 1 and min(groups[0]) < min_count:
+        i = next(i for i, k in enumerate(groups[0]) if k < min_count)
+        groups = min((pooled(j) for j in (i - 1, i) if 0 <= j < len(groups[0]) - 1),
+                     key=objective)
+    return groups
 
 
 def monotonic_bins(
@@ -124,7 +140,7 @@ def monotonic_bins(
     coarsest partition with strictly increasing accuracies, ties kept
     together). Groups smaller than min_bin_count are then merged into the
     neighbor that least increases the weighted |accuracy - mean confidence|
-    objective.
+    objective. The confidences must be finite.
     """
     return _partitions(*one_split(confs, labels, "confidences"), "monotonic", 1,
                        min_bin_count)[0]
@@ -159,11 +175,9 @@ def _bin_columns(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_
     if np.any(lengths < min_bin_count):
         n = int(lengths[np.argmax(lengths < min_bin_count)])
         raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
-    merged = [_merged_bins(groups, n, min_bin_count)
-              for groups, n in zip(_pav_segments(c, a, bounds), lengths.tolist())]
-    return (*(np.fromiter(itertools.chain.from_iterable(g[i] for g in merged), dtype=dtype)
-              for i, dtype in enumerate((int, float, float, float, float))),
-            bounds_of([len(g[0]) for g in merged]))
+    if not np.all(np.isfinite(c)):
+        raise ValueError("confidences must be finite for monotonic binning")
+    return _pav_segments(c, a, bounds, min_bin_count)
 
 
 def _partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,
@@ -178,28 +192,3 @@ def _partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_b
     ]
     return [BinPartition(mode=mode, bins=tuple(bins[i:j]))
             for i, j in itertools.pairwise(bin_bounds.tolist())]
-
-
-def _merged_bins(groups: tuple[list, ...], n: int, min_bin_count: int) -> tuple[list, ...]:
-    """The group columns of n samples' PAV groups once every group below
-    min_bin_count is merged into its cheaper neighbor."""
-
-    def total_objective(groups: tuple[list, ...]) -> float:
-        return ordered_sum(
-            k / n * abs(y / k - _mean_conf(c, k, lo, hi)) for k, y, c, lo, hi in zip(*groups)
-        )
-
-    while len(groups[0]) > 1:
-        under = [i for i, k in enumerate(groups[0]) if k < min_bin_count]
-        if not under:
-            break
-        i = under[0]
-        candidates = []
-        if i > 0:
-            merged = _pooled(groups, i - 1)
-            candidates.append((total_objective(merged), 0, merged))
-        if i < len(groups[0]) - 1:
-            merged = _pooled(groups, i)
-            candidates.append((total_objective(merged), 1, merged))
-        groups = min(candidates)[2]
-    return groups

@@ -7,8 +7,8 @@ Two calibrators are provided:
   separable data.
 * Isotonic regression: least-squares non-decreasing step fit of the labels
   against the scores, solved by the pool-adjacent-violators pass that
-  monotonic binning also uses (`binning._pav_segments`); applied out of
-  sample by linear interpolation between knots.
+  monotonic binning also uses (`binning._pav_segments`), whose group
+  columns give the knots; applied out of sample by linear interpolation.
 
 Raw scores outside [0, 1] (the variant method produces them) are accepted
 unchanged; only calibrated outputs are required to lie in [0, 1].
@@ -292,22 +292,15 @@ def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibra
 def _isotonic_segments(raw: Sequence[float], labels: Sequence[int],
                        bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`fit_isotonic` of every segment of the columns: the knots' x and y,
-    laid end to end, and their bounds per segment."""
-    r, a = _fit_columns(raw, labels, bounds)
-    # Knots at block boundaries: first and last unique raw of each block.
-    xs: list[float] = []
-    ys: list[float] = []
-    n_knots = []
-    for groups in _pav_segments(r, a, bounds):
-        before = len(xs)
-        for n, y, _, lo, hi in zip(*groups):
-            xs.append(lo)
-            ys.append(y / n)
-            if hi != lo:
-                xs.append(hi)
-                ys.append(y / n)
-        n_knots.append(len(xs) - before)
-    return np.array(xs, dtype=float), np.array(ys, dtype=float), bounds_of(n_knots)
+    laid end to end, and their bounds per segment, read from the group
+    columns of `_pav_segments` with no loop over groups."""
+    n, y, _, lo, hi, group_bounds = _pav_segments(*_fit_columns(raw, labels, bounds), bounds)
+    # knots at block boundaries: the first and last distinct raw of each block
+    two = hi != lo
+    knot_bounds = bounds_of(1 + two)  # each block's knots
+    xs = np.repeat(lo, 1 + two)
+    xs[knot_bounds[1:] - 1] = hi  # a one-knot block has hi == lo
+    return xs, np.repeat(y / n, 1 + two), knot_bounds[group_bounds]
 
 
 def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> float | np.ndarray:

@@ -156,9 +156,11 @@ def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Tied scores contribute half a concordance (mid-rank convention).
     Raises SingleClassError when one class is absent instead of returning
-    an arbitrary 0.5.
+    an arbitrary 0.5, and ValueError on a NaN score, which has no rank.
     """
     s, a, bounds = one_split(raw_scores, labels, "raw scores")
+    if np.isnan(s).any():
+        raise ValueError("AUC undefined: NaN raw score")
     n_pos = int(np.sum(a == 1))
     n_neg = int(np.sum(a == 0))
     if n_pos == 0 or n_neg == 0:

@@ -1,10 +1,16 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_monotone_partition
-from sqlcalib.binning import Bin, BinPartition, monotonic_bins, uniform_bins
+from oracles import (_mean_conf, _monotonic_bins, _pav_groups, brute_monotone_partition,
+                     reference_fit_isotonic)
+from sqlcalib._segments import bounds_of
+from sqlcalib.binning import Bin, BinPartition, _pav_segments, monotonic_bins, uniform_bins
+from sqlcalib.calibrate import _isotonic_segments
 from sqlcalib.protocol import _mean_std
 
 samples = st.lists(
@@ -83,6 +89,11 @@ class TestMonotonic:
         with pytest.raises(ValueError):
             monotonic_bins([0.5], [1], min_bin_count=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_is_an_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            monotonic_bins([bad, 0.5, 0.7], [0, 1, 1])
+
     def test_min_bin_count_merges_small_bins(self):
         part = monotonic_bins([0.1, 0.5, 0.6, 0.9], [0, 0, 1, 1], min_bin_count=2)
         assert all(b.count >= 2 for b in part.bins)
@@ -122,3 +133,48 @@ class TestMonotonic:
         mono = monotonic_bins(confs.tolist(), labels.tolist())
         uni = uniform_bins(confs.tolist(), labels.tolist(), 10)
         assert mono.objective() <= uni.objective() + 1e-12
+
+
+# 1-6 segments of 1-25 values from a coarse grid, so that ties and all-equal segments occur
+segments = st.lists(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                       st.integers(min_value=0, max_value=1)), min_size=1, max_size=25),
+    min_size=1, max_size=6,
+)
+
+
+@given(segments, st.integers(min_value=2, max_value=4))
+# the middle group merges left or right at ECE 0.0 either way; the left one wins the tie
+@example([[(0.0, 0)] * 3 + [(0.5, 0), (0.5, 1)] + [(1.0, 1)] * 3], 3)
+@settings(max_examples=300, deadline=None)
+def test_pav_columns_are_the_oracle_groups_of_each_segment(data, min_count):
+    """`_pav_segments`' columns against the oracle's PAV groups, segment by
+    segment: exactly for the plain groups, as (count, mean confidence,
+    accuracy) once merged by min_count, and as knots for `_isotonic_segments`."""
+    c = np.array([x for seg in data for x, _ in seg])
+    a = np.array([y for seg in data for _, y in seg], dtype=float)
+    bounds = bounds_of([len(seg) for seg in data])
+    splits = [(c[i:j], a[i:j]) for i, j in itertools.pairwise(bounds.tolist())]
+
+    *columns, group_bounds = _pav_segments(c, a, bounds)
+    groups = [list(g) for g in zip(*(column.tolist() for column in columns))]
+    oracle = [_pav_groups(ci, ai) for ci, ai in splits]
+    assert group_bounds.tolist() == bounds_of([len(g) for g in oracle]).tolist()
+    assert groups == [g for seg in oracle for g in seg]
+
+    xs, ys, knot_bounds = _isotonic_segments(c, a, bounds)
+    knots = list(zip(xs.tolist(), ys.tolist()))
+    assert [knots[i:j] for i, j in itertools.pairwise(knot_bounds.tolist())] == [
+        reference_fit_isotonic(ci, ai) for ci, ai in splits]
+
+    long_enough = [seg for seg in data if len(seg) >= min_count]
+    if long_enough:
+        c = np.array([x for seg in long_enough for x, _ in seg])
+        a = np.array([y for seg in long_enough for _, y in seg], dtype=float)
+        bounds = bounds_of([len(seg) for seg in long_enough])
+        *columns, group_bounds = (column.tolist() for column in _pav_segments(c, a, bounds,
+                                                                               min_count))
+        merged = [(k, _mean_conf(s, k, lo, hi), y / k) for k, y, s, lo, hi in zip(*columns)]
+        assert [merged[i:j] for i, j in itertools.pairwise(group_bounds)] == [
+            _monotonic_bins(c[i:j], a[i:j], min_count)
+            for i, j in itertools.pairwise(bounds.tolist())]

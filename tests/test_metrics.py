@@ -139,6 +139,15 @@ class TestAuc:
         with pytest.raises(SingleClassError):
             auc([0.1, 0.9], [0, 0])
 
+    def test_nan_score_is_an_error(self):
+        for scores, labels in (([0.2, math.nan], [0, 1]), ([math.nan, 0.5, 0.7], [0, 1, 1])):
+            with pytest.raises(ValueError, match="NaN"):
+                auc(scores, labels)
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        assert auc([-math.inf, 0.5, math.inf], [0, 1, 1]) == 1.0
+        assert auc([math.inf, 0.5, -math.inf], [0, 1, 1]) == 0.0
+
     def test_matches_pair_counting_exactly(self):
         rng = np.random.Generator(np.random.PCG64(17))
         for trial in range(50):
