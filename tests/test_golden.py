@@ -4,7 +4,12 @@ Seeded `simulate` data goes through `evaluate` under both calibration scopes
 (schema-disjoint with `--compare`, schema-disjoint with monotonic bins and
 Platt thresholds, and schema-level); a seeded file of skewed schema sizes
 goes through schema-level `evaluate` with monotonic bins, Platt thresholds
-and `--min-bin-count 3`; `prod` scores of a smaller second
+and `--min-bin-count 3`; a seeded file of two schemas, one all label 1 and
+one all label 0, with `alternatives` on every record, goes through `evaluate
+--method variant_alt` under both scopes (`--k 2` for schema-disjoint), so its
+tables hold empty `ece_raw` cells (variant scores leave [0, 1]) and NaN AUCs
+(every test split, and every schema's evaluation split, holds one class);
+`prod` scores of a smaller second
 `simulate` seed go through `calibrate` with both kinds, and the saved
 calibrators through `report` with both binnings on the first input's scores
 (some of which lie outside the fitted knot range); and a small SQLite fixture goes through `label`. Each output file's SHA-256 is compared with a recorded constant, so
@@ -37,6 +42,13 @@ SKEWED_SIZES = (2, 2, 3, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 22, 2
 SINGLE_CLASS = {5: 1, 9: 0, 17: 1, 47: 0}  # index into SKEWED_SIZES -> the one label
 SKEWED_FLAGS = ["--scope", "schema_level", "--binning", "monotonic", "--calibrator", "platt",
                 "--min-bin-count", "3", "--min-schema-records", "3"]
+
+# Two 12-record schemas, one label class each, scored by the variant rule.
+SINGLE_CLASS_SCHEMAS = {"dbA": 1, "dbB": 0}
+VARIANT_RUNS = {
+    "variant_disjoint": ["--method", "variant_alt", "--k", "2"],
+    "variant_schema_level": ["--method", "variant_alt", "--scope", "schema_level"],
+}
 
 CALIBRATOR_KINDS = ("platt", "isotonic")
 REPORT_BINNINGS = {
@@ -93,6 +105,18 @@ GOLDEN = {
         "b67c4820aa216cebcad5c2d1422733e0bea36aa5b9773752eb907e3c501035cf",
     ("schema_level_skewed", "thresholds.csv"):
         "d8fa8bd20588447859d85908e31cdea77cc5d4f81d63ce16afbb22927f8118e0",
+    ("variant", "data.jsonl"):
+        "8e397e776425ca65477cb7c5267ddde8754d2a31c2356f501252b4c6b3690111",
+    ("variant_disjoint", "report.csv"):
+        "708fd538769b6cb5c060e7cfb301b36df5330b84cfe67be8d83aaeba8d8a36c4",
+    ("variant_disjoint", "report.json"):
+        "704ca04a9946b4f68acea8ad95a5ab48f0bb37578b761161fa644564d52d1bc4",
+    ("variant_disjoint", "thresholds.csv"):
+        "70c51a39b733f00406bee7857b13a047254892befe39a64d201c6af337a797be",
+    ("variant_schema_level", "schemas.csv"):
+        "1df3a99b3fa07a01f1886d71290e65361de8e28bedfead3eabd8b6af5b825f96",
+    ("variant_schema_level", "thresholds.csv"):
+        "d98090535ca5437d5a35808c2e8114972005c58ebd6640ae681516a46e1422ae",
 }
 
 PAIRS = [
@@ -116,6 +140,22 @@ PAIRS = [
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_variant(path):
+    """12 records of each SINGLE_CLASS_SCHEMAS schema, labeled by it, with two
+    token probabilities and two alternatives each, in a seeded shuffled order."""
+    rng = np.random.Generator(np.random.PCG64(30))
+    rows = []
+    for schema_id, label in SINGLE_CLASS_SCHEMAS.items():
+        for i in range(12):
+            probs = np.round(rng.uniform(0.3, 1.0, size=2), 4).tolist()
+            alts = [{"score": round(float(x), 4), "equivalent": bool(e)}
+                    for x, e in zip(rng.uniform(0.0, 1.0, size=2), rng.random(2) < 0.3)]
+            rows.append({"id": f"{schema_id}-{i:02d}", "schema_id": schema_id, "label": label,
+                         "token_probs": probs, "alternatives": alts})
+    path.write_text("".join(json.dumps(rows[i]) + "\n" for i in rng.permutation(len(rows))),
+                    encoding="utf-8")
 
 
 def _write_skewed(path):
@@ -149,6 +189,12 @@ def outputs(tmp_path_factory):
     _write_skewed(skewed)
     assert main(["evaluate", "--input", str(skewed), "--seed", "3",
                  "--out-dir", str(root / "schema_level_skewed"), *SKEWED_FLAGS]) == 0
+    (root / "variant").mkdir()
+    variant = root / "variant" / "data.jsonl"
+    _write_variant(variant)
+    for run, flags in VARIANT_RUNS.items():
+        assert main(["evaluate", "--input", str(variant), "--seed", "5",
+                     "--out-dir", str(root / run), *flags]) == 0
 
     db_dir = root / "dbs" / "concerts"
     db_dir.mkdir(parents=True)
@@ -187,7 +233,8 @@ def outputs(tmp_path_factory):
                          "--out-svg", f"{stem}.svg", *flags]) == 0
 
     files = {("simulate", "data.jsonl"): data}
-    for run in (*EVALUATE_RUNS, "skewed", "schema_level_skewed", "calibrate", "report", "label"):
+    for run in (*EVALUATE_RUNS, "skewed", "schema_level_skewed", "variant", *VARIANT_RUNS,
+                "calibrate", "report", "label"):
         for path in (root / run).iterdir():
             files[(run, path.name)] = path
     return files
