@@ -183,7 +183,9 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from . import report as rpt
     from ._segments import one_split
     from .binning import _partitions
+    from .protocol import ProtocolConfig  # evaluate's bin flag rules and texts
 
+    ProtocolConfig(binning=args.binning, n_bins=args.bins, min_bin_count=args.min_bin_count)
     scored = load_scored(args.scored)
     _check_bins(args, len(scored), f"in {args.scored}")
     calibrator = cal.load_calibrator(args.calibrator)

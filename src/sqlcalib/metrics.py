@@ -5,7 +5,7 @@ at once, bit for bit as `summarize` of each split; the public functions are
 the one-split case of its parts. Its ECEs come from the bin columns of
 `binning._bin_columns`; the public `ece` takes a caller's `BinPartition`,
 re-checks it against the data and returns its `objective()`, the same
-number.
+number. The public functions reject an empty input and a NaN score.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ class MetricsReport:
     prf: tuple[ThresholdMetrics, ...]
 
 
-def _nonempty_split(confs: Sequence[float],
-                    labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`one_split` of a metric's confidences, which must not be empty."""
+def _nonempty_split(confs: Sequence[float], labels: Sequence[int],
+                    what: str = "confidences") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`one_split` of a metric's scores, which must be nonempty and hold no NaN."""
     if len(confs) == 0:
         raise ValueError("empty input")
-    return one_split(confs, labels, "confidences")
+    x, a, bounds = one_split(confs, labels, what)
+    if np.isnan(x).any():
+        raise ValueError(f"NaN in {what} at index {int(np.isnan(x).argmax())}")
+    return x, a, bounds
 
 
 def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
@@ -114,9 +117,11 @@ def ece(confs: Sequence[float], labels: Sequence[int], partition: BinPartition) 
     """Bin-weighted mean absolute gap between bin accuracy and bin confidence.
 
     The partition must have been built from the same confidences and labels;
-    inconsistency is detected by re-binning the samples.
+    inconsistency, a NaN included, is detected by re-binning the samples.
     """
-    c, a, _ = _nonempty_split(confs, labels)
+    if len(confs) == 0:
+        raise ValueError("empty input")
+    c, a, _ = one_split(confs, labels, "confidences")
     if partition.n != c.size:
         raise ValueError(f"inconsistent partition: covers {partition.n} samples, data has {c.size}")
     _check_partition(c, a, partition)
@@ -244,9 +249,10 @@ def summarize(
     """
     if threshold_scores is None:
         threshold_scores = isotonic_scores
-    (raw, a, bounds), (platt, _, _), (iso, _, _), (scores, _, _) = (
+    raw, a, bounds = _nonempty_split(raw_scores, labels, "raw scores")
+    (platt, _, _), (iso, _, _), (scores, _, _) = (
         _nonempty_split(column, labels)
-        for column in (raw_scores, platt_scores, isotonic_scores, threshold_scores))
+        for column in (platt_scores, isotonic_scores, threshold_scores))
     return _summarize_segments(
         raw, platt, iso, a, bounds,
         binning=binning, n_bins=n_bins, min_bin_count=min_bin_count, thresholds=thresholds,

@@ -2,19 +2,23 @@
 
 Everything written here is deterministic: float fields are emitted with
 repr (so every float read back from a CSV equals the value written) and the
-SVG renderer is a pure function of its inputs.
+SVG renderer is a pure function of its inputs. `_write_csv` writes every
+CSV table, and each table builds all of its rows, aggregates included, on
+one path.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .binning import Bin, BinPartition
-from .protocol import EvaluationReport, SchemaLevelReport
+from .metrics import MetricsReport
+from .protocol import _METRIC_KEYS, EvaluationReport, SchemaLevelReport
 
 
 @dataclass(frozen=True)
@@ -32,15 +36,18 @@ def reliability_series(partition: BinPartition, label: str) -> ReliabilitySeries
     return ReliabilitySeries(label=label, points=tuple(b for b in partition.bins if b.count > 0))
 
 
-def write_reliability_csv(series: Sequence[ReliabilitySeries], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one place a table file is opened: the header row, then the rows."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "bin_lo", "bin_hi", "mean_conf", "accuracy", "count"])
-        for s in series:
-            for p in s.points:
-                writer.writerow(
-                    [s.label, repr(p.lo), repr(p.hi), repr(p.mean_conf), repr(p.accuracy), p.count]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_reliability_csv(series: Sequence[ReliabilitySeries], path: str | Path) -> None:
+    _write_csv(path, ["label", "bin_lo", "bin_hi", "mean_conf", "accuracy", "count"],
+               ([s.label, repr(p.lo), repr(p.hi), repr(p.mean_conf), repr(p.accuracy), p.count]
+                for s in series for p in s.points))
 
 
 _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
@@ -135,25 +142,14 @@ def render_reliability(series: Sequence[ReliabilitySeries], out: str | Path) -> 
 
 
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
+    return "" if value is None else repr(value)
 
 
-def _metrics_dict(m) -> dict:
-    return {
-        "bs_p": m.bs_p,
-        "bs_i": m.bs_i,
-        "auc": m.auc,
-        "ece_raw": m.ece_raw,
-        "ece_p": m.ece_p,
-        "ece_i": m.ece_i,
-        "binning": m.binning_mode,
-        "prf": [
-            {"threshold": t.threshold, "precision": t.precision, "recall": t.recall, "f1": t.f1}
-            for t in m.prf
-        ],
-    }
+def _metrics_dict(m: MetricsReport) -> dict:
+    """`m` as a JSON object, its `binning_mode` under the key `binning`."""
+    fields = asdict(m)
+    fields["binning"] = fields.pop("binning_mode")
+    return fields
 
 
 def write_report_json(report: EvaluationReport, path: str | Path, dataset_name: str = "") -> None:
@@ -164,16 +160,7 @@ def write_report_json(report: EvaluationReport, path: str | Path, dataset_name: 
         "k": report.config.k,
         "seed": report.config.seed,
         "binning": report.config.binning,
-        "folds": [
-            {
-                "fold": fm.fold,
-                "n_tune": fm.n_tune,
-                "n_test": fm.n_test,
-                "degenerate_tune": fm.degenerate_tune,
-                "metrics": _metrics_dict(fm.metrics),
-            }
-            for fm in report.folds
-        ],
+        "folds": [{**vars(fm), "metrics": _metrics_dict(fm.metrics)} for fm in report.folds],
         "mean": dict(report.mean),
         "std": dict(report.std),
         "notes": list(report.notes),
@@ -181,79 +168,53 @@ def write_report_json(report: EvaluationReport, path: str | Path, dataset_name: 
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_report_csv(
-    report: EvaluationReport, path: str | Path, dataset_name: str = ""
-) -> None:
+# report.csv's row of each calibrator: its name, Brier key and ECE key
+_CALIBRATED = (("platt", "bs_p", "ece_p"), ("isotonic", "bs_i", "ece_i"))
+
+
+def write_report_csv(report: EvaluationReport, path: str | Path, dataset_name: str = "") -> None:
     """Per-fold and aggregate cross-validation metrics.
 
     One row per fold and calibrator: `bs` and `ece_cal` are the Brier score
     and ECE under that calibrator; `auc` and `ece_raw` are calibration-free.
-    Aggregate rows carry "mean" and "std" in the fold column.
+    Aggregate rows carry "mean" and "std" in the fold column. A fold row
+    names its own metrics' binning, an aggregate row the config's.
     """
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["dataset", "method", "calibrator", "binning", "fold", "bs", "auc", "ece_raw", "ece_cal"]
-        )
-        for fm in report.folds:
-            m = fm.metrics
-            for cal, bs, ece_cal in (("platt", m.bs_p, m.ece_p), ("isotonic", m.bs_i, m.ece_i)):
-                writer.writerow(
-                    [dataset_name, report.method, cal, m.binning_mode, fm.fold,
-                     _fmt(bs), _fmt(m.auc), _fmt(m.ece_raw), _fmt(ece_cal)]
-                )
-        for agg_name, agg in (("mean", report.mean), ("std", report.std)):
-            for cal, bs_key, ece_key in (("platt", "bs_p", "ece_p"), ("isotonic", "bs_i", "ece_i")):
-                writer.writerow(
-                    [dataset_name, report.method, cal, report.config.binning, agg_name,
-                     _fmt(agg.get(bs_key)), _fmt(agg.get("auc")), _fmt(agg.get("ece_raw")),
-                     _fmt(agg.get(ece_key))]
-                )
+    binning = report.config.binning
+    folds = [*((fm.fold, fm.metrics.binning_mode, vars(fm.metrics)) for fm in report.folds),
+             ("mean", binning, report.mean), ("std", binning, report.std)]
+    _write_csv(path, ["dataset", "method", "calibrator", "binning", "fold", "bs", "auc",
+                      "ece_raw", "ece_cal"],
+               ([dataset_name, report.method, cal, mode, fold,
+                 *(_fmt(values.get(key)) for key in (bs, "auc", "ece_raw", ece))]
+                for fold, mode, values in folds for cal, bs, ece in _CALIBRATED))
 
 
-def write_thresholds_csv(
-    rows: Sequence[tuple[str, Sequence]], path: str | Path
-) -> None:
+def write_thresholds_csv(rows: Sequence[tuple[str, Sequence]], path: str | Path) -> None:
     """Threshold sweep: rows are (scope, threshold-metrics sequence) pairs."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "threshold", "precision", "recall", "f1"])
-        for scope, prf in rows:
-            for tm in prf:
-                writer.writerow(
-                    [scope, repr(tm.threshold), repr(tm.precision), repr(tm.recall), repr(tm.f1)]
-                )
+    _write_csv(path, ["scope", "threshold", "precision", "recall", "f1"],
+               ([scope, repr(tm.threshold), repr(tm.precision), repr(tm.recall), repr(tm.f1)]
+                for scope, prf in rows for tm in prf))
+
+
+_metric_values = attrgetter(*_METRIC_KEYS)
 
 
 def write_schema_csv(report: SchemaLevelReport, path: str | Path) -> None:
-    """Per-schema metrics plus the pooled micro row."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["schema", "n_tune", "n_eval", "bs_p", "bs_i", "auc", "ece_raw", "ece_p", "ece_i"]
-        )
-        for row in report.schemas:
-            m = row.metrics
-            writer.writerow(
-                [row.schema_id, row.n_tune, row.n_eval, _fmt(m.bs_p), _fmt(m.bs_i),
-                 _fmt(m.auc), _fmt(m.ece_raw), _fmt(m.ece_p), _fmt(m.ece_i)]
-            )
-        m = report.micro
-        n_tune = sum(r.n_tune for r in report.schemas)
-        n_eval = sum(r.n_eval for r in report.schemas)
-        writer.writerow(
-            ["micro", n_tune, n_eval, _fmt(m.bs_p), _fmt(m.bs_i), _fmt(m.auc),
-             _fmt(m.ece_raw), _fmt(m.ece_p), _fmt(m.ece_i)]
-        )
+    """Per-schema metrics plus the pooled micro row, which sums the schemas' counts."""
+    rows = [(r.schema_id, r.n_tune, r.n_eval, r.metrics) for r in report.schemas]
+    rows.append(("micro", sum(r.n_tune for r in report.schemas),
+                 sum(r.n_eval for r in report.schemas), report.micro))
+    _write_csv(path, ["schema", "n_tune", "n_eval", *_METRIC_KEYS],
+               ([name, n_tune, n_eval, *map(_fmt, _metric_values(m))]
+                for name, n_tune, n_eval, m in rows))
+
+
+_HEADLINE = ("bs_i", "auc", "ece_p", "ece_i")  # compare.csv's columns, from each mean
 
 
 def write_compare_csv(reports: Mapping[str, EvaluationReport], path: str | Path) -> None:
     """Side-by-side method comparison on the headline columns."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "bs_i", "auc", "ece_p", "ece_i"])
-        for method, report in reports.items():
-            writer.writerow(
-                [method, _fmt(report.mean.get("bs_i")), _fmt(report.mean.get("auc")),
-                 _fmt(report.mean.get("ece_p")), _fmt(report.mean.get("ece_i"))]
-            )
+    _write_csv(path, ["method", *_HEADLINE],
+               ([method, *(_fmt(report.mean.get(key)) for key in _HEADLINE)]
+                for method, report in reports.items()))

@@ -913,6 +913,18 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: --bins 10 exceeds the 8 records in {scored}\n"
         assert not (tmp_path / "uniform.csv").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--bins", "n_bins"), ("--min-bin-count", "min_bin_count")])
+    @pytest.mark.parametrize("binning", ["uniform", "monotonic"])
+    def test_bin_settings_below_1_rejected_before_any_read(self, tmp_path, capsys, flag, field,
+                                                          binning):
+        out_csv = tmp_path / "rel.csv"
+        # neither file exists: the check comes before any read, with evaluate's text
+        code = run("report", "--scored", tmp_path / "missing.jsonl", "--calibrator",
+                   tmp_path / "missing.json", "--binning", binning, flag, 0, "--out-csv", out_csv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
+        assert not out_csv.exists()
+
     def test_step_mode_calibrator_exits_1_and_an_absent_mode_applies_knots(self, synthetic,
                                                                            tmp_path, capsys):
         scored, cal = tmp_path / "scored.jsonl", tmp_path / "cal.json"

@@ -37,6 +37,11 @@ class TestBrier:
         with pytest.raises(ValueError, match="length mismatch"):
             brier([0.5], [1, 0])
 
+    def test_nan_confidence_is_an_error(self):
+        # it made the score NaN
+        with pytest.raises(ValueError, match=r"^NaN in confidences at index 0$"):
+            brier([math.nan, 0.5], [1, 0])
+
     @given(
         st.lists(
             st.tuples(st.floats(min_value=0, max_value=1), st.integers(0, 1)),
@@ -184,6 +189,11 @@ class TestPrf:
         tm = prf_at_threshold([0.95, 0.99], [0, 0], 0.9)
         assert (tm.precision, tm.recall, tm.f1) == (0.0, 0.0, 0.0)
 
+    def test_nan_confidence_is_an_error(self):
+        # it was counted as a negative prediction
+        with pytest.raises(ValueError, match=r"^NaN in confidences at index 1$"):
+            prf_at_threshold([0.9, math.nan], [1, 1], 0.5)
+
     @given(
         st.lists(
             st.tuples(st.floats(min_value=0, max_value=1), st.integers(0, 1)),
@@ -228,3 +238,16 @@ class TestSummarize:
         report = summarize(raw, cal, cal, labels)
         assert report.ece_raw is None
         assert report.auc == auc(raw, labels)
+
+    @pytest.mark.parametrize("column, what", [
+        ("raw", "raw scores"), ("platt", "confidences"), ("iso", "confidences"),
+        ("threshold", "confidences"),
+    ])
+    def test_nan_in_any_score_column_is_an_error(self, column, what):
+        # a NaN raw score gave AUC 1.0 and no raw ECE; a NaN threshold score
+        # was counted as a negative prediction
+        columns = {name: [0.2, 0.6, 0.7] for name in ("raw", "platt", "iso", "threshold")}
+        columns[column] = [0.2, math.nan, 0.7]
+        with pytest.raises(ValueError, match=rf"^NaN in {what} at index 1$"):
+            summarize(columns["raw"], columns["platt"], columns["iso"], [0, 1, 1],
+                      threshold_scores=columns["threshold"])

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -123,6 +124,17 @@ class TestEvaluationCsv:
         assert len(lines) == 1 + 10 + 4
         assert any(",mean," in line for line in lines)
         assert any(",std," in line for line in lines)
+
+    def test_fold_rows_name_their_own_binning(self, tmp_path, report):
+        # built by hand: fold metrics under monotonic bins, the config under uniform
+        folds = tuple(replace(fm, metrics=replace(fm.metrics, binning_mode="monotonic"))
+                      for fm in report.folds)
+        path = tmp_path / "report.csv"
+        write_report_csv(replace(report, folds=folds), path)
+        with path.open() as fh:
+            binnings = {(r["fold"], r["binning"]) for r in csv.DictReader(fh)}
+        assert binnings == {*((str(f), "monotonic") for f in range(5)),
+                            ("mean", "uniform"), ("std", "uniform")}
 
     def test_report_csv_deterministic(self, tmp_path, report):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
