@@ -1,9 +1,10 @@
 """Command-line pipeline: validate, score, calibrate, evaluate, report,
 label, simulate.
 
-Exit codes: 0 success, 1 data error, 2 usage error. Outputs are
-deterministic for identical flags and inputs; no file is written until the
-inputs have validated fully.
+Exit codes: 0 success, 1 data error, 2 usage error. Every data error is a
+`ValueError` or an `OSError`, `execmatch.ExecutionError` (a database that
+cannot be opened, say) included. Outputs are deterministic for identical
+flags and inputs; no file is written until the inputs have validated fully.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
 with them numpy), and only label imports `execmatch` (and with it sqlite3),
@@ -221,15 +222,6 @@ def _pair_from_obj(obj: Any) -> tuple[dict[str, Any], str, str, str | None]:
 
 
 def cmd_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .execmatch import ExecutionError
-
-    try:  # main does not import execmatch, and so cannot catch its errors
-        return _label(args)
-    except ExecutionError as exc:
-        raise DatasetError(str(exc)) from exc
-
-
-def _label(args: argparse.Namespace) -> int:
     from .execmatch import _IDENTICAL, _OUTCOMES, Gold, GoldExecutionError
 
     cli = sys.modules[__name__]  # see __getattr__

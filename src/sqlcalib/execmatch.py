@@ -14,7 +14,8 @@ An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
 database, an open transaction) closes that connection after it, so it cannot
 change what a later query returns. SQLite prepares every run again, so each
-run is judged on its own.
+run is judged on its own. A query the executor cannot run raises
+`ExecutionError`, a `ValueError`: to the command line, a data error.
 
 Gold's result is held by a `Gold`, which pairs sharing that gold query on
 one database may reuse when its run was a pure read calling no volatile
@@ -29,7 +30,6 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -55,12 +55,18 @@ _VOLATILE_FUNCTIONS = frozenset((
 ))
 
 
-class ExecutionError(Exception):
-    """The executor could not produce a result table for a query."""
+class ExecutionError(ValueError):
+    """The executor could not produce a result table for a query: a data
+    error, so the command line exits 1 with its text."""
 
 
 class GoldExecutionError(ExecutionError):
     """The gold query failed: a dataset defect, not a wrong prediction."""
+
+
+# Below this magnitude an integral float canonicalizes as its int, which it
+# equals; from here up they differ: 10**15 == 1e15, but not their strings.
+_INT_FLOAT_LIMIT = 1e15
 
 
 def canonical_cell(value: Any) -> str:
@@ -78,46 +84,28 @@ def canonical_cell(value: Any) -> str:
     if isinstance(value, int):
         return f"#{value}"
     if isinstance(value, float):
-        return _canonical_float(value)
+        # inf and NaN fail both tests; format() renders them as inf, -inf and nan
+        if -_INT_FLOAT_LIMIT < value < _INT_FLOAT_LIMIT and value.is_integer():
+            return f"#{int(value)}"
+        return "#" + format(value, ".6g")
     if isinstance(value, (bytes, bytearray)):
         return "b:" + bytes(value).hex()
     return "t:" + str(value)
 
 
-def _canonical_float(value: float) -> str:
-    """`canonical_cell` of a float."""
-    # inf and NaN fail both tests; format() renders them as inf, -inf and nan
-    if -1e15 < value < 1e15 and value.is_integer():
-        return f"#{int(value)}"
-    return "#" + format(value, ".6g")
-
-
 def _canonical_column(column: tuple) -> Iterable[str]:
-    """`canonical_cell` of every cell of one column. A column of one type
-    (int, str or float) skips the per-cell type dispatch."""
-    types = set(map(type, column))
-    if types == {int}:
-        return [f"#{v}" for v in column]
-    if types == {str}:
-        return ["t:" + v for v in column]
-    if types == {float}:
-        # one C-level pass formats every cell; only integral ones differ
-        keys = list(map("#{:.6g}".format, column))
-        for i in compress(range(len(column)), map(float.is_integer, column)):
-            keys[i] = _canonical_float(column[i])
-        return keys
+    """`canonical_cell` of every cell of one column."""
     return map(canonical_cell, column)
 
 
 # Cell types whose Python equality implies equal `canonical_cell` strings, a
-# float only below this magnitude: 10**15 == 1e15, but their strings differ.
+# float only below `_INT_FLOAT_LIMIT`.
 _RAW_TYPES = frozenset((int, float, str, bytes))
-_RAW_FLOAT_LIMIT = 1e15
 
 
 def _raw_kinds(result: RawResult) -> set[type] | None:
     """The cell types of `result` when each of its columns holds one type of
-    `_RAW_TYPES` and every float lies below `_RAW_FLOAT_LIMIT` in magnitude
+    `_RAW_TYPES` and every float lies below `_INT_FLOAT_LIMIT` in magnitude
     (so it is neither NaN nor infinite); None otherwise. A NULL or
     mixed-type column could not be sorted."""
     kinds: set[type] = set()
@@ -125,7 +113,7 @@ def _raw_kinds(result: RawResult) -> set[type] | None:
         types = set(map(type, column))
         if len(types) != 1 or not types <= _RAW_TYPES:
             return None
-        if float in types and not all(map(_RAW_FLOAT_LIMIT.__gt__, map(abs, column))):
+        if float in types and not all(map(_INT_FLOAT_LIMIT.__gt__, map(abs, column))):
             return None
         kinds |= types
     return kinds
@@ -249,12 +237,11 @@ class Gold:
 
 
 def _raw_outcome(gold: RawResult, pred: RawResult, strict_columns: bool, deadline: float,
-                 gold_kinds: set[type] | None = None) -> str | None:
+                 gold_kinds: set[type] | None) -> str | None:
     """The outcome of two results of one shape when their raw values decide it,
     "matched" or "mismatched"; None when canonical strings must. Without a float
     column a raw mismatch is a mismatch: the canonical strings of int, str and
-    bytes are injective, with disjoint tags. `gold_kinds`, if given, is `_raw_kinds(gold)`."""
-    gold_kinds = _raw_kinds(gold) if gold_kinds is None else gold_kinds
+    bytes are injective, with disjoint tags. `gold_kinds` is `_raw_kinds(gold)`."""
     pred_kinds = None if gold_kinds is None else _raw_kinds(pred)
     if pred_kinds is None:
         return None
@@ -295,8 +282,6 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         pred = executor.execute(pred_sql, expect=gold.raw, deadline=deadline)
         if pred is None:
             outcome = "shape or row-cap reject"
-        elif gold.kinds() is None:  # gold's own cells rule out raw values
-            outcome = None
         else:
             outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline, gold.kinds())
         if outcome is None:

@@ -150,12 +150,6 @@ def _eces(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: i
     return out.tolist()
 
 
-def _single_class(labels: Sequence[int]) -> bool:
-    """True for nonempty labels of one class, where AUC is undefined."""
-    a = np.asarray(labels)
-    return a.size > 0 and bool(a.min() == a.max())
-
-
 def auc(raw_scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve as the Mann-Whitney statistic.
 

@@ -41,7 +41,6 @@ from .calibrate import (  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricsReport,
     ThresholdMetrics,
-    _single_class,
     _summarize_segments,
     summarize,
 )
@@ -251,21 +250,23 @@ def cross_validate(scored: ScoredColumns, cfg: ProtocolConfig) -> EvaluationRepo
     reports, _ = _evaluate_splits(raw, labels, tune, bounds_of(n_tune), test,
                                   bounds_of(len(raw) - n_tune), cfg)
 
+    # a split (never empty) is single-class when none or all of its labels are 1
+    n_pos = np.bincount(fold_of[labels == 1], minlength=cfg.k).tolist()
     folds: list[FoldMetrics] = []
     notes: list[str] = []
-    for f, report in enumerate(reports):
-        degenerate = n_tune[f] < 2 or _single_class(labels[fold_of == f])
+    for f, (report, n) in enumerate(zip(reports, n_tune.tolist())):
+        degenerate = n < 2 or n_pos[f] in (0, n)
         if degenerate:
             notes.append(f"fold {f}: degenerate tuning split (Platt reduces to a constant map)")
-        if _single_class(labels[fold_of != f]):
+        if sum(n_pos) - n_pos[f] in (0, len(raw) - n):
             notes.append(f"fold {f}: single-class test split, AUC undefined")
         folds.append(
             FoldMetrics(
                 fold=f,
-                n_tune=int(n_tune[f]),
-                n_test=len(raw) - int(n_tune[f]),
+                n_tune=n,
+                n_test=len(raw) - n,
                 metrics=report,
-                degenerate_tune=bool(degenerate),
+                degenerate_tune=degenerate,
             )
         )
 

@@ -330,6 +330,10 @@ class TestSQLiteExecutor:
         with pytest.raises(ExecutionError):
             SQLiteExecutor(db).execute("SELEC nope")
 
+    def test_execution_errors_are_data_errors(self):
+        assert issubclass(ExecutionError, ValueError)
+        assert issubclass(GoldExecutionError, ValueError)
+
     def test_missing_database(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             SQLiteExecutor(tmp_path / "absent.sqlite")
@@ -735,10 +739,21 @@ class TestRawValues:
     def test_raw_verdict_agrees_with_canonical_tables(self, pair):
         a, b = pair
         for strict in (False, True):
-            verdict = execmatch._raw_outcome(a, b, strict, time.monotonic() + 60)
+            verdict = execmatch._raw_outcome(a, b, strict, time.monotonic() + 60,
+                                             execmatch._raw_kinds(a))
             if verdict is not None:
                 assert (verdict == "matched") == tables_equal(self.canonical(a), self.canonical(b),
                                                               strict)
+
+    @pytest.mark.parametrize("value", [1e15 - 1, -(1e15 - 1)])
+    def test_integral_float_below_the_bound_is_its_int(self, value):
+        assert canonical_cell(value) == canonical_cell(int(value)) == f"#{int(value)}"
+        assert execmatch._raw_kinds(RawResult(1, [(value,)])) == {float}
+
+    @pytest.mark.parametrize("value", [1e15, -1e15])
+    def test_float_at_the_bound_is_not_raw_comparable(self, value):
+        assert canonical_cell(value) != canonical_cell(int(value))
+        assert execmatch._raw_kinds(RawResult(1, [(value,)])) is None
 
     def test_ten_to_the_fifteen_and_its_float_stay_mismatched(self, db):
         # 10**15 == 1e15, but their canonical strings are #1000000000000000 and #1e+15
@@ -779,5 +794,6 @@ class TestRawValues:
         assert cells == [3] * 4
         nan = RawResult(1, [(math.nan,), (1.5,)])
         assert execmatch._raw_kinds(nan) is None
-        assert execmatch._raw_outcome(nan, nan, False, time.monotonic() + 60) is None
+        assert execmatch._raw_outcome(nan, nan, False, time.monotonic() + 60,
+                                      execmatch._raw_kinds(nan)) is None
         assert tables_equal(self.canonical(nan), self.canonical(nan))
