@@ -3,9 +3,10 @@
 Uniform mode uses equal-width bins on [0, 1]. Monotonic mode sorts samples
 by confidence and pools adjacent bins until observed accuracies increase
 left to right (ties in confidence never split across bins), optionally
-merging undersized bins into whichever neighbor costs least. One pass,
-`_pav_segments`, pools and merges every split, and its group columns are
-also the pool-adjacent-violators fit behind `calibrate.fit_isotonic`. Both
+merging undersized bins into whichever neighbor costs least. One stack pass,
+`_pav_segments`, pools and merges every split. Its groups are the fit behind
+`calibrate.fit_isotonic`, which pools them in numpy rounds; bins keep the
+stack, whose order of addition gives each bin's pinned confidence sum. Both
 modes bin every split of a batch at once into bin columns (`_bin_columns`:
 counts and sums per bin, no object per bin), which the evaluator's ECE
 reads directly; `_partitions` builds the `Bin`s of the public functions,
@@ -59,36 +60,42 @@ def uniform_bins(confs: Sequence[float], labels: Sequence[int], n_bins: int) -> 
     return _partitions(*one_split(confs, labels, "confidences"), "uniform", n_bins, 1)[0]
 
 
+def _pav_start(values: np.ndarray, labels: np.ndarray,
+               bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The groups both pool-adjacent-violators passes start from, one per distinct value
+    of each segment, ascending: value, count, label sum and first sorted offset."""
+    order, first = sorted_ties(values, bounds)
+    starts = np.flatnonzero(first)
+    # 0/1 labels: their sums are exact in any order
+    return (values[order[starts]], np.diff(np.append(starts, len(order))),
+            np.bincount(np.cumsum(first) - 1, weights=labels[order]), starts)
+
+
 def _pav_segments(values: np.ndarray, labels: np.ndarray, bounds: np.ndarray,
                   min_count: int = 1) -> tuple[np.ndarray, ...]:
     """Pool adjacent violators over the labels of each segment's ascending
     distinct values, in one pass over all of them that starts a new stack at
     each segment; every segment must be nonempty.
 
-    Starts from one group per distinct value (ties stay together) and pools
-    a group into its left neighbor whenever the left accuracy is >= the
-    right one, so accuracies strictly increase left to right: group by
-    group, the least-squares non-decreasing fit of the labels against the
-    values. As a segment's stack closes, `_merged` merges its groups below
+    Starts from the groups of `_pav_start` and pools a group into its left
+    neighbor whenever the left accuracy is >= the right one, so accuracies
+    strictly increase left to right: group by group, the least-squares
+    non-decreasing fit of the labels against the values. As a segment's
+    stack closes, `_merged` merges its groups below
     min_count. Returns the groups as `_bin_columns` returns bins: each
     group's count, label sum, value sum, lo and hi, segment by segment, and
     the offsets of each segment's groups among them; a pooled group keeps
     its left part's lo and its right part's hi.
     """
-    order, first = sorted_ties(values, bounds)
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(order)))
-    group = np.cumsum(first) - 1  # the group of each sorted element
-    # 0/1 labels: their sums are exact in any order
-    label_sums = np.bincount(group, weights=labels[order])
+    firsts, counts, label_sums, starts = _pav_start(values, labels, bounds)
     closing = np.zeros(len(starts), dtype=np.int64)  # n at the last group of a segment of n
-    closing[group[bounds[1:] - 1]] = np.diff(bounds)
+    closing[np.searchsorted(starts, bounds[1:] - 1, side="right") - 1] = np.diff(bounds)
 
     out = ([], [], [], [], [])
     tops = [0]
     groups = ns, ys, cs, los, his = [], [], [], [], []
-    for value, count, label_sum, n in zip(values[order][starts].tolist(), counts.tolist(),
-                                          label_sums.tolist(), closing.tolist()):
+    for value, count, label_sum, n in zip(firsts.tolist(), counts.tolist(), label_sums.tolist(),
+                                          closing.tolist()):
         cur_n, cur_y, cur_c, cur_lo = count, label_sum, value * count, value
         # cross-product compare is exact: label sums and counts are integers
         while ns and ys[-1] * cur_n >= cur_y * ns[-1]:

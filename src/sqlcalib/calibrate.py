@@ -6,9 +6,9 @@ Two calibrators are provided:
   with the classic target smoothing that keeps the optimum finite on
   separable data.
 * Isotonic regression: least-squares non-decreasing step fit of the labels
-  against the scores, solved by the pool-adjacent-violators pass that
-  monotonic binning also uses (`binning._pav_segments`), whose group
-  columns give the knots; applied out of sample by linear interpolation.
+  against the scores, its knots from the pool-adjacent-violators groups of
+  monotonic binning, pooled in numpy rounds (the order of pooling does not
+  change them); applied out of sample by linear interpolation.
 
 Raw scores outside [0, 1] (the variant method produces them) are accepted
 unchanged; only calibrated outputs are required to lie in [0, 1].
@@ -37,11 +37,12 @@ from ._segments import (
     segment_searchsorted,
     stable_argsort,
 )
-from .binning import _pav_segments
+from .binning import _pav_segments, _pav_start
 from .records import RecordError, _floats
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
+_POOL_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -147,18 +148,24 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
+def _finite_raw(raw: Any, where: str) -> np.ndarray:
+    """Raw scores as a float array, each finite, the rule of fits and maps alike."""
+    r = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"non-finite raw score {where}")
+    return r
+
+
 def _fit_columns(raw: Sequence[float], labels: Sequence[int],
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The raw score and label columns of one or more fits, laid end to end
     as `bounds` says, as float arrays, after the checks both fitters share:
     at least one record per fit, finite raw scores and 0/1 labels. The
     columns have equal lengths."""
-    r = np.asarray(raw, dtype=float)
     a = np.asarray(labels, dtype=float)
     if not np.all(np.diff(bounds) >= 1):
         raise ValueError("need at least 1 record to fit")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("non-finite raw score in calibration data")
+    r = _finite_raw(raw, "in calibration data")
     if not np.all((a == 0) | (a == 1)):
         raise ValueError("labels must be 0 or 1")
     return r, a
@@ -271,8 +278,8 @@ def _newton_rows(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 def apply_platt(calibrator: PlattCalibrator, raw: float | np.ndarray) -> float | np.ndarray:
     """sigma(t * raw + b), elementwise: a float for a scalar `raw`, an
-    ndarray for an array."""
-    out = _sigmoid(calibrator.t * np.asarray(raw, dtype=float) + calibrator.b)
+    ndarray for an array. Every raw score must be finite."""
+    out = _sigmoid(calibrator.t * _finite_raw(raw, "to map") + calibrator.b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -280,8 +287,8 @@ def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibra
     """Least-squares non-decreasing fit of labels as a function of raw score.
 
     Tied raw scores are merged (weighted by multiplicity) before pooling;
-    the blocks are the `binning._pav_segments` groups of the raw scores, the
-    same pass that monotonic ECE bins start from. Fitted values are block means,
+    the blocks are the pool-adjacent-violators groups of the raw scores that
+    monotonic ECE bins start from. Fitted values are block means,
     hence in [min label, max label]. This is the one-segment case of
     `_isotonic_segments`.
     """
@@ -291,10 +298,23 @@ def fit_isotonic(raw: Sequence[float], labels: Sequence[int]) -> IsotonicCalibra
 
 def _isotonic_segments(raw: Sequence[float], labels: Sequence[int],
                        bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`fit_isotonic` of every segment of the columns: the knots' x and y,
-    laid end to end, and their bounds per segment, read from the group
-    columns of `_pav_segments` with no loop over groups."""
-    n, y, _, lo, hi, group_bounds = _pav_segments(*_fit_columns(raw, labels, bounds), bounds)
+    """`fit_isotonic` of every segment of the columns: the knots' x and y, laid end to
+    end, and their bounds per segment. The groups pool in numpy rounds, or in the stack
+    of `_pav_segments` once the rounds cost `_POOL_ROUNDS` times the first group count."""
+    r, a = _fit_columns(raw, labels, bounds)
+    lo, n, y, starts = _pav_start(r, a, bounds)
+    seg, hi, y = np.searchsorted(bounds, starts, side="right") - 1, lo, y.astype(np.int64)
+    budget = _POOL_ROUNDS * len(n)
+    # pool each run of non-increasing accuracy, exactly: y[i] / n[i] >= y[i + 1] / n[i + 1]
+    while (pooled := (y[:-1] * n[1:] >= y[1:] * n[:-1]) & (seg[:-1] == seg[1:])).any() \
+            and (budget := budget - len(n)) >= 0:
+        first = np.flatnonzero(np.append(True, ~pooled))
+        n, y, seg = np.add.reduceat(n, first), np.add.reduceat(y, first), seg[first]
+        lo, hi = lo[first], hi[np.append(first[1:], len(hi)) - 1]
+    if budget < 0:
+        n, y, _, lo, hi, group_bounds = _pav_segments(r, a, bounds)
+    else:
+        group_bounds = np.searchsorted(seg, np.arange(len(bounds)))
     # knots at block boundaries: the first and last distinct raw of each block
     two = hi != lo
     knot_bounds = bounds_of(1 + two)  # each block's knots
@@ -309,12 +329,12 @@ def apply_isotonic(calibrator: IsotonicCalibrator, raw: float | np.ndarray) -> f
 
     Straight lines join adjacent knots, and the first/last fitted value
     holds outside the knot range; a raw score exactly on a knot gets that
-    knot's value.
+    knot's value. Every raw score must be finite.
     """
     if not calibrator.knots:
         raise ValueError("empty isotonic calibrator")
     xs, ys = np.asarray(calibrator.knots, dtype=float).T
-    r = np.asarray(raw, dtype=float)
+    r = _finite_raw(raw, "to map")
     out = _isotonic_map(xs, ys, bounds_of([len(xs)]), r.ravel(),
                         np.zeros(r.size, dtype=np.int64)).reshape(r.shape)
     return float(out) if out.ndim == 0 else out

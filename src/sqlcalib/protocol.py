@@ -210,14 +210,11 @@ def _aggregate_prf(
 ) -> tuple[tuple[ThresholdMetrics, ...], tuple[ThresholdMetrics, ...]]:
     means: list[ThresholdMetrics] = []
     stds: list[ThresholdMetrics] = []
-    n_thresholds = len(folds[0].metrics.prf)
-    for i in range(n_thresholds):
-        tau = folds[0].metrics.prf[i].threshold
-        agg = {}
-        for part in ("precision", "recall", "f1"):
-            agg[part] = _mean_std([getattr(f.metrics.prf[i], part) for f in folds])
-        means.append(ThresholdMetrics(tau, agg["precision"][0], agg["recall"][0], agg["f1"][0]))
-        stds.append(ThresholdMetrics(tau, agg["precision"][1], agg["recall"][1], agg["f1"][1]))
+    for i, first in enumerate(folds[0].metrics.prf):
+        mean, std = zip(*(_mean_std([getattr(f.metrics.prf[i], part) for f in folds])
+                          for part in ("precision", "recall", "f1")))
+        means.append(ThresholdMetrics(first.threshold, *mean))
+        stds.append(ThresholdMetrics(first.threshold, *std))
     return tuple(means), tuple(stds)
 
 

@@ -20,11 +20,12 @@ serializer, but are otherwise ignored.
 A line is checked in two steps, both run by `_checked`: `_fields` applies
 the type and label rules and returns plain values, `_check_values` the value
 rules. `_fields` passes each field of its plain JSON type inline and calls
-its rule helper only to convert another type or raise. A value given in
-code is checked by `_checked` too, on the line `_line_value` shapes for it:
-a `PredictionRecord` as the line it would write, and each argument of the
-scalar scorers of `scoring` as a line holding that one field. So every rule
-and error text comes from one place.
+its rule helper only to convert another type or raise. `_checked` passes the
+commonest line in one inline test instead; a line failing it takes both steps.
+A value given in code is checked by `_checked` too, on the line `_line_value`
+shapes for it: a `PredictionRecord` as the line it would write, and each
+argument of the scalar scorers of `scoring` as a line holding that one field.
+So every rule and error text comes from one place.
 """
 
 from __future__ import annotations
@@ -259,7 +260,21 @@ def _check_values(rid: str, token_probs: Sequence[float] | None, self_check: Seq
 
 
 def _checked(obj: Any) -> tuple:
-    """The plain values of `_fields`, checked by `_check_values` too."""
+    """The plain values of `_fields`, checked by `_check_values` too. The
+    commonest line passes one inline test instead, cheap parts first: no
+    optional scored field, string ids, an int 0/1 label, a str or null
+    question, then nonempty float tokens in (0, 1]; any other line takes both."""
+    get = obj.get if type(obj) is dict else None
+    if get and get("self_check_bool") is get("verbalized_prob") is get("alternatives") is None:
+        rid, schema_id, label, tokens = get("id"), get("schema_id"), get("label"), get("token_probs")
+        if type(rid) is type(schema_id) is str and type(label) is int and label in (0, 1) \
+                and isinstance(get("question"), (str, type(None))) and type(tokens) is list \
+                and set(map(type, tokens)) == {float}:
+            for p in tokens:
+                if not (0.0 < p <= 1.0):
+                    break
+            else:
+                return rid, schema_id, label, tokens, None, None, None
     fields = _fields(obj)
     _check_values(fields[0], *fields[3:])
     return fields

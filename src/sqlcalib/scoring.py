@@ -230,8 +230,9 @@ def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringRes
     schemas: dict[str, str] = {}  # one str per schema id, shared by its rows
 
     def parse(obj: Any) -> tuple:
-        rid, schema_id, label, *values = _checked(obj)
-        return rid, schemas.setdefault(schema_id, schema_id), label, *_scores(*values, methods)
+        rid, schema_id, label, token_probs, self_check, verbalized, alternatives = _checked(obj)
+        return (rid, schemas.setdefault(schema_id, schema_id), label,
+                *_scores(token_probs, self_check, verbalized, alternatives, methods))
 
     ids, schema_ids, labels, *scores = zip(*_read_records(Path(path), parse))
     return {method: _result(method, ids, schema_ids, labels, column)

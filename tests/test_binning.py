@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (_mean_conf, _monotonic_bins, _pav_groups, brute_monotone_partition,
                      reference_fit_isotonic)
+from sqlcalib import calibrate
 from sqlcalib._segments import bounds_of
 from sqlcalib.binning import Bin, BinPartition, _pav_segments, monotonic_bins, uniform_bins
 from sqlcalib.calibrate import _isotonic_segments
@@ -178,3 +179,66 @@ def test_pav_columns_are_the_oracle_groups_of_each_segment(data, min_count):
         assert [merged[i:j] for i, j in itertools.pairwise(group_bounds)] == [
             _monotonic_bins(c[i:j], a[i:j], min_count)
             for i, j in itertools.pairwise(bounds.tolist())]
+
+
+def _knots_by_segment(c, a, bounds):
+    """The knots of `_isotonic_segments`, as one list per segment."""
+    xs, ys, knot_bounds = (column.tolist() for column in _isotonic_segments(c, a, bounds))
+    knots = list(zip(xs, ys))
+    return [knots[i:j] for i, j in itertools.pairwise(knot_bounds)]
+
+
+def _stack_knots(c, a, bounds):
+    """The same knots read from the groups of the stack, `_pav_segments`."""
+    n, y, _, lo, hi, group_bounds = (column.tolist() for column in _pav_segments(c, a, bounds))
+    knots = [[(x0, k / m)] + ([(x1, k / m)] if x1 != x0 else [])
+             for m, k, x0, x1 in zip(n, y, lo, hi)]
+    return [sum(knots[i:j], []) for i, j in itertools.pairwise(group_bounds)]
+
+
+@st.composite
+def segmented_fits(draw):
+    """Raw and label columns of 1-40 segments of 1-30 rows each: tied raw
+    scores from a coarse grid or distinct ones, labels all 0, all 1 or mixed."""
+    shape = st.tuples(st.integers(1, 30), st.sampled_from(["grid", "floats"]),
+                      st.sampled_from([0.0, 1.0, 0.3, 0.7]))  # length, raw scores, P(label 1)
+    shapes = draw(st.lists(shape, min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.array([-0.5, 0.0, 0.2, 0.5, 0.9, 1.0])
+    raws, labels = [], []
+    for n, values, p in shapes:
+        raws.append(rng.choice(grid, n) if values == "grid" else rng.uniform(-1, 1, n))
+        labels.append((rng.random(n) < p).astype(float))
+    return np.concatenate(raws), np.concatenate(labels), bounds_of([n for n, *_ in shapes])
+
+
+@given(segmented_fits())
+@settings(max_examples=300, deadline=None)
+def test_isotonic_rounds_give_the_knots_of_the_stack(fit):
+    assert _knots_by_segment(*fit) == _stack_knots(*fit)
+
+
+def _cascade(k, zeros):
+    """Raw score i holds i positives among i + 1 rows for i = 1..k, so the
+    accuracies rise; raw score k + 1 then holds `zeros` negatives, which
+    pool back through every group, one more each round."""
+    c = np.concatenate([np.full(i + 1, float(i)) for i in range(1, k + 1)]
+                       + [np.full(zeros, k + 1.0)])
+    a = np.concatenate([np.append(np.ones(i), 0.0) for i in range(1, k + 1)] + [np.zeros(zeros)])
+    return c, a
+
+
+@pytest.mark.parametrize("rounds, stack_calls", [(10**9, 0), (calibrate._POOL_ROUNDS, 1), (0, 1)])
+def test_a_cascade_pools_as_the_stack_within_and_past_the_round_bound(monkeypatch, rounds,
+                                                                       stack_calls):
+    c, a = _cascade(40, 2_000)
+    static = np.tile([0.25, 0.75], 500)  # beside it, 500 segments that need no pooling
+    c, a = np.concatenate([c, static]), np.concatenate([a, np.tile([0.0, 1.0], 500)])
+    bounds = bounds_of([len(c) - len(static)] + [2] * 500)
+    expected = _stack_knots(c, a, bounds)
+    calls = []
+    monkeypatch.setattr(calibrate, "_POOL_ROUNDS", rounds)
+    monkeypatch.setattr(calibrate, "_pav_segments",
+                        lambda *args: calls.append(1) or _pav_segments(*args))
+    assert _knots_by_segment(c, a, bounds) == expected
+    assert len(expected[0]) == 2 and len(calls) == stack_calls  # one block, from 1 to k + 1

@@ -353,6 +353,17 @@ class TestArrayApply:
         assert apply_isotonic(iso, np.array([])).shape == (0,)
         assert apply_platt(PlattCalibrator(1.0, 0.0), np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
+    @pytest.mark.parametrize("cal", [
+        PlattCalibrator(1.0, 0.0),
+        PlattCalibrator(0.0, 0.5),  # the constant map of a degenerate split: 0 * inf is NaN
+        IsotonicCalibrator(knots=((0.2, 0.1), (0.8, 0.9))),
+    ])
+    def test_non_finite_raw_score_rejected_as_the_fit_rejects_it(self, cal, raw):
+        apply = apply_platt if isinstance(cal, PlattCalibrator) else apply_isotonic
+        with pytest.raises(ValueError, match="non-finite raw score"):
+            apply(cal, raw)
+
     @pytest.mark.parametrize("raw", [0.5, np.array([0.5])])
     def test_empty_calibrator_rejected(self, raw):
         with pytest.raises(ValueError, match="empty isotonic calibrator"):

@@ -39,7 +39,7 @@ edge_floats = st.sampled_from([
 typed_cells = {
     "int": st.one_of(st.integers(), st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63 - 1, 10**15])),
     "str": st.text(max_size=5),
-    "float": st.one_of(st.floats(), edge_floats),
+    "float": st.one_of(st.floats(), edge_floats, st.integers(-(2**62), 2**62).map(float)),
 }
 any_cell = st.one_of(*typed_cells.values(), st.none(), st.booleans(), st.binary(max_size=4))
 
@@ -143,13 +143,6 @@ class TestFromRows:
     def test_bools_bytes_and_nulls_keep_their_tags(self):
         table = ResultTable.from_rows([(True, b"\x01", None), (False, bytearray(b"a"), "x")])
         assert table.rows == (("#1", "b:01", "n"), ("#0", "b:61", "t:x"))
-
-    @given(st.lists(st.one_of(st.floats(), edge_floats,
-                              st.integers(-(2**62), 2**62).map(float)), min_size=1, max_size=40))
-    @settings(max_examples=500, deadline=None)
-    def test_float_column_equals_canonical_cell_per_cell(self, column):
-        keys = list(execmatch._canonical_column(tuple(column)))
-        assert keys == [canonical_cell(v) for v in column]
 
     def test_zero_column_rows_are_kept(self):
         assert ResultTable.from_rows([(), ()]).rows == ((), ())

@@ -12,7 +12,8 @@ The same lines as a prediction file also check that `validate`, `score` and
 the rules of `load_dataset`, and that `validate` counts and `score` scores as
 the loaded records give.
 
-On the same values decoded as single lines, and on named boundary lines,
+On the same values decoded as single lines, on named boundary lines and on
+lines one change away from the shape its one-test path passes,
 `records._checked` must keep the rules of `oracles._checked`, the
 checked-line pass as it stood before its inline type tests.
 
@@ -209,6 +210,8 @@ BASE = '"id": "a", "schema_id": "s", "label": 1'
         '"alternatives": [{"score": -Infinity, "equivalent": true}]',
         '"alternatives": [{"score": 0.5, "equivalent": 1}]',
         '"alternatives": [0.5]', '"alternatives": [{"score": 0.5, "equivalent": true}, "x"]',
+        '"token_probs": [NaN, 0.5]', '"question": null, "token_probs": [0.5]',
+        '"self_check_bool": null, "token_probs": [0.5]',
     )),
     f'{{"id": "a", "schema_id": "s", "label": 1{"0" * 400}}}',
     '{"id": "a", "schema_id": ["s"], "label": 1, "token_probs": [0.5, 1.5]}',
@@ -219,9 +222,55 @@ BASE = '"id": "a", "schema_id": "s", "label": 1'
         "big-p-true", "big-p-false", "big-verbalized", "big-alternative", "nan-token",
         "inf-token", "minus-inf-token", "nan-self-check", "inf-self-check", "nan-verbalized",
         "inf-verbalized", "nan-alternative", "minus-inf-alternative", "int-equivalent",
-        "number-alternative", "string-alternative", "big-label", "type-before-value", "all-fields"])
+        "number-alternative", "string-alternative", "nan-first-token", "null-question",
+        "null-self-check", "big-label", "type-before-value", "all-fields"])
 def test_checked_keeps_the_reference_rules_on_boundary_lines(line):
     obj = json.loads(line)
+    assert checked_or_error(records._checked, obj) == checked_or_error(oracles._checked, obj)
+
+
+OPTIONAL_VALUES = {
+    "self_check_bool": {"p_true": 0.6, "p_false": 0.2},
+    "verbalized_prob": 0.3,
+    "alternatives": [{"score": 0.1, "equivalent": False}],
+}
+
+
+@st.composite
+def near_common_lines(draw):
+    """A line of the shape `records._checked` passes in one test, with four
+    keys or with a question and an extra key too, after at most one change
+    that may take it off that shape."""
+    obj = {"id": draw(st.sampled_from(["a", "b"])), "schema_id": "s",
+           "label": draw(st.sampled_from([0, 1])),
+           "token_probs": draw(st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=4))}
+    if draw(st.booleans()):
+        obj.update(question=draw(st.text(max_size=4)), db_id=draw(json_values))
+    change = draw(st.sampled_from(["none", "token", "token_probs", "label", "ids", "question",
+                                   "optional"]))
+    if change == "token":
+        position = draw(st.integers(0, len(obj["token_probs"]) - 1))
+        obj["token_probs"][position] = draw(st.sampled_from([
+            float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1.0000000000000002,
+            1, True]))
+    elif change == "token_probs":
+        obj["token_probs"] = draw(st.sampled_from([[], None]))
+    elif change == "label":
+        obj["label"] = draw(st.sampled_from([True, 1.0, 2]))
+    elif change == "ids":
+        obj[draw(st.sampled_from(["id", "schema_id"]))] = draw(
+            st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+    elif change == "question":
+        obj["question"] = draw(st.sampled_from([7, 0.5, ["q"], None]))
+    elif change == "optional":
+        name = draw(st.sampled_from(sorted(OPTIONAL_VALUES)))
+        obj[name] = draw(st.sampled_from([None, OPTIONAL_VALUES[name]]))
+    return obj
+
+
+@given(obj=near_common_lines())
+@settings(max_examples=500, deadline=None)
+def test_checked_keeps_the_reference_rules_near_the_common_line(obj):
     assert checked_or_error(records._checked, obj) == checked_or_error(oracles._checked, obj)
 
 

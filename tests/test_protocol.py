@@ -441,6 +441,21 @@ class TestNoBinObjects:
         assert [repr(evaluate(scored, cfg)) for evaluate in evaluators] == expected
 
 
+def test_the_isotonic_fit_pools_in_numpy_rounds(monkeypatch):
+    """Cross-validation on a seeded synthetic input fits its isotonic maps
+    without the stack: no call of `_pav_segments` from `calibrate`."""
+    from sqlcalib import calibrate
+
+    scored = score_dataset(generate_synthetic(2000, "identity", seed=3), "prod").scored
+    calls = []
+    stack = calibrate._pav_segments
+    monkeypatch.setattr(calibrate, "_pav_segments", lambda *args: calls.append(1) or stack(*args))
+    expected = repr(cross_validate(scored, ProtocolConfig(k=5)))
+    assert calls == []
+    monkeypatch.setattr(calibrate, "_POOL_ROUNDS", 0)  # the stack pools every fit
+    assert repr(cross_validate(scored, ProtocolConfig(k=5))) == expected and len(calls) == 1
+
+
 class TestColumnarInput:
     """Both evaluators order the rows by Python's string order, so the row
     order of the columns does not change the report."""

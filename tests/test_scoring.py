@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from sqlcalib.records import Alternative, Dataset, PredictionRecord, RecordError
 from sqlcalib.scoring import (
+    POOLING_METHODS,
     SCORE_METHODS,
     pool_avg,
     pool_geo,
     pool_min,
     pool_prod,
     score_dataset,
+    score_file,
     score_self_check_bool,
     score_self_check_probs,
     score_variant_alt,
@@ -320,6 +322,24 @@ class TestScoreDataset:
         monkeypatch.setattr(scoring, "_line_value", None)  # no check past `_checked`
         assert scoring.score_file(path, SCORE_METHODS) == expected
         assert len(calls) == 1
+
+    def test_common_lines_take_the_one_test_path(self, tmp_path, monkeypatch):
+        import sqlcalib.records as records
+        from sqlcalib.cli import main
+
+        path = tmp_path / "data.jsonl"
+        assert main(["simulate", "--n", "200", "--seed", "1", "--out", str(path)]) == 0
+        calls = []
+        fields = records._fields
+        monkeypatch.setattr(records, "_fields", lambda obj: calls.append(obj["id"]) or fields(obj))
+        assert len(score_file(path, POOLING_METHODS)["prod"].scored) == 200
+        assert calls == []
+        path.write_text(json.dumps({
+            "id": "a", "schema_id": "s", "label": 1, "token_probs": [0.5, 0.9],
+            "self_check_bool": {"p_true": 0.6, "p_false": 0.2}, "verbalized_prob": 0.3,
+            "alternatives": [{"score": 0.1, "equivalent": False}]}) + "\n")
+        score_file(path, SCORE_METHODS)
+        assert calls == ["a"]
 
     def test_score_file_builds_the_shared_columns_once(self, tmp_path):
         import sqlcalib.scoring as scoring
