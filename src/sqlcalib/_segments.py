@@ -36,10 +36,14 @@ def segment_ids(bounds: np.ndarray) -> np.ndarray:
 def one_split(x: Sequence[float], labels: Sequence[int],
               what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One split's value and label columns as float arrays, and its bounds.
-    `what` names the values in the error raised when the lengths differ."""
+    `what` names the values in the error raised when the lengths differ; a
+    label other than 0 or 1 is an error too."""
     if len(x) != len(labels):
         raise ValueError(f"length mismatch: {len(x)} {what} vs {len(labels)} labels")
-    return np.asarray(x, dtype=float), np.asarray(labels, dtype=float), bounds_of([len(x)])
+    x, a = np.asarray(x, dtype=float), np.asarray(labels, dtype=float)
+    if not np.all((a == 0) | (a == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return x, a, bounds_of([len(x)])
 
 
 def length_groups(bounds: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

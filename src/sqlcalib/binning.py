@@ -71,23 +71,23 @@ def _pav_start(values: np.ndarray, labels: np.ndarray,
             np.bincount(np.cumsum(first) - 1, weights=labels[order]), starts)
 
 
-def _pav_segments(values: np.ndarray, labels: np.ndarray, bounds: np.ndarray,
+def _pav_segments(groups: tuple[np.ndarray, ...], bounds: np.ndarray,
                   min_count: int = 1) -> tuple[np.ndarray, ...]:
     """Pool adjacent violators over the labels of each segment's ascending
     distinct values, in one pass over all of them that starts a new stack at
     each segment; every segment must be nonempty.
 
-    Starts from the groups of `_pav_start` and pools a group into its left
-    neighbor whenever the left accuracy is >= the right one, so accuracies
-    strictly increase left to right: group by group, the least-squares
-    non-decreasing fit of the labels against the values. As a segment's
-    stack closes, `_merged` merges its groups below
-    min_count. Returns the groups as `_bin_columns` returns bins: each
-    group's count, label sum, value sum, lo and hi, segment by segment, and
-    the offsets of each segment's groups among them; a pooled group keeps
-    its left part's lo and its right part's hi.
+    Starts from `groups`, the `_pav_start` of the segments, and pools a
+    group into its left neighbor whenever the left accuracy is >= the right
+    one, so accuracies strictly increase left to right: group by group, the
+    least-squares non-decreasing fit of the labels against the values. As a
+    segment's stack closes, `_merged` merges its groups below min_count.
+    Returns the groups as `_bin_columns` returns bins: each group's count,
+    label sum, value sum, lo and hi, segment by segment, and the offsets of
+    each segment's groups among them; a pooled group keeps its left part's
+    lo and its right part's hi.
     """
-    firsts, counts, label_sums, starts = _pav_start(values, labels, bounds)
+    firsts, counts, label_sums, starts = groups
     closing = np.zeros(len(starts), dtype=np.int64)  # n at the last group of a segment of n
     closing[np.searchsorted(starts, bounds[1:] - 1, side="right") - 1] = np.diff(bounds)
 
@@ -184,7 +184,7 @@ def _bin_columns(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_
         raise ValueError(f"min_bin_count {min_bin_count} exceeds sample count {n}")
     if not np.all(np.isfinite(c)):
         raise ValueError("confidences must be finite for monotonic binning")
-    return _pav_segments(c, a, bounds, min_bin_count)
+    return _pav_segments(_pav_start(c, a, bounds), bounds, min_bin_count)
 
 
 def _partitions(c: np.ndarray, a: np.ndarray, bounds: np.ndarray, mode: str, n_bins: int,

@@ -160,15 +160,11 @@ def _fit_columns(raw: Sequence[float], labels: Sequence[int],
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The raw score and label columns of one or more fits, laid end to end
     as `bounds` says, as float arrays, after the checks both fitters share:
-    at least one record per fit, finite raw scores and 0/1 labels. The
-    columns have equal lengths."""
-    a = np.asarray(labels, dtype=float)
+    at least one record per fit and finite raw scores. The columns have
+    equal lengths and 0/1 labels, which `one_split` checks for one fit."""
     if not np.all(np.diff(bounds) >= 1):
         raise ValueError("need at least 1 record to fit")
-    r = _finite_raw(raw, "in calibration data")
-    if not np.all((a == 0) | (a == 1)):
-        raise ValueError("labels must be 0 or 1")
-    return r, a
+    return _finite_raw(raw, "in calibration data"), np.asarray(labels, dtype=float)
 
 
 def fit_platt(raw: Sequence[float], labels: Sequence[int]) -> PlattCalibrator:
@@ -302,7 +298,7 @@ def _isotonic_segments(raw: Sequence[float], labels: Sequence[int],
     end, and their bounds per segment. The groups pool in numpy rounds, or in the stack
     of `_pav_segments` once the rounds cost `_POOL_ROUNDS` times the first group count."""
     r, a = _fit_columns(raw, labels, bounds)
-    lo, n, y, starts = _pav_start(r, a, bounds)
+    lo, n, y, starts = groups = _pav_start(r, a, bounds)
     seg, hi, y = np.searchsorted(bounds, starts, side="right") - 1, lo, y.astype(np.int64)
     budget = _POOL_ROUNDS * len(n)
     # pool each run of non-increasing accuracy, exactly: y[i] / n[i] >= y[i + 1] / n[i + 1]
@@ -312,7 +308,7 @@ def _isotonic_segments(raw: Sequence[float], labels: Sequence[int],
         n, y, seg = np.add.reduceat(n, first), np.add.reduceat(y, first), seg[first]
         lo, hi = lo[first], hi[np.append(first[1:], len(hi)) - 1]
     if budget < 0:
-        n, y, _, lo, hi, group_bounds = _pav_segments(r, a, bounds)
+        n, y, _, lo, hi, group_bounds = _pav_segments(groups, bounds)
     else:
         group_bounds = np.searchsorted(seg, np.arange(len(bounds)))
     # knots at block boundaries: the first and last distinct raw of each block

@@ -17,11 +17,11 @@ strings or booleans. Recognized fields:
 Unknown fields are preserved on the record and written back by the
 serializer, but are otherwise ignored.
 
-A line is checked in two steps, both run by `_checked`: `_fields` applies
-the type and label rules and returns plain values, `_check_values` the value
-rules. `_fields` passes each field of its plain JSON type inline and calls
-its rule helper only to convert another type or raise. `_checked` passes the
-commonest line in one inline test instead; a line failing it takes both steps.
+A line is checked in two steps, both run by `_checked`: the type and label
+rules give plain values, then `_check_values` applies the value rules. A
+line whose fields all have their plain JSON types passes the type rules in
+one inline test of `_checked`; every other line takes `_fields`, which calls
+the rule helper of each field to convert another type or raise.
 A value given in code is checked by `_checked` too, on the line `_line_value`
 shapes for it: a `PredictionRecord` as the line it would write, and each
 argument of the scalar scorers of `scoring` as a line holding that one field.
@@ -182,13 +182,13 @@ def _alternative(rid: str, entry: Any) -> tuple[float, bool]:
 
 
 def _fields(obj: Any) -> tuple:
-    """The type rules and the label rule of a prediction line. Returns its
-    id, schema id and label, then the scored fields as plain values, each
-    None when absent: token_probs as a list of floats, self_check_bool as a
-    pair of floats, verbalized_prob as a float, alternatives as a list of
-    (score, equivalent) pairs. Their values are left to `_check_values`."""
-    plain = type(obj) is dict and type(obj.get("id")) is str and "schema_id" in obj and "label" in obj
-    rid = obj["id"] if plain else _require(obj, "schema_id", "label")
+    """The type rules and the label rule of a prediction line, each field by
+    its rule helper. Returns its id, schema id and label, then the scored
+    fields as plain values, each None when absent: token_probs as a list of
+    floats, self_check_bool as a pair of floats, verbalized_prob as a float,
+    alternatives as a list of (score, equivalent) pairs. Their values are
+    left to `_check_values`."""
+    rid = _require(obj, "schema_id", "label")
     if not isinstance(obj.get("question"), (str, type(None))):
         raise RecordError(rid, "question", "must be a string")
 
@@ -196,37 +196,25 @@ def _fields(obj: Any) -> tuple:
     if token_probs is not None:
         if not isinstance(token_probs, list):
             raise RecordError(rid, "token_probs", "must be a list of numbers")
-        if set(map(type, token_probs)) != {float}:
-            token_probs = _floats(rid, "token_probs", token_probs)
+        token_probs = _floats(rid, "token_probs", token_probs)
 
     self_check = raw = obj.get("self_check_bool")
     if raw is not None:
         if not isinstance(raw, dict) or "p_true" not in raw or "p_false" not in raw:
             raise RecordError(rid, "self_check_bool", "must be an object with p_true and p_false")
-        self_check = raw["p_true"], raw["p_false"]
-        if type(self_check[0]) is not float or type(self_check[1]) is not float:
-            self_check = _floats(rid, "self_check_bool", self_check)
+        self_check = _floats(rid, "self_check_bool", (raw["p_true"], raw["p_false"]))
 
     alternatives = obj.get("alternatives")
     if alternatives is not None:
         if not isinstance(alternatives, list):
             raise RecordError(rid, "alternatives", "must be a list of {score, equivalent}")
-        alternatives = [
-            (entry["score"], entry["equivalent"]) if type(entry) is dict
-            and type(entry.get("score")) is float and type(entry.get("equivalent")) is bool
-            else _alternative(rid, entry)
-            for entry in alternatives
-        ]
+        alternatives = [_alternative(rid, entry) for entry in alternatives]
 
     verbalized = obj.get("verbalized_prob")
-    if verbalized is not None and type(verbalized) is not float:
+    if verbalized is not None:
         (verbalized,) = _floats(rid, "verbalized_prob", (verbalized,))
-    schema_id, label = obj["schema_id"], obj["label"]
-    if type(schema_id) is not str:
-        schema_id = _ident(rid, "schema_id", schema_id)
-    if type(label) is not int or label not in (0, 1):
-        label = _label(rid, label)
-    return rid, schema_id, label, token_probs, self_check, verbalized, alternatives
+    return (rid, _ident(rid, "schema_id", obj["schema_id"]), _label(rid, obj["label"]),
+            token_probs, self_check, verbalized, alternatives)
 
 
 def _check_values(rid: str, token_probs: Sequence[float] | None, self_check: Sequence[float] | None,
@@ -260,28 +248,33 @@ def _check_values(rid: str, token_probs: Sequence[float] | None, self_check: Seq
 
 
 def _checked(obj: Any) -> tuple:
-    """The plain values of `_fields`, checked by `_check_values` too. The
-    commonest line passes one inline test instead, cheap parts first: no
-    optional scored field, string ids, an int 0/1 label, a str or null
-    question, then nonempty float tokens in (0, 1]; any other line takes both."""
-    get = obj.get if type(obj) is dict else None
-    if get and get("self_check_bool") is get("verbalized_prob") is get("alternatives") is None:
-        rid, schema_id, label, tokens = get("id"), get("schema_id"), get("label"), get("token_probs")
-        if type(rid) is type(schema_id) is str and type(label) is int and label in (0, 1) \
-                and isinstance(get("question"), (str, type(None))) and type(tokens) is list \
-                and set(map(type, tokens)) == {float}:
-            for p in tokens:
-                if not (0.0 < p <= 1.0):
-                    break
-            else:
-                return rid, schema_id, label, tokens, None, None, None
-    fields = _fields(obj)
-    _check_values(fields[0], *fields[3:])
-    return fields
+    """The plain values of `_fields`, checked by `_check_values`. A line whose
+    fields all have their plain JSON types (str ids, an int 0/1 label, a str
+    or null question, floats for every number of the scored fields and bools
+    for `equivalent`) passes one inline test instead of `_fields`; any other
+    line takes `_fields`, which converts what it may and raises on the rest."""
+    get = obj.get if type(obj) is dict else {}.get
+    rid, schema_id, label, tokens = get("id"), get("schema_id"), get("label"), get("token_probs")
+    check, verbalized, alts = get("self_check_bool"), get("verbalized_prob"), get("alternatives")
+    if type(rid) is type(schema_id) is str and type(label) is int and label in (0, 1) \
+            and isinstance(get("question"), (str, type(None))) \
+            and (tokens is None or type(tokens) is list and set(map(type, tokens)) <= {float}) \
+            and (check is None or type(check) is dict
+                 and type(check.get("p_true")) is type(check.get("p_false")) is float) \
+            and (verbalized is None or type(verbalized) is float) \
+            and (alts is None or type(alts) is list and all(
+                type(e) is dict and type(e.get("score")) is float
+                and type(e.get("equivalent")) is bool for e in alts)):
+        check = None if check is None else (check["p_true"], check["p_false"])
+        alts = None if alts is None else [(e["score"], e["equivalent"]) for e in alts]
+    else:
+        rid, schema_id, label, tokens, check, verbalized, alts = _fields(obj)
+    _check_values(rid, tokens, check, verbalized, alts)
+    return rid, schema_id, label, tokens, check, verbalized, alts
 
 
 def _record_from_obj(obj: Any) -> PredictionRecord:
-    rid, schema_id, label, *values = _fields(obj)
+    rid, schema_id, label, *values = _checked(obj)
     return PredictionRecord(rid, schema_id, label, obj.get("question"), *values,
                             extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS})
 

@@ -125,9 +125,10 @@ def render_reliability(series: Sequence[ReliabilitySeries], out: str | Path) -> 
     # Annotations and legend in pixel coordinates.
     for si, s in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
+        label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{x0 + 10 + 110 * si}" y="{_MARGIN_T - 10}" font-size="11" '
-            f'font-family="sans-serif" fill="{color}">{s.label}</text>'
+            f'font-family="sans-serif" fill="{color}">{label}</text>'
         )
         for p in s.points:
             px = x0 + p.mean_conf * _SIDE

@@ -106,7 +106,7 @@ def _scores(token_probs: Sequence[float] | None, self_check: Sequence[float] | N
             methods: Sequence[str]) -> list[float | str]:
     """The raw score of each of `methods`, or the reason it skips the record
     (a str), from the record's checked plain values (see
-    `records._fields`). prod, geo and variant_alt share one sum of logs."""
+    `records._checked`). prod, geo and variant_alt share one sum of logs."""
     log_sum = None
     scores: list[float | str] = []
     for method in methods:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import (_mean_conf, _monotonic_bins, _pav_groups, brute_monotone_partition,
                      reference_fit_isotonic)
-from sqlcalib import calibrate
+from sqlcalib import binning, calibrate
 from sqlcalib._segments import bounds_of
-from sqlcalib.binning import Bin, BinPartition, _pav_segments, monotonic_bins, uniform_bins
+from sqlcalib.binning import (Bin, BinPartition, _pav_segments, _pav_start, monotonic_bins,
+                              uniform_bins)
 from sqlcalib.calibrate import _isotonic_segments
 from sqlcalib.protocol import _mean_std
 
@@ -157,7 +158,7 @@ def test_pav_columns_are_the_oracle_groups_of_each_segment(data, min_count):
     bounds = bounds_of([len(seg) for seg in data])
     splits = [(c[i:j], a[i:j]) for i, j in itertools.pairwise(bounds.tolist())]
 
-    *columns, group_bounds = _pav_segments(c, a, bounds)
+    *columns, group_bounds = _pav_segments(_pav_start(c, a, bounds), bounds)
     groups = [list(g) for g in zip(*(column.tolist() for column in columns))]
     oracle = [_pav_groups(ci, ai) for ci, ai in splits]
     assert group_bounds.tolist() == bounds_of([len(g) for g in oracle]).tolist()
@@ -173,8 +174,8 @@ def test_pav_columns_are_the_oracle_groups_of_each_segment(data, min_count):
         c = np.array([x for seg in long_enough for x, _ in seg])
         a = np.array([y for seg in long_enough for _, y in seg], dtype=float)
         bounds = bounds_of([len(seg) for seg in long_enough])
-        *columns, group_bounds = (column.tolist() for column in _pav_segments(c, a, bounds,
-                                                                               min_count))
+        *columns, group_bounds = (column.tolist() for column in _pav_segments(
+            _pav_start(c, a, bounds), bounds, min_count))
         merged = [(k, _mean_conf(s, k, lo, hi), y / k) for k, y, s, lo, hi in zip(*columns)]
         assert [merged[i:j] for i, j in itertools.pairwise(group_bounds)] == [
             _monotonic_bins(c[i:j], a[i:j], min_count)
@@ -190,7 +191,8 @@ def _knots_by_segment(c, a, bounds):
 
 def _stack_knots(c, a, bounds):
     """The same knots read from the groups of the stack, `_pav_segments`."""
-    n, y, _, lo, hi, group_bounds = (column.tolist() for column in _pav_segments(c, a, bounds))
+    n, y, _, lo, hi, group_bounds = (column.tolist()
+                                      for column in _pav_segments(_pav_start(c, a, bounds), bounds))
     knots = [[(x0, k / m)] + ([(x1, k / m)] if x1 != x0 else [])
              for m, k, x0, x1 in zip(n, y, lo, hi)]
     return [sum(knots[i:j], []) for i, j in itertools.pairwise(group_bounds)]
@@ -236,9 +238,12 @@ def test_a_cascade_pools_as_the_stack_within_and_past_the_round_bound(monkeypatc
     c, a = np.concatenate([c, static]), np.concatenate([a, np.tile([0.0, 1.0], 500)])
     bounds = bounds_of([len(c) - len(static)] + [2] * 500)
     expected = _stack_knots(c, a, bounds)
-    calls = []
+    calls, starts = [], []
     monkeypatch.setattr(calibrate, "_POOL_ROUNDS", rounds)
     monkeypatch.setattr(calibrate, "_pav_segments",
                         lambda *args: calls.append(1) or _pav_segments(*args))
+    for module in (calibrate, binning):  # the stack sorts no column again
+        monkeypatch.setattr(module, "_pav_start", lambda *args: starts.append(1) or _pav_start(*args))
     assert _knots_by_segment(c, a, bounds) == expected
     assert len(expected[0]) == 2 and len(calls) == stack_calls  # one block, from 1 to k + 1
+    assert len(starts) == 1

@@ -229,32 +229,49 @@ def test_checked_keeps_the_reference_rules_on_boundary_lines(line):
     assert checked_or_error(records._checked, obj) == checked_or_error(oracles._checked, obj)
 
 
-OPTIONAL_VALUES = {
-    "self_check_bool": {"p_true": 0.6, "p_false": 0.2},
-    "verbalized_prob": 0.3,
-    "alternatives": [{"score": 0.1, "equivalent": False}],
+NAN, INF = float("nan"), float("inf")
+# one-change moves of each optional scored field off its plain shape: other
+# number types, a missing or misshapen part, non-finite and out-of-range values
+OFF_SHAPE = {
+    "self_check_bool": [
+        {"p_true": 1, "p_false": 0.2}, {"p_true": 0.6}, [0.6, 0.2], {"p_true": True, "p_false": 0.2},
+        {"p_true": NAN, "p_false": 0.2}, {"p_true": 0.6, "p_false": INF},
+        {"p_true": -0.1, "p_false": 0.2}, {"p_true": 0.0, "p_false": 0.0}, None],
+    "verbalized_prob": [1, 0, True, "0.5", NAN, INF, -0.1, 1.5, None],
+    "alternatives": [{"score": 0.1, "equivalent": False}, [], None],
 }
+OFF_SHAPE_ALTERNATIVES = [
+    {"score": 1, "equivalent": False}, {"score": 0.1}, {"score": 0.1, "equivalent": 1},
+    {"score": True, "equivalent": False}, {"score": NAN, "equivalent": False},
+    {"score": -INF, "equivalent": True}, {"score": 1.5, "equivalent": False}, [0.1, False]]
+probs = st.floats(min_value=0, max_value=1)
 
 
 @st.composite
 def near_common_lines(draw):
     """A line of the shape `records._checked` passes in one test, with four
-    keys or with a question and an extra key too, after at most one change
-    that may take it off that shape."""
+    keys or with a question and an extra key too, and at times with every
+    optional scored field in its plain types, after at most one change that
+    may take it off that shape."""
     obj = {"id": draw(st.sampled_from(["a", "b"])), "schema_id": "s",
            "label": draw(st.sampled_from([0, 1])),
            "token_probs": draw(st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=4))}
     if draw(st.booleans()):
         obj.update(question=draw(st.text(max_size=4)), db_id=draw(json_values))
+    if draw(st.booleans()):
+        obj.update(self_check_bool={"p_true": draw(probs), "p_false": draw(probs)},
+                   verbalized_prob=draw(probs),
+                   alternatives=draw(st.lists(st.fixed_dictionaries(
+                       {"score": probs, "equivalent": st.booleans()}), max_size=3)))
     change = draw(st.sampled_from(["none", "token", "token_probs", "label", "ids", "question",
-                                   "optional"]))
+                                   *OFF_SHAPE, "alternative"]))
     if change == "token":
         position = draw(st.integers(0, len(obj["token_probs"]) - 1))
         obj["token_probs"][position] = draw(st.sampled_from([
             float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1.0000000000000002,
             1, True]))
     elif change == "token_probs":
-        obj["token_probs"] = draw(st.sampled_from([[], None]))
+        obj["token_probs"] = draw(st.sampled_from([[], None, {}, ""]))
     elif change == "label":
         obj["label"] = draw(st.sampled_from([True, 1.0, 2]))
     elif change == "ids":
@@ -262,9 +279,12 @@ def near_common_lines(draw):
             st.integers() | st.floats(allow_nan=False, allow_infinity=False))
     elif change == "question":
         obj["question"] = draw(st.sampled_from([7, 0.5, ["q"], None]))
-    elif change == "optional":
-        name = draw(st.sampled_from(sorted(OPTIONAL_VALUES)))
-        obj[name] = draw(st.sampled_from([None, OPTIONAL_VALUES[name]]))
+    elif change in OFF_SHAPE:
+        obj[change] = draw(st.sampled_from(OFF_SHAPE[change]))
+    elif change == "alternative":
+        alternatives = obj.setdefault("alternatives", [])
+        alternatives.insert(draw(st.integers(0, len(alternatives))),
+                            draw(st.sampled_from(OFF_SHAPE_ALTERNATIVES)))
     return obj
 
 
@@ -289,7 +309,6 @@ def _alternatives_line(value):
             else e for e in value]
 
 
-probs = st.floats(min_value=0, max_value=1)
 token_values = st.lists(probs, min_size=1, max_size=3) | SHAPED["token_probs"] | json_values
 # each scalar scorer by its method: the argument it draws (one of the right
 # shape with valid numbers, with boundary numbers, or anything), the scorer

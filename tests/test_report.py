@@ -98,6 +98,14 @@ class TestSvg:
         b = render_reliability([series], tmp_path / "b.svg").read_bytes()
         assert a == b
 
+    def test_label_reads_back_from_the_parsed_svg(self, tmp_path):
+        from xml.etree import ElementTree
+
+        label = 'a<b & "c" > d'
+        out = render_reliability([replace(_series(), label=label)], tmp_path / "rel.svg")
+        texts = [t.text for t in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert label in texts
+
     def test_empty_series_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no reliability series"):
             render_reliability([], tmp_path / "x.svg")

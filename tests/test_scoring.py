@@ -334,10 +334,13 @@ class TestScoreDataset:
         monkeypatch.setattr(records, "_fields", lambda obj: calls.append(obj["id"]) or fields(obj))
         assert len(score_file(path, POOLING_METHODS)["prod"].scored) == 200
         assert calls == []
-        path.write_text(json.dumps({
-            "id": "a", "schema_id": "s", "label": 1, "token_probs": [0.5, 0.9],
-            "self_check_bool": {"p_true": 0.6, "p_false": 0.2}, "verbalized_prob": 0.3,
-            "alternatives": [{"score": 0.1, "equivalent": False}]}) + "\n")
+        full = {"id": "a", "schema_id": "s", "label": 1, "token_probs": [0.5, 0.9],
+                "self_check_bool": {"p_true": 0.6, "p_false": 0.2}, "verbalized_prob": 0.3,
+                "alternatives": [{"score": 0.1, "equivalent": False}]}
+        path.write_text(json.dumps(full) + "\n")
+        score_file(path, SCORE_METHODS)
+        assert calls == []  # a full line of plain types passes the one test too
+        path.write_text(json.dumps({**full, "token_probs": [0.5, 1]}) + "\n")
         score_file(path, SCORE_METHODS)
         assert calls == ["a"]
 

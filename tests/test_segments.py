@@ -109,3 +109,10 @@ ONE_SPLIT_CALLS = {
 def test_every_one_split_function_rejects_a_length_mismatch(name):
     with pytest.raises(ValueError, match=r"^length mismatch: 2 (confidences|raw scores) vs 3 labels$"):
         ONE_SPLIT_CALLS[name]([0.1, 0.2], [0, 1, 1])
+
+
+@pytest.mark.parametrize("name", ONE_SPLIT_CALLS)
+def test_every_one_split_function_rejects_a_label_other_than_0_or_1(name):
+    for labels in ([0, 2], [-1, 1], [1, 0.5], [0, float("nan")]):
+        with pytest.raises(ValueError, match=r"^labels must be 0 or 1$"):
+            ONE_SPLIT_CALLS[name]([0.1, 0.2], labels)

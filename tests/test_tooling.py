@@ -51,3 +51,24 @@ def test_every_unread_import_is_a_tracer_target():
     for path in modules:
         unread = _unread_imports(path)
         assert unread <= traced.get(f"sqlcalib.{path.stem}", set()), path.name
+
+
+def _references(node: ast.AST, name: str) -> int:
+    """The loads of `name` in `node`, as a bare name or as an attribute."""
+    return sum(isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute)
+               and n.attr == name for n in ast.walk(node))
+
+
+def test_one_record_parser():
+    """`_fields` applies its rules by their helpers, with no inline
+    `type(x) is float` test, and is read only by `_checked`, which
+    `_record_from_obj` calls."""
+    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(n, ast.Compare) and _references(n, "type")
+                   for n in ast.walk(functions["_fields"]))
+    assert _references(functions["_record_from_obj"], "_checked") == 1
+    assert _references(tree, "_fields") == _references(functions["_checked"], "_fields") == 1
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "records.py":
+            assert _references(ast.parse(path.read_text(encoding="utf-8")), "_fields") == 0, path
