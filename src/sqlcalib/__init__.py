@@ -20,8 +20,7 @@ _EXPORTS = {
                 "prf_at_threshold", "summarize"),
     "protocol": ("EvaluationReport", "ProtocolConfig", "SchemaLevelReport", "cross_validate",
                  "generate_synthetic", "schema_level_evaluate"),
-    "records": ("Alternative", "Dataset", "DatasetError", "PredictionRecord", "RecordError",
-                "load_dataset", "write_dataset"),
+    "records": ("DatasetError", "RecordError", "load_dataset", "write_dataset"),
     "report": ("ReliabilitySeries", "reliability_series", "render_reliability",
                "write_reliability_csv"),
     "scoring": ("ScoredColumns", "ScoringResult", "load_scored", "pool_avg", "pool_geo",

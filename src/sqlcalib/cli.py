@@ -8,8 +8,9 @@ flags and inputs; no file is written until the inputs have validated fully.
 
 Only calibrate, evaluate, report and simulate import the array modules (and
 with them numpy), and only label imports `execmatch` (and with it sqlite3),
-inside the command. No command builds a record: validate, score, evaluate
-and label check each input line once by `records._checked`, and label and
+inside the command. Every command checks each input line once: validate,
+score and evaluate by `records._checked`, keeping only the values they use,
+and label by `records._line`, keeping each pair's checked line; label and
 simulate write their lines by `records._write_lines`.
 """
 
@@ -25,13 +26,12 @@ from pathlib import Path
 from typing import Any
 
 from .records import (
-    _KNOWN_FIELDS,
     DatasetError,
     RecordError,
     _checked,
+    _line,
     _read_records,
     _require,
-    _values_to_obj,
     _write_lines,
 )
 from .scoring import POOLING_METHODS, SCORE_METHODS, load_scored, score_file, write_scored
@@ -208,16 +208,14 @@ _PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
 
 
 def _pair_from_obj(obj: Any) -> tuple[dict[str, Any], str, str, str | None]:
-    """A pair as the line `label` writes, checked once by the rules of
-    `load_dataset` with a placeholder label until the SQL has run, and its
-    pair-only fields: gold SQL, predicted SQL and db_path (None when absent)."""
+    """A pair as the checked line `label` writes (`records._line`), with a
+    placeholder label until the SQL has run and without its pair-only fields,
+    and those fields: gold SQL, predicted SQL and db_path (None when absent)."""
     rid = _require(obj, "schema_id", "gold_sql", "pred_sql")
     for key in _PAIR_ONLY_FIELDS:
         if key in obj and not isinstance(obj[key], str):
             raise RecordError(rid, key, "must be a string")
-    rid, schema_id, label, *values = _checked({**obj, "label": 0})
-    extra = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS and k not in _PAIR_ONLY_FIELDS}
-    line = _values_to_obj(rid, schema_id, label, obj.get("question"), *values, extra)
+    line = _line({**obj, "label": 0}, _PAIR_ONLY_FIELDS)
     return line, obj["gold_sql"], obj["pred_sql"], obj.get("db_path")
 
 

@@ -7,9 +7,12 @@ or `load_scored`. They order the rows with Python's `sorted` over row indices
 that order.
 
 All randomness is numpy's `Generator(PCG64(seed))` stream, computed in
-Python by `_pcg64` (a test pins it to numpy), seeded from the config: fold
-assignments, splits and synthetic datasets reproduce across runs, platforms
-and numpy releases, and nothing here loads numpy's random module.
+Python by `_pcg64` (a test pins it to numpy) and seeded from the config;
+nothing here loads numpy's random module. The draws (fold assignments,
+splits, synthetic scores) reproduce across platforms and numpy releases;
+what `np.exp`, `math.exp` and `math.log` compute from them (Platt maps,
+synthetic labels under the logistic map) follows the CPU's instruction
+set, and so reproduces within one CPU class.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .metrics import (  # noqa: F401
     _summarize_segments,
     summarize,
 )
-from .records import Dataset, _record_from_obj
 from .scoring import ScoredColumns
 
 
@@ -368,12 +370,13 @@ def _synthetic_lines(n: int, true_map: str, seed: int, n_schemas: int) -> Iterat
                "token_probs": [score]}
 
 
-def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) -> Dataset:
-    """Synthetic dataset for oracle tests.
+def generate_synthetic(n: int, true_map: str, seed: int, n_schemas: int = 10) -> tuple:
+    """Synthetic prediction lines for oracle tests, as `load_dataset` reads
+    back the file `simulate` writes for them.
 
     Raw scores are uniform on (0, 1), dealt round-robin over synthetic
     schema ids; labels are Bernoulli draws at TRUE_MAPS[true_map](score); each record
     carries a single token probability equal to its score, so prod pooling
     reproduces the score exactly.
     """
-    return Dataset(tuple(map(_record_from_obj, _synthetic_lines(n, true_map, seed, n_schemas))))
+    return tuple(_synthetic_lines(n, true_map, seed, n_schemas))

@@ -14,18 +14,18 @@ strings or booleans. Recognized fields:
     alternatives     list of {score, equivalent}, optional; scores in
                      [0, 1], equivalent true or false
 
-Unknown fields are preserved on the record and written back by the
-serializer, but are otherwise ignored.
+A record has one form: its line, a `dict`. Unknown keys are kept, after
+the fields and sorted, but are otherwise ignored.
 
 A line is checked in two steps, both run by `_checked`: the type and label
 rules give plain values, then `_check_values` applies the value rules. A
 line whose fields all have their plain JSON types passes the type rules in
 one inline test of `_checked`; every other line takes `_fields`, which calls
-the rule helper of each field to convert another type or raise.
-A value given in code is checked by `_checked` too, on the line `_line_value`
-shapes for it: a `PredictionRecord` as the line it would write, and each
-argument of the scalar scorers of `scoring` as a line holding that one field.
-So every rule and error text comes from one place.
+the rule helper of each field to convert another type or raise. `_line`
+gives a line's checked line, which `load_dataset` returns, `write_dataset`
+writes and `label` keeps for each pair. Each argument of the scalar scorers
+of `scoring` is checked as a line holding that one field, in the shape
+`_line_value` gives it. So every rule and error text comes from one place.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import json
 import math
 import numbers
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 
 class RecordError(ValueError):
@@ -58,55 +57,8 @@ class DatasetError(ValueError):
     """A file-level problem: malformed line, duplicate id, empty dataset."""
 
 
-class Alternative(NamedTuple):
-    """A candidate variant SQL as a (score, equivalent) pair: its raw score
-    and whether it is semantically equivalent to the prediction."""
-
-    score: float
-    equivalent: bool
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One generated SQL with its probabilities, optional self-check outputs,
-    optional alternatives, and 0/1 correctness label. Its `id` and `schema_id`
-    are strings: a number becomes one only when it is read from JSON. It is
-    checked as the line it would write and holds the checked values."""
-
-    id: str
-    schema_id: str
-    label: int
-    question: str | None = None
-    token_probs: tuple[float, ...] | None = None
-    self_check_bool: tuple[float, float] | None = None
-    verbalized_prob: float | None = None
-    alternatives: tuple[Alternative, ...] | None = None
-    extra: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _string_ids(self.id, self.schema_id)
-        # a line's keys are strings: {1: "x"} would be read back as {"1": "x"}
-        if not isinstance(self.extra, Mapping) or not all(isinstance(k, str) for k in self.extra):
-            raise RecordError(self.id, "extra", "must be a mapping with string keys")
-        for name in sorted(self.extra.keys() & _KNOWN_FIELDS):  # it would overwrite the field
-            raise RecordError(self.id, name, "is a record field, not an extra one")
-        *_, token_probs, self_check, verbalized, alternatives = _checked(_record_to_obj(self))
-        if token_probs is not None:
-            object.__setattr__(self, "token_probs", tuple(token_probs))
-        if self_check is not None:
-            object.__setattr__(self, "self_check_bool", tuple(self_check))
-        object.__setattr__(self, "verbalized_prob", verbalized)
-        if alternatives is not None:
-            object.__setattr__(self, "alternatives", tuple(map(Alternative._make, alternatives)))
-
-
-@dataclass(frozen=True)
-class Dataset:
-    records: tuple[PredictionRecord, ...]
-
-
-# Fields the parser understands, in the order of the record and of its line;
-# everything else lands in `extra`.
+# Fields the parser understands, in the order of a checked line; the other
+# keys follow them, sorted.
 _KNOWN_FIELDS = (
     "id",
     "schema_id",
@@ -273,12 +225,6 @@ def _checked(obj: Any) -> tuple:
     return rid, schema_id, label, tokens, check, verbalized, alts
 
 
-def _record_from_obj(obj: Any) -> PredictionRecord:
-    rid, schema_id, label, *values = _checked(obj)
-    return PredictionRecord(rid, schema_id, label, obj.get("question"), *values,
-                            extra={k: v for k, v in obj.items() if k not in _KNOWN_FIELDS})
-
-
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -333,15 +279,6 @@ def _read_records(path: Path, parse: Callable[[Any], Any]) -> tuple:
     return tuple(items)
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a line-delimited record file into a validated Dataset.
-
-    Records keep file order. Malformed lines are reported with their line
-    number; invariant violations with the line, record id and field name.
-    """
-    return Dataset(records=_read_records(Path(path), _record_from_obj))
-
-
 _PAIR_KEYS = {"self_check_bool": ("p_true", "p_false"), "alternative": ("score", "equivalent")}
 
 
@@ -362,24 +299,30 @@ def _line_value(name: str, value: Any) -> Any:
     return list(value) if name == "token_probs" else value
 
 
-def _values_to_obj(rid: str, schema_id: str, label: int, question: str | None, token_probs: Any,
-                   self_check: Any, verbalized: Any, alternatives: Any,
-                   extra: Mapping[str, Any]) -> dict[str, Any]:
-    """The line of a record's values: the fields in their order, each absent
-    one left out and each present one in the shape `_line_value` gives, then
-    `extra` by key."""
-    obj: dict[str, Any] = {"id": rid, "schema_id": schema_id, "label": label}
-    values = question, token_probs, self_check, verbalized, alternatives
-    for name, value in zip(_KNOWN_FIELDS[3:], values):
+def _line(obj: Any, drop: Sequence[str] = ()) -> dict[str, Any]:
+    """A decoded line as its checked line, checked once by `_checked`: the
+    fields in their order, each absent one left out and each present one as
+    its checked value in the shape `_line_value` gives, then the other keys
+    but those in `drop`, sorted. A key must be a string: JSON would write the
+    key 1 as "1", and the line would read back as another."""
+    rid, schema_id, label, *values = _checked(obj)
+    line = {"id": rid, "schema_id": schema_id, "label": label}
+    for name, value in zip(_KNOWN_FIELDS[3:], (obj.get("question"), *values)):
         if value is not None:
-            obj[name] = _line_value(name, value)
-    for k in sorted(extra):
-        obj[k] = extra[k]
-    return obj
+            line[name] = _line_value(name, value)
+    extra = [key for key in obj if key not in _KNOWN_FIELDS and key not in drop]
+    for key in extra:
+        if not isinstance(key, str):
+            raise RecordError(rid, "keys", f"must be strings, got {key!r}")
+    line.update((key, obj[key]) for key in sorted(extra))
+    return line
 
 
-def _record_to_obj(r: PredictionRecord) -> dict[str, Any]:
-    return _values_to_obj(*(getattr(r, name) for name in _KNOWN_FIELDS), r.extra)
+def load_dataset(path: str | Path) -> tuple[dict[str, Any], ...]:
+    """Read a line-delimited record file into its checked lines (`_line`), in
+    file order. Malformed lines are reported with their line number;
+    invariant violations with the line, record id and field name."""
+    return _read_records(Path(path), _line)
 
 
 def _write_lines(objs: Iterable[Any], path: str | Path) -> None:
@@ -389,7 +332,8 @@ def _write_lines(objs: Iterable[Any], path: str | Path) -> None:
     Path(path).write_text("".join([json.dumps(obj) + "\n" for obj in objs]), encoding="utf-8")
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a Dataset back to the line-delimited format, by `_write_lines`.
-    load_dataset(write_dataset(d)) reproduces semantically identical records."""
-    _write_lines(map(_record_to_obj, dataset.records), path)
+def write_dataset(lines: Iterable[Any], path: str | Path) -> None:
+    """Write prediction lines given in code, each as its checked line
+    (`_line`), by `_write_lines`: `load_dataset` reads back exactly those
+    checked lines, and a line it would reject raises here with its text."""
+    _write_lines([_line(obj) for obj in lines], path)

@@ -10,11 +10,12 @@ tuple per field (id, schema id, raw score, label), with no object per
 record, each row under a scored file's rules. The scorer, the reader and
 the writer of scored files, the evaluators and the CLI use those columns.
 
-`score_file` scores a prediction file in one pass that keeps no record or
-token list past its line; `score_dataset` scores records already loaded.
-Both take their scores from `_scores`, on a record's plain field values, and
-so do the scalar scorers, on the values `records._checked` gives a line
-holding their argument as its one field: that line's rules and error texts.
+`score_file` scores a prediction file in one pass that keeps no line or
+token list past its line; `score_dataset` scores lines already loaded or
+built in code. Both take their scores from `_scores`, on the plain values
+`records._checked` gives each line, and so do the scalar scorers, on the
+values it gives a line holding their argument as its one field: that line's
+rules and error texts.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from pathlib import Path
 from typing import Any
 
 from .records import (
-    Alternative,
-    Dataset,
     DatasetError,
     RecordError,
     _checked,
@@ -180,8 +179,9 @@ def score_self_check_probs(verbalized_prob: float) -> float:
     return _scores(*_field("verbalized_prob", verbalized_prob), ("self_check_probs",))[0]
 
 
-def score_variant_alt(r_pred: float, alternatives: Sequence[Alternative]) -> float:
-    """Predicted score minus the best score among inequivalent alternatives.
+def score_variant_alt(r_pred: float, alternatives: Sequence[tuple[float, bool]]) -> float:
+    """Predicted score minus the best score among inequivalent alternatives,
+    each given as a (score, equivalent) pair.
 
     With no inequivalent alternative the competing score is taken as 0, so
     an unrivaled prediction keeps its own confidence.
@@ -210,22 +210,19 @@ def _result(method: str, ids: Sequence[str] = (), schema_ids: Sequence[str] = ()
     return ScoringResult(ScoredColumns(ids, schema_ids, method, scores, labels), skipped)
 
 
-def score_dataset(dataset: Dataset, method: str) -> ScoringResult:
-    """Score every applicable record; collect inapplicable ones in a skip report.
-
-    Both the scored records and the skips keep dataset order.
-    """
+def score_dataset(lines: Iterable[Any], method: str) -> ScoringResult:
+    """Score every applicable line, each checked by `records._checked`;
+    collect inapplicable ones in a skip report. Both the scored records and
+    the skips keep line order."""
     _check_methods((method,))
-    return _result(method, *zip(*[
-        (r.id, r.schema_id, r.label, *_scores(r.token_probs, r.self_check_bool,
-                                              r.verbalized_prob, r.alternatives, (method,)))
-        for r in dataset.records]))
+    return _result(method, *zip(*[(rid, schema_id, label, *_scores(*values, (method,)))
+                                  for rid, schema_id, label, *values in map(_checked, lines)]))
 
 
 def score_file(path: str | Path, methods: Sequence[str]) -> dict[str, ScoringResult]:
     """`score_dataset(load_dataset(path), m)` for each of `methods`, in one
-    pass that builds no record: each line is checked by `load_dataset`'s
-    rules and reduced at once to its id, schema id, label and scores."""
+    pass that keeps no line: each is checked once by `records._checked` and
+    reduced at once to its id, schema id, label and scores."""
     _check_methods(methods)
     schemas: dict[str, str] = {}  # one str per schema id, shared by its rows
 

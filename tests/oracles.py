@@ -9,9 +9,9 @@ fold assignment, the column helper and the aggregation over folds, which
 run once per scope and not per split. The record rules at
 the end are the checked-line pass as it stood before its inline type
 tests; they take from `records` only the error class and the id, label and
-number helpers. The labeled line after them is `label`'s record round trip
-as it stood before `label` wrote lines from checked values, with that
-day's serializer; it takes the record and its reader from `records`.
+number helpers. The labeled line after them is the line `label` wrote when
+it relabeled a record built from the pair, with that day's serializer, on
+the values those reference rules give the pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import replace
+from types import SimpleNamespace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ from sqlcalib.records import (
     _ident,
     _is_real,
     _label,
-    _record_from_obj,
     _require,
 )
 
@@ -576,25 +575,25 @@ def _checked(obj: Any) -> tuple:
 # ---------------------------------------------------------------------------
 # The line `label` writes for a pair
 #
-# The pair read as a record with a placeholder label, relabeled by
-# `dataclasses.replace` without the pair-only fields, and serialized as
-# `records._record_to_obj` serialized a record before it wrote lines from
-# values: `label`'s path while it built a record per pair. Its line for a
-# valid pair line must be the one `label` writes now.
+# The pair checked as a line with a placeholder label by the reference rules
+# above, relabeled without the pair-only fields, and serialized as
+# `records._record_to_obj` serialized a record before `label` wrote lines
+# from values: `label`'s path while it built a record per pair. Its line for
+# a valid pair line must be the one `label` writes now.
 
 PAIR_ONLY_FIELDS = ("gold_sql", "pred_sql", "db_path")
+_SHAPES = {
+    "question": lambda q: q,
+    "token_probs": list,
+    "self_check_bool": lambda pair: {"p_true": pair[0], "p_false": pair[1]},
+    "verbalized_prob": lambda v: v,
+    "alternatives": lambda alts: [{"score": a.score, "equivalent": a.equivalent} for a in alts],
+}
 
 
 def _record_line(r) -> dict:
     obj = {"id": r.id, "schema_id": r.schema_id, "label": r.label}
-    shapes = {
-        "question": lambda q: q,
-        "token_probs": list,
-        "self_check_bool": lambda pair: {"p_true": pair[0], "p_false": pair[1]},
-        "verbalized_prob": lambda v: v,
-        "alternatives": lambda alts: [{"score": a.score, "equivalent": a.equivalent} for a in alts],
-    }
-    for name, shape in shapes.items():
+    for name, shape in _SHAPES.items():
         if getattr(r, name) is not None:
             obj[name] = shape(getattr(r, name))
     for k in sorted(r.extra):
@@ -603,6 +602,10 @@ def _record_line(r) -> dict:
 
 
 def reference_labeled_line(obj: dict, label: int) -> dict:
-    record = _record_from_obj({**obj, "label": 0})
-    extra = {k: v for k, v in record.extra.items() if k not in PAIR_ONLY_FIELDS}
-    return _record_line(replace(record, label=label, extra=extra))
+    rid, schema_id, _, tokens, check, verbalized, alts = _checked({**obj, "label": 0})
+    skip = ("id", "schema_id", "label", *_SHAPES, *PAIR_ONLY_FIELDS)
+    return _record_line(SimpleNamespace(
+        id=rid, schema_id=schema_id, label=label, question=obj.get("question"),
+        token_probs=tokens, self_check_bool=check, verbalized_prob=verbalized,
+        alternatives=alts and [SimpleNamespace(score=s, equivalent=e) for s, e in alts],
+        extra={k: v for k, v in obj.items() if k not in skip}))

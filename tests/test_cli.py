@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqlcalib
-from sqlcalib import cli, protocol, records
+from sqlcalib import cli, protocol
 from sqlcalib.cli import build_parser, main
 from sqlcalib.execmatch import _OUTCOMES, ExecutionError, SQLiteExecutor, label_record
-from sqlcalib.records import Dataset, PredictionRecord, load_dataset, write_dataset
+from sqlcalib.records import load_dataset, write_dataset
 from sqlcalib.scoring import SCORE_METHODS, score_dataset, score_file
 
 
@@ -108,7 +108,7 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "1"
 
     def test_every_exported_name_resolves_to_its_submodule_object(self):
-        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 55
+        assert len(sqlcalib.__all__) == len(set(sqlcalib.__all__)) == 52
         for name in sqlcalib.__all__:
             value = getattr(sqlcalib, name)
             module = sys.modules[value.__module__]
@@ -173,8 +173,7 @@ class TestEntry:
 
 class TestSimulateValidate:
     def test_simulate_writes_loadable_dataset(self, synthetic):
-        ds = load_dataset(synthetic)
-        assert len(ds.records) == 400
+        assert len(load_dataset(synthetic)) == 400
 
     @pytest.mark.parametrize("schemas", [1, 7, 120])
     @pytest.mark.parametrize("true_map", sorted(protocol.TRUE_MAPS))
@@ -184,7 +183,7 @@ class TestSimulateValidate:
             assert run("simulate", "--n", n, "--map", true_map, "--seed", seed,
                        "--schemas", schemas, "--out", out) == 0
             dataset = protocol.generate_synthetic(n, true_map, seed, n_schemas=schemas)
-            assert load_dataset(out).records == dataset.records
+            assert load_dataset(out) == dataset
             write_dataset(dataset, written)
             assert written.read_bytes() == out.read_bytes()
 
@@ -200,17 +199,15 @@ class TestSimulateValidate:
         return capsys.readouterr().out.splitlines()
 
     def test_validate_counts_records_schemas_and_pct(self, tmp_path, capsys):
-        records = [
-            PredictionRecord(id=f"r{i}", schema_id=f"s{i % 3}", label=label)
-            for i, label in enumerate([1, 0, 1, 0])
-        ]
-        write_dataset(Dataset(records=tuple(records)), tmp_path / "data.jsonl")
+        lines = [{"id": f"r{i}", "schema_id": f"s{i % 3}", "label": label}
+                 for i, label in enumerate([1, 0, 1, 0])]
+        write_dataset(lines, tmp_path / "data.jsonl")
         assert self.validate(tmp_path / "data.jsonl", capsys) == [
             "records: 4", "schemas: 3", "pct_correct: 50.0"]
 
     def test_validate_all_correct(self, tmp_path, capsys):
-        records = [PredictionRecord(id=f"r{i}", schema_id="s", label=1) for i in range(7)]
-        write_dataset(Dataset(records=tuple(records)), tmp_path / "data.jsonl")
+        lines = [{"id": f"r{i}", "schema_id": "s", "label": 1} for i in range(7)]
+        write_dataset(lines, tmp_path / "data.jsonl")
         assert self.validate(tmp_path / "data.jsonl", capsys)[2] == "pct_correct: 100.0"
 
     def test_validate_matches_file_line_count(self, tmp_path, capsys):
@@ -795,7 +792,7 @@ def full_records(path, n, n_tokens=None, seed=0):
 
 
 class TestScoreFromTheLine:
-    def test_score_and_evaluate_build_no_record(self, tmp_path, monkeypatch):
+    def test_score_and_evaluate_build_no_record(self, tmp_path):
         data = full_records(tmp_path / "data.jsonl", 300)
         # label's pairs: the first 40 records with every field, half of them matching
         db_root = tmp_path / "dbs"
@@ -824,23 +821,12 @@ class TestScoreFromTheLine:
                          "--schemas", 7, "--out", "{out}/data.jsonl"],
         }
 
-        def outputs(tag):
-            for name, argv in runs.items():
-                out = tmp_path / tag / name
-                out.mkdir(parents=True)
-                assert run(*(str(a).format(out=out) for a in argv)) == 0
-            return {str(f.relative_to(tmp_path / tag)): f.read_bytes()
-                    for f in sorted((tmp_path / tag).rglob("*")) if f.is_file()}
-
-        plain = outputs("plain")
-
-        def refuse(self):
-            raise AssertionError("a PredictionRecord was built")
-
-        monkeypatch.setattr(records.PredictionRecord, "__post_init__", refuse)
-        with pytest.raises(AssertionError, match="was built"):
-            load_dataset(data)
-        assert outputs("patched") == plain
+        for name, argv in runs.items():
+            out = tmp_path / "out" / name
+            out.mkdir(parents=True)
+            assert run(*(str(a).format(out=out) for a in argv)) == 0
+        plain = {str(f.relative_to(tmp_path / "out")): f.read_bytes()
+                 for f in sorted((tmp_path / "out").rglob("*")) if f.is_file()}
         assert run("validate", "--input", data) == 0
         assert len(plain) == 2 + 4 + 2 + 1 + 1
         labeled = [json.loads(line) for line in plain["label/labeled.jsonl"].splitlines()]
@@ -1001,9 +987,9 @@ class TestLabelCommand:
         out = tmp_path / "labeled.jsonl"
         assert run("label", "--pairs", pairs, "--db-root", db_root, "--out", out) == 0
         ds = load_dataset(out)
-        labels = {r.id: r.label for r in ds.records}
+        labels = {r["id"]: r["label"] for r in ds}
         assert labels == {"q1": 1, "q2": 0, "q3": 0}
-        assert ds.records[0].token_probs == (0.9, 0.8)
+        assert ds[0]["token_probs"] == [0.9, 0.8]
         assert capsys.readouterr().err.splitlines()[-1] == (
             "outcomes: matched 1, mismatched 1, pred error 1, pred timeout 0, "
             "shape or row-cap reject 0, match timeout 0")

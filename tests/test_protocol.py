@@ -17,7 +17,6 @@ from sqlcalib.protocol import (
     generate_synthetic,
     schema_level_evaluate,
 )
-from sqlcalib.records import Dataset, PredictionRecord
 from sqlcalib.scoring import ScoredColumns, pool_prod, score_dataset
 
 
@@ -26,13 +25,13 @@ def _dataset(n_schemas, per_schema=10):
     i = 0
     for s in range(n_schemas):
         for j in range(per_schema):
-            records.append(PredictionRecord(id=f"r{i:04d}", schema_id=f"schema{s:02d}", label=j % 2))
+            records.append({"id": f"r{i:04d}", "schema_id": f"schema{s:02d}", "label": j % 2})
             i += 1
-    return Dataset(records=tuple(records))
+    return records
 
 
 def _folds(dataset, k, seed):
-    return _assign_folds(Counter(r.schema_id for r in dataset.records), k, seed)
+    return _assign_folds(Counter(r["schema_id"] for r in dataset), k, seed)
 
 
 def _columns_of(rows):
@@ -105,9 +104,9 @@ class TestFolds:
         i = 0
         for s in range(6):
             for _ in range(100 if s < 2 else 5):
-                records.append(PredictionRecord(id=f"r{i}", schema_id=f"s{s}", label=0))
+                records.append({"id": f"r{i}", "schema_id": f"s{s}", "label": 0})
                 i += 1
-        folds = _folds(Dataset(records=tuple(records)), 2, seed=0)
+        folds = _folds(records, 2, seed=0)
         heavy_folds = {folds["s0"], folds["s1"]}
         assert heavy_folds == {0, 1}
 
@@ -301,17 +300,17 @@ class TestSchemaLevel:
 class TestSynthetic:
     def test_prod_pooling_reproduces_score_exactly(self):
         ds = generate_synthetic(500, "identity", seed=3)
-        for record in ds.records:
-            assert len(record.token_probs) == 1
-            assert pool_prod(record.token_probs) == record.token_probs[0]
+        for record in ds:
+            assert len(record["token_probs"]) == 1
+            assert pool_prod(record["token_probs"]) == record["token_probs"][0]
 
     def test_constant_one_map(self):
         ds = generate_synthetic(200, "one", seed=0)
-        assert all(r.label == 1 for r in ds.records)
+        assert all(r["label"] == 1 for r in ds)
 
     def test_round_robin_schemas(self):
         ds = generate_synthetic(25, "identity", seed=0, n_schemas=10)
-        counts = Counter(r.schema_id for r in ds.records)
+        counts = Counter(r["schema_id"] for r in ds)
         assert len(counts) == 10
         assert max(counts.values()) - min(counts.values()) <= 1
 
@@ -322,8 +321,7 @@ class TestSynthetic:
             "unknown true map 'nope': expected one of ['half', 'identity', 'logistic', 'one']")
 
     def test_deterministic(self):
-        assert generate_synthetic(100, "identity", 5).records == \
-            generate_synthetic(100, "identity", 5).records
+        assert generate_synthetic(100, "identity", 5) == generate_synthetic(100, "identity", 5)
 
     def test_identity_map_downstream_calibration(self):
         ds = generate_synthetic(10000, "identity", seed=3)
@@ -471,12 +469,11 @@ class TestColumnarInput:
             names += [next(ids) for _ in range(14 - len(names))]
             for name in names:
                 p = float(rng.uniform(0.05, 1.0))
-                records.append(PredictionRecord(id=name, schema_id=f"s{s}",
-                                                label=int(rng.random() < p),
-                                                token_probs=(p, float(rng.uniform(0.5, 1.0)))))
-        records[28:30] = [replace(records[28], token_probs=(0.05,), label=1),
-                          replace(records[29], token_probs=(0.95,), label=0)]
-        return score_dataset(Dataset(records=tuple(records)), "prod").scored
+                records.append({"id": name, "schema_id": f"s{s}", "label": int(rng.random() < p),
+                                "token_probs": [p, float(rng.uniform(0.5, 1.0))]})
+        records[28:30] = [{**records[28], "token_probs": [0.05], "label": 1},
+                          {**records[29], "token_probs": [0.95], "label": 0}]
+        return score_dataset(records, "prod").scored
 
     @pytest.mark.parametrize("cfg", [
         ProtocolConfig(seed=4, k=3),

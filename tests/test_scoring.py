@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlcalib.records import Alternative, Dataset, PredictionRecord, RecordError
+from sqlcalib.records import RecordError
 from sqlcalib.scoring import (
     POOLING_METHODS,
     SCORE_METHODS,
@@ -109,7 +109,7 @@ class TestSelfCheck:
         for score, field, value in (
             (lambda: score_self_check_bool(10**400, 1), "self_check_bool",
              {"p_true": 10**400, "p_false": 1}),
-            (lambda: score_variant_alt(0.5, [Alternative(10**400, False)]), "alternatives",
+            (lambda: score_variant_alt(0.5, [(10**400, False)]), "alternatives",
              [{"score": 10**400, "equivalent": False}]),
         ):
             with pytest.raises(RecordError) as line:
@@ -156,19 +156,19 @@ class TestSelfCheck:
 
 class TestVariantAlt:
     def test_subtracts_best_inequivalent(self):
-        alts = [Alternative(0.5, False), Alternative(0.9, True)]
+        alts = [(0.5, False), (0.9, True)]
         assert score_variant_alt(0.8, alts) == pytest.approx(0.3, rel=1e-12)
 
     def test_can_go_negative(self):
-        assert score_variant_alt(0.4, [Alternative(0.7, False)]) == pytest.approx(-0.3)
+        assert score_variant_alt(0.4, [(0.7, False)]) == pytest.approx(-0.3)
 
     def test_all_equivalent_keeps_own_score(self):
-        alts = [Alternative(0.9, True), Alternative(0.2, True)]
+        alts = [(0.9, True), (0.2, True)]
         assert score_variant_alt(0.6, alts) == 0.6
 
     def test_alternative_score_out_of_range(self):
         with pytest.raises(ValueError):
-            score_variant_alt(0.5, [Alternative(1.2, False)])
+            score_variant_alt(0.5, [(1.2, False)])
 
     @given(
         st.floats(min_value=0, max_value=1),
@@ -177,14 +177,14 @@ class TestVariantAlt:
     )
     def test_monotone_in_r_pred_and_best_alt(self, r1, r2, alt):
         lo, hi = sorted((r1, r2))
-        alts = [Alternative(alt, False)]
+        alts = [(alt, False)]
         assert score_variant_alt(lo, alts) <= score_variant_alt(hi, alts)
         # raising the competing score can only lower the result
-        stronger = [Alternative(min(1.0, alt + 0.1), False)]
+        stronger = [(min(1.0, alt + 0.1), False)]
         assert score_variant_alt(r1, stronger) <= score_variant_alt(r1, alts)
 
     def test_range_bounds(self):
-        assert -1.0 <= score_variant_alt(0.0, [Alternative(1.0, False)]) <= 1.0
+        assert -1.0 <= score_variant_alt(0.0, [(1.0, False)]) <= 1.0
 
 
 @pytest.mark.parametrize("score, field, message", [
@@ -195,9 +195,9 @@ class TestVariantAlt:
     (lambda: score_self_check_bool(0.0, 0.0), "self_check_bool",
      "degenerate self-check: p_true + p_false must be positive"),
     (lambda: score_self_check_probs(1.3), "verbalized_prob", "must lie in [0, 1], got 1.3"),
-    (lambda: score_variant_alt(0.5, [Alternative(math.nan, False)]), "alternatives",
+    (lambda: score_variant_alt(0.5, [(math.nan, False)]), "alternatives",
      "score nan is not finite"),
-    (lambda: score_variant_alt(0.5, [Alternative(0.2, 1)]), "alternatives",
+    (lambda: score_variant_alt(0.5, [(0.2, 1)]), "alternatives",
      "equivalent must be true or false"),
 ], ids=["empty", "zero", "negative", "degenerate", "verbalized", "alternative", "equivalent"])
 def test_scalar_scorers_raise_the_record_rules(tmp_path, score, field, message):
@@ -213,7 +213,7 @@ def test_scalar_scorers_raise_the_record_rules(tmp_path, score, field, message):
     (lambda: pool_min(["0.5"]), "token_probs"),
     (lambda: score_self_check_bool(True, 1), "self_check_bool"),
     (lambda: score_self_check_probs(False), "verbalized_prob"),
-    (lambda: score_variant_alt(0.5, [Alternative(True, False)]), "alternatives"),
+    (lambda: score_variant_alt(0.5, [(True, False)]), "alternatives"),
 ], ids=["prod-true", "avg-numpy-true", "min-string", "self-check-bool", "verbalized",
         "alternative"])
 def test_scalar_scorers_take_numbers_not_bools(score, field):
@@ -238,18 +238,18 @@ def test_scalar_scorers_take_numpy_numbers():
     assert pool_min([np.float32(0.5), 1]) == 0.5
     assert score_self_check_bool(np.int64(3), np.int64(1)) == 0.75
     assert score_self_check_probs(np.float64(0.25)) == 0.25
-    assert score_variant_alt(np.float64(0.75), [Alternative(np.float64(0.25), False)]) == 0.5
+    assert score_variant_alt(np.float64(0.75), [(np.float64(0.25), False)]) == 0.5
     with pytest.raises(ValueError, match="^predicted score True is not a number$"):
         score_variant_alt(True, [])
 
 
 class TestScoreDataset:
     def _dataset(self):
-        return Dataset(records=(
-            PredictionRecord(id="a", schema_id="s1", label=1, token_probs=(0.9, 0.5)),
-            PredictionRecord(id="b", schema_id="s1", label=0),
-            PredictionRecord(id="c", schema_id="s2", label=1, token_probs=(0.7,)),
-        ))
+        return (
+            {"id": "a", "schema_id": "s1", "label": 1, "token_probs": [0.9, 0.5]},
+            {"id": "b", "schema_id": "s1", "label": 0},
+            {"id": "c", "schema_id": "s2", "label": 1, "token_probs": [0.7]},
+        )
 
     def test_skips_records_missing_fields(self):
         result = score_dataset(self._dataset(), "prod")
@@ -257,20 +257,19 @@ class TestScoreDataset:
         assert result.skipped == (("b", "missing token_probs"),)
 
     def test_self_check_bool_scores_all_applicable(self):
-        records = [
-            PredictionRecord(id=f"r{i}", schema_id="s", label=1, self_check_bool=(0.7, 0.1))
-            for i in range(4)
-        ]
-        result = score_dataset(Dataset(records=tuple(records)), "self_check_bool")
+        lines = [{"id": f"r{i}", "schema_id": "s", "label": 1,
+                  "self_check_bool": {"p_true": 0.7, "p_false": 0.1}} for i in range(4)]
+        result = score_dataset(lines, "self_check_bool")
         assert len(result.scored) == 4
         assert all(raw == pytest.approx(0.875) for raw in result.scored.raw_scores)
 
     def test_self_check_methods_score_and_skip_through_score_dataset(self):
-        dataset = Dataset(records=(
-            PredictionRecord(id="p", schema_id="s", label=1, verbalized_prob=0.25),
-            PredictionRecord(id="q", schema_id="s", label=0, self_check_bool=(0.7, 0.1)),
-            PredictionRecord(id="r", schema_id="s", label=0, verbalized_prob=1.0),
-        ))
+        dataset = (
+            {"id": "p", "schema_id": "s", "label": 1, "verbalized_prob": 0.25},
+            {"id": "q", "schema_id": "s", "label": 0,
+             "self_check_bool": {"p_true": 0.7, "p_false": 0.1}},
+            {"id": "r", "schema_id": "s", "label": 0, "verbalized_prob": 1.0},
+        )
         result = score_dataset(dataset, "self_check_probs")
         assert (result.scored.ids, result.scored.raw_scores) == (("p", "r"), (0.25, 1.0))
         assert result.skipped == (("q", "missing verbalized_prob"),)
@@ -280,12 +279,10 @@ class TestScoreDataset:
                                   ("r", "missing self_check_bool"))
 
     def test_variant_alt_needs_probs_and_alternatives(self):
-        record = PredictionRecord(
-            id="v", schema_id="s", label=1, token_probs=(0.8,),
-            alternatives=(Alternative(0.3, False),),
-        )
-        bare = PredictionRecord(id="w", schema_id="s", label=1)
-        result = score_dataset(Dataset(records=(record, bare)), "variant_alt")
+        record = {"id": "v", "schema_id": "s", "label": 1, "token_probs": [0.8],
+                  "alternatives": [{"score": 0.3, "equivalent": False}]}
+        bare = {"id": "w", "schema_id": "s", "label": 1}
+        result = score_dataset([record, bare], "variant_alt")
         assert result.scored.ids == ("v",)
         assert result.scored.raw_scores == (pytest.approx(0.5),)
         assert result.skipped == (("w", "missing alternatives"),)
@@ -295,12 +292,11 @@ class TestScoreDataset:
     def test_record_pools_as_the_public_poolers_without_a_second_check(self, probs):
         import sqlcalib.scoring as scoring
 
-        record = PredictionRecord(id="a", schema_id="s", label=1, token_probs=tuple(probs))
         expected = {m: pooler(probs) for m, pooler in (
             ("prod", pool_prod), ("geo", pool_geo), ("min", pool_min), ("avg", pool_avg))}
-        dataset = Dataset(records=(record,))
+        dataset = [{"id": "a", "schema_id": "s", "label": 1, "token_probs": probs}]
         check = scoring._line_value
-        scoring._line_value = None  # the record checked its token list when it was built
+        scoring._line_value = None  # a line is checked as it is, with no reshaping
         try:
             assert {m: score_dataset(dataset, m).scored.raw_scores[0] for m in expected} == expected
         finally:
@@ -385,8 +381,7 @@ class TestScoreDataset:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown scoring method"):
-            score_dataset(Dataset(records=(PredictionRecord(id="a", schema_id="s", label=0),)),
-                          "median")
+            score_dataset([{"id": "a", "schema_id": "s", "label": 0}], "median")
 
     def test_scored_file_round_trip(self, tmp_path):
         from sqlcalib.scoring import load_scored, write_scored

@@ -59,15 +59,26 @@ def _references(node: ast.AST, name: str) -> int:
                and n.attr == name for n in ast.walk(node))
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_one_record_parser():
-    """`_fields` applies its rules by their helpers, with no inline
-    `type(x) is float` test, and is read only by `_checked`, which
-    `_record_from_obj` calls."""
+    """A record has one form, its line: `records` defines no dataclass or
+    named tuple. `load_dataset`, `write_dataset` and `label`'s pair reader
+    read through `_line`, which calls `_checked` once. `_fields` applies its
+    rules by their helpers, with no inline `type(x) is float` test, and is
+    read only by `_checked`."""
     tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _references(tree, "dataclass") == _references(tree, "NamedTuple") == 0
+    functions = _functions(PACKAGE / "records.py")
+    for reader in (functions["load_dataset"], functions["write_dataset"],
+                   _functions(PACKAGE / "cli.py")["_pair_from_obj"]):
+        assert _references(reader, "_line") == 1, reader.name
+    assert _references(functions["_line"], "_checked") == 1
     assert not any(isinstance(n, ast.Compare) and _references(n, "type")
                    for n in ast.walk(functions["_fields"]))
-    assert _references(functions["_record_from_obj"], "_checked") == 1
     assert _references(tree, "_fields") == _references(functions["_checked"], "_fields") == 1
     for path in PACKAGE.glob("*.py"):
         if path.name != "records.py":
