@@ -5,10 +5,10 @@ A predicted result is read only as far as its label needs: a column count
 that differs from gold's fetches no row, at most one row more than gold has
 is fetched, and a result of another shape is rejected before any cell is
 canonicalized. The executor returns results raw. A prediction of gold's
-shape is first matched on those raw values, which decide its label where
-they can (`_raw_outcome`); only the other pairs canonicalize, the
-prediction's cells and then gold's. Both searches share the predicted
-query's deadline.
+shape is first matched on those raw values as hashed row and column
+multisets (`_raw_outcome`), which decide its label unless a float is out of
+range or floats differ; only those pairs canonicalize, the prediction's
+cells and then gold's. Both searches share the predicted query's deadline.
 
 An executor runs every query on one read-only connection to its database. A
 statement that does anything but read (a temp table, a pragma, an attached
@@ -98,25 +98,13 @@ def _canonical_column(column: tuple) -> Iterable[str]:
     return map(canonical_cell, column)
 
 
-# Cell types whose Python equality implies equal `canonical_cell` strings, a
-# float only below `_INT_FLOAT_LIMIT`.
-_RAW_TYPES = frozenset((int, float, str, bytes))
-
-
-def _raw_kinds(result: RawResult) -> set[type] | None:
-    """The cell types of `result` when each of its columns holds one type of
-    `_RAW_TYPES` and every float lies below `_INT_FLOAT_LIMIT` in magnitude
-    (so it is neither NaN nor infinite); None otherwise. A NULL or
-    mixed-type column could not be sorted."""
-    kinds: set[type] = set()
-    for column in zip(*result.rows):
-        types = set(map(type, column))
-        if len(types) != 1 or not types <= _RAW_TYPES:
-            return None
-        if float in types and not all(map(_INT_FLOAT_LIMIT.__gt__, map(abs, column))):
-            return None
-        kinds |= types
-    return kinds
+def _raw_floats(result: RawResult) -> bool | None:
+    """Whether `result` holds a float, when every float lies below
+    `_INT_FLOAT_LIMIT` in magnitude (so it is neither NaN nor infinite); None
+    otherwise. Of SQLite's cell types, equal None, int, str and bytes cells,
+    and such floats, have equal `canonical_cell` strings."""
+    floats = [cell for row in result.rows for cell in row if type(cell) is float]
+    return bool(floats) if all(map(_INT_FLOAT_LIMIT.__gt__, map(abs, floats))) else None
 
 
 def _check_width(rows: Sequence[Sequence[Any]], n_cols: int) -> None:
@@ -156,40 +144,43 @@ def tables_equal(a: ResultTable | RawResult, b: ResultTable | RawResult,
                  strict_columns: bool = False, deadline: float | None = None) -> bool:
     """True iff some permutation of b's columns makes the row multisets equal.
 
-    Cells compare by Python equality and each column is sorted, so a and b
-    are canonical tables, or raw results that `_raw_kinds` accepts.
+    Rows and columns compare as multisets, by Python equality and hashing:
+    a and b are canonical tables, or raw results that `_raw_floats` accepts.
 
-    A depth-first search gives a's columns, in order, unused b columns with the
-    same value multiset, trying identical b columns once per position. Where a
-    position has a choice, a branch ends once the rows projected so far differ.
-    `strict_columns` compares columns positionally. Past `deadline` (a
-    `time.monotonic()` value) the search raises TimeoutError; it looks at the
-    clock at every step, since one step over many rows can take long.
+    The identity column order is tried first, and alone under
+    `strict_columns`. Otherwise a depth-first search gives a's columns, in
+    order, unused b columns holding the same set of values, trying identical
+    b columns once per position. Where a position has a choice, and at the
+    last, a branch ends once the rows projected so far differ. Past
+    `deadline` (a `time.monotonic()` value) the search raises TimeoutError; it
+    looks at the clock at every step, since one step over many rows can take long.
     """
     if a.n_cols != b.n_cols or len(a.rows) != len(b.rows):
         return False
-    if a.rows == b.rows:  # the identity column order, in either mode
+    # row multisets compare as dict items views: in C, unlike Counter.__eq__
+    rows_a = Counter(a.rows)
+    if not a.rows or b.rows[0] in rows_a and rows_a.items() == Counter(b.rows).items():
         return True
-    if strict_columns or a.n_cols == 0 or not a.rows:
-        return sorted(a.rows) == sorted(b.rows)
+    if strict_columns or a.n_cols < 2:
+        return False
 
     cols_a = list(zip(*a.rows))
     unused = Counter(zip(*b.rows))  # b columns of identical contents are interchangeable
-    by_values: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    by_values: dict[frozenset, list[tuple]] = {}
     for col in unused:
-        by_values.setdefault(tuple(sorted(col)), []).append(col)
-    candidates = [by_values.get(tuple(sorted(col)), []) for col in cols_a]
+        by_values.setdefault(frozenset(col), []).append(col)
+    candidates = [by_values.get(frozenset(col), []) for col in cols_a]
 
-    assigned: list[tuple[str, ...]] = []  # the b column given to each of a's columns
+    assigned: list[tuple] = []  # the b column given to each of a's columns
     stack = [iter(candidates[0])]  # the untried candidates of each position
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("column-order search ran past the deadline")
         i = len(assigned)
+        last = i + 1 == len(cols_a)
         for col in stack[-1]:
-            # row multisets compare as dict items views: in C, unlike Counter.__eq__
-            if unused[col] and ((len(candidates[i]) == 1 and i + 1 < len(cols_a))
-                                or Counter(zip(*cols_a[:i + 1])).items()
+            if unused[col] and ((len(candidates[i]) == 1 and not last)
+                                or (rows_a if last else Counter(zip(*cols_a[:i + 1]))).items()
                                 == Counter(zip(*assigned, col)).items()):
                 break
         else:
@@ -197,7 +188,7 @@ def tables_equal(a: ResultTable | RawResult, b: ResultTable | RawResult,
             if assigned:
                 unused[assigned.pop()] += 1
             continue
-        if i + 1 == len(cols_a):
+        if last:
             return True
         unused[col] -= 1
         assigned.append(col)
@@ -207,12 +198,12 @@ def tables_equal(a: ResultTable | RawResult, b: ResultTable | RawResult,
 
 class Gold:
     """Gold's result on one executor, run once: its raw rows or its error, and
-    its cell types (`_raw_kinds`) and canonical table, each found at most once.
+    its `_raw_floats` and canonical table, each found at most once.
     `shared` is true when gold ran as a pure read calling no volatile
     function, so that later pairs with the same gold SQL on the same
     executor may reuse this result instead of running gold again."""
 
-    __slots__ = ("sql", "raw", "error", "shared", "_table", "_kinds")
+    __slots__ = ("sql", "raw", "error", "shared", "_table", "_floats")
 
     def __init__(self, sql: str, executor: SQLiteExecutor):
         self.sql = sql
@@ -230,24 +221,24 @@ class Gold:
             self._table = ResultTable.from_rows(self.raw.rows, n_cols=self.raw.n_cols)
         return self._table
 
-    def kinds(self) -> set[type] | None:
-        if not hasattr(self, "_kinds"):  # the slot stays unset until the first call
-            self._kinds = _raw_kinds(self.raw)
-        return self._kinds
+    def floats(self) -> bool | None:
+        if not hasattr(self, "_floats"):  # the slot stays unset until the first call
+            self._floats = _raw_floats(self.raw)
+        return self._floats
 
 
 def _raw_outcome(gold: RawResult, pred: RawResult, strict_columns: bool, deadline: float,
-                 gold_kinds: set[type] | None) -> str | None:
+                 gold_floats: bool | None) -> str | None:
     """The outcome of two results of one shape when their raw values decide it,
     "matched" or "mismatched"; None when canonical strings must. Without a float
-    column a raw mismatch is a mismatch: the canonical strings of int, str and
-    bytes are injective, with disjoint tags. `gold_kinds` is `_raw_kinds(gold)`."""
-    pred_kinds = None if gold_kinds is None else _raw_kinds(pred)
-    if pred_kinds is None:
+    a raw mismatch is a mismatch: the canonical strings of None, int, str and
+    bytes are injective, with disjoint tags. `gold_floats` is `_raw_floats(gold)`."""
+    pred_floats = None if gold_floats is None else _raw_floats(pred)
+    if pred_floats is None:
         return None
     if tables_equal(gold, pred, strict_columns, deadline):
         return "matched"
-    return None if float in gold_kinds | pred_kinds else "mismatched"
+    return None if gold_floats or pred_floats else "mismatched"
 
 
 def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
@@ -283,7 +274,7 @@ def label_record(gold_sql: str, pred_sql: str, executor: SQLiteExecutor,
         if pred is None:
             outcome = "shape or row-cap reject"
         else:
-            outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline, gold.kinds())
+            outcome = _raw_outcome(gold.raw, pred, strict_columns, deadline, gold.floats())
         if outcome is None:
             pred_table = ResultTable.from_rows(pred.rows, n_cols=pred.n_cols)
             start = time.monotonic()

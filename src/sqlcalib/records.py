@@ -335,5 +335,12 @@ def _write_lines(objs: Iterable[Any], path: str | Path) -> None:
 def write_dataset(lines: Iterable[Any], path: str | Path) -> None:
     """Write prediction lines given in code, each as its checked line
     (`_line`), by `_write_lines`: `load_dataset` reads back exactly those
-    checked lines, and a line it would reject raises here with its text."""
-    _write_lines([_line(obj) for obj in lines], path)
+    checked lines, and lines it would reject raise here with its text."""
+    checked, seen = [_line(obj) for obj in lines], set()
+    for rid in (line["id"] for line in checked):
+        if rid in seen:
+            raise DatasetError(f"duplicate record id {rid!r}")
+        seen.add(rid)
+    if not checked:
+        raise DatasetError(f"empty dataset: {path}")
+    _write_lines(checked, path)

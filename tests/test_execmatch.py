@@ -64,13 +64,19 @@ def _near(value):
     return [value]
 
 
+# raw column kinds: one type, or one type and NULL, over few values
+nullable_cells = {**typed_cells, "bytes": st.binary(max_size=3),
+                  "int or null": st.one_of(st.none(), st.integers(-2, 2)),
+                  "str or null": st.one_of(st.none(), st.sampled_from(["a", "b"]))}
+
+
 @st.composite
 def raw_pairs(draw, max_cols=4, max_rows=6):
     """Two raw results of one shape: b is a with its rows and columns
-    shuffled, the same with one cell replaced, or drawn with a's column types."""
-    kinds = draw(st.lists(st.sampled_from([*typed_cells, "bytes", "mixed"]),
+    shuffled, the same with one cell replaced, or drawn with a's column kinds."""
+    kinds = draw(st.lists(st.sampled_from([*nullable_cells, "mixed"]),
                           min_size=1, max_size=max_cols))
-    cells = [{**typed_cells, "bytes": st.binary(max_size=3)}.get(kind, any_cell) for kind in kinds]
+    cells = [nullable_cells.get(kind, any_cell) for kind in kinds]
     rows_a = draw(st.lists(st.tuples(*cells), max_size=max_rows))
     variant = draw(st.sampled_from(["permuted", "perturbed", "drawn"]))
     if variant == "drawn":
@@ -185,6 +191,18 @@ class TestTablesEqual:
         a = ResultTable.from_rows([[1, 2, "u"], [2, 1, "v"]])
         b = ResultTable.from_rows([[2, 1, "u"], [1, 2, "v"]])  # first two columns swapped
         assert tables_equal(a, b)
+
+    @pytest.mark.parametrize("rows_b,equal", [
+        ([[1, 1], [2, 1], [2, 2]], True),  # a's columns swapped
+        ([[1, 2], [1, 2], [2, 1]], False),  # each of a's column multisets, rows not aligned
+        ([[1, 1], [1, 1], [2, 2]], False),  # a's value set in both columns, other multiplicities
+    ])
+    def test_columns_of_one_value_set_in_other_multiplicities(self, rows_b, equal):
+        rows_a = [[1, 1], [1, 2], [2, 2]]  # {1, 2} as 1, 1, 2 and as 1, 2, 2
+        a, b = ResultTable.from_rows(rows_a), ResultTable.from_rows(rows_b)
+        assert tables_equal(a, b) == tables_equal_exhaustive(a, b) == equal
+        assert tables_equal(RawResult(2, list(map(tuple, rows_a))),
+                            RawResult(2, list(map(tuple, rows_b)))) == equal
 
     def test_empty_tables(self):
         a = ResultTable.from_rows([], n_cols=2)
@@ -555,9 +573,9 @@ class TestGoldSharing:
         ex = SQLiteExecutor(db)
         gold = Gold("SELECT name, age FROM singer", ex)
         checked = []
-        raw_kinds = execmatch._raw_kinds
-        monkeypatch.setattr(execmatch, "_raw_kinds",
-                            lambda result: checked.append(result) or raw_kinds(result))
+        raw_floats = execmatch._raw_floats
+        monkeypatch.setattr(execmatch, "_raw_floats",
+                            lambda result: checked.append(result) or raw_floats(result))
         labels = [label_record(gold.sql, pred, ex, gold=gold)
                   for pred in ("SELECT age, name FROM singer", "SELECT name, age + 1 FROM singer",
                                "SELECT name, age * 1.0 FROM singer ORDER BY age")]
@@ -733,7 +751,7 @@ class TestRawValues:
         a, b = pair
         for strict in (False, True):
             verdict = execmatch._raw_outcome(a, b, strict, time.monotonic() + 60,
-                                             execmatch._raw_kinds(a))
+                                             execmatch._raw_floats(a))
             if verdict is not None:
                 assert (verdict == "matched") == tables_equal(self.canonical(a), self.canonical(b),
                                                               strict)
@@ -741,18 +759,18 @@ class TestRawValues:
     @pytest.mark.parametrize("value", [1e15 - 1, -(1e15 - 1)])
     def test_integral_float_below_the_bound_is_its_int(self, value):
         assert canonical_cell(value) == canonical_cell(int(value)) == f"#{int(value)}"
-        assert execmatch._raw_kinds(RawResult(1, [(value,)])) == {float}
+        assert execmatch._raw_floats(RawResult(1, [(value,)])) is True
 
     @pytest.mark.parametrize("value", [1e15, -1e15])
     def test_float_at_the_bound_is_not_raw_comparable(self, value):
         assert canonical_cell(value) != canonical_cell(int(value))
-        assert execmatch._raw_kinds(RawResult(1, [(value,)])) is None
+        assert execmatch._raw_floats(RawResult(1, [(value,)])) is None
 
     def test_ten_to_the_fifteen_and_its_float_stay_mismatched(self, db):
         # 10**15 == 1e15, but their canonical strings are #1000000000000000 and #1e+15
         ex = SQLiteExecutor(db)
         assert ex.execute("SELECT 1e15").rows == [(1e15,)]
-        assert execmatch._raw_kinds(ex.execute("SELECT 1e15")) is None
+        assert execmatch._raw_floats(ex.execute("SELECT 1e15")) is None
         outcomes = Counter()
         assert label_record("SELECT 1000000000000000", "SELECT 1e15", ex, outcomes=outcomes) == 0
         assert outcomes == Counter({"mismatched": 1})
@@ -777,16 +795,41 @@ class TestRawValues:
                             SQLiteExecutor(db), outcomes=outcomes) == 0
         assert outcomes == Counter({"mismatched": 1})
 
-    def test_null_column_and_nan_cell_take_the_canonical_path(self, db, monkeypatch):
-        cells = []
-        canonical_column = execmatch._canonical_column
+    def test_null_column_is_matched_raw(self, db, monkeypatch):
         monkeypatch.setattr(execmatch, "_canonical_column",
-                            lambda column: cells.append(len(column)) or canonical_column(column))
+                            lambda column: pytest.fail("a cell was canonicalized"))
+        outcomes = Counter()
         assert label_record("SELECT name, country FROM singer",
-                            "SELECT country, name FROM singer ORDER BY name", SQLiteExecutor(db)) == 1
-        assert cells == [3] * 4
+                            "SELECT country, name FROM singer ORDER BY name", SQLiteExecutor(db),
+                            outcomes=outcomes) == 1
+        assert outcomes == Counter({"matched": 1})
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_null_and_mixed_results_label_as_on_canonical_strings(self, db, monkeypatch, strict):
+        mixed = "SELECT name, CASE WHEN age > 26 THEN {} ELSE 'x' END FROM singer"
+        pairs = [("SELECT name, country FROM singer", pred) for pred in (
+            "SELECT country, name FROM singer ORDER BY age",
+            "SELECT name, country FROM singer ORDER BY age DESC",
+            "SELECT name, coalesce(country, 'FR') FROM singer",
+            "SELECT name, nullif(country, 'US') FROM singer")]
+        pairs += [(mixed.format(1), pred) for pred in (
+            "SELECT CASE WHEN age > 26 THEN 1 ELSE 'x' END, name FROM singer",
+            "SELECT name, country FROM singer",
+            *(mixed.format(then) for then in ("1.0", "1.5", "'1'")))]
+        ex = SQLiteExecutor(db)
+
+        def label(gold, pred):
+            outcomes = Counter()
+            return label_record(gold, pred, ex, strict, outcomes), outcomes
+
+        raw = [label(*pair) for pair in pairs]
+        monkeypatch.setattr(execmatch, "_raw_floats", lambda result: None)
+        assert [label(*pair) for pair in pairs] == raw
+        assert {label for label, _ in raw} == {0, 1}
+
+    def test_nan_cell_takes_the_canonical_path(self):
         nan = RawResult(1, [(math.nan,), (1.5,)])
-        assert execmatch._raw_kinds(nan) is None
+        assert execmatch._raw_floats(nan) is None
         assert execmatch._raw_outcome(nan, nan, False, time.monotonic() + 60,
-                                      execmatch._raw_kinds(nan)) is None
+                                      execmatch._raw_floats(nan)) is None
         assert tables_equal(self.canonical(nan), self.canonical(nan))

@@ -436,6 +436,27 @@ def test_record_that_cannot_be_written_leaves_the_file_as_it_was(tmp_path):
     assert out.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("lines, message", [
+    ([{"id": "a", "schema_id": "s", "label": 1}, {"id": "b", "schema_id": "s", "label": 0},
+      {"id": "a", "schema_id": "t", "label": 0}], "duplicate record id 'a'"),
+    ([{"id": 5, "schema_id": "s", "label": 1}, {"id": "5", "schema_id": "s", "label": 0}],
+     "duplicate record id '5'"),
+    ([], "empty dataset: {out}"),
+], ids=["repeated-id", "number-and-string-id", "empty"])
+def test_file_that_load_rejects_is_not_written(tmp_path, lines, message):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n")
+    with pytest.raises(DatasetError) as err:
+        write_dataset(lines, out)
+    assert str(err.value) == message.format(out=out)
+    assert out.read_text() == "old\n"
+    # load_dataset rejects those lines with the same text, after a file line
+    write_lines(out, [json.dumps(line) for line in lines])
+    with pytest.raises(DatasetError) as err:
+        load_dataset(out)
+    assert str(err.value).endswith(message.format(out=out))
+
+
 def test_question_is_a_string_or_null(tmp_path):
     path = tmp_path / "data.jsonl"
     write_lines(path, [_line(question="How many?"), _line(id="q2", question=None)])

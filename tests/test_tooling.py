@@ -83,3 +83,20 @@ def test_one_record_parser():
     for path in PACKAGE.glob("*.py"):
         if path.name != "records.py":
             assert _references(ast.parse(path.read_text(encoding="utf-8")), "_fields") == 0, path
+
+
+def test_one_equality_rule():
+    """`label` compares results by one rule: `tables_equal` compares row and
+    column multisets and sorts nothing, and `_INT_FLOAT_LIMIT`, the bound
+    below which a float's canonical string agrees with Python equality, is
+    read only by `canonical_cell` and `_raw_floats`."""
+    tree = ast.parse((PACKAGE / "execmatch.py").read_text(encoding="utf-8"))
+    tables_equal = _functions(PACKAGE / "execmatch.py")["tables_equal"]
+    assert _references(tables_equal, "sorted") == _references(tables_equal, "sort") == 0
+    readers = {getattr(node, "name", None) for node in tree.body
+               if not isinstance(node, ast.Assign) and _references(node, "_INT_FLOAT_LIMIT")}
+    assert readers == {"canonical_cell", "_raw_floats"}
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "execmatch.py":
+            module = ast.parse(path.read_text(encoding="utf-8"))
+            assert _references(module, "_INT_FLOAT_LIMIT") == 0, path
