@@ -65,11 +65,6 @@ def segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_means(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`np.mean` of every segment of x; the segments must be nonempty."""
-    return segment_sums(x, bounds) / np.diff(bounds)
-
-
 def segment_searchsorted(keys: np.ndarray, key_bounds: np.ndarray,
                          values: np.ndarray, value_seg: np.ndarray) -> np.ndarray:
     """For each value, `np.searchsorted(keys_i, value, side="right")` on the

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -357,12 +357,9 @@ def _isotonic_map(xs: np.ndarray, ys: np.ndarray, knot_bounds: np.ndarray, raw: 
 def save_calibrator(
     calibrator: PlattCalibrator | IsotonicCalibrator, path: str | Path
 ) -> None:
-    if isinstance(calibrator, PlattCalibrator):
-        obj = {"kind": "platt", "t": calibrator.t, "b": calibrator.b}
-    else:
-        # the one way knots are applied, kept so that calibrator files keep their bytes
-        obj = {"kind": "isotonic", "mode": "interpolate",
-               "knots": [[x, y] for x, y in calibrator.knots]}
+    """The calibrator, `asdict` of it, under its kind: "platt" or "isotonic"."""
+    kind = "platt" if isinstance(calibrator, PlattCalibrator) else "isotonic"
+    obj = {"kind": kind, **asdict(calibrator)}
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
@@ -392,7 +389,7 @@ def _calibrator_from_obj(obj: Any) -> PlattCalibrator | IsotonicCalibrator:
         raise RecordError(kind, "knots", "x must be strictly increasing")
     if ys[0] < 0.0 or ys[-1] > 1.0 or any(y0 > y1 for y0, y1 in zip(ys, ys[1:])):
         raise RecordError(kind, "knots", "y must be non-decreasing within [0, 1]")
-    mode = obj.get("mode", "interpolate")
+    mode = obj.get("mode", "interpolate")  # no longer written; files written before still load
     if mode != "interpolate":
         raise RecordError(kind, "mode", f"must be 'interpolate', got {mode!r}")
     return IsotonicCalibrator(knots=tuple(zip(xs, ys)))

@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from itertools import groupby
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .records import (
     DatasetError,
@@ -78,6 +78,16 @@ def _timeout(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}") from None
 
 
+def _print_skips(skipped: Sequence[tuple[str, str]], noun: str, prefix: str = "") -> None:
+    """One stderr line per skip reason of the (id, reason) pairs, in order of
+    first appearance: the reason, how many ids it skipped and the first."""
+    ids_by_reason: dict[str, list[str]] = {}
+    for rid, reason in skipped:
+        ids_by_reason.setdefault(reason, []).append(rid)
+    for reason, ids in ids_by_reason.items():
+        print(f"{prefix}skip {reason}: {len(ids)} {noun}, first {ids[0]}", file=sys.stderr)
+
+
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     rows = _read_records(Path(args.input), lambda obj: _checked(obj)[1:3])  # schema id, label
     print(f"records: {len(rows)}")
@@ -92,11 +102,7 @@ def cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         raise DatasetError(f"no record is scorable with method {args.method}")
     write_scored(result.scored, args.out)
     print(f"scored {len(result.scored)} records, skipped {len(result.skipped)}", file=sys.stderr)
-    skipped_ids: dict[str, list[str]] = {}  # by reason
-    for rid, reason in result.skipped:
-        skipped_ids.setdefault(reason, []).append(rid)
-    for reason, ids in skipped_ids.items():
-        print(f"skip {reason}: {len(ids)} records, first {ids[0]}", file=sys.stderr)
+    _print_skips(result.skipped, "records")
     return 0
 
 
@@ -148,8 +154,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         if not result.scored:
             raise DatasetError(f"no record is scorable with method {method}")
         _check_bins(args, len(result.scored), f"scored with method {method}")
-        if result.skipped:
-            print(f"method {method}: skipped {len(result.skipped)} records", file=sys.stderr)
+        _print_skips(result.skipped, "records", f"method {method}: ")
         scored[method] = result.scored
 
     # one evaluator over every method; each method's columns are freed once evaluated
@@ -160,8 +165,7 @@ def cmd_evaluate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.scope == "schema_level":
         rpt.write_schema_csv(report, out_dir / "schemas.csv")
         rpt.write_thresholds_csv([("schema_level", report.micro.prf)], out_dir / "thresholds.csv")
-        for schema_id, reason in report.skipped:
-            print(f"skip schema {schema_id}: {reason}", file=sys.stderr)
+        _print_skips(report.skipped, "schemas")
         print(f"wrote {out_dir / 'schemas.csv'} and {out_dir / 'thresholds.csv'}", file=sys.stderr)
         return 0
 

@@ -20,7 +20,7 @@ from ._segments import (
     length_groups,
     one_split,
     segment_ids,
-    segment_means,
+    segment_sums,
     sorted_ties,
 )
 from .binning import BinPartition, _bin_columns
@@ -77,7 +77,8 @@ def brier(confs: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def _briers(c: np.ndarray, a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    return segment_means((a - c) ** 2, bounds)
+    """`np.mean` of the squared errors of every (nonempty) segment, bit for bit."""
+    return segment_sums((a - c) ** 2, bounds) / np.diff(bounds)
 
 
 def _check_partition(c: np.ndarray, a: np.ndarray, partition: BinPartition) -> None:

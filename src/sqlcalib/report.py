@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .binning import Bin, BinPartition
-from .metrics import MetricsReport
 from .protocol import _METRIC_KEYS, EvaluationReport, SchemaLevelReport
 
 
@@ -146,26 +145,9 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _metrics_dict(m: MetricsReport) -> dict:
-    """`m` as a JSON object, its `binning_mode` under the key `binning`."""
-    fields = asdict(m)
-    fields["binning"] = fields.pop("binning_mode")
-    return fields
-
-
 def write_report_json(report: EvaluationReport, path: str | Path, dataset_name: str = "") -> None:
-    """Full structured dump of a cross-validation report."""
-    obj = {
-        "dataset": dataset_name,
-        "method": report.method,
-        "k": report.config.k,
-        "seed": report.config.seed,
-        "binning": report.config.binning,
-        "folds": [{**vars(fm), "metrics": _metrics_dict(fm.metrics)} for fm in report.folds],
-        "mean": dict(report.mean),
-        "std": dict(report.std),
-        "notes": list(report.notes),
-    }
+    """The whole report, `asdict` of it, under the name of its dataset."""
+    obj = {"dataset": dataset_name, **asdict(report)}
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -491,6 +491,16 @@ class TestEvaluate:
         assert (dirs[0] / "report.csv").read_bytes() == (dirs[1] / "report.csv").read_bytes()
         assert (dirs[0] / "thresholds.csv").read_bytes() == (dirs[1] / "thresholds.csv").read_bytes()
 
+    def test_report_json_names_no_path(self, synthetic, tmp_path):
+        # the same input file in another directory, written to another --out-dir
+        copy = tmp_path / "elsewhere" / synthetic.name
+        copy.parent.mkdir()
+        copy.write_bytes(synthetic.read_bytes())
+        dirs = [tmp_path / "r1", tmp_path / "nested" / "r2"]
+        for data, out_dir in zip((synthetic, copy), dirs):
+            assert run("evaluate", "--input", data, "--seed", 7, "--out-dir", out_dir) == 0
+        assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
+
     def test_single_schema_dataset_exits_1(self, tmp_path, capsys):
         data = tmp_path / "one.jsonl"
         rows = [
@@ -614,8 +624,9 @@ class TestEvaluate:
         assert run("evaluate", "--input", data, "--scope", "schema_level", "--binning", "monotonic",
                    "--min-bin-count", 17, "--seed", 1, "--out-dir", out_dir) == 0
         err = capsys.readouterr().err
-        for s in range(5, 10):
-            assert f"skip schema schema-{s:02d}: only 16 evaluation records, need min_bin_count 17" in err
+        # one line for the reason, which skipped schemas 05-09
+        assert [line for line in err.splitlines() if line.startswith("skip")] == [
+            "skip only 16 evaluation records, need min_bin_count 17: 5 schemas, first schema-05"]
         with (out_dir / "schemas.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["schema"] for r in rows] == [f"schema-{s:02d}" for s in range(5)] + ["micro"]
@@ -686,7 +697,8 @@ class TestEvaluate:
                    "--seed", 1, "--out-dir", tmp_path / "out") == 0
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("method ")] == [
-            f"method {method}: skipped 20 records" for method in ("prod", "geo", "min", "avg")]
+            f"method {method}: skip missing token_probs: 20 records, first r00"
+            for method in ("prod", "geo", "min", "avg")]
 
     def test_degenerate_tuning_split_is_a_note(self, tmp_path, capsys):
         # schema s0 is all correct, so the fold that tunes on it alone holds one class
@@ -917,12 +929,12 @@ class TestReportCommand:
         run("score", "--input", synthetic, "--out", scored, "--method", "prod")
         run("calibrate", "--scored", scored, "--kind", "isotonic", "--out", cal)
         report = ("report", "--scored", scored, "--calibrator", cal, "--out-csv")
-        assert run(*report, tmp_path / "saved.csv") == 0
-        obj = json.loads(cal.read_text())
-        assert obj.pop("mode") == "interpolate"
-        cal.write_text(json.dumps(obj))
         assert run(*report, tmp_path / "no-mode.csv") == 0
-        assert (tmp_path / "no-mode.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
+        obj = json.loads(cal.read_text())
+        assert "mode" not in obj
+        cal.write_text(json.dumps({**obj, "mode": "interpolate"}))  # as files once held it
+        assert run(*report, tmp_path / "interpolate.csv") == 0
+        assert (tmp_path / "no-mode.csv").read_bytes() == (tmp_path / "interpolate.csv").read_bytes()
         cal.write_text(json.dumps({**obj, "mode": "step"}))
         capsys.readouterr()
         assert run(*report, tmp_path / "step.csv") == 1

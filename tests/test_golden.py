@@ -62,7 +62,7 @@ GOLDEN = {
     ("compare", "report.csv"):
         "eb5cd69f9771a4d8f5407ee3d3e01f868dc705710a32cc8c71f226eca4f29345",
     ("compare", "report.json"):
-        "ee6e9e8fbc3005f3764c82b0b5d0164faf9149468e0aeb554ad61694da1eafb6",
+        "f255b631da28435050d0deb976f7a3436ad6d51213826ca53c1c79cd75b882b1",
     ("compare", "thresholds.csv"):
         "4f586a64ee60b092e58f650fd55410ad6bcfc27e076027e3b0c65035c59629de",
     ("compare", "compare.csv"):
@@ -70,7 +70,7 @@ GOLDEN = {
     ("monotonic_platt", "report.csv"):
         "5cd93d165b2781009aedf63117f0844a98a201262a8112cd7f531ad90b51b226",
     ("monotonic_platt", "report.json"):
-        "9b759b515113e88c514c10bf4ee06a1907df950cf5e4576189b398ffc64e8554",
+        "e64bcffe559dad4878581c6ca3100ea198049c52676df285b9b22099b606cec3",
     ("monotonic_platt", "thresholds.csv"):
         "2e578168cafb2ca5f52e649e82e49614f00b623ae07700c0fa4c4d428f68154c",
     ("schema_level", "schemas.csv"):
@@ -78,7 +78,7 @@ GOLDEN = {
     ("schema_level", "thresholds.csv"):
         "3b2922a7752c8ebda710fafef875e0abe236b24fc83cb392034687cc7d220b72",
     ("calibrate", "isotonic.json"):
-        "7dc5cd4e9a882f8ea1504164b39423e2b59f4e8b5126403b4422737da4b61e77",
+        "483c674d7ca47e4721118bf4aa49cac02fb7f8b5c3cf8faac37d8c4fc486471b",
     ("calibrate", "platt.json"):
         "65278d83615ef65b1a5d2b4101c3ca33491c5e23be63dd3dfb9b0de42bd67051",
     ("report", "isotonic_monotonic.csv"):
@@ -110,7 +110,7 @@ GOLDEN = {
     ("variant_disjoint", "report.csv"):
         "708fd538769b6cb5c060e7cfb301b36df5330b84cfe67be8d83aaeba8d8a36c4",
     ("variant_disjoint", "report.json"):
-        "704ca04a9946b4f68acea8ad95a5ab48f0bb37578b761161fa644564d52d1bc4",
+        "a8f07979f65dbd3e10011c4806ac767e49a4d05de96992becb958a8fe0474def",
     ("variant_disjoint", "thresholds.csv"):
         "70c51a39b733f00406bee7857b13a047254892befe39a64d201c6af337a797be",
     ("variant_schema_level", "schemas.csv"):

@@ -1,10 +1,15 @@
 import csv
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from sqlcalib.binning import monotonic_bins, uniform_bins
-from sqlcalib.protocol import ProtocolConfig, cross_validate, generate_synthetic
+from sqlcalib.protocol import (
+    EvaluationReport,
+    ProtocolConfig,
+    cross_validate,
+    generate_synthetic,
+)
 from sqlcalib.report import (
     ReliabilitySeries,
     reliability_series,
@@ -175,3 +180,9 @@ class TestEvaluationCsv:
         assert len(obj["folds"]) == 5
         assert obj["mean"]["auc"] == report.mean["auc"]
         assert obj["folds"][0]["metrics"]["prf"][0]["threshold"] == 0.9
+        # the whole report, dumped by asdict, plus the dataset's name
+        assert obj.keys() == {"dataset"} | {f.name for f in fields(EvaluationReport)}
+        assert obj["config"] == json.loads(json.dumps(asdict(report.config)))
+        assert len(obj["config"]) == len(fields(ProtocolConfig)) == 9
+        assert [f["metrics"]["binning_mode"] for f in obj["folds"]] == ["uniform"] * 5
+        assert obj["prf_std"] == [asdict(tm) for tm in report.prf_std]

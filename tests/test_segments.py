@@ -7,7 +7,6 @@ import pytest
 from sqlcalib._segments import (
     bounds_of,
     segment_ids,
-    segment_means,
     segment_searchsorted,
     segment_sums,
     sorted_ties,
@@ -15,6 +14,7 @@ from sqlcalib._segments import (
 from sqlcalib.binning import monotonic_bins, uniform_bins
 from sqlcalib.calibrate import fit_isotonic, fit_platt
 from sqlcalib.metrics import (
+    _briers,
     _summarize_segments,
     auc,
     brier,
@@ -40,7 +40,9 @@ def test_sums_and_means_match_numpy_per_segment(high):
     bounds = bounds_of(lengths)
     x = rng.standard_normal(bounds[-1]) * 10.0 ** rng.integers(-8, 8, bounds[-1])
     assert segment_sums(x, bounds).tolist() == [float(np.sum(s)) for s in _slices(x, bounds)]
-    assert segment_means(x, bounds).tolist() == [float(np.mean(s)) for s in _slices(x, bounds)]
+    c = np.abs(x) / (1.0 + np.abs(x))  # confidences for the Brier score, a mean per segment
+    a = (x > 0).astype(float)
+    assert _briers(c, a, bounds).tolist() == [float(np.mean(s)) for s in _slices((a - c) ** 2, bounds)]
 
 
 def test_empty_segments_sum_to_zero():

@@ -85,6 +85,22 @@ def test_one_record_parser():
             assert _references(ast.parse(path.read_text(encoding="utf-8")), "_fields") == 0, path
 
 
+def test_one_serialization_rule():
+    """A JSON object sqlcalib writes is `asdict` of the object it records,
+    plus the one key that names it: `dataset` for `write_report_json`,
+    `kind` for `save_calibrator`. Neither writer reads a field of its
+    object or sets a key by subscript."""
+    for module, writer, key in (("report.py", "write_report_json", "dataset"),
+                                ("calibrate.py", "save_calibrator", "kind")):
+        function = _functions(PACKAGE / module)[writer]
+        (obj,) = [node for node in ast.walk(function) if isinstance(node, ast.Dict)]
+        assert [getattr(k, "value", k) for k in obj.keys] == [key, None], writer
+        assert isinstance(obj.values[1], ast.Call) and obj.values[1].func.id == "asdict", writer
+        record = function.args.args[0].arg
+        assert not any(isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == record
+                       or isinstance(node, ast.Subscript) for node in ast.walk(function)), writer
+
+
 def test_one_equality_rule():
     """`label` compares results by one rule: `tables_equal` compares row and
     column multisets and sorts nothing, and `_INT_FLOAT_LIMIT`, the bound
